@@ -26,6 +26,7 @@ from .kernel import (
     reference_table,
 )
 from .operators import (
+    Discretization,
     SpectralField,
     VectorSpectralField,
     apply_forward,
@@ -42,6 +43,7 @@ from .postprocess import (
     RayleighData,
     efficiencies,
     energy_balance,
+    rayleigh_both_sides,
     rayleigh_coefficients,
     rayleigh_line_integral,
     scattered_field_at,

@@ -1,7 +1,8 @@
 """Command-line front end: solve, sweep, diagnose, validate.
 
-Exit codes: 0 success, 2 solver did not converge, 3 invalid input
-(configuration, geometry or a Rayleigh anomaly).
+Exit codes: 0 success, 2 solver did not converge (including a Krylov
+breakdown), 3 invalid input (configuration, geometry, a Rayleigh anomaly or
+any other rejected problem).
 """
 
 from __future__ import annotations
@@ -23,11 +24,9 @@ from . import analysis as an
 from . import postprocess as pp
 from .config import RunConfig, load_config
 from .errors import (
+    BreakdownDetected,
     ConfigError,
-    GeometryError,
-    NonSymmetric,
     NotConverged,
-    RayleighAnomaly,
     VigratingError,
 )
 from .kernel import kernel_table
@@ -47,11 +46,9 @@ def _solve_config(cfg: RunConfig):
         rel_tol=cfg.rel_tol,
         max_iterations=cfg.max_iterations,
         restart=cfg.restart,
-        dealias=cfg.dealias,
     )
     solution = solve(problem, table, opts)
-    above = pp.rayleigh_coefficients(solution, problem, table, "+")
-    below = pp.rayleigh_coefficients(solution, problem, table, "-")
+    above, below = pp.rayleigh_both_sides(solution, problem, table)
     eff = pp.efficiencies(above, below, problem)
     return problem, table, solution, eff
 
@@ -61,7 +58,8 @@ def _write_solution(out_dir: Path, problem, table, solution, eff,
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "efficiencies.csv").write_text(pp.efficiency_csv(eff),
                                               encoding="utf-8")
-    true_residual = residual(problem, table, solution.u, dealias=cfg.dealias)
+    true_residual = residual(problem, table, solution.u,
+                             solution.discretization)
     lossless = problem.is_lossless()
     meta = {
         "converged": solution.converged,
@@ -86,10 +84,9 @@ def cmd_solve(config_path: str, output: str | None = None) -> int:
         cfg = load_config(config_path)
         out_dir = Path(output) if output else Path(cfg.output_directory)
         problem, table, solution, eff = _solve_config(cfg)
-    except (ConfigError, GeometryError, RayleighAnomaly, NonSymmetric,
-            FileNotFoundError, ValueError) as exc:
-        log.error("invalid problem: %s", exc)
-        return EXIT_INVALID
+    except BreakdownDetected as exc:
+        log.error("%s", exc)
+        return EXIT_NOT_CONVERGED
     except NotConverged as exc:
         log.error("%s", exc)
         sol = exc.solution
@@ -101,6 +98,9 @@ def cmd_solve(config_path: str, output: str | None = None) -> int:
                 "residual_history": list(sol.residual_history),
             }, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         return EXIT_NOT_CONVERGED
+    except (VigratingError, FileNotFoundError, ValueError) as exc:
+        log.error("invalid problem: %s", exc)
+        return EXIT_INVALID
     _write_solution(out_dir, problem, table, solution, eff, cfg)
     log.info("wrote %s", out_dir / "efficiencies.csv")
     return EXIT_OK
@@ -114,26 +114,29 @@ def cmd_sweep(config_path: str, param: str, start: float, stop: float,
             raise ConfigError("sweep parameter must be 'k' or 'theta'")
         if steps < 1:
             raise ConfigError("steps must be >= 1")
+        threads_env = os.environ.get("GRATING_THREADS", "1")
+        try:
+            threads = max(1, int(threads_env))
+        except ValueError:
+            raise ConfigError(
+                f"GRATING_THREADS must be an integer, got {threads_env!r}"
+            ) from None
     except ConfigError as exc:
         log.error("%s", exc)
         return EXIT_INVALID
 
     values = np.linspace(start, stop, steps)
-    threads = max(1, int(os.environ.get("GRATING_THREADS", "1")))
 
     def run_point(value: float):
         cfg = base.replace_parameter(param, float(value))
         try:
             problem, _, _, eff = _solve_config(cfg)
-        except RayleighAnomaly as exc:
+        except (NotConverged, BreakdownDetected) as exc:
             log.warning("skipping %s = %g: %s", param, value, exc)
             return value, None
-        except (ConfigError, GeometryError, NonSymmetric, ValueError) as exc:
+        except (VigratingError, ValueError) as exc:
             log.warning("skipping %s = %g: invalid problem (%s)", param,
                         value, exc)
-            return value, None
-        except NotConverged as exc:
-            log.warning("skipping %s = %g: %s", param, value, exc)
             return value, None
         return value, eff
 
@@ -172,8 +175,7 @@ def cmd_diagnose(config_path: str, output: str | None = None,
         cfg = load_config(config_path)
         problem = cfg.build()
         spectra = an.decompose_reQ(problem)
-    except (ConfigError, GeometryError, RayleighAnomaly, NonSymmetric,
-            FileNotFoundError, ValueError, VigratingError) as exc:
+    except (VigratingError, FileNotFoundError, ValueError) as exc:
         log.error("invalid problem: %s", exc)
         return EXIT_INVALID
 

@@ -42,7 +42,7 @@ _MATRIX_Q = {"q11_re", "q11_im", "q12_re", "q12_im", "q22_re", "q22_im"}
 _LAYER_Q = {"q1_re", "q1_im", "q2_re", "q2_im"}
 _PROBLEM_BASE = {"k", "theta_deg", "shape"}
 _NUMERICS_KEYS = {"n1", "n2", "rho_box", "rel_tol", "max_iterations",
-                  "restart", "dealias"}
+                  "restart"}
 _OUTPUT_KEYS = {"directory"}
 
 
@@ -59,7 +59,6 @@ class RunConfig:
     rel_tol: float
     max_iterations: int
     restart: int
-    dealias: bool
     output_directory: str
     geometry_lengths: dict = field(default_factory=dict)
 
@@ -136,17 +135,6 @@ def _getint(sec, key, where, default=None):
         return int(sec[key])
     except ValueError:
         raise ConfigError(f"key {key!r} in [{where}] is not an integer") from None
-
-
-def _getbool(sec, key, default=False):
-    if key not in sec:
-        return default
-    val = sec[key].strip().lower()
-    if val in ("true", "yes", "1", "on"):
-        return True
-    if val in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(f"key {key!r} must be a boolean, got {sec[key]!r}")
 
 
 def load_config(path) -> RunConfig:
@@ -251,6 +239,5 @@ def load_config(path) -> RunConfig:
         rel_tol=float(num.get("rel_tol", "1e-8")),
         max_iterations=_getint(num, "max_iterations", "numerics", 500),
         restart=_getint(num, "restart", "numerics", 50),
-        dealias=_getbool(num, "dealias"),
         output_directory=out_dir,
     )

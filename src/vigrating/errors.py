@@ -79,8 +79,3 @@ class SingularReQ(VigratingError):
 class GeometryNotGraph(VigratingError):
     """Scatterer support is not a vertical graph region; extension-operator
     diagnostics are not applicable."""
-
-
-class EvaluationGap(VigratingError):
-    """Field evaluation requested in a region covered by neither the box
-    representation nor the Rayleigh series."""

@@ -8,6 +8,10 @@ All fields live on the quasi-periodic basis
 whose coefficients are reached from collocation samples by stripping the
 exp(i alpha x1) phase and applying an FFT.  Convolution with the periodized
 kernel is diagonal on this basis with multiplier sqrt(4 pi rho) * K_hat(j).
+
+The functions on SpectralField are the reference transforms; the solve path
+runs on a Discretization, which precomputes everything a solve applies
+repeatedly and needs one batched ifft2 and one fft2 per operator application.
 """
 
 from __future__ import annotations
@@ -124,10 +128,10 @@ def grad_spectral(u: SpectralField) -> VectorSpectralField:
     )
 
 
-def _check_table(u: SpectralField, table: KernelTable):
-    if table.coeffs.shape != u.coeffs.shape:
-        raise ShapeMismatch("kernel table shape does not match the field")
-    if abs(table.rho - u.grid.rho_box) > 1e-14:
+def _check_table(grid: Grid, table: KernelTable):
+    if table.coeffs.shape != (grid.n1, grid.n2):
+        raise ShapeMismatch("kernel table shape does not match the grid")
+    if abs(table.rho - grid.rho_box) > 1e-14:
         raise ShapeMismatch("kernel table was built for a different box height")
 
 
@@ -138,14 +142,14 @@ def volume_potential(g: SpectralField, table: KernelTable) -> SpectralField:
     For sources supported in |x2| <= h this equals the free volume potential
     at every node with |x2| <= rho_box - h, up to spectral truncation.
     """
-    _check_table(g, table)
+    _check_table(g.grid, table)
     scale = np.sqrt(4 * np.pi * table.rho)
     return g.replace(scale * table.coeffs * g.coeffs)
 
 
 def div_potential(g: VectorSpectralField, table: KernelTable) -> SpectralField:
     """Divergence of the volume potential of a vector density."""
-    _check_table(g.g1, table)
+    _check_table(g.g1.grid, table)
     aj, mu = _wavenumbers(g.g1.grid, g.g1.alpha)
     scale = np.sqrt(4 * np.pi * table.rho)
     coeffs = scale * table.coeffs * (
@@ -154,73 +158,131 @@ def div_potential(g: VectorSpectralField, table: KernelTable) -> SpectralField:
     return g.g1.replace(coeffs)
 
 
-def _pad_coeffs(c: np.ndarray, grid: Grid, fine: Grid) -> np.ndarray:
-    # negative mode numbers index the fine array from the end, which is
-    # exactly their FFT storage slot
-    out = np.zeros((fine.n1, fine.n2), dtype=complex)
-    out[np.ix_(grid.j1_modes(), grid.j2_modes())] = c
-    return out
-
-
-def _truncate_coeffs(c: np.ndarray, grid: Grid) -> np.ndarray:
-    return c[np.ix_(grid.j1_modes(), grid.j2_modes())]
-
-
-def pointwise_matrix_product(
-    q_grid: np.ndarray, g: VectorSpectralField, dealias: bool = False,
-    q_sampler=None,
-) -> VectorSpectralField:
-    """Physical-space product Q(x) * grad(x), optionally dealiased.
-
-    With ``dealias`` the gradient is zero-padded to a twice finer grid
-    (covers the 3/2 rule; mode counts stay powers of two), the product is
-    formed there with the contrast resampled by ``q_sampler``, and the
-    result is truncated back; aliasing of the quadratic term then vanishes
-    for band-limited factors.
-    """
+def pointwise_matrix_product(q_grid: np.ndarray,
+                             g: VectorSpectralField) -> VectorSpectralField:
+    """Physical-space product Q(x) * grad(x) at the collocation nodes."""
     grid = g.g1.grid
     alpha = g.g1.alpha
-    if not dealias:
-        p1 = to_physical(g.g1)
-        p2 = to_physical(g.g2)
-        h1 = q_grid[..., 0, 0] * p1 + q_grid[..., 0, 1] * p2
-        h2 = q_grid[..., 1, 0] * p1 + q_grid[..., 1, 1] * p2
-        return VectorSpectralField(
-            g1=to_spectral(h1, grid, alpha), g2=to_spectral(h2, grid, alpha)
-        )
-    if q_sampler is None:
-        raise ValueError("dealiasing requires the contrast sampler")
-    fine = Grid(n1=2 * grid.n1, n2=2 * grid.n2, rho_box=grid.rho_box)
-    qf = q_sampler(*fine.mesh())
-    up1 = SpectralField(_pad_coeffs(g.g1.coeffs, grid, fine), fine, alpha)
-    up2 = SpectralField(_pad_coeffs(g.g2.coeffs, grid, fine), fine, alpha)
-    p1 = to_physical(up1)
-    p2 = to_physical(up2)
-    h1 = to_spectral(qf[..., 0, 0] * p1 + qf[..., 0, 1] * p2, fine, alpha)
-    h2 = to_spectral(qf[..., 1, 0] * p1 + qf[..., 1, 1] * p2, fine, alpha)
+    p1 = to_physical(g.g1)
+    p2 = to_physical(g.g2)
+    h1 = q_grid[..., 0, 0] * p1 + q_grid[..., 0, 1] * p2
+    h2 = q_grid[..., 1, 0] * p1 + q_grid[..., 1, 1] * p2
     return VectorSpectralField(
-        g1=SpectralField(_truncate_coeffs(h1.coeffs, grid), grid, alpha),
-        g2=SpectralField(_truncate_coeffs(h2.coeffs, grid), grid, alpha),
+        g1=to_spectral(h1, grid, alpha), g2=to_spectral(h2, grid, alpha)
     )
 
 
-def apply_forward(
-    u: SpectralField, problem: Problem, table: KernelTable,
-    dealias: bool = False,
-) -> SpectralField:
+def _contrast_product(q: np.ndarray, y: np.ndarray):
+    """y <- Q y in place; y is (2, ...), q a scalar field or (2, 2, ...)."""
+    if q.ndim < y.ndim:
+        y *= q
+        return
+    h0 = q[0, 0] * y[0] + q[0, 1] * y[1]
+    y[1] *= q[1, 1]
+    y[1] += q[1, 0] * y[0]
+    y[0] = h0
+
+
+class Discretization:
+    """The solve-invariant arrays of one problem and kernel table.
+
+    Built once per solve and shared by the forward operator, the right-hand
+    side, the residual and the scattered density.  Physical samples live on
+    the natural FFT layout: sample m sits half a box away from the centered
+    node m, at (2 pi m1 / N1, 2 rho m2 / N2) modulo the box.  There the
+    (-1)^(j1 + j2) signs of the centered basis become an index shift, and
+    the exp(i alpha x1) phase cancels around every pointwise product, so
+    ``ifft2(c)`` is the phase-stripped field times ``scale`` =
+    sqrt(4 pi rho) / (N1 N2) and a transform pair needs no other factor.
+
+    The (2, N1, N2) work buffer makes an instance unsafe to share between
+    threads; every solve builds its own.
+    """
+
+    def __init__(self, problem: Problem, table: KernelTable):
+        grid = problem.grid
+        _check_table(grid, table)
+        self.problem = problem
+        self.table = table
+        shift = (grid.n1 // 2, grid.n2 // 2)
+        self.ia = (1j * (grid.j1_modes() + problem.alpha))[:, None]
+        self.imu = (1j * np.pi / grid.rho_box * grid.j2_modes())[None, :]
+        self.multiplier = np.sqrt(4 * np.pi * grid.rho_box) * table.coeffs
+        self.scale = np.sqrt(4 * np.pi * grid.rho_box) / (grid.n1 * grid.n2)
+
+        q = np.roll(np.moveaxis(problem.q_grid, (2, 3), (0, 1)), shift,
+                    axis=(2, 3))
+        # a scalar contrast field: one product per sample instead of four
+        if (not q[0, 1].any() and not q[1, 0].any()
+                and np.array_equal(q[0, 0], q[1, 1])):
+            q = q[0, 0]
+        self.q = np.ascontiguousarray(q)
+        self.x2 = np.roll(grid.x2_nodes(), shift[1])
+        # x2 columns that carry contrast
+        self.support = np.flatnonzero(
+            self.q.any(axis=tuple(range(self.q.ndim - 1))))
+        self.work = np.empty((2, grid.n1, grid.n2), dtype=complex)
+
+    def _gradient(self, c: np.ndarray) -> np.ndarray:
+        """Scaled gradient samples of the field with coefficients c."""
+        np.multiply(self.ia, c, out=self.work[0])
+        np.multiply(self.imu, c, out=self.work[1])
+        # ifft2 ignores ``out`` in numpy 2.x; ifftn honours it
+        return np.fft.ifftn(self.work, axes=(1, 2), out=self.work)
+
+    def _incident_gradient(self) -> np.ndarray:
+        """Scaled grad u^i stripped of exp(i alpha x1); shape (2, 1, N2)."""
+        kd = self.problem.k * np.asarray(self.problem.wave.d)
+        return (self.scale * 1j * kd)[:, None, None] * np.exp(
+            1j * kd[1] * self.x2)
+
+    def _div_potential(self, y: np.ndarray) -> np.ndarray:
+        """Coefficients of div V(y) for scaled samples y (a buffer view)."""
+        f = np.fft.fftn(y, axes=(1, 2), out=y)
+        f[0] *= self.ia
+        f[1] *= self.imu
+        f[0] += f[1]
+        f[0] *= self.multiplier
+        return f[0]
+
+    def apply(self, c: np.ndarray) -> np.ndarray:
+        """Forward operator c - div V(Q grad c) on a coefficient array."""
+        y = self._gradient(c)
+        _contrast_product(self.q, y)
+        return c - self._div_potential(y)
+
+    def rhs(self) -> np.ndarray:
+        """Coefficients of the right-hand side div V(Q grad u^i)."""
+        y = self.work
+        y[...] = self._incident_gradient()
+        _contrast_product(self.q, y)
+        return self._div_potential(y).copy()
+
+    def density(self, c: np.ndarray) -> np.ndarray:
+        """Samples of w = Q grad(u^s + u^i) stripped of exp(i alpha x1).
+
+        Natural layout restricted to the support columns: shape
+        (2, N1, len(support)), node heights ``x2[support]``.
+        """
+        cols = self.support
+        y = self._gradient(c)[:, :, cols]
+        y += self._incident_gradient()[:, :, cols]
+        _contrast_product(self.q[..., cols], y)
+        y /= self.scale
+        return y
+
+
+def apply_forward(u: SpectralField, problem: Problem,
+                  table: KernelTable) -> SpectralField:
     """Forward operator u - div V(Q grad u) on the collocation grid."""
-    qg = pointwise_matrix_product(
-        problem.q_grid, grad_spectral(u), dealias=dealias,
-        q_sampler=problem.contrast.sample if dealias else None,
-    )
-    lk = div_potential(qg, table)
-    return u.replace(u.coeffs - lk.coeffs)
+    return u.replace(Discretization(problem, table).apply(u.coeffs))
 
 
 def contrast_gradient_potential(
     u: SpectralField, problem: Problem, table: KernelTable,
 ) -> SpectralField:
-    """The compact-candidate part alone: div V(Q grad u)."""
+    """The compact-candidate part alone: div V(Q grad u), composed from the
+    reference transforms for any kernel table (oracle use)."""
     qg = pointwise_matrix_product(problem.q_grid, grad_spectral(u))
     return div_potential(qg, table)
 

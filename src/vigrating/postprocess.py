@@ -24,15 +24,9 @@ import numpy as np
 
 from .errors import NotConverged
 from .kernel import KernelTable, _beta_many
-from .operators import (
-    SpectralField,
-    evaluate,
-    grad_spectral,
-    pointwise_matrix_product,
-    to_physical,
-)
+from .operators import Discretization, evaluate
 from .problem import Problem
-from .solver import Solution, incident_density, incident_density_spectral
+from .solver import Solution
 
 EVANESCENT_DROP = 40.0
 
@@ -56,31 +50,60 @@ class RayleighData:
         return self.coefficients[j]
 
 
-def scattered_density(problem: Problem, table: KernelTable,
-                      u: SpectralField,
-                      dealias: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Physical samples of w = Q grad(u^s + u^i), the solved density.
+def rayleigh_both_sides(
+    solution: Solution,
+    problem: Problem,
+    table: KernelTable,
+    j_max: int | None = None,
+) -> tuple[RayleighData, RayleighData]:
+    """Rayleigh coefficients above and below from moments of the density.
 
-    Uses the same product rule as the solve: mixing the plain and the
-    dealiased products would desynchronize the density from the field and
-    corrupt the energy balance at aliasing level.
+    For a density w = Q grad(u^s + u^i) supported in the grating slab the
+    scattered field above (below) is grad G * w summed over orders, which
+    gives
+
+        c_j^{+-} = -(e^{i beta_j rho_ref} / (4 pi beta_j))
+                   integral_D e^{-i alpha_j y1 -+ i beta_j y2}
+                              (alpha_j w_1 +- beta_j w_2) dy,
+
+    evaluated by the trapezoidal rule on the grid (spectrally accurate in
+    the periodic direction).  The density is built once on the support
+    columns; one FFT in x1 turns the y1 sums of all orders into row
+    lookups, leaving one x2 dot product per order and side.
     """
-    if not dealias:
-        g = grad_spectral(u)
-        p1 = to_physical(g.g1)
-        p2 = to_physical(g.g2)
-        f1, f2 = incident_density(problem)
-        q = problem.q_grid
-        w1 = q[..., 0, 0] * p1 + q[..., 0, 1] * p2 + f1
-        w2 = q[..., 1, 0] * p1 + q[..., 1, 1] * p2 + f2
-        return w1, w2
-    qg = pointwise_matrix_product(problem.q_grid, grad_spectral(u),
-                                  dealias=True,
-                                  q_sampler=problem.contrast.sample)
-    f = incident_density_spectral(problem, dealias=True)
-    w1 = to_physical(u.replace(qg.g1.coeffs + f.g1.coeffs))
-    w2 = to_physical(u.replace(qg.g2.coeffs + f.g2.coeffs))
-    return w1, w2
+    if not solution.converged:
+        raise NotConverged("Rayleigh extraction requires a converged solve")
+    disc = solution.discretization
+    if disc is None or disc.problem is not problem or disc.table is not table:
+        disc = Discretization(problem, table)
+    if j_max is None:
+        j_max = problem.grid.n1 // 2 - 1
+    k, alpha, rho_ref = problem.k, problem.alpha, problem.rho_ref
+
+    orders = np.arange(-j_max, j_max + 1)
+    betas = _beta_many(orders, k**2, alpha)
+    kept = betas.imag * rho_ref <= EVANESCENT_DROP
+    j, bj = orders[kept], betas[kept]
+    # the y1 sum of order j is row j of the x1 transform of the density
+    rows = np.fft.fft(disc.density(solution.u.coeffs), axis=1)
+    rows = rows[:, j % problem.grid.n1]              # (2, orders, x2)
+    aj = (j + alpha)[:, None]
+    x2 = disc.x2[disc.support]
+    prefactor = (-problem.grid.cell_area * np.exp(1j * bj * rho_ref)
+                 / (4 * np.pi * bj))
+    bj = bj[:, None]
+    propagating = tuple(orders[betas.imag == 0.0].tolist())
+    truncated = tuple(orders[~kept].tolist())
+    sides = []
+    for side, sgn in (("+", 1.0), ("-", -1.0)):
+        moment = np.sum(np.exp(-sgn * 1j * bj * x2)
+                        * (aj * rows[0] + sgn * bj * rows[1]), axis=1)
+        coeffs = dict.fromkeys(orders.tolist(), 0.0)
+        coeffs.update(zip(j.tolist(), (prefactor * moment).tolist()))
+        sides.append(RayleighData(side=side, coefficients=coeffs,
+                                  propagating=propagating, rho_ref=rho_ref,
+                                  truncated=truncated))
+    return sides[0], sides[1]
 
 
 def rayleigh_coefficients(
@@ -90,57 +113,11 @@ def rayleigh_coefficients(
     side: str,
     j_max: int | None = None,
 ) -> RayleighData:
-    """Rayleigh coefficients from moments of the solved density.
-
-    For a density w supported in the grating slab the scattered field above
-    (below) is grad G * w summed over orders, which gives
-
-        c_j^{+-} = -(e^{i beta_j rho_ref} / (4 pi beta_j))
-                   integral_D e^{-i alpha_j y1 -+ i beta_j y2}
-                              (alpha_j w_1 +- beta_j w_2) dy,
-
-    evaluated by the trapezoidal rule on the grid (spectrally accurate in
-    the periodic direction).
-    """
-    if not solution.converged:
-        raise NotConverged("rayleigh_coefficients requires a converged solve")
+    """One side ("+" above, "-" below) of :func:`rayleigh_both_sides`."""
     if side not in ("+", "-"):
         raise ValueError("side must be '+' or '-'")
-    sgn = 1.0 if side == "+" else -1.0
-    if j_max is None:
-        j_max = problem.grid.n1 // 2 - 1
-
-    w1, w2 = scattered_density(problem, table, solution.u,
-                               dealias=solution.dealias)
-    xx1, xx2 = problem.grid.mesh()
-    cell = problem.grid.cell_area
-    k, alpha, rho_ref = problem.k, problem.alpha, problem.rho_ref
-
-    orders = np.arange(-j_max, j_max + 1)
-    betas = _beta_many(orders, k**2, alpha)
-    coeffs: dict[int, complex] = {}
-    truncated = []
-    propagating = []
-    for j, bj in zip(orders.tolist(), betas):
-        if bj.imag == 0.0:
-            propagating.append(j)
-        if bj.imag * rho_ref > EVANESCENT_DROP:
-            coeffs[j] = 0.0
-            truncated.append(j)
-            continue
-        aj = j + alpha
-        phase = np.exp(-1j * aj * xx1 - sgn * 1j * bj * xx2)
-        moment = cell * np.sum(phase * (aj * w1 + sgn * bj * w2))
-        coeffs[j] = complex(
-            -np.exp(1j * bj * rho_ref) / (4 * np.pi * bj) * moment
-        )
-    return RayleighData(
-        side=side,
-        coefficients=coeffs,
-        propagating=tuple(propagating),
-        rho_ref=rho_ref,
-        truncated=tuple(truncated),
-    )
+    above, below = rayleigh_both_sides(solution, problem, table, j_max)
+    return above if side == "+" else below
 
 
 def rayleigh_line_integral(

@@ -216,17 +216,6 @@ def incident_field(wave: IncidentWave, points) -> tuple[np.ndarray, np.ndarray]:
     return u, grad
 
 
-def incident_on_grid(problem: Problem) -> tuple[np.ndarray, np.ndarray]:
-    """Incident values and gradient components on the grid nodes.
-
-    Returns (u, g) with u of shape (N1, N2) and g of shape (2, N1, N2).
-    """
-    xx1, xx2 = problem.grid.mesh()
-    kd = problem.k * np.asarray(problem.wave.d)
-    u = np.exp(1j * (kd[0] * xx1 + kd[1] * xx2))
-    return u, np.stack((1j * kd[0] * u, 1j * kd[1] * u))
-
-
 # ----------------------------------------------------------------------------
 # contrast constructors
 

@@ -11,18 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import BreakdownDetected, NotConverged
 from .kernel import KernelTable
-from .operators import (
-    SpectralField,
-    VectorSpectralField,
-    apply_forward,
-    div_potential,
-    to_spectral,
-)
-from .problem import Grid, Problem, incident_on_grid
+from .operators import Discretization, SpectralField
+from .problem import Problem
 
 
 @dataclass(frozen=True)
@@ -30,8 +23,6 @@ class SolveOptions:
     rel_tol: float = 1e-8
     max_iterations: int = 500
     restart: int = 50
-    record_residuals: bool = True
-    dealias: bool = False
 
     def __post_init__(self):
         if self.rel_tol <= 0:
@@ -44,70 +35,22 @@ class SolveOptions:
 class Solution:
     """Converged (or best-effort) scattered field with its residual history.
 
-    ``dealias`` records the product rule the solve used, so post-processing
-    reconstructs the density with the same discretization.
+    ``discretization`` is the one the solve ran on; post-processing of the
+    same problem and table reuses it.
     """
 
     u: SpectralField
     residual_history: tuple = field(repr=False)
     converged: bool = False
     iterations: int = 0
-    dealias: bool = False
+    discretization: Discretization | None = field(
+        default=None, repr=False, compare=False)
 
 
-def incident_density(problem: Problem, grid=None) -> tuple[np.ndarray, np.ndarray]:
-    """Physical samples of f = Q grad u^i (componentwise, zero off support).
-
-    With an explicit finer ``grid`` the contrast and the incident gradient
-    are resampled there (used by the dealiased product rule).
-    """
-    if grid is None or grid == problem.grid:
-        _, grad = incident_on_grid(problem)
-        q = problem.q_grid
-    else:
-        xx1, xx2 = grid.mesh()
-        kd = problem.k * np.asarray(problem.wave.d)
-        u = np.exp(1j * (kd[0] * xx1 + kd[1] * xx2))
-        grad = np.stack((1j * kd[0] * u, 1j * kd[1] * u))
-        q = problem.contrast.sample(xx1, xx2)
-    f1 = q[..., 0, 0] * grad[0] + q[..., 0, 1] * grad[1]
-    f2 = q[..., 1, 0] * grad[0] + q[..., 1, 1] * grad[1]
-    return f1, f2
-
-
-def incident_density_spectral(problem: Problem,
-                              dealias: bool = False) -> VectorSpectralField:
-    """Spectral components of f = Q grad u^i under the chosen product rule.
-
-    The dealiased variant forms the product on a twice finer grid and keeps
-    the coarse modes, matching the operator's dealiased application.
-    """
-    grid = problem.grid
-    alpha = problem.alpha
-    if not dealias:
-        f1, f2 = incident_density(problem)
-        return VectorSpectralField(
-            g1=to_spectral(f1, grid, alpha),
-            g2=to_spectral(f2, grid, alpha),
-        )
-    fine = Grid(n1=2 * grid.n1, n2=2 * grid.n2, rho_box=grid.rho_box)
-    f1, f2 = incident_density(problem, grid=fine)
-    c1 = to_spectral(f1, fine, alpha).coeffs[
-        np.ix_(grid.j1_modes(), grid.j2_modes())
-    ]
-    c2 = to_spectral(f2, fine, alpha).coeffs[
-        np.ix_(grid.j1_modes(), grid.j2_modes())
-    ]
-    return VectorSpectralField(
-        g1=SpectralField(c1, grid, alpha),
-        g2=SpectralField(c2, grid, alpha),
-    )
-
-
-def assemble_rhs(problem: Problem, table: KernelTable,
-                 dealias: bool = False) -> SpectralField:
-    """div V(Q grad u^i) under the same product rule as the operator."""
-    return div_potential(incident_density_spectral(problem, dealias), table)
+def assemble_rhs(problem: Problem, table: KernelTable) -> SpectralField:
+    """div V(Q grad u^i), the right-hand side of the scattering equation."""
+    rhs = Discretization(problem, table).rhs()
+    return SpectralField(rhs, problem.grid, problem.alpha)
 
 
 def gmres(
@@ -154,11 +97,16 @@ def gmres(
 
         j_used = 0
         for j in range(m):
-            # fresh array: matvec may hand back its argument (e.g. identity)
-            w = np.array(matvec(v[j]), dtype=complex)
-            for i in range(j + 1):          # modified Gram-Schmidt
-                h[i, j] = np.vdot(v[i], w)
-                w -= h[i, j] * v[i]
+            # w is never updated in place: matvec may hand back its argument
+            w = np.asarray(matvec(v[j]), dtype=complex)
+            # classical Gram-Schmidt run twice (CGS2), two BLAS-2 products
+            # per pass; conj(V @ conj(w)) does not copy the conjugated basis
+            basis = v[:j + 1]
+            proj = np.conj(basis @ np.conj(w))
+            w = w - basis.T @ proj
+            again = np.conj(basis @ np.conj(w))
+            w = w - basis.T @ again
+            h[:j + 1, j] = proj + again
             hsub = float(np.linalg.norm(w))
             iterations += 1
             for i in range(j):              # stored rotations on the new column
@@ -204,7 +152,8 @@ def gmres(
                 break
 
         if j_used:
-            y = solve_triangular(h[:j_used, :j_used], g[:j_used])
+            # upper triangular: LU without row exchanges is back substitution
+            y = np.linalg.solve(h[:j_used, :j_used], g[:j_used])
             x = x + v[:j_used].T @ y
         if history and history[-1] <= rel_tol:
             converged = True
@@ -219,26 +168,26 @@ def solve(problem: Problem, table: KernelTable,
     best iterate and its history are attached to the NotConverged error.
     """
     opts = opts or SolveOptions()
-    rhs = assemble_rhs(problem, table, dealias=opts.dealias)
-    shape = rhs.coeffs.shape
+    disc = Discretization(problem, table)
+    rhs = disc.rhs()
+    shape = rhs.shape
 
     def matvec(vec: np.ndarray) -> np.ndarray:
-        u = SpectralField(vec.reshape(shape), problem.grid, problem.alpha)
-        return apply_forward(u, problem, table, dealias=opts.dealias).coeffs.reshape(-1)
+        return disc.apply(vec.reshape(shape)).reshape(-1)
 
     x, history, converged, iters = gmres(
         matvec,
-        rhs.coeffs.reshape(-1),
+        rhs.reshape(-1),
         rel_tol=opts.rel_tol,
         restart=opts.restart,
         max_iterations=opts.max_iterations,
     )
     sol = Solution(
         u=SpectralField(x.reshape(shape), problem.grid, problem.alpha),
-        residual_history=tuple(history) if opts.record_residuals else (),
+        residual_history=tuple(history),
         converged=converged,
         iterations=iters,
-        dealias=opts.dealias,
+        discretization=disc,
     )
     if not converged:
         raise NotConverged(
@@ -251,13 +200,14 @@ def solve(problem: Problem, table: KernelTable,
 
 
 def residual(problem: Problem, table: KernelTable, u: SpectralField,
-             dealias: bool = False) -> float:
+             disc: Discretization | None = None) -> float:
     """Relative residual ||A u - rhs|| / ||rhs||, recomputed from scratch.
 
-    Falls back to the absolute norm when the right-hand side vanishes.
+    ``disc`` may pass the discretization of the solve.  Falls back to the
+    absolute norm when the right-hand side vanishes.
     """
-    rhs = assemble_rhs(problem, table, dealias=dealias)
-    au = apply_forward(u, problem, table, dealias=dealias)
-    num = float(np.linalg.norm(au.coeffs - rhs.coeffs))
-    den = float(np.linalg.norm(rhs.coeffs))
+    disc = disc or Discretization(problem, table)
+    rhs = disc.rhs()
+    num = float(np.linalg.norm(disc.apply(u.coeffs) - rhs))
+    den = float(np.linalg.norm(rhs))
     return num / den if den > 0 else num

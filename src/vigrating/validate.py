@@ -169,8 +169,7 @@ def _solve_slab(q, n1, n2, ratio, rel_tol=1e-10):
     problem = build_problem(wave, contrast, grid)
     table = kernel_table(grid, wave)
     solution = solve(problem, table, SolveOptions(rel_tol=rel_tol))
-    above = pp.rayleigh_coefficients(solution, problem, table, "+")
-    below = pp.rayleigh_coefficients(solution, problem, table, "-")
+    above, below = pp.rayleigh_both_sides(solution, problem, table)
     eff = pp.efficiencies(above, below, problem)
     return problem, table, solution, above, below, eff
 

@@ -1,12 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vigrating.cli
+import vigrating.solver
 from vigrating.cli import main, write_slab_example_config
 from vigrating.config import PERIOD, load_config
-from vigrating.errors import ConfigError
+from vigrating.errors import BreakdownDetected, ConfigError, DegenerateAtZeroJ2
 
 
 def _write(path: Path, text: str) -> Path:
@@ -60,6 +65,10 @@ def test_config_strictness(tmp_path):
         ))
     with pytest.raises(ConfigError):
         load_config(tmp_path / "missing.ini")
+    # there is no dealias option
+    with pytest.raises(ConfigError):
+        load_config(_write(tmp_path / "f.ini", BASE.format(out="o").replace(
+            "rho_box =", "dealias = true\nrho_box =")))
 
 
 def test_config_matrix_and_two_layer(tmp_path):
@@ -244,3 +253,61 @@ def test_sweep_skips_invalid_directions(tmp_path):
     lines = (out / "sweep.csv").read_text().splitlines()
     values = {ln.split(",")[0] for ln in lines[1:]}
     assert len(values) == 1          # only theta = 80 is a valid direction
+
+
+def test_solve_path_does_not_import_scipy(tmp_path):
+    cfg = _write(tmp_path / "s.ini", BASE.format(out=tmp_path / "o"))
+    src = str(Path(vigrating.cli.__file__).resolve().parents[1])
+    code = ("import sys; from vigrating.cli import main; "
+            f"assert main(['solve', {str(cfg)!r}]) == 0; "
+            "print('scipy' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["False"]
+
+
+def test_cmd_solve_breakdown_exits_2(tmp_path, monkeypatch, caplog):
+    def breakdown(*args, **kwargs):
+        raise BreakdownDetected("Krylov breakdown at iteration 3")
+
+    monkeypatch.setattr(vigrating.solver, "gmres", breakdown)
+    cfg = _write(tmp_path / "s.ini", BASE.format(out=tmp_path / "o"))
+    assert main(["solve", str(cfg)]) == 2
+    assert "Krylov breakdown at iteration 3" in caplog.text
+
+
+def test_cmd_solve_other_library_error_exits_3(tmp_path, monkeypatch, caplog):
+    def degenerate(*args, **kwargs):
+        raise DegenerateAtZeroJ2("symbol vanished at a j2 == 0 mode")
+
+    monkeypatch.setattr(vigrating.cli, "kernel_table", degenerate)
+    cfg = _write(tmp_path / "s.ini", BASE.format(out=tmp_path / "o"))
+    assert main(["solve", str(cfg)]) == 3
+    assert "invalid problem: symbol vanished" in caplog.text
+
+
+def test_sweep_skips_point_with_breakdown(tmp_path, monkeypatch, caplog):
+    solve_config = vigrating.cli._solve_config
+
+    def flaky(cfg):
+        if cfg.theta_deg == 10.0:
+            raise BreakdownDetected("Krylov breakdown at iteration 1")
+        return solve_config(cfg)
+
+    monkeypatch.setattr(vigrating.cli, "_solve_config", flaky)
+    out = tmp_path / "sw"
+    cfg = _write(tmp_path / "s.ini", BASE.format(out=out))
+    assert main(["sweep", str(cfg), "--param", "theta", "--from", "0",
+                 "--to", "20", "--steps", "3", "--output", str(out)]) == 0
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert {ln.split(",")[0] for ln in lines[1:]} == {"0.0", "20.0"}
+    assert "skipping theta = 10: Krylov breakdown" in caplog.text
+
+
+def test_sweep_rejects_non_integer_thread_count(tmp_path, monkeypatch, caplog):
+    monkeypatch.setenv("GRATING_THREADS", "abc")
+    cfg = _write(tmp_path / "s.ini", BASE.format(out=tmp_path / "o"))
+    assert main(["sweep", str(cfg), "--param", "theta", "--from", "0",
+                 "--to", "20", "--steps", "3"]) == 3
+    assert "GRATING_THREADS must be an integer, got 'abc'" in caplog.text

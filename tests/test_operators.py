@@ -4,7 +4,9 @@ import pytest
 from vigrating.errors import ShapeMismatch, SizeGuard
 from vigrating.kernel import kernel_table
 from vigrating.operators import (
+    Discretization,
     SpectralField,
+    VectorSpectralField,
     apply_forward,
     assemble_dense,
     basis_field,
@@ -17,7 +19,14 @@ from vigrating.operators import (
     volume_potential,
 )
 from vigrating.oracle import dense_quadrature_potential
-from vigrating.problem import Grid, IncidentWave, build_problem, slab_contrast
+from vigrating.problem import (
+    Grid,
+    IncidentWave,
+    build_problem,
+    circle_contrast,
+    incident_field,
+    slab_contrast,
+)
 
 
 def _wave(k, alpha):
@@ -249,33 +258,6 @@ def test_support_perturbation_stability():
     assert np.abs(wobble - base).max() < 1e-13 * np.abs(base).max()
 
 
-def test_dealias_padding_roundtrip_and_consistency(slab_problem):
-    problem, table = slab_problem
-    rng = np.random.default_rng(7)
-    shape = (problem.grid.n1, problem.grid.n2)
-    u = SpectralField(rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
-                      problem.grid, problem.alpha)
-    plain = pointwise_matrix_product(problem.q_grid, grad_spectral(u))
-    deal = pointwise_matrix_product(problem.q_grid, grad_spectral(u),
-                                    dealias=True,
-                                    q_sampler=problem.contrast.sample)
-    # same linear map up to aliasing content; identical on very smooth input
-    smooth = SpectralField(np.zeros(shape, dtype=complex), problem.grid,
-                           problem.alpha)
-    sm = smooth.coeffs.copy()
-    sm[1, 2] = 1.0
-    smooth = smooth.replace(sm)
-    p2 = pointwise_matrix_product(problem.q_grid, grad_spectral(smooth))
-    d2 = pointwise_matrix_product(problem.q_grid, grad_spectral(smooth),
-                                  dealias=True,
-                                  q_sampler=problem.contrast.sample)
-    assert np.abs(plain.g1.coeffs).max() > 0
-    assert np.abs(deal.g1.coeffs - plain.g1.coeffs).max() < np.abs(
-        plain.g1.coeffs).max()
-    assert np.abs(d2.g1.coeffs - p2.g1.coeffs).max() < 0.05 * np.abs(
-        p2.g1.coeffs).max()
-
-
 def test_evaluate_matches_samples():
     grid = Grid(n1=8, n2=8, rho_box=1.1)
     rng = np.random.default_rng(8)
@@ -310,3 +292,48 @@ def test_physical_samples_quasi_periodic():
     left = evaluate(f, np.array([[0.4, x2]]))
     right = evaluate(f, np.array([[0.4 + 2 * np.pi, x2]]))
     assert abs(right[0] - np.exp(2j * np.pi * alpha) * left[0]) < 1e-12
+
+
+def _equivalence_problem(kind):
+    if kind == "random-anisotropic":
+        return _random_problem(n1=16, n2=32)
+    wave = _wave(0.8, 0.15)
+    if kind == "isotropic":
+        contrast, grid = slab_contrast(3.0, 1.0), Grid(n1=16, n2=64, rho_box=1.1)
+    elif kind == "lossy":
+        contrast, grid = slab_contrast(3.0 - 0.5j, 1.0), Grid(16, 64, 1.1)
+    else:
+        q = np.array([[2.0, 0.4], [0.4, 1.0]])
+        if kind == "lossy-anisotropic":
+            q = q - np.array([[0.3j, 0.0], [0.0, 0.1j]])
+        contrast, grid = circle_contrast(q, 0.8), Grid(n1=64, n2=64, rho_box=1.7)
+    return build_problem(wave, contrast, grid), kernel_table(grid, wave)
+
+
+EQUIVALENCE_KINDS = ("isotropic", "lossy", "anisotropic", "lossy-anisotropic",
+                     "random-anisotropic")
+
+
+@pytest.mark.parametrize("kind", EQUIVALENCE_KINDS)
+def test_discretization_matches_public_composition(kind):
+    problem, table = _equivalence_problem(kind)
+    grid, alpha = problem.grid, problem.alpha
+    disc = Discretization(problem, table)
+    rng = np.random.default_rng(13)
+    shape = (grid.n1, grid.n2)
+    u = SpectralField(rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+                      grid, alpha)
+    qg = pointwise_matrix_product(problem.q_grid, grad_spectral(u))
+    expected = u.coeffs - div_potential(qg, table).coeffs
+    got = disc.apply(u.coeffs)
+    assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+    # the buffer is reused: a second application gives the same bits
+    assert np.array_equal(disc.apply(u.coeffs), got)
+
+    xx1, xx2 = grid.mesh()
+    _, grad_i = incident_field(problem.wave, np.stack([xx1, xx2], axis=-1))
+    grad_i = VectorSpectralField(g1=to_spectral(grad_i[..., 0], grid, alpha),
+                                 g2=to_spectral(grad_i[..., 1], grid, alpha))
+    f = pointwise_matrix_product(problem.q_grid, grad_i)
+    rhs = div_potential(f, table).coeffs
+    assert np.abs(disc.rhs() - rhs).max() <= 1e-13 * np.abs(rhs).max()

@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 
 from vigrating.errors import NotConverged
-from vigrating.kernel import kernel_table
+from vigrating.kernel import beta, kernel_table
+from vigrating.operators import grad_spectral, to_physical
 from vigrating.postprocess import (
+    EVANESCENT_DROP,
     efficiencies,
     efficiency_csv,
     efficiency_json,
     energy_balance,
+    rayleigh_both_sides,
     rayleigh_coefficients,
     rayleigh_line_integral,
     scattered_field_at,
@@ -21,6 +24,8 @@ from vigrating.problem import (
     Grid,
     IncidentWave,
     build_problem,
+    circle_contrast,
+    incident_field,
     rectangle_contrast,
     slab_contrast,
 )
@@ -223,29 +228,6 @@ def test_serialization_roundtrip():
     assert abs(doc["totals"]["absorbed"] - eff.absorbed) < 1e-15
 
 
-def test_dealiased_solve_consistent_end_to_end():
-    # the dealiased product rule must be used uniformly by the right-hand
-    # side, the operator and the density reconstruction; mixing rules once
-    # produced percent-level energy defects
-    wave = IncidentWave.from_angle(SLAB_K, 0.0)
-    contrast = slab_contrast(3.0, 2 * SLAB_H)
-    grid = Grid(n1=16, n2=128, rho_box=(128 / 56.5) * SLAB_H)
-    problem = build_problem(wave, contrast, grid)
-    table = kernel_table(grid, wave)
-    plain = solve(problem, table, SolveOptions(rel_tol=1e-10))
-    deal = solve(problem, table, SolveOptions(rel_tol=1e-10, dealias=True))
-    assert deal.dealias and not plain.dealias
-    effs = {}
-    for sol in (plain, deal):
-        above = rayleigh_coefficients(sol, problem, table, "+")
-        below = rayleigh_coefficients(sol, problem, table, "-")
-        eff = efficiencies(above, below, problem)
-        assert energy_balance(eff, problem) < 2e-5
-        effs[sol.dealias] = eff
-    # both product rules converge to the same physics
-    assert abs(effs[True].reflected[0] - effs[False].reflected[0]) < 5e-3
-
-
 def test_oblique_isotropic_slab_matches_reference():
     # x1-invariant slab: diffraction orders decouple, so order 0 follows the
     # 1D reference and every other order vanishes, also at oblique incidence
@@ -318,3 +300,51 @@ def test_translation_equivariance_of_efficiencies():
         assert abs(a - b) < 1e-13
     for a, b in zip(tables[0].transmitted, tables[1].transmitted):
         assert abs(a - b) < 1e-13
+
+
+def _full_grid_rayleigh(solution, problem, side):
+    """Moment formula summed with a full-grid exp per order; the density
+    comes from the public transforms."""
+    g = grad_spectral(solution.u)
+    xx1, xx2 = problem.grid.mesh()
+    _, grad_i = incident_field(problem.wave, np.stack([xx1, xx2], axis=-1))
+    t1 = to_physical(g.g1) + grad_i[..., 0]
+    t2 = to_physical(g.g2) + grad_i[..., 1]
+    q = problem.q_grid
+    w1 = q[..., 0, 0] * t1 + q[..., 0, 1] * t2
+    w2 = q[..., 1, 0] * t1 + q[..., 1, 1] * t2
+    sgn = 1.0 if side == "+" else -1.0
+    j_max = problem.grid.n1 // 2 - 1
+    out = {}
+    for j in range(-j_max, j_max + 1):
+        bj = beta(j, problem.k, problem.alpha)
+        if bj.imag * problem.rho_ref > EVANESCENT_DROP:
+            out[j] = 0.0
+            continue
+        aj = j + problem.alpha
+        moment = problem.grid.cell_area * np.sum(
+            np.exp(-1j * aj * xx1 - sgn * 1j * bj * xx2)
+            * (aj * w1 + sgn * bj * w2))
+        out[j] = -np.exp(1j * bj * problem.rho_ref) / (4 * np.pi * bj) * moment
+    return out
+
+
+def test_one_pass_rayleigh_matches_full_grid_sum():
+    k = 15 / (2 * np.pi)
+    wave = IncidentWave.from_angle(k, 10.0)
+    q = np.array([[2.0 - 0.2j, 0.4], [0.4, 1.0]])
+    grid = Grid(n1=32, n2=32, rho_box=1.7)
+    problem = build_problem(wave, circle_contrast(q, 0.8), grid)
+    table = kernel_table(grid, wave)
+    sol = solve(problem, table, SolveOptions(rel_tol=1e-10))
+    above, below = rayleigh_both_sides(sol, problem, table)
+    for data in (above, below):
+        direct = _full_grid_rayleigh(sol, problem, data.side)
+        assert list(data.coefficients) == list(direct)
+        scale = max(abs(v) for v in direct.values())
+        worst = max(abs(data.order(j) - direct[j]) for j in direct)
+        assert worst <= 1e-13 * scale
+        assert data.truncated == tuple(j for j, v in direct.items() if v == 0.0)
+        single = rayleigh_coefficients(sol, problem, table, data.side)
+        assert single.coefficients == data.coefficients
+    assert len(above.propagating) > 1

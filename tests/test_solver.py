@@ -15,18 +15,42 @@ from vigrating.solver import (
 from conftest import SLAB_H, SLAB_K, smooth_isotropic_contrast
 
 
-def test_gmres_dense_reference():
+def _dense_reference_system():
     rng = np.random.default_rng(0)
     n = 40
     a = np.eye(n) + 0.3 * (
         rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     ) / np.sqrt(n)
     b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return a, b
+
+
+def test_gmres_dense_reference():
+    a, b = _dense_reference_system()
     x, hist, conv, _ = gmres(lambda v: a @ v, b, rel_tol=1e-10, restart=15)
     assert conv
     assert np.linalg.norm(a @ x - b) / np.linalg.norm(b) < 1e-9
     assert np.allclose(x, np.linalg.solve(a, b), atol=1e-8)
     assert all(hist[i + 1] <= hist[i] + 1e-14 for i in range(len(hist) - 1))
+
+
+def test_cgs2_basis_orthonormal():
+    # matvec sees the zero iterate, the 15 basis vectors of the first cycle,
+    # the restart iterate and the basis vectors of the second cycle
+    a, b = _dense_reference_system()
+    seen = []
+
+    def matvec(v):
+        seen.append(v.copy())
+        return a @ v
+
+    _, _, conv, iters = gmres(matvec, b, rel_tol=1e-10, restart=15)
+    assert conv
+    # the modified Gram-Schmidt version of this solver needed 24 as well
+    assert iters == 24
+    for basis in (np.array(seen[1:16]), np.array(seen[17:])):
+        gram = basis.conj() @ basis.T
+        assert np.linalg.norm(gram - np.eye(len(basis))) <= 1e-12
 
 
 def test_gmres_trivial_cases():
