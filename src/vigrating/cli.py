@@ -30,6 +30,7 @@ from .errors import (
     VigratingError,
 )
 from .kernel import kernel_table
+from .problem import Problem, sample_contrast
 from .solver import SolveOptions, residual, solve
 
 log = logging.getLogger("vigrating")
@@ -39,8 +40,10 @@ EXIT_NOT_CONVERGED = 2
 EXIT_INVALID = 3
 
 
-def _solve_config(cfg: RunConfig):
-    problem = cfg.build()
+def _solve_config(cfg: RunConfig, problem: Problem | None = None):
+    """Solve ``cfg``; ``problem`` may pass its already sampled problem."""
+    if problem is None:
+        problem = cfg.build()
     table = kernel_table(problem.grid, problem.wave)
     opts = SolveOptions(
         rel_tol=cfg.rel_tol,
@@ -124,13 +127,25 @@ def cmd_sweep(config_path: str, param: str, start: float, stop: float,
     except ConfigError as exc:
         log.error("%s", exc)
         return EXIT_INVALID
+    # k and theta change only the wave: the contrast is sampled once
+    try:
+        contrast = base.contrast()
+        grid = base.grid(contrast)
+        q_grid, rho_ref = sample_contrast(contrast, grid)
+    except (VigratingError, FileNotFoundError, ValueError) as exc:
+        log.error("invalid problem: %s", exc)
+        return EXIT_INVALID
 
     values = np.linspace(start, stop, steps)
 
     def run_point(value: float):
         cfg = base.replace_parameter(param, float(value))
         try:
-            problem, _, _, eff = _solve_config(cfg)
+            wave = cfg.wave()
+            wave.check_nonresonance()
+            problem = Problem(wave=wave, contrast=contrast, grid=grid,
+                              q_grid=q_grid, rho_ref=rho_ref)
+            problem, _, _, eff = _solve_config(cfg, problem)
         except (NotConverged, BreakdownDetected) as exc:
             log.warning("skipping %s = %g: %s", param, value, exc)
             return value, None

@@ -117,13 +117,20 @@ class RunConfig:
         raise ConfigError(f"sweep parameter must be 'k' or 'theta', got {name!r}")
 
 
-def _getfloat(sec, key, where):
+def _getfloat(sec, key, where, default=None):
+    """A finite float; ``default`` (when given) stands in for a missing key."""
+    if key not in sec and default is not None:
+        return default
     try:
-        return float(sec[key])
+        value = float(sec[key])
     except KeyError:
         raise ConfigError(f"missing key {key!r} in [{where}]") from None
     except ValueError:
         raise ConfigError(f"key {key!r} in [{where}] is not a number") from None
+    if not np.isfinite(value):
+        raise ConfigError(f"key {key!r} in [{where}] must be finite, "
+                          f"got {sec[key]!r}")
+    return value
 
 
 def _getint(sec, key, where, default=None):
@@ -172,11 +179,11 @@ def load_config(path) -> RunConfig:
     if shape == "two_layer":
         contrast_values["q1"] = complex(
             _getfloat(prob, "q1_re", "problem"),
-            float(prob.get("q1_im", "0")),
+            _getfloat(prob, "q1_im", "problem", 0.0),
         )
         contrast_values["q2"] = complex(
             _getfloat(prob, "q2_re", "problem"),
-            float(prob.get("q2_im", "0")),
+            _getfloat(prob, "q2_im", "problem", 0.0),
         )
     elif shape != "raster":
         has_scalar = any(k in prob for k in _SCALAR_Q)
@@ -188,17 +195,18 @@ def load_config(path) -> RunConfig:
         if has_scalar:
             contrast_values["matrix"] = complex(
                 _getfloat(prob, "q_re", "problem"),
-                float(prob.get("q_im", "0")),
+                _getfloat(prob, "q_im", "problem", 0.0),
             )
         elif has_matrix:
             m = np.zeros((2, 2), dtype=complex)
             m[0, 0] = complex(_getfloat(prob, "q11_re", "problem"),
-                              float(prob.get("q11_im", "0")))
+                              _getfloat(prob, "q11_im", "problem", 0.0))
             m[0, 1] = m[1, 0] = complex(
-                float(prob.get("q12_re", "0")), float(prob.get("q12_im", "0"))
+                _getfloat(prob, "q12_re", "problem", 0.0),
+                _getfloat(prob, "q12_im", "problem", 0.0),
             )
             m[1, 1] = complex(_getfloat(prob, "q22_re", "problem"),
-                              float(prob.get("q22_im", "0")))
+                              _getfloat(prob, "q22_im", "problem", 0.0))
             contrast_values["matrix"] = m
         else:
             raise ConfigError("missing contrast entries (q_re or q11_re/...)")
@@ -210,7 +218,7 @@ def load_config(path) -> RunConfig:
                 raise ConfigError("raster shape requires 'path'")
             shape_params["path"] = prob["path"]
         elif key == "center_x2":
-            shape_params[key] = float(prob.get(key, "0"))
+            shape_params[key] = _getfloat(prob, key, "problem", 0.0)
         else:
             shape_params[key] = _getfloat(prob, key, "problem")
 
@@ -235,8 +243,9 @@ def load_config(path) -> RunConfig:
         contrast_values=contrast_values,
         n1=_getint(num, "n1", "numerics"),
         n2=_getint(num, "n2", "numerics"),
-        rho_box_period=(float(num["rho_box"]) if "rho_box" in num else None),
-        rel_tol=float(num.get("rel_tol", "1e-8")),
+        rho_box_period=(_getfloat(num, "rho_box", "numerics")
+                        if "rho_box" in num else None),
+        rel_tol=_getfloat(num, "rel_tol", "numerics", 1e-8),
         max_iterations=_getint(num, "max_iterations", "numerics", 500),
         restart=_getint(num, "restart", "numerics", 50),
         output_directory=out_dir,

@@ -195,6 +195,16 @@ class Discretization:
     ``ifft2(c)`` is the phase-stripped field times ``scale`` =
     sqrt(4 pi rho) / (N1 N2) and a transform pair needs no other factor.
 
+    A layered contrast, one whose x1 rows of samples are all equal, commutes
+    with x1 translations: the x1 transform pair around its product cancels,
+    so the operator maps every x1 Fourier row j1 to itself.  Its transforms
+    then run over x2 alone, on coefficient rows kept spectral in x1, and
+    ``scale`` is sqrt(4 pi rho) / N2.  The incident wave excites only the
+    row j1 = 0, the first storage row: ``n_rows`` is the number of leading
+    rows a solve needs, 1 for a layered contrast and N1 otherwise.  The
+    operator methods take an array of the first ``n_rows`` rows or of all
+    N1 rows.
+
     The (2, N1, N2) work buffer makes an instance unsafe to share between
     threads; every solve builds its own.
     """
@@ -204,14 +214,22 @@ class Discretization:
         _check_table(grid, table)
         self.problem = problem
         self.table = table
+        q = problem.q_grid
+        self.layered = bool((q == q[:1]).all())
+        if self.layered:
+            q = q[:1]
+        self.axes = (2,) if self.layered else (1, 2)
+        self.n_rows = 1 if self.layered else grid.n1
+        self.n1 = grid.n1
         shift = (grid.n1 // 2, grid.n2 // 2)
         self.ia = (1j * (grid.j1_modes() + problem.alpha))[:, None]
         self.imu = (1j * np.pi / grid.rho_box * grid.j2_modes())[None, :]
         self.multiplier = np.sqrt(4 * np.pi * grid.rho_box) * table.coeffs
         self.scale = np.sqrt(4 * np.pi * grid.rho_box) / (grid.n1 * grid.n2)
+        if self.layered:
+            self.scale *= grid.n1
 
-        q = np.roll(np.moveaxis(problem.q_grid, (2, 3), (0, 1)), shift,
-                    axis=(2, 3))
+        q = np.roll(np.moveaxis(q, (2, 3), (0, 1)), shift, axis=(2, 3))
         # a scalar contrast field: one product per sample instead of four
         if (not q[0, 1].any() and not q[1, 0].any()
                 and np.array_equal(q[0, 0], q[1, 1])):
@@ -223,26 +241,39 @@ class Discretization:
             self.q.any(axis=tuple(range(self.q.ndim - 1))))
         self.work = np.empty((2, grid.n1, grid.n2), dtype=complex)
 
+    def live_rows(self, c: np.ndarray) -> np.ndarray:
+        """The first ``n_rows`` rows of c when the rest vanish, else c."""
+        return c if c[self.n_rows:].any() else c[:self.n_rows]
+
     def _gradient(self, c: np.ndarray) -> np.ndarray:
         """Scaled gradient samples of the field with coefficients c."""
-        np.multiply(self.ia, c, out=self.work[0])
-        np.multiply(self.imu, c, out=self.work[1])
+        rows = c.shape[0]
+        if rows not in (self.n_rows, self.n1):
+            raise ShapeMismatch(
+                f"{rows} coefficient rows; expected {self.n_rows} or {self.n1}")
+        work = self.work[:, :rows]
+        np.multiply(self.ia[:rows], c, out=work[0])
+        np.multiply(self.imu, c, out=work[1])
         # ifft2 ignores ``out`` in numpy 2.x; ifftn honours it
-        return np.fft.ifftn(self.work, axes=(1, 2), out=self.work)
+        return np.fft.ifftn(work, axes=self.axes, out=work)
 
     def _incident_gradient(self) -> np.ndarray:
-        """Scaled grad u^i stripped of exp(i alpha x1); shape (2, 1, N2)."""
+        """Scaled grad u^i stripped of exp(i alpha x1); shape (2, 1, N2).
+
+        The samples of every x1 row, or the j1 = 0 row of a layered
+        contrast."""
         kd = self.problem.k * np.asarray(self.problem.wave.d)
         return (self.scale * 1j * kd)[:, None, None] * np.exp(
             1j * kd[1] * self.x2)
 
     def _div_potential(self, y: np.ndarray) -> np.ndarray:
         """Coefficients of div V(y) for scaled samples y (a buffer view)."""
-        f = np.fft.fftn(y, axes=(1, 2), out=y)
-        f[0] *= self.ia
+        rows = y.shape[1]
+        f = np.fft.fftn(y, axes=self.axes, out=y)
+        f[0] *= self.ia[:rows]
         f[1] *= self.imu
         f[0] += f[1]
-        f[0] *= self.multiplier
+        f[0] *= self.multiplier[:rows]
         return f[0]
 
     def apply(self, c: np.ndarray) -> np.ndarray:
@@ -252,24 +283,39 @@ class Discretization:
         return c - self._div_potential(y)
 
     def rhs(self) -> np.ndarray:
-        """Coefficients of the right-hand side div V(Q grad u^i)."""
-        y = self.work
+        """Coefficients of the right-hand side div V(Q grad u^i); rows past
+        the first ``n_rows`` vanish."""
+        y = self.work[:, :self.n_rows]
         y[...] = self._incident_gradient()
         _contrast_product(self.q, y)
-        return self._div_potential(y).copy()
+        out = np.zeros(self.work.shape[1:], dtype=complex)
+        out[:self.n_rows] = self._div_potential(y)
+        return out
 
-    def density(self, c: np.ndarray) -> np.ndarray:
-        """Samples of w = Q grad(u^s + u^i) stripped of exp(i alpha x1).
+    def density_rows(self, c: np.ndarray) -> np.ndarray:
+        """x1 transform of the samples of w = Q grad(u^s + u^i), stripped
+        of exp(i alpha x1), on the support columns.
 
-        Natural layout restricted to the support columns: shape
-        (2, N1, len(support)), node heights ``x2[support]``.
+        Shape (2, rows, len(support)), node heights ``x2[support]``; row i
+        is x1 frequency ``j1_modes()[i]`` of the unnormalized FFT.  A
+        layered contrast with c vanishing past ``n_rows`` needs no x1
+        transform and returns only those rows; the others vanish.
         """
+        c = self.live_rows(c)
         cols = self.support
         y = self._gradient(c)[:, :, cols]
-        y += self._incident_gradient()[:, :, cols]
+        incident = self._incident_gradient()[:, :, cols]
+        if self.layered:
+            y[:, :1] += incident
+        else:
+            y += incident
         _contrast_product(self.q[..., cols], y)
         y /= self.scale
-        return y
+        if self.layered:
+            # rows already spectral in x1: the unnormalized FFT is N1 times
+            y *= self.n1
+            return y
+        return np.fft.fft(y, axis=1)
 
 
 def apply_forward(u: SpectralField, problem: Problem,

@@ -68,8 +68,10 @@ def rayleigh_both_sides(
 
     evaluated by the trapezoidal rule on the grid (spectrally accurate in
     the periodic direction).  The density is built once on the support
-    columns; one FFT in x1 turns the y1 sums of all orders into row
-    lookups, leaving one x2 dot product per order and side.
+    columns and transformed in x1, which turns the y1 sums of all orders
+    into row lookups, leaving one x2 dot product per order and side.  For a
+    layered contrast the density rows come without an x1 transform, and
+    orders past the rows the solve coupled have exactly zero coefficients.
     """
     if not solution.converged:
         raise NotConverged("Rayleigh extraction requires a converged solve")
@@ -82,18 +84,20 @@ def rayleigh_both_sides(
 
     orders = np.arange(-j_max, j_max + 1)
     betas = _beta_many(orders, k**2, alpha)
-    kept = betas.imag * rho_ref <= EVANESCENT_DROP
-    j, bj = orders[kept], betas[kept]
+    dropped = betas.imag * rho_ref > EVANESCENT_DROP
     # the y1 sum of order j is row j of the x1 transform of the density
-    rows = np.fft.fft(disc.density(solution.u.coeffs), axis=1)
-    rows = rows[:, j % problem.grid.n1]              # (2, orders, x2)
+    rows = disc.density_rows(solution.u.coeffs)
+    idx = orders % problem.grid.n1
+    kept = ~dropped & (idx < rows.shape[1])
+    j, bj = orders[kept], betas[kept]
+    rows = rows[:, idx[kept]]                        # (2, orders, x2)
     aj = (j + alpha)[:, None]
     x2 = disc.x2[disc.support]
     prefactor = (-problem.grid.cell_area * np.exp(1j * bj * rho_ref)
                  / (4 * np.pi * bj))
     bj = bj[:, None]
     propagating = tuple(orders[betas.imag == 0.0].tolist())
-    truncated = tuple(orders[~kept].tolist())
+    truncated = tuple(orders[dropped].tolist())
     sides = []
     for side, sgn in (("+", 1.0), ("-", -1.0)):
         moment = np.sum(np.exp(-sgn * 1j * bj * x2)

@@ -30,6 +30,9 @@ class IncidentWave:
     d: tuple[float, float]
 
     def __post_init__(self):
+        if not np.all(np.isfinite((self.k, *self.d))):
+            raise ValueError(
+                f"wave must be finite, got k={self.k}, d={self.d}")
         if self.k <= 0:
             raise ValueError(f"wavenumber must be positive, got {self.k}")
         d1, d2 = self.d
@@ -170,12 +173,29 @@ def build_problem(
 ) -> Problem:
     """Validate the inputs and sample the contrast on the grid.
 
-    Raises RayleighAnomaly at a cutoff order and GeometryError when the box
-    is too small (rho_box >= 2h is required so that the periodized kernel
-    agrees with the free quasi-periodic kernel on the support slab).
-    Sampling is pointwise at the nodes, in a fixed deterministic order.
+    Raises RayleighAnomaly at a cutoff order, and what
+    :func:`sample_contrast` raises for the geometry.
     """
     wave.check_nonresonance()
+    q_grid, rho_ref = sample_contrast(contrast, grid, rho_ref)
+    return Problem(wave=wave, contrast=contrast, grid=grid, q_grid=q_grid,
+                   rho_ref=rho_ref)
+
+
+def sample_contrast(
+    contrast: ContrastField,
+    grid: Grid,
+    rho_ref: float | None = None,
+) -> tuple[np.ndarray, float]:
+    """The wave-independent part of :func:`build_problem`: the read-only
+    contrast samples and the reference height.
+
+    Raises GeometryError when the box is too small (rho_box >= 2h is
+    required so that the periodized kernel agrees with the free
+    quasi-periodic kernel on the support slab).  Sampling is pointwise at
+    the nodes, in a fixed deterministic order.  A k or theta sweep samples
+    once and gives each point its wave.
+    """
     if grid.rho_box < 2 * contrast.h - 1e-14:
         raise GeometryError(
             f"rho_box = {grid.rho_box} violates rho_box >= 2h = {2 * contrast.h}"
@@ -199,8 +219,7 @@ def build_problem(
     if asym > 1e-12 * max(1.0, float(np.max(np.abs(q_grid)))):
         raise NonSymmetric(f"Q12 != Q21 on the grid (max deviation {asym:g})")
     q_grid.setflags(write=False)
-    return Problem(wave=wave, contrast=contrast, grid=grid, q_grid=q_grid,
-                   rho_ref=float(rho_ref))
+    return q_grid, float(rho_ref)
 
 
 def incident_field(wave: IncidentWave, points) -> tuple[np.ndarray, np.ndarray]:

@@ -8,6 +8,7 @@ the same equation there and the exterior values are the potential extension.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +17,8 @@ from .errors import BreakdownDetected, NotConverged
 from .kernel import KernelTable
 from .operators import Discretization, SpectralField
 from .problem import Problem
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -81,7 +84,8 @@ def gmres(
     converged = False
 
     while iterations < max_iterations and not converged:
-        r = b - matvec(x)
+        # the first cycle starts from the zero iterate: its residual is b
+        r = b - matvec(x) if iterations else b
         beta0 = float(np.linalg.norm(r))
         if beta0 / bnorm <= rel_tol:
             converged = True
@@ -89,10 +93,13 @@ def gmres(
         m = min(restart, max_iterations - iterations)
         v = np.empty((m + 1, n), dtype=complex)
         h = np.zeros((m + 1, m), dtype=complex)
-        cs = np.zeros(m, dtype=complex)
-        sn = np.zeros(m, dtype=complex)
-        g = np.zeros(m + 1, dtype=complex)
-        g[0] = beta0
+        # rotations and the rotated right-hand side as Python scalars: the
+        # per-iteration loop over them is cheaper than on numpy scalars.  A
+        # division by a real multiplies by its reciprocal, which rounds as
+        # numpy's complex division by a real does.
+        cs: list[complex] = []
+        sn: list[complex] = []
+        g = [complex(beta0)] + [0j] * m
         v[0] = r / beta0
 
         j_used = 0
@@ -106,19 +113,21 @@ def gmres(
             w = w - basis.T @ proj
             again = np.conj(basis @ np.conj(w))
             w = w - basis.T @ again
-            h[:j + 1, j] = proj + again
+            col = (proj + again).tolist()
             hsub = float(np.linalg.norm(w))
             iterations += 1
             for i in range(j):              # stored rotations on the new column
-                t = np.conj(cs[i]) * h[i, j] + np.conj(sn[i]) * h[i + 1, j]
-                h[i + 1, j] = -sn[i] * h[i, j] + cs[i] * h[i + 1, j]
-                h[i, j] = t
-            h[j + 1, j] = hsub
+                c, s = cs[i], sn[i]
+                col[i], col[i + 1] = (
+                    c.conjugate() * col[i] + s.conjugate() * col[i + 1],
+                    -s * col[i] + c * col[i + 1],
+                )
+            hjj = col[j]
 
             if hsub <= breakdown_rtol * bnorm:
                 # invariant Krylov space: exact solve if the pivot survives
-                if abs(h[j, j]) <= breakdown_rtol * bnorm:
-                    est = float(abs(g[j])) / bnorm
+                if abs(hjj) <= breakdown_rtol * bnorm:
+                    est = abs(g[j]) / bnorm
                     if est <= rel_tol:
                         j_used = j
                         converged = True
@@ -128,32 +137,34 @@ def gmres(
                         f"relative residual {est:.3e}; the discrete operator "
                         "may be singular (non-uniqueness)"
                     )
-                cs[j] = h[j, j] / abs(h[j, j])
-                sn[j] = 0.0
-                h[j, j] = abs(h[j, j])
-                g[j] = np.conj(cs[j]) * g[j]
-                g[j + 1] = 0.0
+                cs.append(hjj * (1.0 / abs(hjj)))
+                sn.append(0j)
+                col[j] = complex(abs(hjj))
+                h[:j + 1, j] = col
+                g[j] = cs[j].conjugate() * g[j]
+                g[j + 1] = 0j
                 history.append(0.0)
                 j_used = j + 1
                 converged = True
                 break
 
             v[j + 1] = w / hsub
-            denom = float(np.hypot(abs(h[j, j]), hsub))
-            cs[j] = h[j, j] / denom
-            sn[j] = h[j + 1, j] / denom
-            h[j, j] = denom
-            h[j + 1, j] = 0.0
+            denom = float(np.hypot(abs(hjj), hsub))
+            inv = 1.0 / denom
+            cs.append(hjj * inv)
+            sn.append(complex(hsub * inv))
+            col[j] = complex(denom)
+            h[:j + 1, j] = col
             g[j + 1] = -sn[j] * g[j]
-            g[j] = np.conj(cs[j]) * g[j]
-            history.append(float(abs(g[j + 1])) / bnorm)
+            g[j] = cs[j].conjugate() * g[j]
+            history.append(abs(g[j + 1]) / bnorm)
             j_used = j + 1
             if history[-1] <= rel_tol or iterations >= max_iterations:
                 break
 
         if j_used:
             # upper triangular: LU without row exchanges is back substitution
-            y = np.linalg.solve(h[:j_used, :j_used], g[:j_used])
+            y = np.linalg.solve(h[:j_used, :j_used], np.array(g[:j_used]))
             x = x + v[:j_used].T @ y
         if history and history[-1] <= rel_tol:
             converged = True
@@ -164,26 +175,36 @@ def solve(problem: Problem, table: KernelTable,
           opts: SolveOptions | None = None) -> Solution:
     """Solve the discrete scattering equation; returns the scattered field.
 
-    Always starts from the zero iterate for reproducibility.  On stall the
+    Always starts from the zero iterate for reproducibility.  GMRES runs on
+    the coefficient rows the discretization couples to the incident wave
+    (the j1 = 0 row alone for a layered contrast); the returned field holds
+    them in the full (N1, N2) array with the other rows zero.  On stall the
     best iterate and its history are attached to the NotConverged error.
     """
     opts = opts or SolveOptions()
     disc = Discretization(problem, table)
     rhs = disc.rhs()
-    shape = rhs.shape
+    shape = (disc.n_rows, rhs.shape[1])
+    matvecs = 0
 
     def matvec(vec: np.ndarray) -> np.ndarray:
+        nonlocal matvecs
+        matvecs += 1
         return disc.apply(vec.reshape(shape)).reshape(-1)
 
     x, history, converged, iters = gmres(
         matvec,
-        rhs.reshape(-1),
+        rhs[:disc.n_rows].reshape(-1),
         rel_tol=opts.rel_tol,
         restart=opts.restart,
         max_iterations=opts.max_iterations,
     )
+    log.debug("solved %d of %d coefficient rows: %d iterations, %d matvecs",
+              disc.n_rows, problem.grid.n1, iters, matvecs)
+    u = np.zeros_like(rhs)
+    u[:disc.n_rows] = x.reshape(shape)
     sol = Solution(
-        u=SpectralField(x.reshape(shape), problem.grid, problem.alpha),
+        u=SpectralField(u, problem.grid, problem.alpha),
         residual_history=tuple(history),
         converged=converged,
         iterations=iters,
@@ -208,6 +229,8 @@ def residual(problem: Problem, table: KernelTable, u: SpectralField,
     """
     disc = disc or Discretization(problem, table)
     rhs = disc.rhs()
-    num = float(np.linalg.norm(disc.apply(u.coeffs) - rhs))
+    # rows of u that vanish, past the solved ones, map to vanishing rows
+    c = disc.live_rows(u.coeffs)
+    num = float(np.linalg.norm(disc.apply(c) - rhs[:len(c)]))
     den = float(np.linalg.norm(rhs))
     return num / den if den > 0 else num

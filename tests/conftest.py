@@ -13,6 +13,9 @@ from vigrating.problem import (
 
 logging.getLogger("vigrating").setLevel(logging.WARNING)
 
+# lossy anisotropic contrast matrix with Q12 != 0
+ANISO = np.array([[2.0, 0.4], [0.4, 1.0]]) - np.array([[0.3j, 0], [0, 0.1j]])
+
 # acceptance slab in math units: one period thick, one wave per period
 SLAB_K = 1.0 / (2 * np.pi)
 SLAB_H = np.pi
@@ -45,3 +48,22 @@ def smooth_isotropic_contrast(q, h):
         return w[..., None, None] * np.eye(2)
 
     return ContrastField(sampler=sampler, h=h, isotropic=True)
+
+
+def reference_rhs(problem, table):
+    """div V(Q grad u^i) composed from the public 2-D transforms."""
+    from vigrating.operators import (
+        VectorSpectralField,
+        div_potential,
+        pointwise_matrix_product,
+        to_spectral,
+    )
+    from vigrating.problem import incident_field
+
+    grid, alpha = problem.grid, problem.alpha
+    xx1, xx2 = grid.mesh()
+    _, grad_i = incident_field(problem.wave, np.stack([xx1, xx2], axis=-1))
+    grad_i = VectorSpectralField(g1=to_spectral(grad_i[..., 0], grid, alpha),
+                                 g2=to_spectral(grad_i[..., 1], grid, alpha))
+    return div_potential(pointwise_matrix_product(problem.q_grid, grad_i),
+                         table).coeffs

@@ -12,6 +12,7 @@ import vigrating.solver
 from vigrating.cli import main, write_slab_example_config
 from vigrating.config import PERIOD, load_config
 from vigrating.errors import BreakdownDetected, ConfigError, DegenerateAtZeroJ2
+from vigrating.problem import ContrastField
 
 
 def _write(path: Path, text: str) -> Path:
@@ -111,6 +112,58 @@ n2 = 32
     cfg2 = load_config(_write(tmp_path / "t.ini", text2))
     c2 = cfg2.contrast()
     assert np.isclose(c2.h, PERIOD * 0.15)
+
+
+TWO_LAYER = """
+[problem]
+k = 0.8
+theta_deg = 0.0
+shape = two_layer
+thickness1 = 0.1
+thickness2 = 0.2
+q1_re = 2.0
+q2_re = -1.5
+
+[numerics]
+n1 = 16
+n2 = 32
+"""
+
+MATRIX_Q = BASE.replace("q_re = 3.0", "q11_re = 2.0\nq22_re = 1.0")
+
+
+# one case per kind of number key: required, optional with a default, in
+# [numerics], of the layer and matrix contrasts
+@pytest.mark.parametrize("text, old, new, key, section", [
+    (BASE, "theta_deg = 0.0", "theta_deg = nan", "theta_deg", "problem"),
+    (BASE, "k = 1.0", "k = inf", "k", "problem"),
+    (BASE, "q_re = 3.0", "q_re = 3.0\nq_im = nan", "q_im", "problem"),
+    (BASE, "rho_box = 1.1277533039647577", "rho_box = -inf", "rho_box",
+     "numerics"),
+    (BASE, "n1 = 32", "n1 = 32\nrel_tol = nan", "rel_tol", "numerics"),
+    (TWO_LAYER, "q2_re = -1.5", "q2_re = -1.5\nq1_im = -inf", "q1_im",
+     "problem"),
+    (MATRIX_Q, "q22_re = 1.0", "q22_re = 1.0\nq12_re = nan", "q12_re",
+     "problem"),
+], ids=["theta_deg", "k", "q_im", "rho_box", "rel_tol", "q1_im", "q12_re"])
+def test_solve_rejects_non_finite_numbers(tmp_path, caplog, text, old, new,
+                                          key, section):
+    assert old in text
+    cfg = _write(tmp_path / "s.ini",
+                 text.replace(old, new).format(out=tmp_path / "o"))
+    assert main(["solve", str(cfg)]) == 3
+    assert f"key {key!r} in [{section}] must be finite" in caplog.text
+    assert not (tmp_path / "o").exists()
+
+
+def test_sweep_skips_non_finite_point(tmp_path, caplog):
+    out = tmp_path / "sw"
+    cfg = _write(tmp_path / "s.ini", BASE.format(out=out))
+    assert main(["sweep", str(cfg), "--param", "theta", "--from", "nan",
+                 "--to", "nan", "--steps", "1", "--output", str(out)]) == 0
+    assert (out / "sweep.csv").read_text().count("\n") == 1
+    assert "skipping theta = nan: invalid problem (wave must be finite" in (
+        caplog.text)
 
 
 def test_cmd_solve_writes_outputs(tmp_path):
@@ -290,10 +343,10 @@ def test_cmd_solve_other_library_error_exits_3(tmp_path, monkeypatch, caplog):
 def test_sweep_skips_point_with_breakdown(tmp_path, monkeypatch, caplog):
     solve_config = vigrating.cli._solve_config
 
-    def flaky(cfg):
+    def flaky(cfg, *args):
         if cfg.theta_deg == 10.0:
             raise BreakdownDetected("Krylov breakdown at iteration 1")
-        return solve_config(cfg)
+        return solve_config(cfg, *args)
 
     monkeypatch.setattr(vigrating.cli, "_solve_config", flaky)
     out = tmp_path / "sw"
@@ -303,6 +356,34 @@ def test_sweep_skips_point_with_breakdown(tmp_path, monkeypatch, caplog):
     lines = (out / "sweep.csv").read_text().splitlines()
     assert {ln.split(",")[0] for ln in lines[1:]} == {"0.0", "20.0"}
     assert "skipping theta = 10: Krylov breakdown" in caplog.text
+
+
+def test_sweep_samples_the_contrast_once(tmp_path, monkeypatch):
+    calls = []
+    sample = ContrastField.sample
+
+    def counted(self, x1, x2):
+        calls.append(1)
+        return sample(self, x1, x2)
+
+    monkeypatch.setattr(ContrastField, "sample", counted)
+    out = tmp_path / "sw"
+    cfg = _write(tmp_path / "s.ini", BASE.format(out=out))
+    assert main(["sweep", str(cfg), "--param", "theta", "--from", "0",
+                 "--to", "20", "--steps", "3", "--output", str(out)]) == 0
+    assert len(calls) == 1
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert {ln.split(",")[0] for ln in lines[1:]} == {"0.0", "10.0", "20.0"}
+
+
+def test_sweep_rejects_invalid_geometry(tmp_path, caplog):
+    out = tmp_path / "sw"
+    cfg = _write(tmp_path / "s.ini", BASE.format(out=out).replace(
+        "rho_box = 1.1277533039647577", "rho_box = 0.3"))
+    assert main(["sweep", str(cfg), "--param", "theta", "--from", "0",
+                 "--to", "20", "--steps", "3", "--output", str(out)]) == 3
+    assert "invalid problem: rho_box" in caplog.text
+    assert not out.exists()
 
 
 def test_sweep_rejects_non_integer_thread_count(tmp_path, monkeypatch, caplog):

@@ -7,9 +7,15 @@ import pytest
 
 from vigrating.errors import NotConverged
 from vigrating.kernel import beta, kernel_table
-from vigrating.operators import grad_spectral, to_physical
+from vigrating.operators import (
+    SpectralField,
+    contrast_gradient_potential,
+    grad_spectral,
+    to_physical,
+)
 from vigrating.postprocess import (
     EVANESCENT_DROP,
+    RayleighData,
     efficiencies,
     efficiency_csv,
     efficiency_json,
@@ -28,10 +34,17 @@ from vigrating.problem import (
     incident_field,
     rectangle_contrast,
     slab_contrast,
+    two_layer_contrast,
 )
-from vigrating.solver import SolveOptions, Solution, solve
+from vigrating.solver import SolveOptions, Solution, gmres, solve
 
-from conftest import SLAB_H, SLAB_K, smooth_isotropic_contrast
+from conftest import (
+    ANISO,
+    SLAB_H,
+    SLAB_K,
+    reference_rhs,
+    smooth_isotropic_contrast,
+)
 
 
 def _solve_slab(q, n1, n2, ratio, rel_tol=1e-10, rho_ref=None):
@@ -348,3 +361,57 @@ def test_one_pass_rayleigh_matches_full_grid_sum():
         single = rayleigh_coefficients(sol, problem, table, data.side)
         assert single.coefficients == data.coefficients
     assert len(above.propagating) > 1
+
+
+def _reference_full_solve(problem, table, rel_tol):
+    """GMRES on all N1 x N2 coefficients with the operator and right-hand
+    side composed from the public 2-D transforms."""
+    grid, alpha = problem.grid, problem.alpha
+    shape = (grid.n1, grid.n2)
+    rhs = reference_rhs(problem, table)
+
+    def matvec(v):
+        u = SpectralField(v.reshape(shape), grid, alpha)
+        return (u.coeffs
+                - contrast_gradient_potential(u, problem, table).coeffs
+                ).reshape(-1)
+
+    x, _, converged, iterations = gmres(matvec, rhs.reshape(-1),
+                                        rel_tol=rel_tol)
+    assert converged
+    u = SpectralField(x.reshape(shape), grid, alpha)
+    return Solution(u=u, residual_history=(), converged=True,
+                    iterations=iterations)
+
+
+@pytest.mark.parametrize("contrast, theta", [
+    (slab_contrast(3.0, 1.0), 0.0),
+    (slab_contrast(-5.0, 1.0), 0.0),
+    (slab_contrast(3.0 - 0.5j, 1.0), 0.0),
+    (two_layer_contrast(ANISO, -2.0, 0.4, 0.6), 0.0),
+    (slab_contrast(3.0, 1.0), 25.0),
+    (two_layer_contrast(ANISO, -2.0, 0.4, 0.6), 25.0),
+], ids=["slab-q3", "slab-q-5", "lossy-slab", "anisotropic-two-layer",
+        "slab-oblique", "anisotropic-two-layer-oblique"])
+def test_layered_efficiencies_match_2d_reference(contrast, theta):
+    wave = IncidentWave.from_angle(0.8, theta)
+    grid = Grid(n1=8, n2=64, rho_box=1.1)
+    problem = build_problem(wave, contrast, grid)
+    table = kernel_table(grid, wave)
+    sol = solve(problem, table, SolveOptions(rel_tol=1e-12))
+    assert sol.discretization.layered
+    reference = _reference_full_solve(problem, table, rel_tol=1e-12)
+    assert sol.iterations == reference.iterations
+
+    above, below = rayleigh_both_sides(sol, problem, table)
+    ref = [RayleighData(side=side, rho_ref=problem.rho_ref,
+                        coefficients=_full_grid_rayleigh(reference, problem,
+                                                         side),
+                        propagating=above.propagating)
+           for side in ("+", "-")]
+    got = efficiencies(above, below, problem)
+    expected = efficiencies(*ref, problem)
+    assert got.orders == expected.orders == ((-1, 0) if theta else (0,))
+    for a, b in zip(got.reflected + got.transmitted,
+                    expected.reflected + expected.transmitted):
+        assert abs(a - b) <= 1e-13
