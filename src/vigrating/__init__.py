@@ -50,6 +50,7 @@ from .postprocess import (
 )
 from .problem import (
     ContrastField,
+    ContrastLayout,
     Grid,
     IncidentWave,
     Problem,

@@ -44,7 +44,8 @@ def _solve_config(cfg: RunConfig, problem: Problem | None = None):
     """Solve ``cfg``; ``problem`` may pass its already sampled problem."""
     if problem is None:
         problem = cfg.build()
-    table = kernel_table(problem.grid, problem.wave)
+    # a layered solve and its Rayleigh extraction read only the coupled rows
+    table = kernel_table(problem.grid, problem.wave, problem.layout.n_rows)
     opts = SolveOptions(
         rel_tol=cfg.rel_tol,
         max_iterations=cfg.max_iterations,
@@ -131,7 +132,7 @@ def cmd_sweep(config_path: str, param: str, start: float, stop: float,
     try:
         contrast = base.contrast()
         grid = base.grid(contrast)
-        q_grid, rho_ref = sample_contrast(contrast, grid)
+        q_grid, rho_ref, layout = sample_contrast(contrast, grid)
     except (VigratingError, FileNotFoundError, ValueError) as exc:
         log.error("invalid problem: %s", exc)
         return EXIT_INVALID
@@ -144,7 +145,7 @@ def cmd_sweep(config_path: str, param: str, start: float, stop: float,
             wave = cfg.wave()
             wave.check_nonresonance()
             problem = Problem(wave=wave, contrast=contrast, grid=grid,
-                              q_grid=q_grid, rho_ref=rho_ref)
+                              q_grid=q_grid, rho_ref=rho_ref, layout=layout)
             problem, _, _, eff = _solve_config(cfg, problem)
         except (NotConverged, BreakdownDetected) as exc:
             log.warning("skipping %s = %g: %s", param, value, exc)
@@ -213,6 +214,16 @@ def cmd_diagnose(config_path: str, output: str | None = None,
 
 
 def cmd_validate(level: str, tmp_dir: str | None = None) -> int:
+    import importlib
+
+    # the gates' oracles need the optional extra; nothing else does
+    for name in ("scipy", "mpmath"):
+        try:
+            importlib.import_module(name)
+        except ImportError:
+            log.error("validate needs the package %r, which is not "
+                      "installed: pip install 'vigrating[validate]'", name)
+            return EXIT_INVALID
     from .validate import run_gates
 
     if tmp_dir is None:

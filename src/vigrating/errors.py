@@ -47,7 +47,8 @@ class ShapeMismatch(VigratingError):
 
 
 class SizeGuard(VigratingError):
-    """Requested dense assembly exceeds the oracle size limit."""
+    """Requested dense assembly exceeds the oracle size limit, or a solve
+    would exceed physical memory."""
 
 
 class SlowConvergence(VigratingError):

@@ -16,7 +16,6 @@ of the volume potential exact on trigonometric polynomials.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,7 +99,8 @@ def kernel_coefficient(
 class KernelTable:
     """Precomputed multiplier array K_hat(j) on a grid's index set.
 
-    ``coeffs`` is stored in FFT order, aligned with SpectralField layouts.
+    ``coeffs`` is stored in FFT order, aligned with SpectralField layouts;
+    it holds all N1 rows, or the leading rows asked of :func:`kernel_table`.
     ``degenerate_modes`` lists the (j1, j2) pairs where the limit branch
     was taken.
     """
@@ -117,16 +117,20 @@ class KernelTable:
         return self.coeffs.shape
 
 
-def _build_table(grid: Grid, alpha: float, k_squared: float, k: float) -> KernelTable:
+def _build_table(grid: Grid, alpha: float, k_squared: float, k: float,
+                 rows: int | None = None) -> KernelTable:
     rho = grid.rho_box
-    j1 = grid.j1_modes()[:, None]
+    j1_all = grid.j1_modes()
+    j1 = j1_all[:rows, None]
     j2 = grid.j2_modes()[None, :]
     lam = helmholtz_symbol(j1, j2, k_squared, alpha, rho)
     b = _beta_many(j1, k_squared, alpha)
 
     eps_lam = 1e-8 * max(1.0, abs(k_squared))
     degenerate = np.abs(lam) <= eps_lam
-    if np.any(degenerate & (j2 == 0)):
+    # the j2 == 0 column of every row, tabulated or not
+    if np.any(np.abs(helmholtz_symbol(j1_all, 0, k_squared, alpha, rho))
+              <= eps_lam):
         raise DegenerateAtZeroJ2(
             "symbol vanished at a j2 == 0 mode; non-resonance validation "
             "failed upstream"
@@ -149,10 +153,17 @@ def _build_table(grid: Grid, alpha: float, k_squared: float, k: float) -> Kernel
                        coeffs=coeffs, degenerate_modes=degs)
 
 
-def kernel_table(grid: Grid, wave: IncidentWave) -> KernelTable:
-    """Tabulate all N1 x N2 kernel coefficients for a validated wave."""
+def kernel_table(grid: Grid, wave: IncidentWave,
+                 rows: int | None = None) -> KernelTable:
+    """Tabulate the N1 x N2 kernel coefficients for a validated wave.
+
+    ``rows`` keeps only the first ``rows`` storage rows (x1 frequencies
+    ``j1_modes()[:rows]``), with the same values as the full table; a
+    layered solve needs only the row j1 = 0.  Either way the table raises
+    DegenerateAtZeroJ2 if the symbol vanishes at j2 == 0 in any row.
+    """
     wave.check_nonresonance()
-    return _build_table(grid, wave.alpha, wave.k**2, wave.k)
+    return _build_table(grid, wave.alpha, wave.k**2, wave.k, rows)
 
 
 def reference_table(grid: Grid, alpha: float) -> KernelTable:
@@ -177,27 +188,6 @@ def decay_shell_stat(table: KernelTable, grid: Grid, shell: int) -> float:
     mu = j2 * np.pi / table.rho
     weight = 1.0 + aj**2 + mu**2
     return float(np.max(np.abs(table.coeffs[ring]) * weight[ring]))
-
-
-def dump_table(table: KernelTable, path):
-    """Binary snapshot: header N1, N2 (int64 LE), k, alpha, rho (float64 LE),
-    body row-major complex128 LE."""
-    n1, n2 = table.coeffs.shape
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<qq", n1, n2))
-        fh.write(struct.pack("<ddd", table.k, table.alpha, table.rho))
-        fh.write(np.ascontiguousarray(table.coeffs).astype("<c16").tobytes())
-
-
-def load_table(path) -> KernelTable:
-    """Read a snapshot written by :func:`dump_table`."""
-    with open(path, "rb") as fh:
-        n1, n2 = struct.unpack("<qq", fh.read(16))
-        k, alpha, rho = struct.unpack("<ddd", fh.read(24))
-        coeffs = np.frombuffer(fh.read(n1 * n2 * 16), dtype="<c16")
-    coeffs = coeffs.reshape(n1, n2).astype(np.complex128)
-    coeffs.setflags(write=False)
-    return KernelTable(k_squared=k**2, k=k, alpha=alpha, rho=rho, coeffs=coeffs)
 
 
 # ----------------------------------------------------------------------------

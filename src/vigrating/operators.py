@@ -128,9 +128,13 @@ def grad_spectral(u: SpectralField) -> VectorSpectralField:
     )
 
 
-def _check_table(grid: Grid, table: KernelTable):
-    if table.coeffs.shape != (grid.n1, grid.n2):
-        raise ShapeMismatch("kernel table shape does not match the grid")
+def _check_table(grid: Grid, table: KernelTable, rows=None):
+    """``rows``: the accepted row counts, all N1 rows by default."""
+    rows = rows or (grid.n1,)
+    if table.coeffs.shape[1:] != (grid.n2,) or len(table.coeffs) not in rows:
+        raise ShapeMismatch(
+            f"kernel table shape {table.coeffs.shape} does not match the "
+            f"grid: expected {' or '.join(map(str, rows))} rows of {grid.n2}")
     if abs(table.rho - grid.rho_box) > 1e-14:
         raise ShapeMismatch("kernel table was built for a different box height")
 
@@ -184,7 +188,7 @@ def _contrast_product(q: np.ndarray, y: np.ndarray):
 
 
 class Discretization:
-    """The solve-invariant arrays of one problem and kernel table.
+    """The arrays one solve applies, for one problem and kernel table.
 
     Built once per solve and shared by the forward operator, the right-hand
     side, the residual and the scattered density.  Physical samples live on
@@ -205,41 +209,59 @@ class Discretization:
     operator methods take an array of the first ``n_rows`` rows or of all
     N1 rows.
 
-    The (2, N1, N2) work buffer makes an instance unsafe to share between
-    threads; every solve builds its own.
+    The contrast half (``layered``, ``n_rows``, ``q``, ``support``, ``x2``)
+    comes from ``problem.layout``, computed once per sampled contrast.  The
+    wave half is sized to ``n_rows``: the table may hold only those rows.
+    The multiplier sqrt(4 pi rho) K_hat of all N1 rows is built when an
+    array of all rows is first applied, which needs the full table.
+
+    The work buffers make an instance unsafe to share between threads;
+    every solve builds its own.
     """
 
     def __init__(self, problem: Problem, table: KernelTable):
         grid = problem.grid
-        _check_table(grid, table)
+        layout = problem.layout
         self.problem = problem
         self.table = table
-        q = problem.q_grid
-        self.layered = bool((q == q[:1]).all())
-        if self.layered:
-            q = q[:1]
-        self.axes = (2,) if self.layered else (1, 2)
-        self.n_rows = 1 if self.layered else grid.n1
+        self.layered = layout.layered
+        self.n_rows = layout.n_rows
         self.n1 = grid.n1
-        shift = (grid.n1 // 2, grid.n2 // 2)
-        self.ia = (1j * (grid.j1_modes() + problem.alpha))[:, None]
+        self.q = layout.q
+        self.support = layout.support
+        self.x2 = layout.x2
+        _check_table(grid, table, sorted({self.n_rows, grid.n1}))
+        self.axes = (2,) if self.layered else (1, 2)
         self.imu = (1j * np.pi / grid.rho_box * grid.j2_modes())[None, :]
-        self.multiplier = np.sqrt(4 * np.pi * grid.rho_box) * table.coeffs
         self.scale = np.sqrt(4 * np.pi * grid.rho_box) / (grid.n1 * grid.n2)
         if self.layered:
             self.scale *= grid.n1
+        self._by_rows = {self.n_rows: self._row_arrays(self.n_rows)}
 
-        q = np.roll(np.moveaxis(q, (2, 3), (0, 1)), shift, axis=(2, 3))
-        # a scalar contrast field: one product per sample instead of four
-        if (not q[0, 1].any() and not q[1, 0].any()
-                and np.array_equal(q[0, 0], q[1, 1])):
-            q = q[0, 0]
-        self.q = np.ascontiguousarray(q)
-        self.x2 = np.roll(grid.x2_nodes(), shift[1])
-        # x2 columns that carry contrast
-        self.support = np.flatnonzero(
-            self.q.any(axis=tuple(range(self.q.ndim - 1))))
-        self.work = np.empty((2, grid.n1, grid.n2), dtype=complex)
+    def _row_arrays(self, rows: int):
+        """i alpha_j, the multiplier and a work buffer for ``rows`` rows."""
+        grid = self.problem.grid
+        ia = (1j * (grid.j1_modes()[:rows] + self.problem.alpha))[:, None]
+        multiplier = (np.sqrt(4 * np.pi * grid.rho_box)
+                      * self.table.coeffs[:rows])
+        work = np.empty((2, rows, grid.n2), dtype=complex)
+        return ia, multiplier, work
+
+    def _rows(self, rows: int):
+        """The arrays of :meth:`_row_arrays` for an array of ``rows`` rows."""
+        arrays = self._by_rows.get(rows)
+        if arrays is None:
+            if rows != self.n1:
+                raise ShapeMismatch(
+                    f"{rows} coefficient rows; expected {self.n_rows} or "
+                    f"{self.n1}")
+            held = len(self.table.coeffs)
+            if held != rows:
+                raise ShapeMismatch(
+                    f"an array of all {rows} coefficient rows needs the full "
+                    f"kernel table; this one holds {held} row(s)")
+            arrays = self._by_rows[rows] = self._row_arrays(rows)
+        return arrays
 
     def live_rows(self, c: np.ndarray) -> np.ndarray:
         """The first ``n_rows`` rows of c when the rest vanish, else c."""
@@ -247,12 +269,8 @@ class Discretization:
 
     def _gradient(self, c: np.ndarray) -> np.ndarray:
         """Scaled gradient samples of the field with coefficients c."""
-        rows = c.shape[0]
-        if rows not in (self.n_rows, self.n1):
-            raise ShapeMismatch(
-                f"{rows} coefficient rows; expected {self.n_rows} or {self.n1}")
-        work = self.work[:, :rows]
-        np.multiply(self.ia[:rows], c, out=work[0])
+        ia, _, work = self._rows(c.shape[0])
+        np.multiply(ia, c, out=work[0])
         np.multiply(self.imu, c, out=work[1])
         # ifft2 ignores ``out`` in numpy 2.x; ifftn honours it
         return np.fft.ifftn(work, axes=self.axes, out=work)
@@ -268,12 +286,12 @@ class Discretization:
 
     def _div_potential(self, y: np.ndarray) -> np.ndarray:
         """Coefficients of div V(y) for scaled samples y (a buffer view)."""
-        rows = y.shape[1]
+        ia, multiplier, _ = self._rows(y.shape[1])
         f = np.fft.fftn(y, axes=self.axes, out=y)
-        f[0] *= self.ia[:rows]
+        f[0] *= ia
         f[1] *= self.imu
         f[0] += f[1]
-        f[0] *= self.multiplier[:rows]
+        f[0] *= multiplier
         return f[0]
 
     def apply(self, c: np.ndarray) -> np.ndarray:
@@ -285,10 +303,10 @@ class Discretization:
     def rhs(self) -> np.ndarray:
         """Coefficients of the right-hand side div V(Q grad u^i); rows past
         the first ``n_rows`` vanish."""
-        y = self.work[:, :self.n_rows]
+        y = self._rows(self.n_rows)[2]
         y[...] = self._incident_gradient()
         _contrast_product(self.q, y)
-        out = np.zeros(self.work.shape[1:], dtype=complex)
+        out = np.zeros((self.n1, y.shape[2]), dtype=complex)
         out[:self.n_rows] = self._div_potential(y)
         return out
 

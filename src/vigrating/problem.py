@@ -135,12 +135,47 @@ class Grid:
         return np.meshgrid(self.x1_nodes(), self.x2_nodes(), indexing="ij")
 
 
+class ContrastLayout:
+    """The sampled contrast as a solve applies it, built once per sampled
+    contrast and shared read-only by every solve of it.
+
+    This is the wave-independent half of ``operators.Discretization``.
+    Samples sit on the natural FFT layout, rolled by half a box in each
+    direction (see that class).  ``layered`` is set when all x1 rows of the
+    (N1, N2, 2, 2) samples are exactly equal; ``q`` then holds that one
+    row.  ``q`` is (2, 2, rows, N2), or (rows, N2) for a scalar contrast
+    field.  ``support`` lists the x2 columns that carry contrast and ``x2``
+    the rolled node heights.  ``n_rows`` is the number of leading Fourier
+    rows a solve couples to the incident wave: 1 if layered, else N1.
+    """
+
+    def __init__(self, q_grid: np.ndarray, grid: Grid):
+        q = q_grid
+        self.layered = bool((q == q[:1]).all())
+        if self.layered:
+            q = q[:1]
+        self.n_rows = 1 if self.layered else grid.n1
+        shift = (grid.n1 // 2, grid.n2 // 2)
+        q = np.roll(np.moveaxis(q, (2, 3), (0, 1)), shift, axis=(2, 3))
+        # a scalar contrast field: one product per sample instead of four
+        if (not q[0, 1].any() and not q[1, 0].any()
+                and np.array_equal(q[0, 0], q[1, 1])):
+            q = q[0, 0]
+        self.q = np.ascontiguousarray(q)
+        self.support = np.flatnonzero(
+            self.q.any(axis=tuple(range(self.q.ndim - 1))))
+        self.x2 = np.roll(grid.x2_nodes(), shift[1])
+        for a in (self.q, self.support, self.x2):
+            a.setflags(write=False)
+
+
 @dataclass(frozen=True)
 class Problem:
     """Immutable solver input: wave, contrast, grid and the sampled contrast.
 
     ``q_grid`` has shape (N1, N2, 2, 2); ``rho_ref`` is the reference height
-    of the Rayleigh expansion (h < rho_ref <= rho_box).
+    of the Rayleigh expansion (h < rho_ref <= rho_box); ``layout`` is the
+    :class:`ContrastLayout` of ``q_grid``.
     """
 
     wave: IncidentWave
@@ -148,6 +183,7 @@ class Problem:
     grid: Grid
     q_grid: np.ndarray = field(repr=False)
     rho_ref: float
+    layout: ContrastLayout = field(repr=False, compare=False)
 
     @property
     def alpha(self) -> float:
@@ -177,18 +213,18 @@ def build_problem(
     :func:`sample_contrast` raises for the geometry.
     """
     wave.check_nonresonance()
-    q_grid, rho_ref = sample_contrast(contrast, grid, rho_ref)
+    q_grid, rho_ref, layout = sample_contrast(contrast, grid, rho_ref)
     return Problem(wave=wave, contrast=contrast, grid=grid, q_grid=q_grid,
-                   rho_ref=rho_ref)
+                   rho_ref=rho_ref, layout=layout)
 
 
 def sample_contrast(
     contrast: ContrastField,
     grid: Grid,
     rho_ref: float | None = None,
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, float, ContrastLayout]:
     """The wave-independent part of :func:`build_problem`: the read-only
-    contrast samples and the reference height.
+    contrast samples, the reference height and the contrast layout.
 
     Raises GeometryError when the box is too small (rho_box >= 2h is
     required so that the periodized kernel agrees with the free
@@ -219,7 +255,7 @@ def sample_contrast(
     if asym > 1e-12 * max(1.0, float(np.max(np.abs(q_grid)))):
         raise NonSymmetric(f"Q12 != Q21 on the grid (max deviation {asym:g})")
     q_grid.setflags(write=False)
-    return q_grid, float(rho_ref)
+    return q_grid, float(rho_ref), ContrastLayout(q_grid, grid)
 
 
 def incident_field(wave: IncidentWave, points) -> tuple[np.ndarray, np.ndarray]:

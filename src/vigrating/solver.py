@@ -9,11 +9,12 @@ the same equation there and the exterior values are the potential extension.
 from __future__ import annotations
 
 import logging
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BreakdownDetected, NotConverged
+from .errors import BreakdownDetected, NotConverged, SizeGuard
 from .kernel import KernelTable
 from .operators import Discretization, SpectralField
 from .problem import Problem
@@ -171,6 +172,28 @@ def gmres(
     return x, history, converged, iterations
 
 
+def physical_memory_bytes() -> int | None:
+    """Physical memory of the machine, or None where os.sysconf lacks it."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def check_memory(problem: Problem, opts: SolveOptions):
+    """Raise SizeGuard when the Krylov basis and the (2, rows, N2) work
+    buffer of a solve would exceed physical memory."""
+    rows, n2 = problem.layout.n_rows, problem.grid.n2
+    vectors = min(opts.restart, opts.max_iterations) + 1
+    need = (vectors + 2) * rows * n2 * 16
+    memory = physical_memory_bytes()
+    if memory is not None and need > memory:
+        raise SizeGuard(
+            f"the solve needs about {need} bytes ({vectors} Krylov vectors "
+            f"of {rows * n2} unknowns and the work buffer), more than the "
+            f"{memory} bytes of physical memory; lower restart or the grid")
+
+
 def solve(problem: Problem, table: KernelTable,
           opts: SolveOptions | None = None) -> Solution:
     """Solve the discrete scattering equation; returns the scattered field.
@@ -180,8 +203,11 @@ def solve(problem: Problem, table: KernelTable,
     (the j1 = 0 row alone for a layered contrast); the returned field holds
     them in the full (N1, N2) array with the other rows zero.  On stall the
     best iterate and its history are attached to the NotConverged error.
+    Raises SizeGuard, before allocating, when the solve cannot fit in
+    physical memory.
     """
     opts = opts or SolveOptions()
+    check_memory(problem, opts)
     disc = Discretization(problem, table)
     rhs = disc.rhs()
     shape = (disc.n_rows, rhs.shape[1])
@@ -225,7 +251,10 @@ def residual(problem: Problem, table: KernelTable, u: SpectralField,
     """Relative residual ||A u - rhs|| / ||rhs||, recomputed from scratch.
 
     ``disc`` may pass the discretization of the solve.  Falls back to the
-    absolute norm when the right-hand side vanishes.
+    absolute norm when the right-hand side vanishes.  A layered solve's
+    field has one nonzero row, which a table of that row serves; a u with
+    other nonzero rows needs the full table of ``kernel_table(grid, wave)``
+    and raises ShapeMismatch with a one-row table.
     """
     disc = disc or Discretization(problem, table)
     rhs = disc.rhs()

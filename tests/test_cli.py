@@ -392,3 +392,97 @@ def test_sweep_rejects_non_integer_thread_count(tmp_path, monkeypatch, caplog):
     assert main(["sweep", str(cfg), "--param", "theta", "--from", "0",
                  "--to", "20", "--steps", "3"]) == 3
     assert "GRATING_THREADS must be an integer, got 'abc'" in caplog.text
+
+
+def test_layered_sweep_lays_out_the_contrast_once(tmp_path, monkeypatch):
+    import vigrating.problem
+
+    calls = []
+
+    class Counted(vigrating.problem.ContrastLayout):
+        def __init__(self, q_grid, grid):
+            calls.append(1)
+            super().__init__(q_grid, grid)
+
+    monkeypatch.setattr(vigrating.problem, "ContrastLayout", Counted)
+    monkeypatch.setenv("GRATING_THREADS", "2")
+    out = tmp_path / "sw"
+    cfg = _write(tmp_path / "s.ini", BASE.format(out=out))
+    assert main(["sweep", str(cfg), "--param", "theta", "--from", "0",
+                 "--to", "20", "--steps", "3", "--output", str(out)]) == 0
+    assert len(calls) == 1
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert {ln.split(",")[0] for ln in lines[1:]} == {"0.0", "10.0", "20.0"}
+
+
+@pytest.mark.parametrize("shape, rows", [
+    ("shape = slab\nq_re = 3.0\nthickness = 1.0", 1),
+    ("shape = circle\nq_re = 3.0\nradius = 0.2", 32),
+    ("shape = rectangle\nq_re = 3.0\nwidth = 0.5\nheight = 0.5", 32),
+], ids=["slab", "circle", "rectangle"])
+def test_sweep_tables_hold_the_coupled_rows(tmp_path, monkeypatch, shape,
+                                            rows):
+    shapes = []
+    build = vigrating.cli.kernel_table
+
+    def recorded(*args):
+        table = build(*args)
+        shapes.append(table.shape)
+        return table
+
+    monkeypatch.setattr(vigrating.cli, "kernel_table", recorded)
+    out = tmp_path / "sw"
+    text = BASE.format(out=out).replace(
+        "shape = slab\nq_re = 3.0\nthickness = 1.0", shape)
+    cfg = _write(tmp_path / "s.ini", text)
+    assert main(["sweep", str(cfg), "--param", "theta", "--from", "0",
+                 "--to", "20", "--steps", "3", "--output", str(out)]) == 0
+    assert shapes == [(rows, 64)] * 3
+
+
+# order -1 lies within 3e-9 k^2 of cutoff: the non-resonance check passes,
+# but the kernel symbol vanishes at (j1, j2) = (-1, 0)
+NEAR_ANOMALY_THETA = 34.805774833288794
+
+
+def test_near_anomaly_still_rejected(tmp_path, caplog):
+    text = (Path(__file__).resolve().parents[1] / "configs" / "slab_q3.ini"
+            ).read_text().replace("k = 1.0", "k = 4.0").replace(
+        "theta_deg = 0.0", f"theta_deg = {NEAR_ANOMALY_THETA!r}")
+    cfg = _write(tmp_path / "near.ini", text)
+    assert main(["solve", str(cfg), "--output", str(tmp_path / "o")]) == 3
+    assert ("invalid problem: symbol vanished at a j2 == 0 mode"
+            in caplog.text)
+    caplog.clear()
+    out = tmp_path / "sw"
+    assert main(["sweep", str(cfg), "--param", "theta", "--from",
+                 repr(NEAR_ANOMALY_THETA), "--to", "35", "--steps", "2",
+                 "--output", str(out)]) == 0
+    assert (f"skipping theta = {NEAR_ANOMALY_THETA:g}: invalid problem "
+            "(symbol vanished at a j2 == 0 mode") in caplog.text
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert {ln.split(",")[0] for ln in lines[1:]} == {"35.0"}
+
+
+def test_solve_beyond_physical_memory_exits_3(tmp_path, monkeypatch, caplog):
+    monkeypatch.setattr(vigrating.solver, "physical_memory_bytes",
+                        lambda: 50_000)
+    cfg = _write(tmp_path / "s.ini", BASE.format(out=tmp_path / "o"))
+    assert main(["solve", str(cfg)]) == 3
+    # (50 + 1 Krylov vectors + 2 work rows) x 1 row x 64 columns x 16 bytes
+    assert ("invalid problem: the solve needs about 54272 bytes"
+            in caplog.text)
+    assert "more than the 50000 bytes of physical memory" in caplog.text
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("package", ["scipy", "mpmath"])
+def test_validate_without_optional_extra_exits_3(package):
+    src = str(Path(vigrating.cli.__file__).resolve().parents[1])
+    code = (f"import sys; sys.modules[{package!r}] = None; "
+            "from vigrating.cli import main; sys.exit(main(['validate']))")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert f"validate needs the package {package!r}" in proc.stderr

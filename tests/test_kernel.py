@@ -5,13 +5,11 @@ from vigrating.errors import DegenerateAtZeroJ2, RayleighAnomaly, SlowConvergenc
 from vigrating.kernel import (
     beta,
     decay_shell_stat,
-    dump_table,
     greens_series,
     greens_series_many,
     helmholtz_symbol,
     kernel_coefficient,
     kernel_table,
-    load_table,
     reference_table,
     series_tail_bound,
 )
@@ -152,14 +150,33 @@ def test_reference_table_damped():
     assert np.all(lam < 0)
 
 
-def test_table_dump_roundtrip(tmp_path):
-    grid = Grid(n1=8, n2=16, rho_box=1.7)
-    table = kernel_table(grid, _wave(1.1, 0.25))
-    path = tmp_path / "table.bin"
-    dump_table(table, path)
-    back = load_table(path)
-    assert np.array_equal(back.coeffs, table.coeffs)
-    assert back.alpha == table.alpha and back.rho == table.rho
+@pytest.mark.parametrize("k, alpha, rho", [
+    (1.1, 0.25, 1.7),
+    (1.5, 0.0, 2 * np.pi / 3),      # symbol vanishes at (0, +-1)
+], ids=["generic", "degenerate"])
+def test_row_table_is_the_leading_rows_of_the_full_table(k, alpha, rho):
+    grid = Grid(n1=16, n2=32, rho_box=rho)
+    wave = _wave(k, alpha)
+    full = kernel_table(grid, wave)
+    for rows in (1, 5, 16):
+        part = kernel_table(grid, wave, rows)
+        assert part.shape == (rows, 32)
+        assert np.array_equal(part.coeffs, full.coeffs[:rows])
+        kept = set(grid.j1_modes()[:rows].tolist())
+        assert part.degenerate_modes == tuple(
+            m for m in full.degenerate_modes if m[0] in kept)
+    assert (rho == 1.7) == (full.degenerate_modes == ())
+
+
+def test_row_table_keeps_the_zero_j2_guard_of_every_row():
+    # order -1 lies within 3e-9 k^2 of cutoff: the non-resonance check
+    # passes, but the symbol vanishes at (j1, j2) = (-1, 0), outside row 0
+    wave = IncidentWave.from_angle(4.0 / (2 * np.pi), 34.805774833288794)
+    wave.check_nonresonance()
+    grid = Grid(n1=16, n2=32, rho_box=3.0)
+    for rows in (None, 1):
+        with pytest.raises(DegenerateAtZeroJ2, match="j2 == 0 mode"):
+            kernel_table(grid, wave, rows)
 
 
 def test_greens_series_tail_bound():

@@ -95,6 +95,31 @@ def test_build_problem_deterministic():
     assert np.array_equal(p1.q_grid, contrast.sample(xx1, xx2))
 
 
+@pytest.mark.parametrize("contrast, layered, scalar", [
+    (slab_contrast(3.0, 1.0), True, True),
+    (two_layer_contrast(np.array([[2.0, 0.4], [0.4, 1.0]]), -2.0, 0.4, 0.6),
+     True, False),
+    (circle_contrast(3.0, 0.4), False, True),
+], ids=["slab", "anisotropic-two-layer", "circle"])
+def test_contrast_layout(contrast, layered, scalar):
+    grid = Grid(n1=16, n2=32, rho_box=1.2)
+    problem = build_problem(IncidentWave(k=0.7, d=(0.0, -1.0)), contrast, grid)
+    layout = problem.layout
+    rows = 1 if layered else 16
+    assert layout.layered is layered and layout.n_rows == rows
+    # the natural FFT layout: node m sits half a box from sample m
+    rolled = np.roll(problem.q_grid[:rows], (8, 16), axis=(0, 1))
+    expected = rolled[..., 0, 0] if scalar else np.moveaxis(
+        rolled, (2, 3), (0, 1))
+    assert np.array_equal(layout.q, expected)
+    assert np.array_equal(layout.x2, np.roll(grid.x2_nodes(), 16))
+    assert np.array_equal(layout.support, np.flatnonzero(
+        np.roll(problem.support_mask().any(axis=0), 16)))
+    # shared by every solve of the sample, so never written
+    for a in (layout.q, layout.support, layout.x2):
+        assert not a.flags.writeable
+
+
 def test_support_violation_detected():
     bad = ContrastField(
         sampler=lambda x1, x2: np.ones(

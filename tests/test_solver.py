@@ -3,7 +3,13 @@ import logging
 import numpy as np
 import pytest
 
-from vigrating.errors import BreakdownDetected, NotConverged, ShapeMismatch
+import vigrating.solver
+from vigrating.errors import (
+    BreakdownDetected,
+    NotConverged,
+    ShapeMismatch,
+    SizeGuard,
+)
 from vigrating.kernel import kernel_table
 from vigrating.operators import (
     Discretization,
@@ -24,6 +30,7 @@ from vigrating.problem import (
 from vigrating.solver import (
     SolveOptions,
     assemble_rhs,
+    check_memory,
     gmres,
     residual,
     solve,
@@ -253,3 +260,61 @@ def test_layered_zero_contrast_gives_exact_zero():
     assert sol.converged and sol.iterations == 0
     assert sol.u.coeffs.shape == (16, 64) and not sol.u.coeffs.any()
     assert residual(problem, table, sol.u) == 0.0
+
+
+def test_layered_one_row_table_matches_full_table():
+    wave = IncidentWave.from_angle(0.8, 25.0)
+    grid = Grid(n1=16, n2=64, rho_box=1.1)
+    problem = build_problem(wave, two_layer_contrast(ANISO, -2.0, 0.4, 0.6),
+                            grid)
+    full, row = kernel_table(grid, wave), kernel_table(grid, wave, 1)
+    sol_full, sol_row = solve(problem, full), solve(problem, row)
+    assert np.array_equal(sol_row.u.coeffs, sol_full.u.coeffs)
+    assert sol_row.residual_history == sol_full.residual_history
+    assert residual(problem, row, sol_row.u) == residual(problem, full,
+                                                         sol_full.u)
+    c = np.random.default_rng(2).standard_normal((1, 64)) + 0j
+    assert np.array_equal(Discretization(problem, row).apply(c),
+                          Discretization(problem, full).apply(c))
+
+
+def test_full_rows_need_the_full_table():
+    wave = IncidentWave.from_angle(0.8, 25.0)
+    grid = Grid(n1=16, n2=64, rho_box=1.1)
+    problem = build_problem(wave, slab_contrast(3.0, 1.0), grid)
+    table = kernel_table(grid, wave, 1)
+    disc = Discretization(problem, table)
+    full = np.ones((16, 64), dtype=complex)
+    message = ("an array of all 16 coefficient rows needs the full kernel "
+               "table; this one holds 1 row")
+    with pytest.raises(ShapeMismatch, match=message):
+        disc.apply(full)
+    with pytest.raises(ShapeMismatch, match=message):
+        residual(problem, table, SpectralField(full, grid, problem.alpha))
+    # a contrast that couples every row has no use for a one-row table
+    circle = build_problem(wave, circle_contrast(3.0, 0.4), grid)
+    with pytest.raises(ShapeMismatch, match="expected 16 rows of 64"):
+        Discretization(circle, table)
+
+
+def test_memory_estimate_counts_basis_and_work_rows(monkeypatch):
+    wave = IncidentWave.from_angle(0.8, 25.0)
+    grid = Grid(n1=16, n2=64, rho_box=1.1)
+    problem = build_problem(wave, circle_contrast(3.0, 0.4), grid)
+    opts = SolveOptions(restart=1000, max_iterations=40)
+    need = (40 + 1 + 2) * 16 * 64 * 16
+    monkeypatch.setattr(vigrating.solver, "physical_memory_bytes",
+                        lambda: need)
+    check_memory(problem, opts)
+    monkeypatch.setattr(vigrating.solver, "physical_memory_bytes",
+                        lambda: need - 1)
+    with pytest.raises(SizeGuard, match=f"about {need} bytes"):
+        solve(problem, kernel_table(grid, wave), opts)
+    monkeypatch.setattr(vigrating.solver, "physical_memory_bytes",
+                        lambda: None)
+    check_memory(problem, opts)
+
+
+def test_physical_memory_is_read_from_sysconf():
+    memory = vigrating.solver.physical_memory_bytes()
+    assert memory is None or memory > 0
