@@ -143,7 +143,6 @@ def cmd_sweep(config_path: str, param: str, start: float, stop: float,
         cfg = base.replace_parameter(param, float(value))
         try:
             wave = cfg.wave()
-            wave.check_nonresonance()
             problem = Problem(wave=wave, contrast=contrast, grid=grid,
                               q_grid=q_grid, rho_ref=rho_ref, layout=layout)
             problem, _, _, eff = _solve_config(cfg, problem)
@@ -164,20 +163,11 @@ def cmd_sweep(config_path: str, param: str, start: float, stop: float,
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow([param, "j", "alpha_j", "beta_j_re", "beta_j_im",
-                     "e_refl", "e_trans"])
+    writer.writerow((param,) + pp.EFFICIENCY_COLUMNS)
     for value, eff in sorted(points, key=lambda p: p[0]):
-        if eff is None:
-            continue
-        for i, j in enumerate(eff.orders):
-            writer.writerow([
-                repr(float(value)), j,
-                repr(float(eff.alphas[i])),
-                repr(float(eff.betas[i].real)),
-                repr(float(eff.betas[i].imag)),
-                repr(float(eff.reflected[i])),
-                repr(float(eff.transmitted[i])),
-            ])
+        if eff is not None:
+            writer.writerows([repr(float(value))] + row
+                             for row in pp.efficiency_rows(eff))
     out_dir = Path(output) if output else Path(base.output_directory)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "sweep.csv").write_text(buf.getvalue(), encoding="utf-8")

@@ -11,7 +11,7 @@ kernel is diagonal on this basis with multiplier sqrt(4 pi rho) * K_hat(j).
 
 The functions on SpectralField are the reference transforms; the solve path
 runs on a Discretization, which precomputes everything a solve applies
-repeatedly and needs one batched ifft2 and one fft2 per operator application.
+repeatedly and needs one batched ifftn and one fftn per operator application.
 """
 
 from __future__ import annotations
@@ -195,25 +195,19 @@ class Discretization:
     the natural FFT layout: sample m sits half a box away from the centered
     node m, at (2 pi m1 / N1, 2 rho m2 / N2) modulo the box.  There the
     (-1)^(j1 + j2) signs of the centered basis become an index shift, and
-    the exp(i alpha x1) phase cancels around every pointwise product, so
-    ``ifft2(c)`` is the phase-stripped field times ``scale`` =
-    sqrt(4 pi rho) / (N1 N2) and a transform pair needs no other factor.
+    the exp(i alpha x1) phase cancels around every pointwise product, so a
+    transform pair needs no other factor than the sample scale.
 
-    A layered contrast, one whose x1 rows of samples are all equal, commutes
-    with x1 translations: the x1 transform pair around its product cancels,
-    so the operator maps every x1 Fourier row j1 to itself.  Its transforms
-    then run over x2 alone, on coefficient rows kept spectral in x1, and
-    ``scale`` is sqrt(4 pi rho) / N2.  The incident wave excites only the
-    row j1 = 0, the first storage row: ``n_rows`` is the number of leading
-    rows a solve needs, 1 for a layered contrast and N1 otherwise.  The
-    operator methods take an array of the first ``n_rows`` rows or of all
-    N1 rows.
-
-    The contrast half (``layered``, ``n_rows``, ``q``, ``support``, ``x2``)
-    comes from ``problem.layout``, computed once per sampled contrast.  The
-    wave half is sized to ``n_rows``: the table may hold only those rows.
-    The multiplier sqrt(4 pi rho) K_hat of all N1 rows is built when an
-    array of all rows is first applied, which needs the full table.
+    An array of coefficients holds the leading Fourier rows of a field:
+    all N1, or the one row j1 = 0 of a field whose other rows vanish.  The
+    inverse FFT of an array of ``rows`` rows is the phase-stripped field
+    times the sample scale sqrt(4 pi rho) / (rows N2).  All N1 rows
+    transform in x1 and x2; the samples of one row do not depend on x1, so
+    it transforms in x2 alone and stands for every x1 row.  The incident
+    wave excites only the row j1 = 0, which a layered contrast maps to
+    itself: ``n_rows``, from ``problem.layout``, is 1 for a layered contrast
+    and N1 otherwise.  The operator methods take ``n_rows`` or N1 rows; the
+    kernel table must hold the rows applied.
 
     The work buffers make an instance unsafe to share between threads;
     every solve builds its own.
@@ -224,28 +218,31 @@ class Discretization:
         layout = problem.layout
         self.problem = problem
         self.table = table
-        self.layered = layout.layered
         self.n_rows = layout.n_rows
         self.n1 = grid.n1
         self.q = layout.q
         self.support = layout.support
         self.x2 = layout.x2
         _check_table(grid, table, sorted({self.n_rows, grid.n1}))
-        self.axes = (2,) if self.layered else (1, 2)
+        if table.k != problem.k or table.alpha != problem.alpha:
+            raise ShapeMismatch(
+                f"kernel table was built for the wave k = {table.k}, alpha = "
+                f"{table.alpha}; the problem has k = {problem.k}, alpha = "
+                f"{problem.alpha}")
         self.imu = (1j * np.pi / grid.rho_box * grid.j2_modes())[None, :]
-        self.scale = np.sqrt(4 * np.pi * grid.rho_box) / (grid.n1 * grid.n2)
-        if self.layered:
-            self.scale *= grid.n1
         self._by_rows = {self.n_rows: self._row_arrays(self.n_rows)}
 
     def _row_arrays(self, rows: int):
-        """i alpha_j, the multiplier and a work buffer for ``rows`` rows."""
+        """i alpha_j, the multiplier, a work buffer, the sample scale and
+        the transform axes of an array of ``rows`` rows."""
         grid = self.problem.grid
         ia = (1j * (grid.j1_modes()[:rows] + self.problem.alpha))[:, None]
         multiplier = (np.sqrt(4 * np.pi * grid.rho_box)
                       * self.table.coeffs[:rows])
         work = np.empty((2, rows, grid.n2), dtype=complex)
-        return ia, multiplier, work
+        scale = np.sqrt(4 * np.pi * grid.rho_box) / (rows * grid.n2)
+        axes = (2,) if rows == 1 else (1, 2)
+        return ia, multiplier, work, scale, axes
 
     def _rows(self, rows: int):
         """The arrays of :meth:`_row_arrays` for an array of ``rows`` rows."""
@@ -269,25 +266,23 @@ class Discretization:
 
     def _gradient(self, c: np.ndarray) -> np.ndarray:
         """Scaled gradient samples of the field with coefficients c."""
-        ia, _, work = self._rows(c.shape[0])
+        ia, _, work, _, axes = self._rows(c.shape[0])
         np.multiply(ia, c, out=work[0])
         np.multiply(self.imu, c, out=work[1])
         # ifft2 ignores ``out`` in numpy 2.x; ifftn honours it
-        return np.fft.ifftn(work, axes=self.axes, out=work)
+        return np.fft.ifftn(work, axes=axes, out=work)
 
-    def _incident_gradient(self) -> np.ndarray:
-        """Scaled grad u^i stripped of exp(i alpha x1); shape (2, 1, N2).
-
-        The samples of every x1 row, or the j1 = 0 row of a layered
-        contrast."""
+    def _incident_gradient(self, scale: float) -> np.ndarray:
+        """grad u^i stripped of exp(i alpha x1), times ``scale``; shape
+        (2, 1, N2), the samples of every x1 row."""
         kd = self.problem.k * np.asarray(self.problem.wave.d)
-        return (self.scale * 1j * kd)[:, None, None] * np.exp(
+        return (scale * 1j * kd)[:, None, None] * np.exp(
             1j * kd[1] * self.x2)
 
     def _div_potential(self, y: np.ndarray) -> np.ndarray:
         """Coefficients of div V(y) for scaled samples y (a buffer view)."""
-        ia, multiplier, _ = self._rows(y.shape[1])
-        f = np.fft.fftn(y, axes=self.axes, out=y)
+        ia, multiplier, _, _, axes = self._rows(y.shape[1])
+        f = np.fft.fftn(y, axes=axes, out=y)
         f[0] *= ia
         f[1] *= self.imu
         f[0] += f[1]
@@ -303,8 +298,8 @@ class Discretization:
     def rhs(self) -> np.ndarray:
         """Coefficients of the right-hand side div V(Q grad u^i); rows past
         the first ``n_rows`` vanish."""
-        y = self._rows(self.n_rows)[2]
-        y[...] = self._incident_gradient()
+        _, _, y, scale, _ = self._rows(self.n_rows)
+        y[...] = self._incident_gradient(scale)
         _contrast_product(self.q, y)
         out = np.zeros((self.n1, y.shape[2]), dtype=complex)
         out[:self.n_rows] = self._div_potential(y)
@@ -315,25 +310,21 @@ class Discretization:
         of exp(i alpha x1), on the support columns.
 
         Shape (2, rows, len(support)), node heights ``x2[support]``; row i
-        is x1 frequency ``j1_modes()[i]`` of the unnormalized FFT.  A
-        layered contrast with c vanishing past ``n_rows`` needs no x1
-        transform and returns only those rows; the others vanish.
+        is x1 frequency ``j1_modes()[i]`` of the unnormalized FFT.  ``rows``
+        is that of c with its vanishing rows past ``n_rows`` dropped.  One
+        row of x1-invariant samples, divided by the sample scale of all N1
+        rows, is N1 times the samples: the row j1 = 0 of their FFT, whose
+        other rows vanish.
         """
         c = self.live_rows(c)
+        _, _, _, scale, _ = self._rows(len(c))
         cols = self.support
         y = self._gradient(c)[:, :, cols]
-        incident = self._incident_gradient()[:, :, cols]
-        if self.layered:
-            y[:, :1] += incident
-        else:
-            y += incident
+        y += self._incident_gradient(scale)[:, :, cols]
         _contrast_product(self.q[..., cols], y)
-        y /= self.scale
-        if self.layered:
-            # rows already spectral in x1: the unnormalized FFT is N1 times
-            y *= self.n1
-            return y
-        return np.fft.fft(y, axis=1)
+        grid = self.problem.grid
+        y /= np.sqrt(4 * np.pi * grid.rho_box) / (grid.n1 * grid.n2)
+        return y if len(c) == 1 else np.fft.fft(y, axis=1)
 
 
 def apply_forward(u: SpectralField, problem: Problem,

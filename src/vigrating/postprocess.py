@@ -69,9 +69,9 @@ def rayleigh_both_sides(
     evaluated by the trapezoidal rule on the grid (spectrally accurate in
     the periodic direction).  The density is built once on the support
     columns and transformed in x1, which turns the y1 sums of all orders
-    into row lookups, leaving one x2 dot product per order and side.  For a
-    layered contrast the density rows come without an x1 transform, and
-    orders past the rows the solve coupled have exactly zero coefficients.
+    into row lookups, leaving one x2 dot product per order and side.  The
+    field of a layered solve has one row, j1 = 0, so its density has one
+    x1-invariant row and every other order an exactly zero coefficient.
     """
     if not solution.converged:
         raise NotConverged("Rayleigh extraction requires a converged solve")
@@ -166,15 +166,15 @@ def scattered_field_at(
     inside = np.abs(pts[:, 1]) <= problem.rho_ref
     if inside.any():
         out[inside] = evaluate(solution.u, pts[inside])
+    if (~inside).any() and (rayleigh_above is None or rayleigh_below is None):
+        above, below = rayleigh_both_sides(solution, problem, table)
+        rayleigh_above = above if rayleigh_above is None else rayleigh_above
+        rayleigh_below = below if rayleigh_below is None else rayleigh_below
     for upper in (True, False):
         mask = (~inside) & (pts[:, 1] > 0 if upper else pts[:, 1] < 0)
         if not mask.any():
             continue
         data = rayleigh_above if upper else rayleigh_below
-        if data is None:
-            data = rayleigh_coefficients(
-                solution, problem, table, "+" if upper else "-"
-            )
         sgn = 1.0 if upper else -1.0
         for j, cj in data.coefficients.items():
             if cj == 0.0:
@@ -275,21 +275,27 @@ def energy_balance(table: EfficiencyTable, problem: Problem,
 # serialization
 
 
+EFFICIENCY_COLUMNS = ("j", "alpha_j", "beta_j_re", "beta_j_im",
+                      "e_refl", "e_trans")
+
+
+def efficiency_rows(table: EfficiencyTable) -> list[list]:
+    """The CSV rows of :data:`EFFICIENCY_COLUMNS`, one per propagating
+    order, floats as their repr."""
+    return [
+        [j] + [repr(float(v)) for v in (
+            table.alphas[i], table.betas[i].real, table.betas[i].imag,
+            table.reflected[i], table.transmitted[i])]
+        for i, j in enumerate(table.orders)
+    ]
+
+
 def efficiency_csv(table: EfficiencyTable) -> str:
     """RFC-4180 CSV with one row per propagating order."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(["j", "alpha_j", "beta_j_re", "beta_j_im",
-                     "e_refl", "e_trans"])
-    for i, j in enumerate(table.orders):
-        writer.writerow([
-            j,
-            repr(float(table.alphas[i])),
-            repr(float(table.betas[i].real)),
-            repr(float(table.betas[i].imag)),
-            repr(float(table.reflected[i])),
-            repr(float(table.transmitted[i])),
-        ])
+    writer.writerow(EFFICIENCY_COLUMNS)
+    writer.writerows(efficiency_rows(table))
     return buf.getvalue()
 
 

@@ -251,10 +251,11 @@ def residual(problem: Problem, table: KernelTable, u: SpectralField,
     """Relative residual ||A u - rhs|| / ||rhs||, recomputed from scratch.
 
     ``disc`` may pass the discretization of the solve.  Falls back to the
-    absolute norm when the right-hand side vanishes.  A layered solve's
-    field has one nonzero row, which a table of that row serves; a u with
-    other nonzero rows needs the full table of ``kernel_table(grid, wave)``
-    and raises ShapeMismatch with a one-row table.
+    absolute norm when the right-hand side vanishes.  The field of a
+    layered solve has only the row j1 = 0, which is applied alone and which
+    a one-row table serves.  Any other u is applied on all N1 rows, which
+    needs the full table of ``kernel_table(grid, wave)``: a one-row table
+    raises ShapeMismatch.
     """
     disc = disc or Discretization(problem, table)
     rhs = disc.rhs()

@@ -5,9 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from vigrating.errors import NotConverged
+from vigrating.errors import NotConverged, ShapeMismatch
 from vigrating.kernel import beta, kernel_table
 from vigrating.operators import (
+    Discretization,
     SpectralField,
     contrast_gradient_potential,
     grad_spectral,
@@ -80,6 +81,35 @@ def test_slab_coefficients_concentrate_at_order_zero():
     for j, val in above.coefficients.items():
         if j != 0:
             assert abs(val) < 1e-10 * scale
+
+
+def test_rayleigh_rejects_a_table_of_another_wave():
+    problem, table, sol = _solve_slab(3.0, 8, 64, 2.5)
+    other = kernel_table(problem.grid, IncidentWave.from_angle(SLAB_K, 10.0))
+    with pytest.raises(ShapeMismatch, match="built for the wave"):
+        rayleigh_both_sides(sol, problem, other)
+
+
+def test_scattered_field_extracts_the_density_once(monkeypatch):
+    problem, table, sol = _solve_slab(3.0, 8, 64, 2.5)
+    calls = []
+    density_rows = Discretization.density_rows
+
+    def counted(self, c):
+        calls.append(1)
+        return density_rows(self, c)
+
+    monkeypatch.setattr(Discretization, "density_rows", counted)
+    pts = np.array([[0.3, 0.2], [0.0, 5.0], [1.0, -4.0]])
+    given = rayleigh_both_sides(sol, problem, table)
+    expected = scattered_field_at(sol, problem, table, pts, *given)
+    calls.clear()
+    for above, below in ((None, None), (given[0], None), (None, given[1])):
+        field = scattered_field_at(sol, problem, table, pts,
+                                   rayleigh_above=above, rayleigh_below=below)
+        assert np.array_equal(field, expected)
+        assert len(calls) == 1
+        calls.clear()
 
 
 def test_rayleigh_requires_converged_solution(slab_problem):
@@ -399,7 +429,7 @@ def test_layered_efficiencies_match_2d_reference(contrast, theta):
     problem = build_problem(wave, contrast, grid)
     table = kernel_table(grid, wave)
     sol = solve(problem, table, SolveOptions(rel_tol=1e-12))
-    assert sol.discretization.layered
+    assert problem.layout.layered
     reference = _reference_full_solve(problem, table, rel_tol=1e-12)
     assert sol.iterations == reference.iterations
 
@@ -409,6 +439,14 @@ def test_layered_efficiencies_match_2d_reference(contrast, theta):
                                                          side),
                         propagating=above.propagating)
            for side in ("+", "-")]
+    # the all-row field of the layered contrast through the same extraction;
+    # at oblique incidence its rows past j1 = 0 hold rounding noise, so the
+    # density runs on all N1 rows
+    assert reference.u.coeffs[1:].any() or not theta
+    for data, direct in zip(rayleigh_both_sides(reference, problem, table),
+                            ref):
+        assert max(abs(data.order(j) - v)
+                   for j, v in direct.coefficients.items()) <= 1e-13
     got = efficiencies(above, below, problem)
     expected = efficiencies(*ref, problem)
     assert got.orders == expected.orders == ((-1, 0) if theta else (0,))

@@ -207,7 +207,7 @@ def test_layered_detection(tmp_path, kind, layered):
     wave = IncidentWave.from_angle(0.8, 25.0)
     problem = build_problem(wave, contrast, grid)
     disc = Discretization(problem, kernel_table(grid, wave))
-    assert disc.layered is layered
+    assert problem.layout.layered is layered
     assert disc.n_rows == (1 if layered else 16)
     with pytest.raises(ShapeMismatch):
         disc.apply(np.zeros((2 if layered else 1, 64), dtype=complex))
@@ -256,7 +256,7 @@ def test_layered_zero_contrast_gives_exact_zero():
     problem = build_problem(wave, slab_contrast(0.0, 1.0), grid)
     table = kernel_table(grid, wave)
     sol = solve(problem, table)
-    assert sol.discretization.layered
+    assert problem.layout.layered
     assert sol.converged and sol.iterations == 0
     assert sol.u.coeffs.shape == (16, 64) and not sol.u.coeffs.any()
     assert residual(problem, table, sol.u) == 0.0
@@ -295,6 +295,20 @@ def test_full_rows_need_the_full_table():
     circle = build_problem(wave, circle_contrast(3.0, 0.4), grid)
     with pytest.raises(ShapeMismatch, match="expected 16 rows of 64"):
         Discretization(circle, table)
+
+
+@pytest.mark.parametrize("other", [
+    IncidentWave.from_angle(0.9, 25.0), IncidentWave.from_angle(0.8, 20.0),
+], ids=["other-k", "other-alpha"])
+def test_table_of_another_wave_is_rejected(other):
+    wave = IncidentWave.from_angle(0.8, 25.0)
+    grid = Grid(n1=16, n2=64, rho_box=1.1)
+    problem = build_problem(wave, slab_contrast(3.0, 1.0), grid)
+    message = (f"built for the wave k = {other.k}, alpha = {other.alpha}; "
+               f"the problem has k = {wave.k}, alpha = {wave.alpha}")
+    for rows in (1, None):
+        with pytest.raises(ShapeMismatch, match=message):
+            solve(problem, kernel_table(grid, other, rows))
 
 
 def test_memory_estimate_counts_basis_and_work_rows(monkeypatch):
