@@ -144,10 +144,32 @@ def _getint(sec, key, where, default=None):
         raise ConfigError(f"key {key!r} in [{where}] is not an integer") from None
 
 
+def _read(parser: configparser.ConfigParser, path) -> list:
+    """``parser.read(path)``; a malformed file raises ConfigError naming the
+    file and the offending line."""
+    try:
+        return parser.read(path)
+    except configparser.Error as exc:
+        line = getattr(exc, "lineno", None)
+        if isinstance(exc, configparser.DuplicateOptionError):
+            cause = f"key {exc.option!r} given twice in [{exc.section}]"
+        elif isinstance(exc, configparser.DuplicateSectionError):
+            cause = f"section [{exc.section}] given twice"
+        elif isinstance(exc, configparser.MissingSectionHeaderError):
+            cause = "a key before the first [section] header"
+        elif isinstance(exc, configparser.ParsingError):
+            line = exc.errors[0][0]
+            cause = "neither a [section] header nor a 'key = value' line"
+        else:
+            cause = str(exc)
+        where = f"{path}, line {line}" if line else f"{path}"
+        raise ConfigError(f"malformed config file {where}: {cause}") from None
+
+
 def load_config(path) -> RunConfig:
     parser = configparser.ConfigParser(interpolation=None,
                                        inline_comment_prefixes=(";", "#"))
-    read = parser.read(path)
+    read = _read(parser, path)
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     unknown_sections = set(parser.sections()) - {"problem", "numerics", "output"}

@@ -194,7 +194,9 @@ class Problem:
         return self.wave.k
 
     def is_lossless(self, tol: float = 0.0) -> bool:
-        return float(np.max(np.abs(self.q_grid.imag))) <= tol
+        """No contrast sample has an imaginary part above ``tol``."""
+        # the layout holds the samples of q_grid, one row when layered
+        return float(np.max(np.abs(self.layout.q.imag))) <= tol
 
     def support_mask(self) -> np.ndarray:
         """Boolean (N1, N2) mask of nodes carrying nonzero contrast."""

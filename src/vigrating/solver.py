@@ -9,6 +9,7 @@ the same equation there and the exterior values are the potential extension.
 from __future__ import annotations
 
 import logging
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -33,6 +34,8 @@ class SolveOptions:
             raise ValueError("rel_tol must be positive")
         if self.restart < 1:
             raise ValueError("restart must be at least 1")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -67,30 +70,62 @@ def gmres(
 ):
     """Restarted GMRES for complex systems, zero initial guess.
 
-    Returns (x, history, converged, iterations).  ``history`` holds the
-    relative residual estimate after every inner iteration (monotone within
-    and across cycles).  A vanishing Hessenberg subdiagonal before reaching
-    the tolerance raises BreakdownDetected: with a trivial null space the
-    Krylov space can only stagnate this way if the operator is singular on
-    it, which violates the unique-solvability hypothesis.
+    Returns (x, history, converged, iterations, stop).  ``history`` holds
+    the relative residual estimate after every inner iteration (monotone
+    within and across cycles).  A vanishing Hessenberg subdiagonal before
+    reaching the tolerance raises BreakdownDetected: with a trivial null
+    space the Krylov space can only stagnate this way if the operator is
+    singular on it, which violates the unique-solvability hypothesis.
+
+    Each restart recomputes the relative residual rho = ||b - A x|| / ||b||
+    and logs it at DEBUG with the cycle's reduction.  From the third cycle
+    start on, gamma is the smallest reduction of a restarted cycle (the
+    first cycle starts from zero and is left out) and L = (max_iterations
+    - iterations) / restart the cycles left.  When gamma >= 1 or
+    rho * gamma**L > rel_tol the budget cannot reach the tolerance at that
+    rate: GMRES stops early, returns the iterate as not converged and
+    ``stop`` says why.  ``stop`` is None otherwise.
     """
     n = b.size
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
-        return np.zeros(n, dtype=complex), [], True, 0
+        return np.zeros(n, dtype=complex), [], True, 0, None
 
     x = np.zeros(n, dtype=complex)
     history: list[float] = []
     iterations = 0
     converged = False
+    stop = None
+    # relative residual at the last cycle start, and each cycle's reduction
+    rho_start = 1.0
+    reductions: list[float] = []
 
     while iterations < max_iterations and not converged:
         # the first cycle starts from the zero iterate: its residual is b
         r = b - matvec(x) if iterations else b
         beta0 = float(np.linalg.norm(r))
-        if beta0 / bnorm <= rel_tol:
+        rho = beta0 / bnorm
+        if iterations:
+            reductions.append(rho / rho_start)
+            log.debug("GMRES(%d) cycle %d: %d iterations, relative residual "
+                      "%.3e, reduction %.3g", restart, len(reductions),
+                      iterations, rho, reductions[-1])
+        rho_start = rho
+        if rho <= rel_tol:
             converged = True
             break
+        if len(reductions) > 1:
+            gamma = min(reductions[1:])
+            left = (max_iterations - iterations) / restart
+            if gamma >= 1 or rho * gamma ** left > rel_tol:
+                need = ("never" if gamma >= 1 else
+                        f"{math.log(rel_tol / rho) / math.log(gamma):.1f}")
+                stop = (f"relative residual {rho:.3e}; the best restarted "
+                        f"cycle of GMRES({restart}) reduced it by {gamma:.3g}, "
+                        f"a rate at which reaching rel_tol {rel_tol:.3g} "
+                        f"takes {need} cycles against the {left:g} left; "
+                        "raise restart or max_iterations")
+                break
         m = min(restart, max_iterations - iterations)
         v = np.empty((m + 1, n), dtype=complex)
         h = np.zeros((m + 1, m), dtype=complex)
@@ -169,7 +204,7 @@ def gmres(
             x = x + v[:j_used].T @ y
         if history and history[-1] <= rel_tol:
             converged = True
-    return x, history, converged, iterations
+    return x, history, converged, iterations, stop
 
 
 def physical_memory_bytes() -> int | None:
@@ -203,8 +238,11 @@ def solve(problem: Problem, table: KernelTable,
     (the j1 = 0 row alone for a layered contrast); the returned field holds
     them in the full (N1, N2) array with the other rows zero.  On stall the
     best iterate and its history are attached to the NotConverged error.
-    Raises SizeGuard, before allocating, when the solve cannot fit in
-    physical memory.
+    GMRES stops before ``max_iterations`` when its best restarted cycle
+    shows that the iterations left cannot reach ``rel_tol``; the error
+    then names that per-cycle rate, the cycles it would need and the
+    cycles left.  Raises SizeGuard, before allocating, when the solve
+    cannot fit in physical memory.
     """
     opts = opts or SolveOptions()
     check_memory(problem, opts)
@@ -218,7 +256,7 @@ def solve(problem: Problem, table: KernelTable,
         matvecs += 1
         return disc.apply(vec.reshape(shape)).reshape(-1)
 
-    x, history, converged, iters = gmres(
+    x, history, converged, iters, stop = gmres(
         matvec,
         rhs[:disc.n_rows].reshape(-1),
         rel_tol=opts.rel_tol,
@@ -236,10 +274,13 @@ def solve(problem: Problem, table: KernelTable,
         iterations=iters,
         discretization=disc,
     )
+    if stop:
+        raise NotConverged(
+            f"GMRES stopped early after {iters} iterations: {stop}",
+            solution=sol)
     if not converged:
         raise NotConverged(
-            f"GMRES stalled at relative residual "
-            f"{history[-1] if history else float('nan'):.3e} after "
+            f"GMRES stalled at relative residual {history[-1]:.3e} after "
             f"{iters} iterations",
             solution=sol,
         )
@@ -262,5 +303,6 @@ def residual(problem: Problem, table: KernelTable, u: SpectralField,
     # rows of u that vanish, past the solved ones, map to vanishing rows
     c = disc.live_rows(u.coeffs)
     num = float(np.linalg.norm(disc.apply(c) - rhs[:len(c)]))
-    den = float(np.linalg.norm(rhs))
+    # the right-hand side vanishes past the coupled rows
+    den = float(np.linalg.norm(rhs[:disc.n_rows]))
     return num / den if den > 0 else num

@@ -72,6 +72,56 @@ def test_config_strictness(tmp_path):
             "rho_box =", "dealias = true\nrho_box =")))
 
 
+NEG_CIRCLE = """
+[problem]
+k = 1.0
+theta_deg = 10.0
+shape = circle
+radius = 0.2
+q_re = -5.0
+
+[numerics]
+n1 = 32
+n2 = 32
+rel_tol = 1e-10
+
+[output]
+directory = {out}
+"""
+
+COMMANDS = {
+    "solve": ["solve"],
+    "diagnose": ["diagnose"],
+    "sweep": ["sweep", "--param", "theta", "--from", "0", "--to", "20",
+              "--steps", "3"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("text, line, cause", [
+    (BASE.replace("n1 = 32", "n1 = 32\nrel_tol = 1e-8\nrel_tol = 1e-9"), 12,
+     "key 'rel_tol' given twice in [numerics]"),
+    (BASE + "\n[problem]\nk = 2.0\n", 17, "section [problem] given twice"),
+    ("k = 1.0\n" + BASE, 1, "a key before the first [section] header"),
+], ids=["duplicate-key", "duplicate-section", "key-before-section"])
+def test_malformed_config_exits_3(tmp_path, caplog, command, text, line,
+                                  cause):
+    cfg = _write(tmp_path / "m.ini", text.format(out=tmp_path / "o"))
+    args = COMMANDS[command]
+    assert main(args[:1] + [str(cfg)] + args[1:]) == 3
+    assert f"malformed config file {cfg}, line {line}: {cause}" in (
+        caplog.text)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_solve_rejects_non_positive_max_iterations(tmp_path, caplog, value):
+    cfg = _write(tmp_path / "s.ini", BASE.format(out=tmp_path / "o").replace(
+        "n1 = 32", f"n1 = 32\nmax_iterations = {value}"))
+    assert main(["solve", str(cfg)]) == 3
+    assert "invalid problem: max_iterations must be at least 1" in caplog.text
+
+
 def test_config_matrix_and_two_layer(tmp_path):
     text = """
 [problem]
@@ -199,6 +249,32 @@ def test_cmd_solve_exit_codes(tmp_path):
     assert main(["solve", str(cfg3)]) == 2
     partial = json.loads((tmp_path / "z" / "result.json").read_text())
     assert partial["converged"] is False
+
+
+def test_solve_stops_early_when_the_rate_rules_out_convergence(tmp_path,
+                                                              caplog):
+    out = tmp_path / "neg"
+    cfg = _write(tmp_path / "n.ini", NEG_CIRCLE.format(out=out))
+    assert main(["solve", str(cfg)]) == 2
+    partial = json.loads((out / "result.json").read_text())
+    assert partial["converged"] is False and partial["iterations"] == 100
+    assert "GMRES stopped early after 100 iterations" in caplog.text
+    assert "the best restarted cycle of GMRES(50) reduced it by 0." in (
+        caplog.text)
+    assert "cycles against the 8 left; raise restart or max_iterations" in (
+        caplog.text)
+
+
+def test_sweep_skips_a_stalling_point_naming_the_rate(tmp_path, caplog):
+    out = tmp_path / "sw"
+    cfg = _write(tmp_path / "n.ini", NEG_CIRCLE.format(out=out))
+    assert main(["sweep", str(cfg), "--param", "theta", "--from", "10",
+                 "--to", "10", "--steps", "1", "--output", str(out)]) == 0
+    assert (out / "sweep.csv").read_text().count("\n") == 1
+    assert ("skipping theta = 10: GMRES stopped early after 100 iterations"
+            in caplog.text)
+    assert "the best restarted cycle of GMRES(50) reduced it by" in (
+        caplog.text)
 
 
 def test_cmd_sweep_skips_anomalies(tmp_path):

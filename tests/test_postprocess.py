@@ -406,7 +406,7 @@ def _reference_full_solve(problem, table, rel_tol):
                 - contrast_gradient_potential(u, problem, table).coeffs
                 ).reshape(-1)
 
-    x, _, converged, iterations = gmres(matvec, rhs.reshape(-1),
+    x, _, converged, iterations, _ = gmres(matvec, rhs.reshape(-1),
                                         rel_tol=rel_tol)
     assert converged
     u = SpectralField(x.reshape(shape), grid, alpha)

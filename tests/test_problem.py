@@ -66,6 +66,24 @@ def test_build_problem_zero_contrast():
     assert problem.is_lossless()
 
 
+@pytest.mark.parametrize("contrast, lossless", [
+    (slab_contrast(3.0, 1.0), True),
+    (slab_contrast(3.0 - 0.5j, 1.0), False),
+    # the anisotropic cylinders of circle_anisotropic.ini: only q22 is lossy
+    (circle_contrast(np.array([[1.2, 0.4], [0.4, 2.0 - 0.1j]]), 0.24 * np.pi),
+     False),
+    (two_layer_contrast(2.0, -1.5, 0.6, 1.2), True),
+    (two_layer_contrast(2.0, -1.5 - 0.2j, 0.6, 1.2), False),
+], ids=["slab", "lossy-slab", "anisotropic-circle", "two-layer",
+        "lossy-two-layer"])
+def test_is_lossless_agrees_with_the_sampled_grid(contrast, lossless):
+    wave = IncidentWave.from_angle(0.4, 15.0)
+    problem = build_problem(wave, contrast, Grid(n1=16, n2=32, rho_box=2.0))
+    scan = float(np.max(np.abs(problem.q_grid.imag)))
+    assert problem.is_lossless() is lossless is (scan <= 0.0)
+    assert problem.is_lossless(tol=scan)
+
+
 def test_build_problem_geometry_error():
     wave = IncidentWave(k=0.5, d=(0.0, -1.0))
     contrast = slab_contrast(1.0, 2.0)              # h = 1

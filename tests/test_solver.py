@@ -57,7 +57,7 @@ def _dense_reference_system():
 
 def test_gmres_dense_reference():
     a, b = _dense_reference_system()
-    x, hist, conv, _ = gmres(lambda v: a @ v, b, rel_tol=1e-10, restart=15)
+    x, hist, conv, _, _ = gmres(lambda v: a @ v, b, rel_tol=1e-10, restart=15)
     assert conv
     assert np.linalg.norm(a @ x - b) / np.linalg.norm(b) < 1e-9
     assert np.allclose(x, np.linalg.solve(a, b), atol=1e-8)
@@ -75,7 +75,7 @@ def test_cgs2_basis_orthonormal():
         seen.append(v.copy())
         return a @ v
 
-    _, _, conv, iters = gmres(matvec, b, rel_tol=1e-10, restart=15)
+    _, _, conv, iters, _ = gmres(matvec, b, rel_tol=1e-10, restart=15)
     assert conv
     # the modified Gram-Schmidt version of this solver needed 24 as well
     assert iters == 24
@@ -86,9 +86,9 @@ def test_cgs2_basis_orthonormal():
 
 def test_gmres_trivial_cases():
     b = np.arange(1.0, 6.0).astype(complex)
-    x, hist, conv, iters = gmres(lambda v: v, b)
+    x, hist, conv, iters, _ = gmres(lambda v: v, b)
     assert conv and iters == 1 and np.allclose(x, b)
-    x, hist, conv, iters = gmres(lambda v: v, np.zeros(5, complex))
+    x, hist, conv, iters, _ = gmres(lambda v: v, np.zeros(5, complex))
     assert conv and iters == 0 and np.all(x == 0)
 
 
@@ -102,10 +102,63 @@ def test_gmres_breakdown_on_singular_operator():
 
 def test_gmres_happy_breakdown():
     d = np.diag([2.0, 3.0, 4.0]).astype(complex)
-    x, hist, conv, iters = gmres(lambda v: d @ v,
+    x, hist, conv, iters, _ = gmres(lambda v: d @ v,
                                  np.array([1.0, 0.0, 0.0], complex))
     assert conv and iters == 1
     assert np.allclose(x, [0.5, 0, 0])
+
+
+def test_gmres_stops_when_restarted_cycles_make_no_progress():
+    # GMRES(m) on the cyclic shift with b = e1 and m < n: A times the
+    # Krylov space {e1, ..., em} is orthogonal to b, so no cycle moves x
+    n, m = 12, 4
+    b = np.zeros(n, dtype=complex)
+    b[0] = 1.0
+    x, hist, conv, iters, stop = gmres(lambda v: np.roll(v, 1), b, restart=m)
+    # stopped at the third cycle start, not at the 500-iteration cap
+    assert not conv and iters == 2 * m and len(hist) == 2 * m
+    assert not x.any() and hist[-1] == 1.0
+    assert "reduced it by 1," in stop
+    assert "takes never cycles against the 123 left" in stop
+    assert stop.endswith("raise restart or max_iterations")
+
+
+def test_restart_cycles_are_logged(slab_problem, caplog):
+    caplog.set_level(logging.DEBUG, logger="vigrating.solver")
+    problem, table = slab_problem
+    sol = solve(problem, table, SolveOptions(rel_tol=1e-10, restart=3))
+    lines = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("GMRES(3) cycle")]
+    # one line per restart: every completed cycle but the converging one
+    restarts = (sol.iterations - 1) // 3
+    assert restarts >= 2 and len(lines) == restarts
+    rho_start = 1.0
+    for cycle, line in enumerate(lines, start=1):
+        head, rest = line.split(": ")
+        assert head == f"GMRES(3) cycle {cycle}"
+        iters, rho, reduction = rest.split(", ")
+        assert iters == f"{3 * cycle} iterations"
+        rho = float(rho.removeprefix("relative residual "))
+        assert float(reduction.removeprefix("reduction ")) == pytest.approx(
+            rho / rho_start, rel=1e-2)
+        rho_start = rho
+
+
+@pytest.mark.parametrize("budget", [500, 250])
+def test_multi_cycle_negative_contrast_still_converges(budget):
+    # a lossy q = -3 - 0.3i circle needs five GMRES(50) cycles.  A budget
+    # of 250 iterations is tight: at the fourth cycle start only the best
+    # restarted cycle's rate, not the latest one, projects convergence
+    period = 2 * np.pi
+    wave = IncidentWave.from_angle(2.0 / period, 25.0)
+    contrast = circle_contrast(-3.0 - 0.3j, 0.15 * period)
+    grid = Grid(n1=64, n2=64, rho_box=2 * contrast.h)
+    problem = build_problem(wave, contrast, grid)
+    table = kernel_table(grid, wave)
+    sol = solve(problem, table,
+                SolveOptions(rel_tol=1e-10, max_iterations=budget))
+    assert sol.converged and sol.iterations > 4 * 50
+    assert residual(problem, table, sol.u, sol.discretization) <= 2e-10
 
 
 def test_solve_zero_contrast_is_immediate():
