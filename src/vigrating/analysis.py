@@ -166,13 +166,16 @@ def im_bound_constant(problem: Problem, spectra: ContrastSpectra) -> float:
     """Smallest C with |Im(Q) xi| <= C |Re(Q) xi| pointwise on D.
 
     Substituting eta = Re(Q) xi turns the bound into the spectral norm of
-    Im(Q) Re(Q)^{-1}, maximized over the support nodes.
+    Im(Q) Re(Q)^{-1}, maximized over the support nodes.  It is exactly 0,
+    with no inverse taken, when Im(Q) vanishes on the support.
     """
     m = spectra.mask
     if not m.any():
         return 0.0
-    req = problem.q_grid.real[m]
     imq = problem.q_grid.imag[m]
+    if not imq.any():
+        return 0.0
+    req = problem.q_grid.real[m]
     prod = imq @ np.linalg.inv(req)
     return float(np.max(np.linalg.norm(prod, ord=2, axis=(1, 2))))
 

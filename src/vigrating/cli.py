@@ -1,8 +1,9 @@
 """Command-line front end: solve, sweep, diagnose, validate.
 
-Exit codes: 0 success, 2 solver did not converge (including a Krylov
-breakdown), 3 invalid input (configuration, geometry, a Rayleigh anomaly or
-any other rejected problem).
+Exit codes: 0 success, 1 a failed gate of ``validate``, 2 solver did not
+converge (including a Krylov breakdown), 3 invalid input (configuration,
+geometry, a Rayleigh anomaly or any other rejected problem).  A sweep with
+no successful point exits 2 if a point failed to converge, else 3.
 """
 
 from __future__ import annotations
@@ -40,18 +41,21 @@ EXIT_NOT_CONVERGED = 2
 EXIT_INVALID = 3
 
 
-def _solve_config(cfg: RunConfig, problem: Problem | None = None):
-    """Solve ``cfg``; ``problem`` may pass its already sampled problem."""
+def _solve_options(cfg: RunConfig) -> SolveOptions:
+    return SolveOptions(rel_tol=cfg.rel_tol,
+                        max_iterations=cfg.max_iterations,
+                        restart=cfg.restart)
+
+
+def _solve_config(cfg: RunConfig, problem: Problem | None = None,
+                  opts: SolveOptions | None = None):
+    """Solve ``cfg``; ``problem`` and ``opts`` may pass its already sampled
+    problem and its checked solver options."""
     if problem is None:
         problem = cfg.build()
     # a layered solve and its Rayleigh extraction read only the coupled rows
     table = kernel_table(problem.grid, problem.wave, problem.layout.n_rows)
-    opts = SolveOptions(
-        rel_tol=cfg.rel_tol,
-        max_iterations=cfg.max_iterations,
-        restart=cfg.restart,
-    )
-    solution = solve(problem, table, opts)
+    solution = solve(problem, table, opts or _solve_options(cfg))
     above, below = pp.rayleigh_both_sides(solution, problem, table)
     eff = pp.efficiencies(above, below, problem)
     return problem, table, solution, eff
@@ -128,8 +132,10 @@ def cmd_sweep(config_path: str, param: str, start: float, stop: float,
     except ConfigError as exc:
         log.error("%s", exc)
         return EXIT_INVALID
-    # k and theta change only the wave: the contrast is sampled once
+    # k and theta change only the wave: the options are checked and the
+    # contrast is sampled once
     try:
+        opts = _solve_options(base)
         contrast = base.contrast()
         grid = base.grid(contrast)
         q_grid, rho_ref, layout = sample_contrast(contrast, grid)
@@ -145,14 +151,14 @@ def cmd_sweep(config_path: str, param: str, start: float, stop: float,
             wave = cfg.wave()
             problem = Problem(wave=wave, contrast=contrast, grid=grid,
                               q_grid=q_grid, rho_ref=rho_ref, layout=layout)
-            problem, _, _, eff = _solve_config(cfg, problem)
+            problem, _, _, eff = _solve_config(cfg, problem, opts)
         except (NotConverged, BreakdownDetected) as exc:
             log.warning("skipping %s = %g: %s", param, value, exc)
-            return value, None
+            return value, EXIT_NOT_CONVERGED
         except (VigratingError, ValueError) as exc:
             log.warning("skipping %s = %g: invalid problem (%s)", param,
                         value, exc)
-            return value, None
+            return value, EXIT_INVALID
         return value, eff
 
     if threads > 1:
@@ -164,15 +170,23 @@ def cmd_sweep(config_path: str, param: str, start: float, stop: float,
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
     writer.writerow((param,) + pp.EFFICIENCY_COLUMNS)
+    # a skipped point holds its exit code in place of the efficiencies
+    skipped = []
     for value, eff in sorted(points, key=lambda p: p[0]):
-        if eff is not None:
+        if isinstance(eff, int):
+            skipped.append(eff)
+        else:
             writer.writerows([repr(float(value))] + row
                              for row in pp.efficiency_rows(eff))
     out_dir = Path(output) if output else Path(base.output_directory)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "sweep.csv").write_text(buf.getvalue(), encoding="utf-8")
     log.info("wrote %s", out_dir / "sweep.csv")
-    return EXIT_OK
+    if len(skipped) < len(points):
+        return EXIT_OK
+    log.error("no sweep point succeeded")
+    return (EXIT_NOT_CONVERGED if EXIT_NOT_CONVERGED in skipped
+            else EXIT_INVALID)
 
 
 def cmd_diagnose(config_path: str, output: str | None = None,

@@ -11,12 +11,14 @@ kernel is diagonal on this basis with multiplier sqrt(4 pi rho) * K_hat(j).
 
 The functions on SpectralField are the reference transforms; the solve path
 runs on a Discretization, which precomputes everything a solve applies
-repeatedly and needs one batched ifftn and one fftn per operator application.
+repeatedly and needs one batched inverse and one forward FFT per operator
+application.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -202,12 +204,12 @@ class Discretization:
     all N1, or the one row j1 = 0 of a field whose other rows vanish.  The
     inverse FFT of an array of ``rows`` rows is the phase-stripped field
     times the sample scale sqrt(4 pi rho) / (rows N2).  All N1 rows
-    transform in x1 and x2; the samples of one row do not depend on x1, so
-    it transforms in x2 alone and stands for every x1 row.  The incident
-    wave excites only the row j1 = 0, which a layered contrast maps to
-    itself: ``n_rows``, from ``problem.layout``, is 1 for a layered contrast
-    and N1 otherwise.  The operator methods take ``n_rows`` or N1 rows; the
-    kernel table must hold the rows applied.
+    transform in x1 and x2 (fftn); the samples of one row do not depend on
+    x1, so it transforms in x2 alone (fft) and stands for every x1 row.
+    The incident wave excites only the row j1 = 0, which a layered contrast
+    maps to itself: ``n_rows``, from ``problem.layout``, is 1 for a layered
+    contrast and N1 otherwise.  The operator methods take ``n_rows`` or N1
+    rows; the kernel table must hold the rows applied.
 
     The work buffers make an instance unsafe to share between threads;
     every solve builds its own.
@@ -234,15 +236,20 @@ class Discretization:
 
     def _row_arrays(self, rows: int):
         """i alpha_j, the multiplier, a work buffer, the sample scale and
-        the transform axes of an array of ``rows`` rows."""
+        the forward and inverse transforms of an array of ``rows`` rows."""
         grid = self.problem.grid
         ia = (1j * (grid.j1_modes()[:rows] + self.problem.alpha))[:, None]
         multiplier = (np.sqrt(4 * np.pi * grid.rho_box)
                       * self.table.coeffs[:rows])
         work = np.empty((2, rows, grid.n2), dtype=complex)
         scale = np.sqrt(4 * np.pi * grid.rho_box) / (rows * grid.n2)
-        axes = (2,) if rows == 1 else (1, 2)
-        return ia, multiplier, work, scale, axes
+        if rows == 1:
+            transforms = (partial(np.fft.fft, axis=2),
+                          partial(np.fft.ifft, axis=2))
+        else:
+            transforms = (partial(np.fft.fftn, axes=(1, 2)),
+                          partial(np.fft.ifftn, axes=(1, 2)))
+        return ia, multiplier, work, scale, *transforms
 
     def _rows(self, rows: int):
         """The arrays of :meth:`_row_arrays` for an array of ``rows`` rows."""
@@ -266,11 +273,11 @@ class Discretization:
 
     def _gradient(self, c: np.ndarray) -> np.ndarray:
         """Scaled gradient samples of the field with coefficients c."""
-        ia, _, work, _, axes = self._rows(c.shape[0])
+        ia, _, work, _, _, ifft = self._rows(c.shape[0])
         np.multiply(ia, c, out=work[0])
         np.multiply(self.imu, c, out=work[1])
-        # ifft2 ignores ``out`` in numpy 2.x; ifftn honours it
-        return np.fft.ifftn(work, axes=axes, out=work)
+        # ifft2 ignores ``out`` in numpy 2.x; ifft and ifftn honour it
+        return ifft(work, out=work)
 
     def _incident_gradient(self, scale: float) -> np.ndarray:
         """grad u^i stripped of exp(i alpha x1), times ``scale``; shape
@@ -281,8 +288,8 @@ class Discretization:
 
     def _div_potential(self, y: np.ndarray) -> np.ndarray:
         """Coefficients of div V(y) for scaled samples y (a buffer view)."""
-        ia, multiplier, _, _, axes = self._rows(y.shape[1])
-        f = np.fft.fftn(y, axes=axes, out=y)
+        ia, multiplier, _, _, fft, _ = self._rows(y.shape[1])
+        f = fft(y, out=y)
         f[0] *= ia
         f[1] *= self.imu
         f[0] += f[1]
@@ -296,14 +303,12 @@ class Discretization:
         return c - self._div_potential(y)
 
     def rhs(self) -> np.ndarray:
-        """Coefficients of the right-hand side div V(Q grad u^i); rows past
-        the first ``n_rows`` vanish."""
-        _, _, y, scale, _ = self._rows(self.n_rows)
+        """The first ``n_rows`` coefficient rows of the right-hand side
+        div V(Q grad u^i), shape (n_rows, N2); its other rows vanish."""
+        _, _, y, scale, *_ = self._rows(self.n_rows)
         y[...] = self._incident_gradient(scale)
         _contrast_product(self.q, y)
-        out = np.zeros((self.n1, y.shape[2]), dtype=complex)
-        out[:self.n_rows] = self._div_potential(y)
-        return out
+        return self._div_potential(y).copy()
 
     def density_rows(self, c: np.ndarray) -> np.ndarray:
         """x1 transform of the samples of w = Q grad(u^s + u^i), stripped
@@ -317,7 +322,7 @@ class Discretization:
         other rows vanish.
         """
         c = self.live_rows(c)
-        _, _, _, scale, _ = self._rows(len(c))
+        _, _, _, scale, *_ = self._rows(len(c))
         cols = self.support
         y = self._gradient(c)[:, :, cols]
         y += self._incident_gradient(scale)[:, :, cols]

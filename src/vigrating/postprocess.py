@@ -76,8 +76,12 @@ def rayleigh_both_sides(
     if not solution.converged:
         raise NotConverged("Rayleigh extraction requires a converged solve")
     disc = solution.discretization
+    c = solution.u.coeffs
     if disc is None or disc.problem is not problem or disc.table is not table:
         disc = Discretization(problem, table)
+    else:
+        # the field of this solve vanishes past the rows it solved
+        c = c[:disc.n_rows]
     if j_max is None:
         j_max = problem.grid.n1 // 2 - 1
     k, alpha, rho_ref = problem.k, problem.alpha, problem.rho_ref
@@ -86,7 +90,7 @@ def rayleigh_both_sides(
     betas = _beta_many(orders, k**2, alpha)
     dropped = betas.imag * rho_ref > EVANESCENT_DROP
     # the y1 sum of order j is row j of the x1 transform of the density
-    rows = disc.density_rows(solution.u.coeffs)
+    rows = disc.density_rows(c)
     idx = orders % problem.grid.n1
     kept = ~dropped & (idx < rows.shape[1])
     j, bj = orders[kept], betas[kept]

@@ -72,11 +72,15 @@ class ContrastField:
     ``sampler(x1, x2)`` returns the 2x2 complex matrix Q at a point and must
     accept numpy arrays broadcast to shape (..., 2, 2).  The sampler is
     2*pi-periodic in x1 and must return exactly zero for |x2| > h.
+    ``x1_invariant`` declares that the sampler does not depend on x1 (a
+    slab or a stack of layers), so :func:`sample_contrast` samples one x1
+    row; the constructors set it, as they set ``isotropic``.
     """
 
     sampler: object
     h: float
     isotropic: bool = False
+    x1_invariant: bool = False
 
     def sample(self, x1, x2) -> np.ndarray:
         """Evaluate the sampler on broadcastable coordinate arrays."""
@@ -142,11 +146,12 @@ class ContrastLayout:
     This is the wave-independent half of ``operators.Discretization``.
     Samples sit on the natural FFT layout, rolled by half a box in each
     direction (see that class).  ``layered`` is set when all x1 rows of the
-    (N1, N2, 2, 2) samples are exactly equal; ``q`` then holds that one
-    row.  ``q`` is (2, 2, rows, N2), or (rows, N2) for a scalar contrast
-    field.  ``support`` lists the x2 columns that carry contrast and ``x2``
-    the rolled node heights.  ``n_rows`` is the number of leading Fourier
-    rows a solve couples to the incident wave: 1 if layered, else N1.
+    (rows, N2, 2, 2) samples are exactly equal, as the one sampled row of
+    an x1-invariant contrast trivially is; ``q`` then holds that one row.
+    ``q`` is (2, 2, rows, N2), or (rows, N2) for a scalar contrast field.
+    ``support`` lists the x2 columns that carry contrast and ``x2`` the
+    rolled node heights.  ``n_rows`` is the number of leading Fourier rows
+    a solve couples to the incident wave: 1 if layered, else N1.
     """
 
     def __init__(self, q_grid: np.ndarray, grid: Grid):
@@ -173,9 +178,11 @@ class ContrastLayout:
 class Problem:
     """Immutable solver input: wave, contrast, grid and the sampled contrast.
 
-    ``q_grid`` has shape (N1, N2, 2, 2); ``rho_ref`` is the reference height
-    of the Rayleigh expansion (h < rho_ref <= rho_box); ``layout`` is the
-    :class:`ContrastLayout` of ``q_grid``.
+    ``q_grid`` is a read-only (N1, N2, 2, 2) array; for an x1-invariant
+    contrast it is a broadcast view of its one sampled row, which costs no
+    copy.  ``rho_ref`` is the reference height of the Rayleigh expansion
+    (h < rho_ref <= rho_box); ``layout`` is the :class:`ContrastLayout` of
+    the samples.
     """
 
     wave: IncidentWave
@@ -226,13 +233,17 @@ def sample_contrast(
     rho_ref: float | None = None,
 ) -> tuple[np.ndarray, float, ContrastLayout]:
     """The wave-independent part of :func:`build_problem`: the read-only
-    contrast samples, the reference height and the contrast layout.
+    (N1, N2, 2, 2) contrast samples, the reference height and the contrast
+    layout.
 
     Raises GeometryError when the box is too small (rho_box >= 2h is
     required so that the periodized kernel agrees with the free
     quasi-periodic kernel on the support slab).  Sampling is pointwise at
-    the nodes, in a fixed deterministic order.  A k or theta sweep samples
-    once and gives each point its wave.
+    the nodes, in a fixed deterministic order.  An x1-invariant contrast
+    is sampled, checked and laid out on the first x1 row alone, and the
+    samples are that row broadcast to every x1 row; any other contrast is
+    sampled on the full mesh.  A k or theta sweep samples once and gives
+    each point its wave.
     """
     if grid.rho_box < 2 * contrast.h - 1e-14:
         raise GeometryError(
@@ -245,19 +256,21 @@ def sample_contrast(
             f"rho_ref = {rho_ref} must satisfy h < rho_ref <= rho_box"
         )
 
-    xx1, xx2 = grid.mesh()
-    q_grid = contrast.sample(xx1, xx2)
+    x1 = grid.x1_nodes()
+    if contrast.x1_invariant:
+        x1 = x1[:1]
+    q = contrast.sample(*np.meshgrid(x1, grid.x2_nodes(), indexing="ij"))
     # tolerance admits interface nodes that land on |x2| = h through rounding
     outside = np.abs(grid.x2_nodes()) > contrast.h * (1 + 1e-10) + 1e-300
-    if np.any(q_grid[:, outside, :, :] != 0):
+    if np.any(q[:, outside, :, :] != 0):
         raise GeometryError(
             "sampler returned nonzero contrast beyond its declared half-height h"
         )
-    asym = np.max(np.abs(q_grid[..., 0, 1] - q_grid[..., 1, 0]))
-    if asym > 1e-12 * max(1.0, float(np.max(np.abs(q_grid)))):
+    asym = np.max(np.abs(q[..., 0, 1] - q[..., 1, 0]))
+    if asym > 1e-12 * max(1.0, float(np.max(np.abs(q)))):
         raise NonSymmetric(f"Q12 != Q21 on the grid (max deviation {asym:g})")
-    q_grid.setflags(write=False)
-    return q_grid, float(rho_ref), ContrastLayout(q_grid, grid)
+    q_grid = np.broadcast_to(q, (grid.n1, grid.n2, 2, 2))
+    return q_grid, float(rho_ref), ContrastLayout(q, grid)
 
 
 def incident_field(wave: IncidentWave, points) -> tuple[np.ndarray, np.ndarray]:
@@ -340,7 +353,7 @@ def slab_contrast(q, thickness: float) -> ContrastField:
 
     return ContrastField(
         sampler=_indicator_sampler(mat, inside), h=h,
-        isotropic=_is_scalar_matrix(mat),
+        isotropic=_is_scalar_matrix(mat), x1_invariant=True,
     )
 
 
@@ -403,7 +416,8 @@ def two_layer_contrast(q_lower, q_upper, thickness_lower: float,
         )
 
     iso = _is_scalar_matrix(m_lo) and _is_scalar_matrix(m_up)
-    return ContrastField(sampler=sampler, h=h, isotropic=iso)
+    return ContrastField(sampler=sampler, h=h, isotropic=iso,
+                         x1_invariant=True)
 
 
 def contrast_from_permittivity(eps_r_inv, scan_grid: Grid) -> ContrastField:

@@ -55,8 +55,11 @@ class Solution:
 
 
 def assemble_rhs(problem: Problem, table: KernelTable) -> SpectralField:
-    """div V(Q grad u^i), the right-hand side of the scattering equation."""
-    rhs = Discretization(problem, table).rhs()
+    """div V(Q grad u^i), the right-hand side of the scattering equation,
+    on all N1 rows."""
+    rows = Discretization(problem, table).rhs()
+    rhs = np.zeros((problem.grid.n1, problem.grid.n2), dtype=complex)
+    rhs[:len(rows)] = rows
     return SpectralField(rhs, problem.grid, problem.alpha)
 
 
@@ -236,8 +239,10 @@ def solve(problem: Problem, table: KernelTable,
     Always starts from the zero iterate for reproducibility.  GMRES runs on
     the coefficient rows the discretization couples to the incident wave
     (the j1 = 0 row alone for a layered contrast); the returned field holds
-    them in the full (N1, N2) array with the other rows zero.  On stall the
-    best iterate and its history are attached to the NotConverged error.
+    them in the full (N1, N2) array with the other rows zero.  That array
+    comes from ``np.zeros``, whose untouched pages the system maps lazily,
+    so a one-row solve writes one row of it.  On stall the best iterate and
+    its history are attached to the NotConverged error.
     GMRES stops before ``max_iterations`` when its best restarted cycle
     shows that the iterations left cannot reach ``rel_tol``; the error
     then names that per-cycle rate, the cycles it would need and the
@@ -248,7 +253,7 @@ def solve(problem: Problem, table: KernelTable,
     check_memory(problem, opts)
     disc = Discretization(problem, table)
     rhs = disc.rhs()
-    shape = (disc.n_rows, rhs.shape[1])
+    shape = rhs.shape
     matvecs = 0
 
     def matvec(vec: np.ndarray) -> np.ndarray:
@@ -258,14 +263,14 @@ def solve(problem: Problem, table: KernelTable,
 
     x, history, converged, iters, stop = gmres(
         matvec,
-        rhs[:disc.n_rows].reshape(-1),
+        rhs.reshape(-1),
         rel_tol=opts.rel_tol,
         restart=opts.restart,
         max_iterations=opts.max_iterations,
     )
     log.debug("solved %d of %d coefficient rows: %d iterations, %d matvecs",
               disc.n_rows, problem.grid.n1, iters, matvecs)
-    u = np.zeros_like(rhs)
+    u = np.zeros((problem.grid.n1, problem.grid.n2), dtype=complex)
     u[:disc.n_rows] = x.reshape(shape)
     sol = Solution(
         u=SpectralField(u, problem.grid, problem.alpha),
@@ -296,13 +301,15 @@ def residual(problem: Problem, table: KernelTable, u: SpectralField,
     layered solve has only the row j1 = 0, which is applied alone and which
     a one-row table serves.  Any other u is applied on all N1 rows, which
     needs the full table of ``kernel_table(grid, wave)``: a one-row table
-    raises ShapeMismatch.
+    raises ShapeMismatch.  The right-hand side vanishes past its
+    ``n_rows`` rows, so it is subtracted from the leading rows of A u
+    alone.
     """
     disc = disc or Discretization(problem, table)
     rhs = disc.rhs()
     # rows of u that vanish, past the solved ones, map to vanishing rows
-    c = disc.live_rows(u.coeffs)
-    num = float(np.linalg.norm(disc.apply(c) - rhs[:len(c)]))
-    # the right-hand side vanishes past the coupled rows
-    den = float(np.linalg.norm(rhs[:disc.n_rows]))
+    r = disc.apply(disc.live_rows(u.coeffs))
+    r[:len(rhs)] -= rhs
+    num = float(np.linalg.norm(r))
+    den = float(np.linalg.norm(rhs))
     return num / den if den > 0 else num

@@ -141,6 +141,28 @@ def test_im_bound_examples():
     assert abs(im_bound_constant(p, decompose_reQ(p)) - 0.5) < 1e-12
 
 
+def test_im_bound_lossless_takes_no_inverse(monkeypatch):
+    problem = _problem(np.array([[-2.0, 0.4], [0.4, -5.0]]))
+    spectra = decompose_reQ(problem)
+
+    def refuse(a):
+        raise AssertionError("a lossless contrast needs no inverse")
+
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    assert im_bound_constant(problem, spectra) == 0.0
+
+
+def test_im_bound_lossy_matches_the_full_formula():
+    problem = _problem(np.array([[2.0 - 0.3j, 0.4], [0.4, 1.0 - 0.1j]]))
+    spectra = decompose_reQ(problem)
+    m = spectra.mask
+    q = problem.q_grid
+    prod = q.imag[m] @ np.linalg.inv(q.real[m])
+    expected = float(np.max(np.linalg.norm(prod, ord=2, axis=(1, 2))))
+    assert expected > 0
+    assert im_bound_constant(problem, spectra) == expected
+
+
 def test_im_bound_scale_invariance():
     p1 = _problem(2.0 + 0.8j)
     p2 = _problem(3.0 * (2.0 + 0.8j))

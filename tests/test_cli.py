@@ -209,8 +209,9 @@ def test_solve_rejects_non_finite_numbers(tmp_path, caplog, text, old, new,
 def test_sweep_skips_non_finite_point(tmp_path, caplog):
     out = tmp_path / "sw"
     cfg = _write(tmp_path / "s.ini", BASE.format(out=out))
+    # no point succeeded and none failed to converge: invalid input
     assert main(["sweep", str(cfg), "--param", "theta", "--from", "nan",
-                 "--to", "nan", "--steps", "1", "--output", str(out)]) == 0
+                 "--to", "nan", "--steps", "1", "--output", str(out)]) == 3
     assert (out / "sweep.csv").read_text().count("\n") == 1
     assert "skipping theta = nan: invalid problem (wave must be finite" in (
         caplog.text)
@@ -268,13 +269,46 @@ def test_solve_stops_early_when_the_rate_rules_out_convergence(tmp_path,
 def test_sweep_skips_a_stalling_point_naming_the_rate(tmp_path, caplog):
     out = tmp_path / "sw"
     cfg = _write(tmp_path / "n.ini", NEG_CIRCLE.format(out=out))
+    # no point succeeded and one failed to converge
     assert main(["sweep", str(cfg), "--param", "theta", "--from", "10",
-                 "--to", "10", "--steps", "1", "--output", str(out)]) == 0
+                 "--to", "10", "--steps", "1", "--output", str(out)]) == 2
     assert (out / "sweep.csv").read_text().count("\n") == 1
     assert ("skipping theta = 10: GMRES stopped early after 100 iterations"
             in caplog.text)
     assert "the best restarted cycle of GMRES(50) reduced it by" in (
         caplog.text)
+
+
+@pytest.mark.parametrize("key", ["max_iterations", "restart"])
+def test_sweep_checks_solver_options_before_sampling(tmp_path, monkeypatch,
+                                                     caplog, key):
+    def refuse(*args):
+        raise AssertionError("sampled before the solver options were checked")
+
+    monkeypatch.setattr(vigrating.cli, "sample_contrast", refuse)
+    out = tmp_path / "sw"
+    cfg = _write(tmp_path / "s.ini", BASE.format(out=out).replace(
+        "n1 = 32", f"n1 = 32\n{key} = 0"))
+    assert main(["sweep", str(cfg), "--param", "theta", "--from", "0",
+                 "--to", "10", "--steps", "2", "--output", str(out)]) == 3
+    assert f"invalid problem: {key} must be at least 1" in caplog.text
+    assert not out.exists()
+
+
+def test_sweep_without_a_successful_point_exits_2_if_one_stalled(tmp_path,
+                                                                 caplog):
+    out = tmp_path / "sw"
+    cfg = _write(tmp_path / "s.ini", BASE.format(out=out).replace(
+        "n1 = 32", "n1 = 32\nmax_iterations = 2\nrel_tol = 1e-14"))
+    # the first point sits on a Rayleigh anomaly, the second stalls
+    assert main(["sweep", str(cfg), "--param", "k", "--from", repr(PERIOD),
+                 "--to", repr(PERIOD + 0.1), "--steps", "2",
+                 "--output", str(out)]) == 2
+    assert "invalid problem (" in caplog.text
+    assert "GMRES stalled" in caplog.text
+    assert "no sweep point succeeded" in caplog.text
+    assert (out / "sweep.csv").read_text().splitlines() == [
+        "k,j,alpha_j,beta_j_re,beta_j_im,e_refl,e_trans"]
 
 
 def test_cmd_sweep_skips_anomalies(tmp_path):
@@ -562,3 +596,14 @@ def test_validate_without_optional_extra_exits_3(package):
                           capture_output=True, text=True)
     assert proc.returncode == 3
     assert f"validate needs the package {package!r}" in proc.stderr
+
+
+def test_validate_exits_1_when_a_gate_fails(monkeypatch, capsys):
+    import vigrating.validate
+
+    failed = vigrating.validate.GateResult(
+        name="fake", passed=False, details="off by 1", elapsed=0.0)
+    monkeypatch.setattr(vigrating.validate, "run_gates",
+                        lambda level, tmp_dir=None: [failed])
+    assert main(["validate"]) == 1
+    assert "[FAIL] fake: off by 1" in capsys.readouterr().out

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from vigrating.errors import (
 )
 from vigrating.problem import (
     ContrastField,
+    ContrastLayout,
     Grid,
     IncidentWave,
     build_problem,
@@ -17,6 +20,7 @@ from vigrating.problem import (
     incident_field,
     raster_contrast,
     rectangle_contrast,
+    sample_contrast,
     slab_contrast,
     two_layer_contrast,
     write_raster,
@@ -286,3 +290,38 @@ def test_raster_roundtrip(tmp_path):
 def test_raster_rejects_bad_shape(tmp_path):
     with pytest.raises(ShapeMismatch):
         write_raster(tmp_path / "x.bin", np.zeros((4, 4, 3, 2)), 0.5, 1.0)
+
+
+@pytest.mark.parametrize("contrast", [
+    slab_contrast(3.0, 1.0),
+    slab_contrast(3.0 - 0.5j, 1.0),
+    two_layer_contrast(np.array([[2.0, 0.4], [0.4, 1.0]]), -2.0 - 0.3j,
+                       0.4, 0.6),
+], ids=["slab", "lossy-slab", "anisotropic-two-layer"])
+def test_x1_invariant_contrast_is_sampled_on_one_row(contrast):
+    assert contrast.x1_invariant
+    grid = Grid(n1=16, n2=32, rho_box=1.2)
+    problem = build_problem(IncidentWave(k=0.7, d=(0.0, -1.0)), contrast, grid)
+    full = contrast.sample(*grid.mesh())
+    assert np.array_equal(problem.q_grid, full)
+    # a read-only broadcast view of the one sampled row
+    assert not problem.q_grid.flags.writeable
+    assert problem.q_grid.strides[0] == 0
+    layout, reference = problem.layout, ContrastLayout(full, grid)
+    assert layout.n_rows == reference.n_rows == 1
+    for name in ("q", "support", "x2"):
+        assert np.array_equal(getattr(layout, name), getattr(reference, name))
+
+
+def test_sampling_a_slab_allocates_no_full_grid():
+    grid = Grid(n1=256, n2=256, rho_box=1.2)
+    contrast = slab_contrast(3.0, 1.0)
+    sample_contrast(contrast, grid)             # warm-up
+    tracemalloc.start()
+    try:
+        sample_contrast(contrast, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one complex (N1, N2) array: the samples of a full mesh hold four
+    assert peak < grid.n1 * grid.n2 * 16

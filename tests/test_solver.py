@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from vigrating.operators import (
     SpectralField,
     contrast_gradient_potential,
 )
+from vigrating.postprocess import efficiencies, rayleigh_both_sides
 from vigrating.problem import (
     Grid,
     IncidentWave,
@@ -264,6 +266,38 @@ def test_layered_detection(tmp_path, kind, layered):
     assert disc.n_rows == (1 if layered else 16)
     with pytest.raises(ShapeMismatch):
         disc.apply(np.zeros((2 if layered else 1, 64), dtype=complex))
+
+
+def test_x1_invariant_raster_is_detected_by_its_rows(tmp_path):
+    # a raster declares no x1-invariance: it is sampled on the full mesh
+    contrast = _raster(tmp_path / "r.bin", False)
+    assert not contrast.x1_invariant
+    grid = Grid(n1=16, n2=64, rho_box=1.1)
+    problem = build_problem(IncidentWave.from_angle(0.8, 25.0), contrast, grid)
+    assert problem.q_grid.strides[0] != 0
+    assert problem.layout.layered and problem.layout.n_rows == 1
+
+
+def test_warm_layered_point_allocates_no_full_grid_but_the_field():
+    grid = Grid(n1=256, n2=256, rho_box=1.1)
+    problem = build_problem(IncidentWave.from_angle(0.8, 25.0),
+                            slab_contrast(3.0, 1.0), grid)
+
+    def point():
+        table = kernel_table(grid, problem.wave, problem.layout.n_rows)
+        sol = solve(problem, table)
+        above, below = rayleigh_both_sides(sol, problem, table)
+        return efficiencies(above, below, problem)
+
+    point()                                     # warm-up
+    tracemalloc.start()
+    try:
+        point()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Solution.u alone is one complex (N1, N2) array
+    assert peak < 1.25 * grid.n1 * grid.n2 * 16
 
 
 @pytest.mark.parametrize("contrast", [
