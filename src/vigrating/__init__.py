@@ -56,7 +56,6 @@ from .problem import (
     Problem,
     build_problem,
     circle_contrast,
-    contrast_from_permittivity,
     incident_field,
     raster_contrast,
     rectangle_contrast,

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 a failed gate of ``validate``, 2 solver did not
 converge (including a Krylov breakdown), 3 invalid input (configuration,
-geometry, a Rayleigh anomaly or any other rejected problem).  A sweep with
-no successful point exits 2 if a point failed to converge, else 3.
+geometry, a Rayleigh anomaly or any other rejected problem) or an output
+that cannot be written.  A sweep with no successful point exits 2 if a
+point failed to converge, else 3.
 """
 
 from __future__ import annotations
@@ -87,6 +88,11 @@ def _write_solution(out_dir: Path, problem, table, solution, eff,
     )
 
 
+def _cannot_write(out_dir: Path, exc: OSError) -> int:
+    log.error("cannot write output %s: %s", out_dir, exc)
+    return EXIT_INVALID
+
+
 def cmd_solve(config_path: str, output: str | None = None) -> int:
     try:
         cfg = load_config(config_path)
@@ -99,17 +105,23 @@ def cmd_solve(config_path: str, output: str | None = None) -> int:
         log.error("%s", exc)
         sol = exc.solution
         if sol is not None:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            (out_dir / "result.json").write_text(json.dumps({
-                "converged": False,
-                "iterations": sol.iterations,
-                "residual_history": list(sol.residual_history),
-            }, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+            try:
+                out_dir.mkdir(parents=True, exist_ok=True)
+                (out_dir / "result.json").write_text(json.dumps({
+                    "converged": False,
+                    "iterations": sol.iterations,
+                    "residual_history": list(sol.residual_history),
+                }, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+            except OSError as err:
+                return _cannot_write(out_dir, err)
         return EXIT_NOT_CONVERGED
     except (VigratingError, FileNotFoundError, ValueError) as exc:
         log.error("invalid problem: %s", exc)
         return EXIT_INVALID
-    _write_solution(out_dir, problem, table, solution, eff, cfg)
+    try:
+        _write_solution(out_dir, problem, table, solution, eff, cfg)
+    except OSError as exc:
+        return _cannot_write(out_dir, exc)
     log.info("wrote %s", out_dir / "efficiencies.csv")
     return EXIT_OK
 
@@ -179,8 +191,11 @@ def cmd_sweep(config_path: str, param: str, start: float, stop: float,
             writer.writerows([repr(float(value))] + row
                              for row in pp.efficiency_rows(eff))
     out_dir = Path(output) if output else Path(base.output_directory)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "sweep.csv").write_text(buf.getvalue(), encoding="utf-8")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "sweep.csv").write_text(buf.getvalue(), encoding="utf-8")
+    except OSError as exc:
+        return _cannot_write(out_dir, exc)
     log.info("wrote %s", out_dir / "sweep.csv")
     if len(skipped) < len(points):
         return EXIT_OK
@@ -210,24 +225,25 @@ def cmd_diagnose(config_path: str, output: str | None = None,
     report = an.garding_check(problem, spectra, geometry=geometry,
                               estimate_extension=estimate_extension)
     out_dir = Path(output) if output else Path(cfg.output_directory)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "garding_report.json").write_text(report.to_json(),
-                                                 encoding="utf-8")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "garding_report.json").write_text(report.to_json(),
+                                                     encoding="utf-8")
+    except OSError as exc:
+        return _cannot_write(out_dir, exc)
     log.info("wrote %s", out_dir / "garding_report.json")
     return EXIT_OK
 
 
 def cmd_validate(level: str, tmp_dir: str | None = None) -> int:
-    import importlib
-
-    # the gates' oracles need the optional extra; nothing else does
-    for name in ("scipy", "mpmath"):
-        try:
-            importlib.import_module(name)
-        except ImportError:
-            log.error("validate needs the package %r, which is not "
-                      "installed: pip install 'vigrating[validate]'", name)
-            return EXIT_INVALID
+    # the kernel-formula gate's 30-digit reference needs the optional
+    # extra; nothing else does
+    try:
+        import mpmath  # noqa: F401
+    except ImportError:
+        log.error("validate needs the package 'mpmath', which is not "
+                  "installed: pip install 'vigrating[validate]'")
+        return EXIT_INVALID
     from .validate import run_gates
 
     if tmp_dir is None:

@@ -10,7 +10,7 @@ rejected before any computation starts.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,7 +60,6 @@ class RunConfig:
     max_iterations: int
     restart: int
     output_directory: str
-    geometry_lengths: dict = field(default_factory=dict)
 
     def wave(self) -> IncidentWave:
         return IncidentWave.from_angle(self.k_period / PERIOD, self.theta_deg)

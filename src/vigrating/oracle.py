@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded, svd
 
 from .errors import SizeGuard, SlowConvergence
 from .kernel import (
@@ -285,11 +284,15 @@ def slab_reference_fd(spec: SlabSpec, n: int = 2000,
         lower[-1] = 2.0 / h**2
         rhs[-1] = (4j * b0 / h) * np.exp(-1j * b0 * hi)
 
-        ab = np.zeros((3, npts), dtype=complex)
-        ab[0, 1:] = upper
-        ab[1, :] = diag
-        ab[2, :-1] = lower
-        v = solve_banded((1, 1), ab, rhs)
+        # tridiagonal solve: forward elimination, then back substitution
+        for i in range(1, npts):
+            w = lower[i - 1] / diag[i - 1]
+            diag[i] -= w * upper[i - 1]
+            rhs[i] -= w * rhs[i - 1]
+        v = np.empty(npts, dtype=complex)
+        v[-1] = rhs[-1] / diag[-1]
+        for i in range(npts - 2, -1, -1):
+            v[i] = (rhs[i] - upper[i] * v[i + 1]) / diag[i]
 
         r = (v[-1] - np.exp(-1j * b0 * hi)) * np.exp(-1j * b0 * (hi - rho_ref))
         t = v[0] * np.exp(1j * b0 * (lo + rho_ref))
@@ -371,6 +374,6 @@ def compactness_indicator(n: int, k: float = 1.0, alpha: float = 0.3,
         m_k = w[:, None] * m_k / w[None, :]
         m_i = w[:, None] * m_i / w[None, :]
 
-    sv_diff = svd(m_k - m_i, compute_uv=False)
-    sv_op = svd(m_k, compute_uv=False)
+    sv_diff = np.linalg.svd(m_k - m_i, compute_uv=False)
+    sv_op = np.linalg.svd(m_k, compute_uv=False)
     return CompactnessProfile(sv_difference=sv_diff, sv_operator=sv_op)

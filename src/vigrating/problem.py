@@ -12,6 +12,7 @@ Conventions (fixed throughout the library):
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -420,40 +421,11 @@ def two_layer_contrast(q_lower, q_upper, thickness_lower: float,
                          x1_invariant=True)
 
 
-def contrast_from_permittivity(eps_r_inv, scan_grid: Grid) -> ContrastField:
-    """Build the contrast Q = eps_r_inv - I from an inverse-permittivity field.
-
-    ``eps_r_inv(x1, x2)`` must return symmetric 2x2 complex matrices equal to
-    the identity outside the grating.  The support half-height is found by
-    scanning the sampler on ``scan_grid``.
-    """
-
-    def sampler(x1, x2):
-        e = np.asarray(eps_r_inv(x1, x2), dtype=complex)
-        return e - np.eye(2)
-
-    xx1, xx2 = scan_grid.mesh()
-    q = np.asarray(eps_r_inv(xx1, xx2), dtype=complex) - np.eye(2)
-    asym = np.max(np.abs(q[..., 0, 1] - q[..., 1, 0]))
-    if asym > 1e-12 * max(1.0, float(np.max(np.abs(q)))):
-        raise NonSymmetric("eps_r_inv must be symmetric-valued")
-    nonzero = np.any(q != 0, axis=(2, 3))
-    if nonzero.any():
-        h = float(np.max(np.abs(xx2[nonzero])))
-    else:
-        h = 0.0
-    offdiag = max(float(np.max(np.abs(q[..., 0, 1]))),
-                  float(np.max(np.abs(q[..., 1, 0]))))
-    diagdiff = float(np.max(np.abs(q[..., 0, 0] - q[..., 1, 1])))
-    imagpart = float(np.max(np.abs(q[..., 0, 0].imag)))
-    iso = offdiag == 0 and diagdiff == 0 and imagpart == 0
-    return ContrastField(sampler=sampler, h=h, isotropic=iso)
-
-
 # ----------------------------------------------------------------------------
 # raster ingestion
 
 _RASTER_MAGIC = b"VIGR"
+_RASTER_HEADER = 36     # magic, N1, N2 (int64), h, rho (float64)
 
 
 def write_raster(path, q_cells: np.ndarray, h: float, rho: float):
@@ -476,19 +448,30 @@ def write_raster(path, q_cells: np.ndarray, h: float, rho: float):
 def raster_contrast(path) -> ContrastField:
     """Load a contrast raster written by :func:`write_raster`.
 
+    The header is checked against the file size before the body is read,
+    so a malformed file raises :class:`GeometryError` naming the cause.
     Sampling is nearest-cell lookup (pointwise, no smoothing).
     """
     with open(path, "rb") as fh:
-        if fh.read(4) != _RASTER_MAGIC:
+        header = fh.read(_RASTER_HEADER)
+        if header[:4] != _RASTER_MAGIC:
             raise GeometryError(f"{path}: not a contrast raster file")
-        n1, n2 = struct.unpack("<qq", fh.read(16))
-        h, rho = struct.unpack("<dd", fh.read(16))
-        data = np.frombuffer(fh.read(n1 * n2 * 4 * 16), dtype="<c16")
-    if data.size != n1 * n2 * 4:
-        raise GeometryError(f"{path}: truncated raster body")
+        if len(header) < _RASTER_HEADER:
+            raise GeometryError(f"{path}: raster header is {len(header)} "
+                                f"bytes, expected {_RASTER_HEADER}")
+        n1, n2 = struct.unpack("<qq", header[4:20])
+        h, rho = struct.unpack("<dd", header[20:])
+        if n1 < 1 or n2 < 1:
+            raise GeometryError(f"{path}: raster size {n1} x {n2} has no cells")
+        if not (0 <= h <= rho and 0 < rho < np.inf):    # also rejects NaN
+            raise GeometryError(f"{path}: raster extent needs 0 <= h <= rho "
+                                f"and rho > 0, got h={h}, rho={rho}")
+        body = os.fstat(fh.fileno()).st_size - _RASTER_HEADER
+        if body != n1 * n2 * 64:
+            raise GeometryError(f"{path}: raster body is {body} bytes, but "
+                                f"{n1} x {n2} cells need {n1 * n2 * 64}")
+        data = np.frombuffer(fh.read(body), dtype="<c16")
     cells = data.reshape(n1, n2, 2, 2).astype(np.complex128)
-    if rho < h:
-        raise GeometryError(f"{path}: raster extent rho={rho} smaller than h={h}")
 
     def sampler(x1, x2):
         x1 = np.asarray(x1, dtype=float)

@@ -370,9 +370,24 @@ def test_sweep_parallel_matches_serial(tmp_path, monkeypatch):
         tmp_path / "par" / "sweep.csv").read_bytes()
 
 
-def test_solve_from_raster(tmp_path):
-    import numpy as np
+RASTER = """
+[problem]
+k = 0.8
+theta_deg = 5.0
+shape = raster
+path = {path}
 
+[numerics]
+n1 = 16
+n2 = 128
+rho_box = 0.55
+
+[output]
+directory = {out}
+"""
+
+
+def test_solve_from_raster(tmp_path):
     from vigrating.problem import write_raster
 
     # x1-invariant raster equivalent to a thin slab
@@ -385,26 +400,24 @@ def test_solve_from_raster(tmp_path):
     raster = tmp_path / "grating.bin"
     write_raster(raster, cells, h=0.25 * PERIOD, rho=rho_r)
 
-    text = f"""
-[problem]
-k = 0.8
-theta_deg = 5.0
-shape = raster
-path = {raster}
-
-[numerics]
-n1 = 16
-n2 = 128
-rho_box = 0.55
-
-[output]
-directory = {tmp_path / "rout"}
-"""
-    cfg = _write(tmp_path / "r.ini", text)
+    cfg = _write(tmp_path / "r.ini",
+                 RASTER.format(path=raster, out=tmp_path / "rout"))
     assert main(["solve", str(cfg)]) == 0
     doc = json.loads((tmp_path / "rout" / "result.json").read_text())
     assert doc["metadata"]["converged"] is True
     assert doc["metadata"]["energy_defect"] < 1e-4
+
+
+def test_solve_rejects_a_malformed_raster(tmp_path, caplog):
+    # a 6-byte header: the cause is named, not a struct.error traceback
+    raster = tmp_path / "short.bin"
+    raster.write_bytes(b"VIGR\x01\x00")
+    cfg = _write(tmp_path / "r.ini",
+                 RASTER.format(path=raster, out=tmp_path / "o"))
+    assert main(["solve", str(cfg)]) == 3
+    assert (f"invalid problem: {raster}: raster header is 6 bytes, "
+            "expected 36") in caplog.text
+    assert not (tmp_path / "o").exists()
 
 
 def test_sweep_skips_invalid_directions(tmp_path):
@@ -418,16 +431,67 @@ def test_sweep_skips_invalid_directions(tmp_path):
     assert len(values) == 1          # only theta = 80 is a valid direction
 
 
+def _python(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this vigrating."""
+    src = str(Path(vigrating.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+
+
 def test_solve_path_does_not_import_scipy(tmp_path):
     cfg = _write(tmp_path / "s.ini", BASE.format(out=tmp_path / "o"))
-    src = str(Path(vigrating.cli.__file__).resolve().parents[1])
-    code = ("import sys; from vigrating.cli import main; "
-            f"assert main(['solve', {str(cfg)!r}]) == 0; "
-            "print('scipy' in sys.modules)")
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, check=True)
+    proc = _python("import sys; from vigrating.cli import main; "
+                   f"assert main(['solve', {str(cfg)!r}]) == 0; "
+                   "print('scipy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False"]
+
+
+def test_validate_module_does_not_import_scipy():
+    proc = _python("import sys, vigrating.validate; "
+                   "print('scipy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
+def test_validate_runs_without_scipy():
+    proc = _python("import sys; sys.modules['scipy'] = None; "
+                   "from vigrating.cli import main; "
+                   "sys.exit(main(['validate']))")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.count("[PASS]") == 7
+
+
+SWEEP_ARGS = ["--param", "theta", "--from", "0", "--to", "10", "--steps", "2"]
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("solve", []), ("sweep", SWEEP_ARGS), ("diagnose", []),
+], ids=["solve", "sweep", "diagnose"])
+@pytest.mark.parametrize("target, cause", [
+    ("taken", "File exists"), ("taken/sub", "Not a directory"),
+], ids=["existing-file", "below-a-file"])
+def test_unwritable_output_exits_3(tmp_path, caplog, command, extra, target,
+                                   cause):
+    (tmp_path / "taken").write_text("", encoding="utf-8")
+    out = tmp_path / target
+    cfg = _write(tmp_path / "s.ini", BASE.format(out=tmp_path / "o"))
+    assert main([command, str(cfg), *extra, "--output", str(out)]) == 3
+    assert f"cannot write output {out}: [Errno" in caplog.text
+    assert cause in caplog.text
+
+
+def test_unwritable_output_of_a_stalled_solve_exits_3(tmp_path, caplog):
+    (tmp_path / "taken").write_text("", encoding="utf-8")
+    stall = BASE.format(out=tmp_path / "taken").replace(
+        "rho_box = 1.1277533039647577",
+        "rho_box = 1.1277533039647577\nmax_iterations = 2\nrel_tol = 1e-14",
+    )
+    cfg = _write(tmp_path / "stall.ini", stall)
+    assert main(["solve", str(cfg)]) == 3
+    assert "GMRES stalled at relative residual" in caplog.text
+    assert f"cannot write output {tmp_path / 'taken'}: [Errno" in caplog.text
 
 
 def test_cmd_solve_breakdown_exits_2(tmp_path, monkeypatch, caplog):
@@ -586,14 +650,11 @@ def test_solve_beyond_physical_memory_exits_3(tmp_path, monkeypatch, caplog):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("package", ["scipy", "mpmath"])
+@pytest.mark.parametrize("package", ["mpmath"])
 def test_validate_without_optional_extra_exits_3(package):
-    src = str(Path(vigrating.cli.__file__).resolve().parents[1])
-    code = (f"import sys; sys.modules[{package!r}] = None; "
-            "from vigrating.cli import main; sys.exit(main(['validate']))")
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True)
+    proc = _python(f"import sys; sys.modules[{package!r}] = None; "
+                   "from vigrating.cli import main; "
+                   "sys.exit(main(['validate']))")
     assert proc.returncode == 3
     assert f"validate needs the package {package!r}" in proc.stderr
 

@@ -107,6 +107,22 @@ def test_degenerate_mode_locations():
     assert hits == {(0, 1), (0, -1)}
 
 
+def test_table_degenerate_entries_match_the_scalar_limit():
+    # rho = 2 pi / 3 makes j2 pi / rho = 1.5 j2, so at k = 1.5, alpha = 0
+    # the symbol vanishes exactly at (0, +-1) and nowhere else
+    rho, k = 2 * np.pi / 3, 1.5
+    grid = Grid(n1=16, n2=32, rho_box=rho)
+    table = kernel_table(grid, _wave(k, 0.0))
+    assert sorted(table.degenerate_modes) == [(0, -1), (0, 1)]
+    closed_form = 0.25j * (rho / np.pi) ** 1.5
+    j1 = list(grid.j1_modes())
+    j2 = list(grid.j2_modes())
+    for m1, m2 in table.degenerate_modes:
+        entry = table.coeffs[j1.index(m1), j2.index(m2)]
+        assert entry == kernel_coefficient(m1, m2, k, 0.0, rho)
+        assert abs(entry - closed_form) <= 1e-15
+
+
 def test_table_alpha_zero_symmetries():
     grid = Grid(n1=16, n2=16, rho_box=1.3)
     wave = IncidentWave(k=0.7, d=(0.0, -1.0))

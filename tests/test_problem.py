@@ -1,3 +1,4 @@
+import struct
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 
 from vigrating.errors import (
     GeometryError,
-    NonSymmetric,
     RayleighAnomaly,
     ShapeMismatch,
 )
@@ -16,7 +16,6 @@ from vigrating.problem import (
     IncidentWave,
     build_problem,
     circle_contrast,
-    contrast_from_permittivity,
     incident_field,
     raster_contrast,
     rectangle_contrast,
@@ -187,56 +186,6 @@ def test_incident_gradient_matches_finite_differences():
     assert errs[1] < errs[0] / 3.5                  # roughly quadratic
 
 
-def test_contrast_from_permittivity():
-    grid = Grid(n1=16, n2=32, rho_box=1.0)
-
-    def eps_inv_identity(x1, x2):
-        shape = np.broadcast_shapes(np.shape(x1), np.shape(x2))
-        return np.broadcast_to(np.eye(2), shape + (2, 2))
-
-    c0 = contrast_from_permittivity(eps_inv_identity, grid)
-    assert c0.h == 0.0
-
-    def eps_inv_slab(x1, x2):
-        shape = np.broadcast_shapes(np.shape(x1), np.shape(x2))
-        out = np.broadcast_to(np.eye(2), shape + (2, 2)).copy()
-        inside = np.broadcast_to(np.abs(x2) < 0.5, shape)
-        out[inside] = 4.0 * np.eye(2)
-        return out
-
-    c1 = contrast_from_permittivity(eps_inv_slab, grid)
-    q = c1.sample(np.array(0.0), np.array(0.0))
-    assert np.allclose(q, 3.0 * np.eye(2))
-    assert 0.4 < c1.h <= 0.5
-
-    def eps_diag(x1, x2):
-        shape = np.broadcast_shapes(np.shape(x1), np.shape(x2))
-        out = np.zeros(shape + (2, 2), dtype=complex)
-        inside = np.broadcast_to(np.abs(x2) < 0.3, shape)
-        m = np.diag([2.0 + 0.1j, 3.0 + 0.1j])
-        out[inside] = m
-        out[~inside] = np.eye(2)
-        return out
-
-    c2 = contrast_from_permittivity(eps_diag, grid)
-    q2 = c2.sample(np.array(0.0), np.array(0.0))
-    assert np.allclose(q2, np.diag([1.0 + 0.1j, 2.0 + 0.1j]))
-    assert not c2.isotropic
-
-
-def test_contrast_from_permittivity_rejects_asymmetric():
-    grid = Grid(n1=8, n2=8, rho_box=1.0)
-
-    def eps_bad(x1, x2):
-        shape = np.broadcast_shapes(np.shape(x1), np.shape(x2))
-        out = np.broadcast_to(np.eye(2), shape + (2, 2)).copy()
-        out[..., 0, 1] += 0.5
-        return out
-
-    with pytest.raises(NonSymmetric):
-        contrast_from_permittivity(eps_bad, grid)
-
-
 def test_shape_builders():
     slab = slab_contrast(3.0, 1.0)
     assert slab.h == 0.5 and slab.isotropic
@@ -290,6 +239,43 @@ def test_raster_roundtrip(tmp_path):
 def test_raster_rejects_bad_shape(tmp_path):
     with pytest.raises(ShapeMismatch):
         write_raster(tmp_path / "x.bin", np.zeros((4, 4, 3, 2)), 0.5, 1.0)
+
+
+_EXTENT = "raster extent needs 0 <= h <= rho and rho > 0"
+
+
+def _raster_bytes(n1, n2, h, rho, body_cells=None):
+    cells = n1 * n2 if body_cells is None else body_cells
+    return (b"VIGR" + struct.pack("<qq", n1, n2) + struct.pack("<dd", h, rho)
+            + bytes(64 * cells))
+
+
+@pytest.mark.parametrize("content, cause", [
+    (b"NOPE" + bytes(40), "not a contrast raster file"),
+    (b"VIGR\x01\x00", "raster header is 6 bytes, expected 36"),
+    (_raster_bytes(0, 0, 0.5, 1.0, 0), "raster size 0 x 0 has no cells"),
+    (_raster_bytes(-1, 4, 0.5, 1.0, 0), "raster size -1 x 4 has no cells"),
+    (_raster_bytes(2, 2, float("nan"), 1.0), _EXTENT + ", got h=nan, rho=1.0"),
+    (_raster_bytes(2, 2, 0.5, float("inf")), _EXTENT + ", got h=0.5, rho=inf"),
+    (_raster_bytes(2, 2, -0.5, 1.0), _EXTENT + ", got h=-0.5, rho=1.0"),
+    (_raster_bytes(2, 2, 1.5, 1.0), _EXTENT + ", got h=1.5, rho=1.0"),
+    (_raster_bytes(2, 2, 0.0, 0.0), _EXTENT + ", got h=0.0, rho=0.0"),
+    (_raster_bytes(2 ** 32, 2 ** 32, 0.5, 1.0, 0),
+     "raster body is 0 bytes, but 4294967296 x 4294967296 cells need "
+     f"{2 ** 70}"),
+    (_raster_bytes(2, 2, 0.5, 1.0, 3),
+     "raster body is 192 bytes, but 2 x 2 cells need 256"),
+    (_raster_bytes(2, 2, 0.5, 1.0, 5),
+     "raster body is 320 bytes, but 2 x 2 cells need 256"),
+], ids=["bad-magic", "short-header", "zero-size", "negative-size",
+        "nan-h", "infinite-rho", "negative-h", "h-above-rho", "zero-rho",
+        "huge-size", "truncated-body", "long-body"])
+def test_raster_rejects_malformed_file(tmp_path, content, cause):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(content)
+    with pytest.raises(GeometryError) as info:
+        raster_contrast(path)
+    assert str(info.value) == f"{path}: {cause}"
 
 
 @pytest.mark.parametrize("contrast", [
