@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 1 a failed gate of ``validate``, 2 solver did not
 converge (including a Krylov breakdown), 3 invalid input (configuration,
-geometry, a Rayleigh anomaly or any other rejected problem) or an output
-that cannot be written.  A sweep with no successful point exits 2 if a
-point failed to converge, else 3.
+geometry, an unreadable input file, a Rayleigh anomaly or any other
+rejected problem), a grid that exhausts memory, or an output that cannot be
+written.  A sweep with no successful point exits 2 if a point failed to
+converge, else 3.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import logging
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +31,7 @@ from .errors import (
     BreakdownDetected,
     ConfigError,
     NotConverged,
+    SizeGuard,
     VigratingError,
 )
 from .kernel import kernel_table
@@ -40,6 +43,17 @@ log = logging.getLogger("vigrating")
 EXIT_OK = 0
 EXIT_NOT_CONVERGED = 2
 EXIT_INVALID = 3
+
+
+@contextmanager
+def _grid_memory(cfg: RunConfig):
+    """Turn a MemoryError while sampling or solving on ``cfg``'s grid into
+    SizeGuard naming the grid, which the commands report as exit 3."""
+    try:
+        yield
+    except MemoryError as exc:
+        raise SizeGuard(f"out of memory on the {cfg.n1} x {cfg.n2} grid: "
+                        f"{str(exc) or 'MemoryError'}") from None
 
 
 def _solve_options(cfg: RunConfig) -> SolveOptions:
@@ -97,7 +111,8 @@ def cmd_solve(config_path: str, output: str | None = None) -> int:
     try:
         cfg = load_config(config_path)
         out_dir = Path(output) if output else Path(cfg.output_directory)
-        problem, table, solution, eff = _solve_config(cfg)
+        with _grid_memory(cfg):
+            problem, table, solution, eff = _solve_config(cfg)
     except BreakdownDetected as exc:
         log.error("%s", exc)
         return EXIT_NOT_CONVERGED
@@ -115,7 +130,7 @@ def cmd_solve(config_path: str, output: str | None = None) -> int:
             except OSError as err:
                 return _cannot_write(out_dir, err)
         return EXIT_NOT_CONVERGED
-    except (VigratingError, FileNotFoundError, ValueError) as exc:
+    except (VigratingError, OSError, ValueError) as exc:
         log.error("invalid problem: %s", exc)
         return EXIT_INVALID
     try:
@@ -148,10 +163,11 @@ def cmd_sweep(config_path: str, param: str, start: float, stop: float,
     # contrast is sampled once
     try:
         opts = _solve_options(base)
-        contrast = base.contrast()
-        grid = base.grid(contrast)
-        q_grid, rho_ref, layout = sample_contrast(contrast, grid)
-    except (VigratingError, FileNotFoundError, ValueError) as exc:
+        with _grid_memory(base):
+            contrast = base.contrast()
+            grid = base.grid(contrast)
+            q_grid, rho_ref, layout = sample_contrast(contrast, grid)
+    except (VigratingError, OSError, ValueError) as exc:
         log.error("invalid problem: %s", exc)
         return EXIT_INVALID
 
@@ -163,7 +179,8 @@ def cmd_sweep(config_path: str, param: str, start: float, stop: float,
             wave = cfg.wave()
             problem = Problem(wave=wave, contrast=contrast, grid=grid,
                               q_grid=q_grid, rho_ref=rho_ref, layout=layout)
-            problem, _, _, eff = _solve_config(cfg, problem, opts)
+            with _grid_memory(cfg):
+                problem, _, _, eff = _solve_config(cfg, problem, opts)
         except (NotConverged, BreakdownDetected) as exc:
             log.warning("skipping %s = %g: %s", param, value, exc)
             return value, EXIT_NOT_CONVERGED
@@ -208,9 +225,10 @@ def cmd_diagnose(config_path: str, output: str | None = None,
                  estimate_extension: bool = False) -> int:
     try:
         cfg = load_config(config_path)
-        problem = cfg.build()
-        spectra = an.decompose_reQ(problem)
-    except (VigratingError, FileNotFoundError, ValueError) as exc:
+        with _grid_memory(cfg):
+            problem = cfg.build()
+            spectra = an.decompose_reQ(problem)
+    except (VigratingError, OSError, ValueError) as exc:
         log.error("invalid problem: %s", exc)
         return EXIT_INVALID
 

@@ -2,8 +2,9 @@
 
 Nothing here touches the closed-form multiplier table: the quadrature oracle
 sums the kernel series term by term, the slab oracle is a closed-form 1D
-transfer matrix, and the PDE oracle applies finite differences.  These are
-the provenance chain for every physics tolerance in the test suite.
+tensor transfer matrix with a finite-element check of its own, and the PDE
+oracle applies finite differences.  These are the provenance chain for
+every physics tolerance in the test suite.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SizeGuard, SlowConvergence
+from .errors import NonSymmetric, SizeGuard, SlowConvergence
 from .kernel import (
     KernelTable,
     kernel_table,
@@ -28,7 +29,13 @@ from .operators import (
     to_physical,
     to_spectral,
 )
-from .problem import ContrastField, Grid, IncidentWave, build_problem
+from .problem import (
+    ContrastField,
+    Grid,
+    IncidentWave,
+    _as_matrix,
+    build_problem,
+)
 
 
 # ----------------------------------------------------------------------------
@@ -150,14 +157,18 @@ def helmholtz_residual(
 
 
 # ----------------------------------------------------------------------------
-# 1D slab reference (closed-form transfer matrix)
+# 1D slab reference (closed-form tensor transfer matrix)
 
 
 @dataclass(frozen=True)
 class SlabSpec:
-    """Isotropic homogeneous slab: contrast q on a < x2 < b."""
+    """Homogeneous slab: contrast q on a < x2 < b.
 
-    q: complex
+    ``q`` is a scalar (standing for q I) or a complex symmetric 2x2 matrix;
+    A = I + Q must be finite, and A22 must not vanish.
+    """
+
+    q: complex | np.ndarray
     a: float
     b: float
     k: float
@@ -166,8 +177,18 @@ class SlabSpec:
     def __post_init__(self):
         if not self.b > self.a:
             raise ValueError("slab interval requires b > a")
-        if self.q == -1:
-            raise ValueError("contrast q = -1 gives a degenerate medium")
+        if not np.all(np.isfinite(np.asarray(self.q, dtype=complex))):
+            raise ValueError(f"slab contrast must be finite, got {self.q!r}")
+        if self.tensor()[1, 1] == 0:
+            raise ValueError("A22 = 1 + q22 must not vanish: the slab "
+                             "medium is degenerate")
+
+    def tensor(self) -> np.ndarray:
+        """A = I + Q, the slab's constant coefficient matrix."""
+        try:
+            return np.eye(2) + _as_matrix(self.q)
+        except NonSymmetric as exc:
+            raise ValueError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -190,29 +211,37 @@ def _sinc_ratio(z: complex, thickness: float) -> complex:
 def slab_reference(spec: SlabSpec, rho_ref: float | None = None) -> SlabResult:
     """Closed-form reflection/transmission of the 1D slab reduction.
 
-    The field of order zero solves ((1+q) v')' + (k^2 - (1+q) alpha^2) v = 0
-    with v and (1+q) v' continuous at the faces.  The state (v, (1+q) v')
-    propagates through the slab by a closed-form 2x2 matrix; a vanishing
-    interior wavenumber falls back to the linear-solution branch through the
-    stable sinc form.  For real q the returned efficiencies satisfy
-    R + T = 1 to rounding.
+    With A = I + Q, the field of order zero solves
+    A22 v'' + 2 i alpha A12 v' + (k^2 - alpha^2 A11) v = 0 with v and the
+    co-normal flux F = i alpha A12 v + A22 v' continuous at the faces.  The
+    state (v, F) obeys (v, F)' = M (v, F) with
+    M = -(i alpha A12 / A22) I + N and N = [[0, 1/A22], [-A22 gamma^2, 0]],
+    gamma^2 = ((alpha A12)^2 + A22 (k^2 - alpha^2 A11)) / A22^2.  Since
+    N^2 = -gamma^2 I, the transfer matrix over the thickness T is
+
+        e^{-i alpha A12 T / A22} [[cos gamma T, s / A22],
+                                  [-A22 gamma^2 s, cos gamma T]]
+
+    with s = sin(gamma T) / gamma.  Both are even in gamma, so no branch is
+    chosen, and the stable sinc form keeps the double root gamma = 0 finite.
+    For real A the returned efficiencies satisfy R + T = 1 to rounding.
     """
-    k, alpha, q = spec.k, spec.alpha, complex(spec.q)
+    k, alpha = spec.k, spec.alpha
     if rho_ref is None:
         rho_ref = max(abs(spec.a), abs(spec.b))
     b0 = complex(np.sqrt(complex(k**2 - alpha**2)))
-    aa = 1.0 + q
-    gamma2 = (k**2 - aa * alpha**2) / aa
+    mat = spec.tensor()
+    a11, a12, a22 = mat[0, 0], mat[0, 1], mat[1, 1]
+    gamma2 = ((alpha * a12) ** 2 + a22 * (k**2 - alpha**2 * a11)) / a22**2
     gamma = complex(np.sqrt(gamma2))
-    if gamma.imag < 0:
-        gamma = -gamma
     thick = spec.b - spec.a
 
-    # transfer of (v, (1+q) v') across the slab, bottom face -> top face
+    # transfer of (v, F) across the slab, bottom face -> top face
+    phase = np.exp(-1j * alpha * a12 * thick / a22)
     sg = _sinc_ratio(gamma, thick)
-    t11 = np.cos(gamma * thick)
-    t12 = sg / aa
-    t21 = -aa * gamma**2 * sg
+    t11 = phase * np.cos(gamma * thick)
+    t12 = phase * sg / a22
+    t21 = -phase * a22 * gamma2 * sg
     t22 = t11
 
     # below: v = A_tr e^{-i b0 x2}; above: v = e^{-i b0 x2} + A_ref e^{+i b0 x2}
@@ -240,49 +269,51 @@ def slab_reference(spec: SlabSpec, rho_ref: float | None = None) -> SlabResult:
 def slab_reference_fd(spec: SlabSpec, n: int = 2000,
                       pad: float = 2.0,
                       rho_ref: float | None = None) -> tuple[complex, complex]:
-    """Independent fine-grid 1D finite-difference solve of the slab problem.
+    """Independent fine-grid 1D finite-element solve of the slab problem.
 
-    Conservative flux discretization of ((1+q) v')' with the slab faces
-    placed exactly on grid nodes and radiation closures at both ends via
-    ghost nodes; Richardson extrapolation over n and 2n interior cells
-    removes the leading quadratic error.  Returns (r, t) in the same
-    normalization as :func:`slab_reference`.
+    P1 elements on the weak form
+
+        int A22 v' conj(psi') + i alpha A12 (v conj(psi') - v' conj(psi))
+            + (alpha^2 A11 - k^2) v conj(psi) dx2
+
+    with A = I outside the slab and the slab faces on nodes.  The radiation
+    conditions enter as the boundary terms -i b0 on the two end nodes, the
+    incident wave as the load of the top node.  Richardson extrapolation
+    over n and 2n cells in the slab removes the leading quadratic error.
+    No closed form enters.  Returns (r, t) in the same normalization as
+    :func:`slab_reference`.
     """
     if rho_ref is None:
         rho_ref = max(abs(spec.a), abs(spec.b))
+    k, alpha = spec.k, spec.alpha
+    b0 = complex(np.sqrt(complex(k**2 - alpha**2)))
+    mat = spec.tensor()
 
     def solve_once(m_cells: int) -> tuple[complex, complex]:
-        k, alpha, q = spec.k, spec.alpha, complex(spec.q)
-        b0 = complex(np.sqrt(complex(k**2 - alpha**2)))
         h = (spec.b - spec.a) / m_cells
         p = int(np.ceil(pad / h))
         lo = spec.a - p * h
         hi = spec.b + p * h
         npts = m_cells + 2 * p + 1
-        x = lo + h * np.arange(npts)
 
-        inside = lambda pos: (pos > spec.a) & (pos < spec.b)
-        a_half = np.where(inside(x[:-1] + h / 2), 1.0 + q, 1.0)
-        a_node = np.where(inside(x), 1.0 + q, 1.0)
-        a_node[np.isclose(x, spec.a) | np.isclose(x, spec.b)] = 1.0 + q / 2
+        # per-element coefficients: the slab's tensor on its m_cells
+        # elements, the identity on the padding
+        inside = np.zeros(npts - 1, dtype=bool)
+        inside[p:p + m_cells] = True
+        a11, a12, a22 = (np.where(inside, mat[i, j], float(i == j))
+                         for i, j in ((0, 0), (0, 1), (1, 1)))
+        stiff = a22 / h
+        skew = 1j * alpha * a12
+        mass = (alpha**2 * a11 - k**2) * (h / 6)
+
         diag = np.zeros(npts, dtype=complex)
-        lower = np.zeros(npts - 1, dtype=complex)
-        upper = np.zeros(npts - 1, dtype=complex)
+        diag[:-1] += stiff + 2 * mass
+        diag[1:] += stiff + 2 * mass
+        diag[[0, -1]] -= 1j * b0
+        upper = -stiff - skew + mass        # row i, column i + 1
+        lower = -stiff + skew + mass        # row i + 1, column i
         rhs = np.zeros(npts, dtype=complex)
-
-        diag[1:-1] = -(a_half[:-1] + a_half[1:]) / h**2 + (
-            k**2 - a_node[1:-1] * alpha**2
-        )
-        lower[:-1] = a_half[:-1] / h**2
-        upper[1:] = a_half[1:] / h**2
-
-        # bottom x = lo: v' + i b0 v = 0 via ghost elimination
-        diag[0] = -2.0 / h**2 + (k**2 - alpha**2) + 2j * b0 / h
-        upper[0] = 2.0 / h**2
-        # top x = hi: v' - i b0 v = -2 i b0 e^{-i b0 x}
-        diag[-1] = -2.0 / h**2 + (k**2 - alpha**2) + 2j * b0 / h
-        lower[-1] = 2.0 / h**2
-        rhs[-1] = (4j * b0 / h) * np.exp(-1j * b0 * hi)
+        rhs[-1] = -2j * b0 * np.exp(-1j * b0 * hi)
 
         # tridiagonal solve: forward elimination, then back substitution
         for i in range(1, npts):

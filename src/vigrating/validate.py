@@ -3,9 +3,9 @@ acceptance tests.
 
 Each gate pins one structural property of the scheme against an independent
 reference (arbitrary-precision re-evaluation, series quadrature, finite
-differences, the 1D transfer matrix, dense SVD).  Gate configurations are
-frozen here so the numbers are reproducible; tolerances come from the
-measured convergence behavior with explicit margin.
+differences, the 1D tensor transfer matrix, dense SVD).  Gate
+configurations are frozen here so the numbers are reproducible; tolerances
+come from the measured convergence behavior with explicit margin.
 """
 
 from __future__ import annotations
@@ -162,8 +162,8 @@ SLAB_H = np.pi
 SLAB_RATIO_256 = 256 / 113.5
 
 
-def _solve_slab(q, n1, n2, ratio, rel_tol=1e-10):
-    wave = IncidentWave.from_angle(SLAB_K, 0.0)
+def _solve_slab(q, n1, n2, ratio, rel_tol=1e-10, theta_deg=0.0):
+    wave = IncidentWave.from_angle(SLAB_K, theta_deg)
     contrast = slab_contrast(q, 2 * SLAB_H)
     grid = Grid(n1=n1, n2=n2, rho_box=ratio * SLAB_H)
     problem = build_problem(wave, contrast, grid)
@@ -198,6 +198,43 @@ def gate_slab(level: str = "full") -> GateResult:
         f"negative-contrast defect={defect_n:.1e} "
         f"(iterations {sol.iterations})",
     )
+
+
+# frozen tensor slabs at oblique incidence: tilted positive, negative
+# definite, lossy negative definite; each bound is about twice the error
+# measured at n2 = 256 (1.5e-4, 2.3e-3, 2.5e-3), which is first order in
+# 1/n2 for pointwise sampling
+TENSOR_SLABS = (
+    ("tilted", np.array([[3.0, 0.8], [0.8, 2.0]]), 4e-4),
+    ("negative", np.array([[-3.0, 0.8], [0.8, -5.0]]), 5e-3),
+    ("lossy", np.array([[-3.0, 0.4], [0.4, -2.5]]) - 0.3j * np.eye(2), 5e-3),
+)
+
+
+def gate_tensor_slab() -> GateResult:
+    """Efficiencies of x1-invariant slabs with full contrast tensors at
+    theta = 20 deg vs the tensor transfer matrix, and the energy defects of
+    the lossless ones."""
+    t0 = time.time()
+    passed = True
+    parts = []
+    for name, q, tol_eff in TENSOR_SLABS:
+        problem, _, sol, _, _, eff = _solve_slab(
+            q, 16, 256, SLAB_RATIO_256, rel_tol=1e-11, theta_deg=20.0
+        )
+        ref = slab_reference(SlabSpec(q=q, a=-SLAB_H, b=SLAB_H, k=SLAB_K,
+                                      alpha=problem.alpha),
+                             rho_ref=problem.rho_ref)
+        d_eff = max(abs(eff.reflected[0] - ref.reflectance),
+                    abs(eff.transmitted[0] - ref.transmittance))
+        passed &= d_eff < tol_eff
+        part = f"{name} d={d_eff:.1e}"
+        if problem.is_lossless():
+            defect = pp.energy_balance(eff, problem)
+            passed &= defect < 1e-6
+            part += f" defect={defect:.1e}"
+        parts.append(f"{part} ({sol.iterations} it)")
+    return _result("tensor-slab", t0, passed, "; ".join(parts))
 
 
 def gate_zero_contrast() -> GateResult:
@@ -321,6 +358,7 @@ def run_gates(level: str = "quick", tmp_dir=None) -> list[GateResult]:
         gate_zero_contrast(),
         gate_compactness(),
         gate_diagnostics(),
+        gate_tensor_slab(),
     ]
     if level == "full":
         results.append(gate_rayleigh_routes())

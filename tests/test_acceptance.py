@@ -4,6 +4,9 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; every gate encapsulates its frozen configuration and tolerance.
 """
 
+import inspect
+
+import vigrating.validate
 from vigrating.validate import (
     gate_compactness,
     gate_determinism,
@@ -13,6 +16,7 @@ from vigrating.validate import (
     gate_pde,
     gate_rayleigh_routes,
     gate_slab,
+    gate_tensor_slab,
     gate_zero_contrast,
 )
 
@@ -61,3 +65,19 @@ def test_criterion_9_determinism(tmp_path):
     result = gate_determinism(tmp_path)
     print(result.line())
     assert result.passed, result.details
+
+
+def test_criterion_10_tensor_slab():
+    _check(gate_tensor_slab(), runtime_budget=10.0)
+
+
+def test_every_gate_has_a_criterion():
+    # by name only: a gate defined in validate but not imported here has no
+    # acceptance test
+    defined = {
+        name for name, fn in inspect.getmembers(vigrating.validate,
+                                                inspect.isfunction)
+        if name.startswith("gate_") and fn.__module__ == "vigrating.validate"
+    }
+    imported = {name for name in globals() if name.startswith("gate_")}
+    assert defined - imported == set()

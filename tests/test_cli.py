@@ -356,7 +356,7 @@ def test_bundled_config_roundtrip(tmp_path):
 def test_cmd_validate_quick(capsys):
     assert main(["validate", "--level", "quick"]) == 0
     out = capsys.readouterr().out
-    assert out.count("[PASS]") == 7
+    assert out.count("[PASS]") == 8
 
 
 def test_sweep_parallel_matches_serial(tmp_path, monkeypatch):
@@ -420,6 +420,52 @@ def test_solve_rejects_a_malformed_raster(tmp_path, caplog):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_unreadable_input_exits_3(tmp_path, caplog, command):
+    # the raster path names a directory: IsADirectoryError, not a traceback
+    cfg = _write(tmp_path / "r.ini",
+                 RASTER.format(path=tmp_path, out=tmp_path / "o"))
+    args = COMMANDS[command]
+    assert main(args[:1] + [str(cfg)] + args[1:]) == 3
+    assert f"invalid problem: [Errno 21] Is a directory: '{tmp_path}'" in (
+        caplog.text)
+    assert not (tmp_path / "o").exists()
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError("Unable to allocate 32.0 GiB for an array")
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_exhausted_memory_exits_3(tmp_path, monkeypatch, caplog, command):
+    monkeypatch.setattr(ContrastField, "sample", _out_of_memory)
+    cfg = _write(tmp_path / "s.ini", BASE.format(out=tmp_path / "o"))
+    args = COMMANDS[command]
+    assert main(args[:1] + [str(cfg)] + args[1:]) == 3
+    assert ("invalid problem: out of memory on the 32 x 64 grid: Unable to "
+            "allocate 32.0 GiB") in caplog.text
+    assert not (tmp_path / "o").exists()
+
+
+def test_sweep_skips_a_point_out_of_memory(tmp_path, monkeypatch, caplog):
+    solve_config = vigrating.cli._solve_config
+
+    def flaky(cfg, *args):
+        if cfg.theta_deg == 10.0:
+            _out_of_memory()
+        return solve_config(cfg, *args)
+
+    monkeypatch.setattr(vigrating.cli, "_solve_config", flaky)
+    out = tmp_path / "sw"
+    cfg = _write(tmp_path / "s.ini", BASE.format(out=out))
+    assert main(["sweep", str(cfg), *COMMANDS["sweep"][1:],
+                 "--output", str(out)]) == 0
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert {ln.split(",")[0] for ln in lines[1:]} == {"0.0", "20.0"}
+    assert ("skipping theta = 10: invalid problem (out of memory on the "
+            "32 x 64 grid: Unable to allocate") in caplog.text
+
+
 def test_sweep_skips_invalid_directions(tmp_path):
     # theta beyond 90 degrees flips d2 nonnegative; such points are skipped
     out = tmp_path / "sw2"
@@ -460,7 +506,7 @@ def test_validate_runs_without_scipy():
                    "from vigrating.cli import main; "
                    "sys.exit(main(['validate']))")
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.count("[PASS]") == 7
+    assert proc.stdout.count("[PASS]") == 8
 
 
 SWEEP_ARGS = ["--param", "theta", "--from", "0", "--to", "10", "--steps", "2"]

@@ -36,7 +36,16 @@ def test_slab_no_contrast():
     assert abs(res.t - np.exp(1j * b0 * res.rho_ref)) < 1e-12
 
 
-@pytest.mark.parametrize("q", [3.0, -5.0, 0.7, -0.4])
+TENSORS = {
+    "tilted": np.array([[3.0, 0.8], [0.8, 2.0]]),
+    "negative-definite": np.array([[-3.0, 0.8], [0.8, -5.0]]),
+    "hyperbolic": np.diag([2.0, -3.0]),
+    "hyperbolic-swapped": np.diag([-3.0, 2.0]),
+}
+
+
+@pytest.mark.parametrize("q", [3.0, -5.0, 0.7, -0.4] + [
+    pytest.param(q, id=name) for name, q in TENSORS.items()])
 def test_slab_energy_conservation_real_contrast(q):
     res = slab_reference(SlabSpec(q=q, a=-0.8, b=0.3, k=1.1, alpha=0.25))
     assert abs(res.reflectance + res.transmittance - 1.0) < 1e-12
@@ -62,15 +71,35 @@ def test_slab_oblique_and_negative_against_fd():
 
 
 def test_slab_degenerate_interior_wavenumber():
-    # k^2 = (1+q) alpha^2 makes the interior wavenumber vanish; the stable
-    # sinc branch must join the nearby generic values continuously
-    spec0 = SlabSpec(q=3.0, a=-0.5, b=0.5, k=1.0, alpha=0.5)
-    assert abs((spec0.k**2 - (1 + spec0.q) * spec0.alpha**2)) < 1e-14
-    r0 = slab_reference(spec0)
-    r1 = slab_reference(SlabSpec(q=3.0, a=-0.5, b=0.5, k=1.0 * (1 + 1e-7),
-                                 alpha=0.5))
-    assert abs(r0.reflectance - r1.reflectance) < 1e-4
-    assert abs(r0.reflectance + r0.transmittance - 1.0) < 1e-12
+    # (alpha A12)^2 + A22 (k^2 - alpha^2 A11) = 0 makes the interior
+    # wavenumber a double root; the stable sinc branch must join the nearby
+    # generic values continuously
+    for q, k in ((3.0, 1.0),
+                 (np.array([[3.0, 0.5], [0.5, 1.0]]), np.sqrt(0.96875))):
+        spec0 = SlabSpec(q=q, a=-0.5, b=0.5, k=k, alpha=0.5)
+        a = spec0.tensor()
+        assert abs((0.5 * a[0, 1]) ** 2
+                   + a[1, 1] * (k**2 - 0.25 * a[0, 0])) < 1e-14
+        r0 = slab_reference(spec0)
+        r1 = slab_reference(SlabSpec(q=q, a=-0.5, b=0.5, k=k * (1 + 1e-7),
+                                     alpha=0.5))
+        assert abs(r0.reflectance - r1.reflectance) < 1e-4
+        assert abs(r0.reflectance + r0.transmittance - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("q, alpha", [
+    pytest.param(3.0 * np.eye(2), 0.0, id="3I"),
+    pytest.param(2.0 * np.eye(2), 0.06, id="2I"),
+    pytest.param(-5.0 * np.eye(2), 0.03, id="-5I"),
+    pytest.param(np.array([[-3.0, 0.4], [0.4, -2.5]]) - 0.3j * np.eye(2),
+                 0.05, id="lossy-negative-definite"),
+] + [pytest.param(q, 0.05, id=name) for name, q in TENSORS.items()])
+def test_tensor_slab_against_finite_elements(q, alpha):
+    spec = SlabSpec(q=q, a=-SLAB_H, b=SLAB_H, k=SLAB_K, alpha=alpha)
+    ref = slab_reference(spec, rho_ref=1.15 * SLAB_H)
+    r_fe, t_fe = slab_reference_fd(spec, n=2000, rho_ref=1.15 * SLAB_H)
+    assert abs(r_fe - ref.r) < 1e-8
+    assert abs(t_fe - ref.t) < 1e-8
 
 
 def test_slab_lossy_absorption_sign():
@@ -85,6 +114,19 @@ def test_slab_rejects_bad_interval():
         SlabSpec(q=1.0, a=0.5, b=0.5, k=1.0)
     with pytest.raises(ValueError):
         SlabSpec(q=-1.0, a=0.0, b=0.5, k=1.0)
+
+
+@pytest.mark.parametrize("q, match", [
+    (np.array([[1.0, 0.5], [0.2, 1.0]]), "symmetric"),
+    (np.ones(3), "scalar or 2x2"),
+    (np.ones((2, 2, 2)), "scalar or 2x2"),
+    (float("nan"), "finite"),
+    (np.array([[1.0, np.inf], [np.inf, 1.0]]), "finite"),
+    (np.array([[2.0, 0.3], [0.3, -1.0]]), "A22"),
+], ids=["non-symmetric", "vector", "3-d", "nan", "inf", "vanishing-A22"])
+def test_slab_rejects_bad_contrast(q, match):
+    with pytest.raises(ValueError, match=match):
+        SlabSpec(q=q, a=0.0, b=0.5, k=1.0)
 
 
 # ----------------------------------------------------------------------------
