@@ -12,7 +12,7 @@ proves nothing, it checks hypotheses.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -27,9 +27,9 @@ DET_TOL = 1e-12
 class ContrastSpectra:
     """Pointwise eigenstructure of Re(Q) over the support nodes.
 
-    Arrays are masked to the support; ``angles`` holds the rotation of the
-    orthogonal eigenbasis, ``signs`` is +1 / -1 per node or 0 for a node
-    with mixed-sign eigenvalues.
+    Arrays are per node, with ``mask`` marking the support; ``angles``
+    holds the rotation of the orthogonal eigenbasis, ``signs`` is +1 / -1
+    per node or 0 for a node with mixed-sign eigenvalues.
     """
 
     mask: np.ndarray = field(repr=False)
@@ -37,6 +37,11 @@ class ContrastSpectra:
     eig_hi: np.ndarray = field(repr=False)
     angles: np.ndarray = field(repr=False)
     signs: np.ndarray = field(repr=False)
+
+    def head(self, rows: int) -> ContrastSpectra:
+        """The spectra of the first ``rows`` node rows."""
+        return ContrastSpectra(*(getattr(self, f.name)[:rows]
+                                 for f in fields(self)))
 
     @property
     def abs_min(self) -> np.ndarray:
@@ -67,25 +72,28 @@ def _symmetric_eig(a, b, c):
 
 
 def decompose_reQ(problem: Problem) -> ContrastSpectra:
-    """Closed-form eigendecomposition of Re(Q) at every support node.
+    """Closed-form eigendecomposition of Re(Q) at every support node, as
+    read-only (N1, N2) broadcasts of that of the rows of ``layout.samples``.
 
     Raises SingularReQ listing the nodes where |det Re(Q)| <= 1e-12, since
     the weighted norm and the Im/Re constant need the inverse.
     """
-    mask = problem.support_mask()
-    req = problem.q_grid.real
+    samples = problem.layout.samples
+    mask = samples.any(axis=(2, 3))
+    req = samples.real
     a, b, c = req[..., 0, 0], req[..., 0, 1], req[..., 1, 1]
     lo, hi, theta = _symmetric_eig(a, b, c)
     det = a * c - b * b
     bad = mask & (np.abs(det) <= DET_TOL)
+    nodes = (problem.grid.n1, problem.grid.n2)
     if bad.any():
-        idx = np.argwhere(bad)
-        raise SingularReQ([tuple(i) for i in idx])
+        raise SingularReQ(map(tuple, np.argwhere(
+            np.broadcast_to(bad, nodes)).tolist()))
     signs = np.zeros(mask.shape, dtype=int)
     signs[(lo > 0) & (hi > 0)] = 1
     signs[(lo < 0) & (hi < 0)] = -1
-    return ContrastSpectra(mask=mask, eig_lo=lo, eig_hi=hi, angles=theta,
-                           signs=signs)
+    return ContrastSpectra(*(np.broadcast_to(x, nodes)
+                             for x in (mask, lo, hi, theta, signs)))
 
 
 def _rotations(spectra: ContrastSpectra) -> np.ndarray:
@@ -98,24 +106,25 @@ def _rotations(spectra: ContrastSpectra) -> np.ndarray:
     return u
 
 
-def sqrt_abs_reQ(spectra: ContrastSpectra) -> np.ndarray:
-    """|Re(Q)|^{1/2} per node: rotate, take |.|^{1/2} of the eigenvalues,
-    rotate back."""
+def _eigen_function(spectra: ContrastSpectra, f) -> np.ndarray:
+    """U diag(f(eigs)) U^T per node."""
     u = _rotations(spectra)
     d = np.zeros(u.shape)
     # the rotation angle diagonalizes with the larger eigenvalue first
-    d[..., 0, 0] = np.sqrt(np.abs(spectra.eig_hi))
-    d[..., 1, 1] = np.sqrt(np.abs(spectra.eig_lo))
+    d[..., 0, 0] = f(spectra.eig_hi)
+    d[..., 1, 1] = f(spectra.eig_lo)
     return u @ d @ np.swapaxes(u, -1, -2)
+
+
+def sqrt_abs_reQ(spectra: ContrastSpectra) -> np.ndarray:
+    """|Re(Q)|^{1/2} per node: rotate, take |.|^{1/2} of the eigenvalues,
+    rotate back."""
+    return _eigen_function(spectra, lambda e: np.sqrt(np.abs(e)))
 
 
 def reconstruct_reQ(spectra: ContrastSpectra) -> np.ndarray:
     """U diag(eigs) U^T; must reproduce Re(Q) to rounding."""
-    u = _rotations(spectra)
-    d = np.zeros(u.shape)
-    d[..., 0, 0] = spectra.eig_hi
-    d[..., 1, 1] = spectra.eig_lo
-    return u @ d @ np.swapaxes(u, -1, -2)
+    return _eigen_function(spectra, lambda e: e)
 
 
 def weighted_norm(u: SpectralField, problem: Problem,
@@ -152,7 +161,7 @@ def contrast_form(u: SpectralField, v: SpectralField, problem: Problem,
     gv = grad_spectral(v)
     u1, u2 = to_physical(gu.g1), to_physical(gu.g2)
     v1, v2 = to_physical(gv.g1), to_physical(gv.g2)
-    q = problem.q_grid
+    q = problem.layout.samples
     qu1 = q[..., 0, 0] * u1 + q[..., 0, 1] * u2
     qu2 = q[..., 1, 0] * u1 + q[..., 1, 1] * u2
     m = spectra.mask
@@ -169,14 +178,15 @@ def im_bound_constant(problem: Problem, spectra: ContrastSpectra) -> float:
     Im(Q) Re(Q)^{-1}, maximized over the support nodes.  It is exactly 0,
     with no inverse taken, when Im(Q) vanishes on the support.
     """
-    m = spectra.mask
+    # the sampled rows of the layout hold every node's value
+    q = problem.layout.samples
+    m = spectra.mask[:len(q)]
     if not m.any():
         return 0.0
-    imq = problem.q_grid.imag[m]
+    imq = q.imag[m]
     if not imq.any():
         return 0.0
-    req = problem.q_grid.real[m]
-    prod = imq @ np.linalg.inv(req)
+    prod = imq @ np.linalg.inv(q.real[m])
     return float(np.max(np.linalg.norm(prod, ord=2, axis=(1, 2))))
 
 
@@ -422,6 +432,8 @@ def garding_check(
     scalar real negative contrast gets the unweighted-space variant of the
     same comparison.  Mixed-sign contrast yields no certificate.
     """
+    # the sampled rows of the layout hold every node's value
+    spectra = spectra.head(problem.layout.n_rows)
     sign = spectra.sign_verdict
     m = spectra.mask
     inf_min = float(np.min(spectra.abs_min[m])) if m.any() else 0.0

@@ -166,7 +166,7 @@ def cmd_sweep(config_path: str, param: str, start: float, stop: float,
         with _grid_memory(base):
             contrast = base.contrast()
             grid = base.grid(contrast)
-            q_grid, rho_ref, layout = sample_contrast(contrast, grid)
+            rho_ref, layout = sample_contrast(contrast, grid)
     except (VigratingError, OSError, ValueError) as exc:
         log.error("invalid problem: %s", exc)
         return EXIT_INVALID
@@ -176,9 +176,8 @@ def cmd_sweep(config_path: str, param: str, start: float, stop: float,
     def run_point(value: float):
         cfg = base.replace_parameter(param, float(value))
         try:
-            wave = cfg.wave()
-            problem = Problem(wave=wave, contrast=contrast, grid=grid,
-                              q_grid=q_grid, rho_ref=rho_ref, layout=layout)
+            problem = Problem(wave=cfg.wave(), contrast=contrast, grid=grid,
+                              rho_ref=rho_ref, layout=layout)
             with _grid_memory(cfg):
                 problem, _, _, eff = _solve_config(cfg, problem, opts)
         except (NotConverged, BreakdownDetected) as exc:

@@ -164,15 +164,15 @@ def div_potential(g: VectorSpectralField, table: KernelTable) -> SpectralField:
     return g.g1.replace(coeffs)
 
 
-def pointwise_matrix_product(q_grid: np.ndarray,
+def pointwise_matrix_product(q: np.ndarray,
                              g: VectorSpectralField) -> VectorSpectralField:
-    """Physical-space product Q(x) * grad(x) at the collocation nodes."""
+    """Physical-space product Q(x) * grad(x) at the nodes; q broadcasts."""
     grid = g.g1.grid
     alpha = g.g1.alpha
     p1 = to_physical(g.g1)
     p2 = to_physical(g.g2)
-    h1 = q_grid[..., 0, 0] * p1 + q_grid[..., 0, 1] * p2
-    h2 = q_grid[..., 1, 0] * p1 + q_grid[..., 1, 1] * p2
+    h1 = q[..., 0, 0] * p1 + q[..., 0, 1] * p2
+    h2 = q[..., 1, 0] * p1 + q[..., 1, 1] * p2
     return VectorSpectralField(
         g1=to_spectral(h1, grid, alpha), g2=to_spectral(h2, grid, alpha)
     )
@@ -343,7 +343,7 @@ def contrast_gradient_potential(
 ) -> SpectralField:
     """The compact-candidate part alone: div V(Q grad u), composed from the
     reference transforms for any kernel table (oracle use)."""
-    qg = pointwise_matrix_product(problem.q_grid, grad_spectral(u))
+    qg = pointwise_matrix_product(problem.layout.samples, grad_spectral(u))
     return div_potential(qg, table)
 
 

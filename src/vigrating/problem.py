@@ -141,28 +141,26 @@ class Grid:
 
 
 class ContrastLayout:
-    """The sampled contrast as a solve applies it, built once per sampled
-    contrast and shared read-only by every solve of it.
+    """The sampled contrast, built once per sampling and shared read-only
+    by every solve and diagnostic of it.
 
-    This is the wave-independent half of ``operators.Discretization``.
-    Samples sit on the natural FFT layout, rolled by half a box in each
-    direction (see that class).  ``layered`` is set when all x1 rows of the
-    (rows, N2, 2, 2) samples are exactly equal, as the one sampled row of
-    an x1-invariant contrast trivially is; ``q`` then holds that one row.
-    ``q`` is (2, 2, rows, N2), or (rows, N2) for a scalar contrast field.
-    ``support`` lists the x2 columns that carry contrast and ``x2`` the
-    rolled node heights.  ``n_rows`` is the number of leading Fourier rows
-    a solve couples to the incident wave: 1 if layered, else N1.
+    ``samples`` are the node-order samples, (n_rows, N2, 2, 2): all N1
+    rows, or one when the rows are exactly equal, as the one sampled row of
+    an x1-invariant contrast is; they broadcast against (N1, N2) fields.
+    ``n_rows`` is also the number of leading Fourier rows a solve couples
+    to the incident wave.  ``q`` holds the samples as a solve applies them
+    (the wave-independent half of ``operators.Discretization``), rolled by
+    half a box in each direction onto the natural FFT layout: (2, 2,
+    n_rows, N2), or (n_rows, N2) for a scalar contrast field.  ``support``
+    lists the x2 columns that carry contrast and ``x2`` the rolled heights.
     """
 
-    def __init__(self, q_grid: np.ndarray, grid: Grid):
-        q = q_grid
-        self.layered = bool((q == q[:1]).all())
-        if self.layered:
-            q = q[:1]
-        self.n_rows = 1 if self.layered else grid.n1
+    def __init__(self, samples: np.ndarray, grid: Grid):
+        if (samples == samples[:1]).all():      # equal x1 rows keep one
+            samples = samples[:1]
+        self.samples, self.n_rows = samples[:], len(samples)
         shift = (grid.n1 // 2, grid.n2 // 2)
-        q = np.roll(np.moveaxis(q, (2, 3), (0, 1)), shift, axis=(2, 3))
+        q = np.roll(np.moveaxis(samples, (2, 3), (0, 1)), shift, axis=(2, 3))
         # a scalar contrast field: one product per sample instead of four
         if (not q[0, 1].any() and not q[1, 0].any()
                 and np.array_equal(q[0, 0], q[1, 1])):
@@ -171,7 +169,7 @@ class ContrastLayout:
         self.support = np.flatnonzero(
             self.q.any(axis=tuple(range(self.q.ndim - 1))))
         self.x2 = np.roll(grid.x2_nodes(), shift[1])
-        for a in (self.q, self.support, self.x2):
+        for a in (self.samples, self.q, self.support, self.x2):
             a.setflags(write=False)
 
 
@@ -179,17 +177,13 @@ class ContrastLayout:
 class Problem:
     """Immutable solver input: wave, contrast, grid and the sampled contrast.
 
-    ``q_grid`` is a read-only (N1, N2, 2, 2) array; for an x1-invariant
-    contrast it is a broadcast view of its one sampled row, which costs no
-    copy.  ``rho_ref`` is the reference height of the Rayleigh expansion
-    (h < rho_ref <= rho_box); ``layout`` is the :class:`ContrastLayout` of
-    the samples.
+    ``rho_ref`` (h < rho_ref <= rho_box) is the reference height of the
+    Rayleigh expansion; ``layout`` holds the samples.
     """
 
     wave: IncidentWave
     contrast: ContrastField
     grid: Grid
-    q_grid: np.ndarray = field(repr=False)
     rho_ref: float
     layout: ContrastLayout = field(repr=False, compare=False)
 
@@ -203,12 +197,7 @@ class Problem:
 
     def is_lossless(self, tol: float = 0.0) -> bool:
         """No contrast sample has an imaginary part above ``tol``."""
-        # the layout holds the samples of q_grid, one row when layered
-        return float(np.max(np.abs(self.layout.q.imag))) <= tol
-
-    def support_mask(self) -> np.ndarray:
-        """Boolean (N1, N2) mask of nodes carrying nonzero contrast."""
-        return np.any(self.q_grid != 0, axis=(2, 3))
+        return float(np.max(np.abs(self.layout.samples.imag))) <= tol
 
 
 def build_problem(
@@ -223,28 +212,26 @@ def build_problem(
     :func:`sample_contrast` raises for the geometry.
     """
     wave.check_nonresonance()
-    q_grid, rho_ref, layout = sample_contrast(contrast, grid, rho_ref)
-    return Problem(wave=wave, contrast=contrast, grid=grid, q_grid=q_grid,
-                   rho_ref=rho_ref, layout=layout)
+    rho_ref, layout = sample_contrast(contrast, grid, rho_ref)
+    return Problem(wave=wave, contrast=contrast, grid=grid, rho_ref=rho_ref,
+                   layout=layout)
 
 
 def sample_contrast(
     contrast: ContrastField,
     grid: Grid,
     rho_ref: float | None = None,
-) -> tuple[np.ndarray, float, ContrastLayout]:
-    """The wave-independent part of :func:`build_problem`: the read-only
-    (N1, N2, 2, 2) contrast samples, the reference height and the contrast
-    layout.
+) -> tuple[float, ContrastLayout]:
+    """The wave-independent part of :func:`build_problem`: the reference
+    height and the layout of the contrast samples.
 
     Raises GeometryError when the box is too small (rho_box >= 2h is
     required so that the periodized kernel agrees with the free
     quasi-periodic kernel on the support slab).  Sampling is pointwise at
     the nodes, in a fixed deterministic order.  An x1-invariant contrast
-    is sampled, checked and laid out on the first x1 row alone, and the
-    samples are that row broadcast to every x1 row; any other contrast is
-    sampled on the full mesh.  A k or theta sweep samples once and gives
-    each point its wave.
+    is sampled, checked and laid out on the first x1 row alone; any other
+    contrast is sampled on the full mesh.  A k or theta sweep samples once
+    and gives each point its wave.
     """
     if grid.rho_box < 2 * contrast.h - 1e-14:
         raise GeometryError(
@@ -270,8 +257,7 @@ def sample_contrast(
     asym = np.max(np.abs(q[..., 0, 1] - q[..., 1, 0]))
     if asym > 1e-12 * max(1.0, float(np.max(np.abs(q)))):
         raise NonSymmetric(f"Q12 != Q21 on the grid (max deviation {asym:g})")
-    q_grid = np.broadcast_to(q, (grid.n1, grid.n2, 2, 2))
-    return q_grid, float(rho_ref), ContrastLayout(q, grid)
+    return float(rho_ref), ContrastLayout(q, grid)
 
 
 def incident_field(wave: IncidentWave, points) -> tuple[np.ndarray, np.ndarray]:
@@ -344,9 +330,16 @@ def _interval_weight(t, lo, hi):
     return w
 
 
+def _check_size(name: str, value: float):
+    """Raise GeometryError unless a shape size is positive and finite."""
+    if not 0 < value < np.inf:                          # also rejects NaN
+        raise GeometryError(f"{name} must be positive and finite, got {value}")
+
+
 def slab_contrast(q, thickness: float) -> ContrastField:
     """Homogeneous slab |x2| < thickness/2 with contrast matrix (or scalar) q."""
     mat = _as_matrix(q)
+    _check_size("slab thickness", thickness)
     h = thickness / 2.0
 
     def inside(x1, x2):
@@ -361,7 +354,7 @@ def slab_contrast(q, thickness: float) -> ContrastField:
 def circle_contrast(q, radius: float, center_x2: float = 0.0) -> ContrastField:
     """Disk of given radius centered at (0, center_x2), repeated per period."""
     mat = _as_matrix(q)
-    if radius <= 0 or radius >= np.pi:
+    if not 0 < radius < np.pi:                          # also rejects NaN
         raise GeometryError("circle radius must lie in (0, pi)")
     h = abs(center_x2) + radius
 
@@ -382,8 +375,9 @@ def circle_contrast(q, radius: float, center_x2: float = 0.0) -> ContrastField:
 def rectangle_contrast(q, width: float, height: float) -> ContrastField:
     """Centered rectangle |x1| < width/2 (periodized), |x2| < height/2."""
     mat = _as_matrix(q)
-    if width <= 0 or width > 2 * np.pi:
+    if not 0 < width <= 2 * np.pi:                      # also rejects NaN
         raise GeometryError("rectangle width must lie in (0, 2*pi]")
+    _check_size("rectangle height", height)
     h = height / 2.0
 
     def inside(x1, x2):
@@ -403,6 +397,8 @@ def two_layer_contrast(q_lower, q_upper, thickness_lower: float,
     """Two stacked homogeneous layers, centered so the stack spans |x2| < h."""
     m_lo = _as_matrix(q_lower)
     m_up = _as_matrix(q_upper)
+    _check_size("lower layer thickness", thickness_lower)
+    _check_size("upper layer thickness", thickness_upper)
     h = (thickness_lower + thickness_upper) / 2.0
     split = -h + thickness_lower
 

@@ -65,5 +65,5 @@ def reference_rhs(problem, table):
     _, grad_i = incident_field(problem.wave, np.stack([xx1, xx2], axis=-1))
     grad_i = VectorSpectralField(g1=to_spectral(grad_i[..., 0], grid, alpha),
                                  g2=to_spectral(grad_i[..., 1], grid, alpha))
-    return div_potential(pointwise_matrix_product(problem.q_grid, grad_i),
+    return div_potential(pointwise_matrix_product(problem.layout.samples, grad_i),
                          table).coeffs

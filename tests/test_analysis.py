@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,10 @@ from vigrating.problem import (
     Grid,
     IncidentWave,
     build_problem,
+    raster_contrast,
     slab_contrast,
+    two_layer_contrast,
+    write_raster,
 )
 
 WAVE = IncidentWave(k=0.5, d=(0.0, -1.0))
@@ -67,8 +71,70 @@ def test_decompose_mixed_sign():
 
 def test_decompose_rejects_singular():
     problem = _problem(np.array([[1.0, 1.0], [1.0, 1.0]]) + 0j)
-    with pytest.raises(SingularReQ):
+    with pytest.raises(SingularReQ) as info:
         decompose_reQ(problem)
+    # every node of the support columns 10..22, on every x1 row
+    assert info.value.nodes == [(i, j) for i in range(16)
+                                for j in range(10, 23)]
+    assert str(info.value) == (
+        "Re(Q) singular at nodes: (0, 10), (0, 11), (0, 12), (0, 13), "
+        "(0, 14), (0, 15), (0, 16), (0, 17) (+200 more)")
+
+
+def _raster_of_identical_rows(path):
+    rng = np.random.default_rng(5)
+    column = np.zeros((64, 2, 2), dtype=complex)
+    column[:, 0, 0] = rng.uniform(1.0, 2.0, 64) - 0.2j
+    column[:, 0, 1] = column[:, 1, 0] = rng.uniform(-0.3, 0.3, 64)
+    column[:, 1, 1] = rng.uniform(-3.0, -2.0, 64) - 0.1j
+    write_raster(path, np.broadcast_to(column, (8, 64, 2, 2)), 0.75,
+                 GRID.rho_box)
+    return raster_contrast(path)
+
+
+@pytest.mark.parametrize("make", [
+    lambda path: slab_contrast(3.0 - 0.5j, 1.6),
+    lambda path: two_layer_contrast(
+        np.array([[2.0 - 0.3j, 0.4], [0.4, 1.0 - 0.1j]]), -2.0 - 0.3j,
+        0.4, 0.6),
+    _raster_of_identical_rows,
+], ids=["lossy-slab", "lossy-anisotropic-two-layer", "raster"])
+def test_one_row_diagnostics_equal_the_full_grid_formulas(tmp_path, make):
+    problem = build_problem(WAVE, make(tmp_path / "r.bin"), GRID)
+    assert problem.layout.n_rows == 1
+    q = np.broadcast_to(problem.layout.samples, (16, 32, 2, 2)).copy()
+    mask = np.any(q != 0, axis=(2, 3))
+    a, b, c = q.real[..., 0, 0], q.real[..., 0, 1], q.real[..., 1, 1]
+    mean = 0.5 * (a + c)
+    disc = np.sqrt((0.5 * (a - c)) ** 2 + b**2)
+    lo, hi = mean - disc, mean + disc
+    signs = np.where((lo > 0) & (hi > 0), 1,
+                     np.where((lo < 0) & (hi < 0), -1, 0))
+    spec = decompose_reQ(problem)
+    for got, want in zip(
+            (spec.mask, spec.eig_lo, spec.eig_hi, spec.angles, spec.signs),
+            (mask, lo, hi, 0.5 * np.arctan2(2 * b, a - c), signs)):
+        assert got.shape == (16, 32) and not got.flags.writeable
+        assert np.array_equal(got, want)
+    prod = q.imag[mask] @ np.linalg.inv(q.real[mask])
+    expected = float(np.max(np.linalg.norm(prod, ord=2, axis=(1, 2))))
+    assert expected > 0
+    assert im_bound_constant(problem, spec) == expected
+
+
+def test_one_row_decompose_allocates_no_full_grid():
+    grid = Grid(n1=256, n2=256, rho_box=2.0)
+    problem = build_problem(WAVE, slab_contrast(-5.0, 1.6), grid)
+    decompose_reQ(problem)                      # warm-up
+    tracemalloc.start()
+    try:
+        spec = decompose_reQ(problem)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert spec.eig_lo.shape == (256, 256)
+    # one float (N1, N2) array
+    assert peak < grid.n1 * grid.n2 * 8
 
 
 def test_reconstruction_invariants():
@@ -93,7 +159,8 @@ def test_reconstruction_invariants():
     spec = decompose_reQ(problem)
     m = spec.mask
     rec = reconstruct_reQ(spec)
-    assert np.abs(rec[m] - problem.q_grid.real[m]).max() < 1e-12
+    full = np.broadcast_to(problem.layout.samples, rec.shape)
+    assert np.abs(rec[m] - full.real[m]).max() < 1e-12
     # the squared root reproduces |Re Q|: same eigenvectors, |eigenvalues|
     w2 = sqrt_abs_reQ(spec) @ sqrt_abs_reQ(spec)
     lo = np.minimum(np.abs(spec.eig_lo), np.abs(spec.eig_hi))
@@ -156,7 +223,7 @@ def test_im_bound_lossy_matches_the_full_formula():
     problem = _problem(np.array([[2.0 - 0.3j, 0.4], [0.4, 1.0 - 0.1j]]))
     spectra = decompose_reQ(problem)
     m = spectra.mask
-    q = problem.q_grid
+    q = np.broadcast_to(problem.layout.samples, (16, 32, 2, 2))
     prod = q.imag[m] @ np.linalg.inv(q.real[m])
     expected = float(np.max(np.linalg.norm(prod, ord=2, axis=(1, 2))))
     assert expected > 0

@@ -206,6 +206,30 @@ def test_solve_rejects_non_finite_numbers(tmp_path, caplog, text, old, new,
     assert not (tmp_path / "o").exists()
 
 
+# unchecked, a zero-thickness slab scatters through its half-weight nodes,
+# a negative height solves as vacuum and a negative thickness reads as
+# support beyond h
+@pytest.mark.parametrize("text, old, new, size", [
+    (BASE, "thickness = 1.0", "thickness = 0.0", "slab thickness"),
+    (BASE, "thickness = 1.0", "thickness = -1.0", "slab thickness"),
+    (BASE, "shape = slab\nq_re = 3.0\nthickness = 1.0",
+     "shape = rectangle\nq_re = 3.0\nwidth = 0.5\nheight = -0.2",
+     "rectangle height"),
+    (TWO_LAYER, "thickness1 = 0.1", "thickness1 = -0.2",
+     "lower layer thickness"),
+], ids=["zero-slab", "negative-slab", "negative-rectangle",
+        "negative-layer"])
+def test_solve_rejects_a_non_positive_size(tmp_path, caplog, text, old, new,
+                                           size):
+    assert old in text
+    cfg = _write(tmp_path / "s.ini",
+                 text.replace(old, new).format(out=tmp_path / "o"))
+    assert main(["solve", str(cfg), "--output", str(tmp_path / "o")]) == 3
+    assert f"invalid problem: {size} must be positive and finite" in (
+        caplog.text)
+    assert not (tmp_path / "o").exists()
+
+
 def test_sweep_skips_non_finite_point(tmp_path, caplog):
     out = tmp_path / "sw"
     cfg = _write(tmp_path / "s.ini", BASE.format(out=out))
@@ -349,7 +373,7 @@ def test_bundled_config_roundtrip(tmp_path):
     assert loaded.n1 == 64
     problem = loaded.build()
     # slab faces midway between rows: no node carries the half value
-    face_vals = problem.q_grid[:, :, 0, 0]
+    face_vals = problem.layout.samples[..., 0, 0]
     assert not np.any(np.isclose(face_vals, 1.5))
 
 
@@ -620,9 +644,9 @@ def test_layered_sweep_lays_out_the_contrast_once(tmp_path, monkeypatch):
     calls = []
 
     class Counted(vigrating.problem.ContrastLayout):
-        def __init__(self, q_grid, grid):
+        def __init__(self, samples, grid):
             calls.append(1)
-            super().__init__(q_grid, grid)
+            super().__init__(samples, grid)
 
     monkeypatch.setattr(vigrating.problem, "ContrastLayout", Counted)
     monkeypatch.setenv("GRATING_THREADS", "2")

@@ -323,7 +323,7 @@ def test_discretization_matches_public_composition(kind):
     shape = (grid.n1, grid.n2)
     u = SpectralField(rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
                       grid, alpha)
-    qg = pointwise_matrix_product(problem.q_grid, grad_spectral(u))
+    qg = pointwise_matrix_product(problem.layout.samples, grad_spectral(u))
     expected = u.coeffs - div_potential(qg, table).coeffs
     got = disc.apply(u.coeffs)
     assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
@@ -334,7 +334,7 @@ def test_discretization_matches_public_composition(kind):
     _, grad_i = incident_field(problem.wave, np.stack([xx1, xx2], axis=-1))
     grad_i = VectorSpectralField(g1=to_spectral(grad_i[..., 0], grid, alpha),
                                  g2=to_spectral(grad_i[..., 1], grid, alpha))
-    f = pointwise_matrix_product(problem.q_grid, grad_i)
+    f = pointwise_matrix_product(problem.layout.samples, grad_i)
     rhs = div_potential(f, table).coeffs
     # rhs() returns the n_rows coupled rows; the reference vanishes past them
     bound = 1e-13 * np.abs(rhs).max()

@@ -353,7 +353,7 @@ def _full_grid_rayleigh(solution, problem, side):
     _, grad_i = incident_field(problem.wave, np.stack([xx1, xx2], axis=-1))
     t1 = to_physical(g.g1) + grad_i[..., 0]
     t2 = to_physical(g.g2) + grad_i[..., 1]
-    q = problem.q_grid
+    q = problem.layout.samples
     w1 = q[..., 0, 0] * t1 + q[..., 0, 1] * t2
     w2 = q[..., 1, 0] * t1 + q[..., 1, 1] * t2
     sgn = 1.0 if side == "+" else -1.0
@@ -429,7 +429,7 @@ def test_layered_efficiencies_match_2d_reference(contrast, theta):
     problem = build_problem(wave, contrast, grid)
     table = kernel_table(grid, wave)
     sol = solve(problem, table, SolveOptions(rel_tol=1e-12))
-    assert problem.layout.layered
+    assert problem.layout.n_rows == 1
     reference = _reference_full_solve(problem, table, rel_tol=1e-12)
     assert sol.iterations == reference.iterations
 

@@ -65,7 +65,7 @@ def test_build_problem_zero_contrast():
     contrast = slab_contrast(0.0, 1.0)
     grid = Grid(n1=8, n2=8, rho_box=1.5)
     problem = build_problem(wave, contrast, grid)
-    assert np.all(problem.q_grid == 0)
+    assert np.all(problem.layout.samples == 0)
     assert problem.is_lossless()
 
 
@@ -82,7 +82,7 @@ def test_build_problem_zero_contrast():
 def test_is_lossless_agrees_with_the_sampled_grid(contrast, lossless):
     wave = IncidentWave.from_angle(0.4, 15.0)
     problem = build_problem(wave, contrast, Grid(n1=16, n2=32, rho_box=2.0))
-    scan = float(np.max(np.abs(problem.q_grid.imag)))
+    scan = float(np.max(np.abs(contrast.sample(*problem.grid.mesh()).imag)))
     assert problem.is_lossless() is lossless is (scan <= 0.0)
     assert problem.is_lossless(tol=scan)
 
@@ -110,10 +110,10 @@ def test_build_problem_deterministic():
     grid = Grid(n1=16, n2=16, rho_box=1.8)
     p1 = build_problem(wave, contrast, grid)
     p2 = build_problem(wave, contrast, grid)
-    assert np.array_equal(p1.q_grid, p2.q_grid)
+    assert np.array_equal(p1.layout.samples, p2.layout.samples)
     # sampling is pointwise: grid values equal the sampler exactly
     xx1, xx2 = grid.mesh()
-    assert np.array_equal(p1.q_grid, contrast.sample(xx1, xx2))
+    assert np.array_equal(p1.layout.samples, contrast.sample(xx1, xx2))
 
 
 @pytest.mark.parametrize("contrast, layered, scalar", [
@@ -127,17 +127,19 @@ def test_contrast_layout(contrast, layered, scalar):
     problem = build_problem(IncidentWave(k=0.7, d=(0.0, -1.0)), contrast, grid)
     layout = problem.layout
     rows = 1 if layered else 16
-    assert layout.layered is layered and layout.n_rows == rows
+    assert layout.n_rows == rows
+    full = contrast.sample(*grid.mesh())
+    assert np.array_equal(layout.samples, full[:rows])
     # the natural FFT layout: node m sits half a box from sample m
-    rolled = np.roll(problem.q_grid[:rows], (8, 16), axis=(0, 1))
+    rolled = np.roll(layout.samples, (8, 16), axis=(0, 1))
     expected = rolled[..., 0, 0] if scalar else np.moveaxis(
         rolled, (2, 3), (0, 1))
     assert np.array_equal(layout.q, expected)
     assert np.array_equal(layout.x2, np.roll(grid.x2_nodes(), 16))
     assert np.array_equal(layout.support, np.flatnonzero(
-        np.roll(problem.support_mask().any(axis=0), 16)))
+        np.roll(full.any(axis=(0, 2, 3)), 16)))
     # shared by every solve of the sample, so never written
-    for a in (layout.q, layout.support, layout.x2):
+    for a in (layout.samples, layout.q, layout.support, layout.x2):
         assert not a.flags.writeable
 
 
@@ -151,6 +153,40 @@ def test_support_violation_detected():
     wave = IncidentWave(k=0.5, d=(0.0, -1.0))
     with pytest.raises(GeometryError):
         build_problem(wave, bad, Grid(n1=8, n2=8, rho_box=1.0))
+
+
+BAD_SIZES = [0.0, -1.0, np.nan, np.inf]
+
+
+@pytest.mark.parametrize("size", BAD_SIZES)
+def test_slab_rejects_a_bad_thickness(size):
+    with pytest.raises(GeometryError, match="slab thickness must be positive"):
+        slab_contrast(3.0, size)
+
+
+@pytest.mark.parametrize("size", BAD_SIZES)
+def test_rectangle_rejects_a_bad_height(size):
+    with pytest.raises(GeometryError,
+                       match="rectangle height must be positive"):
+        rectangle_contrast(3.0, 1.0, size)
+    with pytest.raises(GeometryError, match="rectangle width"):
+        rectangle_contrast(3.0, size, 1.0)
+
+
+@pytest.mark.parametrize("size", BAD_SIZES)
+def test_two_layer_rejects_a_bad_thickness(size):
+    with pytest.raises(GeometryError,
+                       match="lower layer thickness must be positive"):
+        two_layer_contrast(2.0, -1.5, size, 0.6)
+    with pytest.raises(GeometryError,
+                       match="upper layer thickness must be positive"):
+        two_layer_contrast(2.0, -1.5, 0.6, size)
+
+
+@pytest.mark.parametrize("size", BAD_SIZES)
+def test_circle_rejects_a_bad_radius(size):
+    with pytest.raises(GeometryError, match="circle radius"):
+        circle_contrast(3.0, size)
 
 
 def test_incident_field_values():
@@ -289,13 +325,13 @@ def test_x1_invariant_contrast_is_sampled_on_one_row(contrast):
     grid = Grid(n1=16, n2=32, rho_box=1.2)
     problem = build_problem(IncidentWave(k=0.7, d=(0.0, -1.0)), contrast, grid)
     full = contrast.sample(*grid.mesh())
-    assert np.array_equal(problem.q_grid, full)
-    # a read-only broadcast view of the one sampled row
-    assert not problem.q_grid.flags.writeable
-    assert problem.q_grid.strides[0] == 0
     layout, reference = problem.layout, ContrastLayout(full, grid)
+    # one read-only row, which broadcasts to the samples of the full mesh
+    assert layout.samples.shape == (1, 32, 2, 2)
+    assert not layout.samples.flags.writeable
+    assert np.array_equal(np.broadcast_to(layout.samples, full.shape), full)
     assert layout.n_rows == reference.n_rows == 1
-    for name in ("q", "support", "x2"):
+    for name in ("samples", "q", "support", "x2"):
         assert np.array_equal(getattr(layout, name), getattr(reference, name))
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import tracemalloc
 
@@ -262,7 +263,7 @@ def test_layered_detection(tmp_path, kind, layered):
     wave = IncidentWave.from_angle(0.8, 25.0)
     problem = build_problem(wave, contrast, grid)
     disc = Discretization(problem, kernel_table(grid, wave))
-    assert problem.layout.layered is layered
+    assert (problem.layout.n_rows == 1) is layered
     assert disc.n_rows == (1 if layered else 16)
     with pytest.raises(ShapeMismatch):
         disc.apply(np.zeros((2 if layered else 1, 64), dtype=complex))
@@ -273,9 +274,18 @@ def test_x1_invariant_raster_is_detected_by_its_rows(tmp_path):
     contrast = _raster(tmp_path / "r.bin", False)
     assert not contrast.x1_invariant
     grid = Grid(n1=16, n2=64, rho_box=1.1)
-    problem = build_problem(IncidentWave.from_angle(0.8, 25.0), contrast, grid)
-    assert problem.q_grid.strides[0] != 0
-    assert problem.layout.layered and problem.layout.n_rows == 1
+    shapes = []
+
+    def sampler(x1, x2):
+        shapes.append(np.broadcast_shapes(np.shape(x1), np.shape(x2)))
+        return contrast.sampler(x1, x2)
+
+    problem = build_problem(IncidentWave.from_angle(0.8, 25.0),
+                            dataclasses.replace(contrast, sampler=sampler),
+                            grid)
+    assert shapes == [(16, 64)]
+    assert problem.layout.n_rows == 1
+    assert problem.layout.samples.shape == (1, 64, 2, 2)
 
 
 def test_warm_layered_point_allocates_no_full_grid_but_the_field():
@@ -343,7 +353,7 @@ def test_layered_zero_contrast_gives_exact_zero():
     problem = build_problem(wave, slab_contrast(0.0, 1.0), grid)
     table = kernel_table(grid, wave)
     sol = solve(problem, table)
-    assert problem.layout.layered
+    assert problem.layout.n_rows == 1
     assert sol.converged and sol.iterations == 0
     assert sol.u.coeffs.shape == (16, 64) and not sol.u.coeffs.any()
     assert residual(problem, table, sol.u) == 0.0

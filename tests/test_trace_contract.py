@@ -1,0 +1,71 @@
+"""The benchmark tracer (perfbench/spans.py) wraps package functions by
+name.  A target it cannot find, or whose count hook no longer fits its
+signature, silently drops a per-layer metric from a traced run, so the
+package keeps every target loaded by ``import vigrating.cli``."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SLAB = """
+[problem]
+k = 1.0
+theta_deg = 10.0
+shape = slab
+q_re = 3.0
+thickness = 1.0
+
+[numerics]
+n1 = 8
+n2 = 32
+rho_box = 1.1277533039647577
+
+[output]
+directory = {out}
+"""
+
+# run in a fresh interpreter: the tracer wraps the modules loaded at the
+# time of install(), which a test session may already have loaded
+SCRIPT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import vigrating
+import vigrating.cli
+from spans import Tracer
+
+tracer = Tracer()
+tracer.install()
+codes = [vigrating.cli.main([command, sys.argv[2], "--output", sys.argv[3]])
+         for command in ("solve", "diagnose")]
+tracer.uninstall()
+spans = tracer.take()
+print(json.dumps({
+    "codes": codes,
+    "missing": sorted(tracer.missing),
+    "hook_failed": sorted({s["name"] for s in spans if s.get("hook_failed")}),
+    "names": sorted({s["name"] for s in spans}),
+}))
+"""
+
+
+def test_every_tracer_target_is_found_and_its_hook_fits(tmp_path):
+    cfg = tmp_path / "slab.ini"
+    cfg.write_text(SLAB.format(out=tmp_path / "out"), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(ROOT / "perfbench"), str(cfg),
+         str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout.splitlines()[-1])
+    assert doc["codes"] == [0, 0]
+    assert doc["missing"] == []
+    assert doc["hook_failed"] == []
+    for name in ("cli.main", "config.load_config", "problem.build_problem",
+                 "kernel.kernel_table", "solver.solve", "solver.gmres",
+                 "analysis.decompose_reQ", "analysis.garding_check"):
+        assert name in doc["names"]
