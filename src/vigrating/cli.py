@@ -20,6 +20,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,7 @@ from .errors import (
 )
 from .kernel import kernel_table
 from .problem import Problem, sample_contrast
-from .solver import SolveOptions, residual, solve
+from .solver import SolveOptions, residual, solve, solve_lockstep
 
 log = logging.getLogger("vigrating")
 
@@ -173,23 +174,32 @@ def cmd_sweep(config_path: str, param: str, start: float, stop: float,
 
     values = np.linspace(start, stop, steps)
 
-    def run_point(value: float):
+    def skip(value: float, exc: Exception) -> int:
+        """Log why the point ``value`` is skipped; its exit code."""
+        if isinstance(exc, (NotConverged, BreakdownDetected)):
+            log.warning("skipping %s = %g: %s", param, value, exc)
+            return EXIT_NOT_CONVERGED
+        log.warning("skipping %s = %g: invalid problem (%s)", param, value,
+                    exc)
+        return EXIT_INVALID
+
+    def point_problem(value: float):
         cfg = base.replace_parameter(param, float(value))
+        return cfg, Problem(wave=cfg.wave(), contrast=contrast, grid=grid,
+                            rho_ref=rho_ref, layout=layout)
+
+    def run_point(value: float):
         try:
-            problem = Problem(wave=cfg.wave(), contrast=contrast, grid=grid,
-                              rho_ref=rho_ref, layout=layout)
+            cfg, problem = point_problem(value)
             with _grid_memory(cfg):
                 problem, _, _, eff = _solve_config(cfg, problem, opts)
-        except (NotConverged, BreakdownDetected) as exc:
-            log.warning("skipping %s = %g: %s", param, value, exc)
-            return value, EXIT_NOT_CONVERGED
         except (VigratingError, ValueError) as exc:
-            log.warning("skipping %s = %g: invalid problem (%s)", param,
-                        value, exc)
-            return value, EXIT_INVALID
+            return value, skip(value, exc)
         return value, eff
 
-    if threads > 1:
+    if layout.n_rows == 1:
+        points = _lockstep_sweep(values, point_problem, skip, opts)
+    elif threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             points = list(pool.map(run_point, values))
     else:
@@ -218,6 +228,39 @@ def cmd_sweep(config_path: str, param: str, start: float, stop: float,
     log.error("no sweep point succeeded")
     return (EXIT_NOT_CONVERGED if EXIT_NOT_CONVERGED in skipped
             else EXIT_INVALID)
+
+
+def _lockstep_sweep(values, point_problem, skip, opts: SolveOptions):
+    """The (value, efficiencies or exit code) of every point of a one-row
+    sweep, solved in lockstep by :func:`solve_lockstep`.
+
+    Each point's problem and one-row kernel table are built as
+    :func:`_solve_config` builds them; a point rejected there is skipped.
+    Each solved point is finished, Rayleigh extraction and efficiencies, as
+    soon as its GMRES returns, and dropped.
+    """
+    points, ready = [], []
+    for value in values:
+        try:
+            cfg, problem = point_problem(value)
+            with _grid_memory(cfg):
+                table = kernel_table(problem.grid, problem.wave, 1)
+        except (VigratingError, ValueError) as exc:
+            points.append((value, skip(value, exc)))
+            continue
+        ready.append((value, cfg, problem, table))
+    for index, outcome in solve_lockstep([r[2:] for r in ready], opts):
+        value, cfg, problem, table = ready[index]
+        ready[index] = None
+        try:
+            with _grid_memory(cfg):
+                if isinstance(outcome, Exception):
+                    raise outcome
+                above, below = pp.rayleigh_both_sides(outcome, problem, table)
+                points.append((value, pp.efficiencies(above, below, problem)))
+        except (VigratingError, ValueError) as exc:
+            points.append((value, skip(value, exc)))
+    return points
 
 
 def cmd_diagnose(config_path: str, output: str | None = None,
@@ -304,7 +347,9 @@ def write_slab_example_config(path, n: int = 256, q: float = 3.0,
     )
 
 
-def main(argv=None) -> int:
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="vigrating",
         description="TM-polarized scattering from periodic anisotropic "
@@ -333,7 +378,11 @@ def main(argv=None) -> int:
 
     p_val = sub.add_parser("validate", help="run the oracle gate suite")
     p_val.add_argument("--level", choices=("quick", "full"), default="quick")
+    return parser
 
+
+def main(argv=None) -> int:
+    parser = _parser()
     args = parser.parse_args(argv)
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,

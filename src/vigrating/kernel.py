@@ -139,16 +139,14 @@ def _build_table(grid: Grid, alpha: float, k_squared: float, k: float,
     lam_safe = np.where(degenerate, 1.0, lam)
     num = np.cos(j2 * np.pi) * np.exp(1j * b * rho) - 1.0
     coeffs = num / (np.sqrt(4 * np.pi * rho) * lam_safe)
+    degs = ()
     if np.any(degenerate):
-        jj2 = np.broadcast_to(j2, coeffs.shape)
+        jj1, jj2 = np.broadcast_arrays(j1, j2)
         vals = 0.25j / np.abs(np.where(degenerate, jj2, 1)) * (rho / np.pi) ** 1.5
         coeffs = np.where(degenerate, vals, coeffs)
+        degs = tuple(zip(jj1[degenerate].tolist(), jj2[degenerate].tolist()))
     coeffs = np.ascontiguousarray(coeffs)
     coeffs.setflags(write=False)
-
-    jj1 = np.broadcast_to(j1, coeffs.shape)
-    jj2 = np.broadcast_to(j2, coeffs.shape)
-    degs = tuple(zip(jj1[degenerate].tolist(), jj2[degenerate].tolist()))
     return KernelTable(k_squared=k_squared, k=k, alpha=alpha, rho=rho,
                        coeffs=coeffs, degenerate_modes=degs)
 

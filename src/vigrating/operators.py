@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -189,6 +190,47 @@ def _contrast_product(q: np.ndarray, y: np.ndarray):
     y[0] = h0
 
 
+class _RowArrays(NamedTuple):
+    """What a stack of P coefficient arrays of ``rows`` rows is applied
+    with: i alpha_j (P, rows, 1), the multiplier sqrt(4 pi rho) K_hat
+    (P, rows, N2), a (2, P, rows, N2) work buffer, the sample scale and
+    the forward and inverse transforms over the last axis (one row) or
+    the last two."""
+
+    ia: np.ndarray
+    multiplier: np.ndarray
+    work: np.ndarray
+    scale: float
+    fft: object
+    ifft: object
+
+
+def _gradient(a: _RowArrays, imu: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Scaled gradient samples of a stack c of coefficient arrays."""
+    np.multiply(a.ia, c, out=a.work[0])
+    np.multiply(imu, c, out=a.work[1])
+    # ifft2 ignores ``out`` in numpy 2.x; ifft and ifftn honour it
+    return a.ifft(a.work, out=a.work)
+
+
+def _div_potential(a: _RowArrays, imu: np.ndarray, y: np.ndarray):
+    """Coefficients of div V(y) for a stack of scaled samples y (a view
+    of the work buffer)."""
+    f = a.fft(y, out=y)
+    f[0] *= a.ia
+    f[1] *= imu
+    f[0] += f[1]
+    f[0] *= a.multiplier
+    return f[0]
+
+
+def _forward(a: _RowArrays, imu: np.ndarray, q: np.ndarray, c: np.ndarray):
+    """c - div V(Q grad c) on a stack c of coefficient arrays."""
+    y = _gradient(a, imu, c)
+    _contrast_product(q, y)
+    return c - _div_potential(a, imu, y)
+
+
 class Discretization:
     """The arrays one solve applies, for one problem and kernel table.
 
@@ -209,7 +251,9 @@ class Discretization:
     The incident wave excites only the row j1 = 0, which a layered contrast
     maps to itself: ``n_rows``, from ``problem.layout``, is 1 for a layered
     contrast and N1 otherwise.  The operator methods take ``n_rows`` or N1
-    rows; the kernel table must hold the rows applied.
+    rows; the kernel table must hold the rows applied.  The operator runs
+    on a stack of one array, the arithmetic :class:`OperatorStack` runs on
+    a stack of many.
 
     The work buffers make an instance unsafe to share between threads;
     every solve builds its own.
@@ -233,25 +277,27 @@ class Discretization:
                 f"{problem.alpha}")
         self.imu = (1j * np.pi / grid.rho_box * grid.j2_modes())[None, :]
         self._by_rows = {self.n_rows: self._row_arrays(self.n_rows)}
+        self._incident = None
 
-    def _row_arrays(self, rows: int):
-        """i alpha_j, the multiplier, a work buffer, the sample scale and
-        the forward and inverse transforms of an array of ``rows`` rows."""
+    def _row_arrays(self, rows: int) -> _RowArrays:
+        """The :class:`_RowArrays` of a stack of one array of ``rows``
+        rows."""
         grid = self.problem.grid
-        ia = (1j * (grid.j1_modes()[:rows] + self.problem.alpha))[:, None]
+        ia = 1j * (grid.j1_modes()[:rows] + self.problem.alpha)
         multiplier = (np.sqrt(4 * np.pi * grid.rho_box)
                       * self.table.coeffs[:rows])
-        work = np.empty((2, rows, grid.n2), dtype=complex)
-        scale = np.sqrt(4 * np.pi * grid.rho_box) / (rows * grid.n2)
         if rows == 1:
-            transforms = (partial(np.fft.fft, axis=2),
-                          partial(np.fft.ifft, axis=2))
+            transforms = (partial(np.fft.fft, axis=-1),
+                          partial(np.fft.ifft, axis=-1))
         else:
-            transforms = (partial(np.fft.fftn, axes=(1, 2)),
-                          partial(np.fft.ifftn, axes=(1, 2)))
-        return ia, multiplier, work, scale, *transforms
+            transforms = (partial(np.fft.fftn, axes=(-2, -1)),
+                          partial(np.fft.ifftn, axes=(-2, -1)))
+        return _RowArrays(
+            ia[None, :, None], multiplier[None],
+            np.empty((2, 1, rows, grid.n2), dtype=complex),
+            np.sqrt(4 * np.pi * grid.rho_box) / (rows * grid.n2), *transforms)
 
-    def _rows(self, rows: int):
+    def _rows(self, rows: int) -> _RowArrays:
         """The arrays of :meth:`_row_arrays` for an array of ``rows`` rows."""
         arrays = self._by_rows.get(rows)
         if arrays is None:
@@ -271,44 +317,26 @@ class Discretization:
         """The first ``n_rows`` rows of c when the rest vanish, else c."""
         return c if c[self.n_rows:].any() else c[:self.n_rows]
 
-    def _gradient(self, c: np.ndarray) -> np.ndarray:
-        """Scaled gradient samples of the field with coefficients c."""
-        ia, _, work, _, _, ifft = self._rows(c.shape[0])
-        np.multiply(ia, c, out=work[0])
-        np.multiply(self.imu, c, out=work[1])
-        # ifft2 ignores ``out`` in numpy 2.x; ifft and ifftn honour it
-        return ifft(work, out=work)
-
     def _incident_gradient(self, scale: float) -> np.ndarray:
         """grad u^i stripped of exp(i alpha x1), times ``scale``; shape
         (2, 1, N2), the samples of every x1 row."""
         kd = self.problem.k * np.asarray(self.problem.wave.d)
-        return (scale * 1j * kd)[:, None, None] * np.exp(
-            1j * kd[1] * self.x2)
-
-    def _div_potential(self, y: np.ndarray) -> np.ndarray:
-        """Coefficients of div V(y) for scaled samples y (a buffer view)."""
-        ia, multiplier, _, _, fft, _ = self._rows(y.shape[1])
-        f = fft(y, out=y)
-        f[0] *= ia
-        f[1] *= self.imu
-        f[0] += f[1]
-        f[0] *= multiplier
-        return f[0]
+        if self._incident is None:
+            self._incident = np.exp(1j * kd[1] * self.x2)
+        return (scale * 1j * kd)[:, None, None] * self._incident
 
     def apply(self, c: np.ndarray) -> np.ndarray:
         """Forward operator c - div V(Q grad c) on a coefficient array."""
-        y = self._gradient(c)
-        _contrast_product(self.q, y)
-        return c - self._div_potential(y)
+        return _forward(self._rows(c.shape[0]), self.imu, self.q, c[None])[0]
 
     def rhs(self) -> np.ndarray:
         """The first ``n_rows`` coefficient rows of the right-hand side
         div V(Q grad u^i), shape (n_rows, N2); its other rows vanish."""
-        _, _, y, scale, *_ = self._rows(self.n_rows)
-        y[...] = self._incident_gradient(scale)
+        a = self._rows(self.n_rows)
+        y = a.work
+        y[...] = self._incident_gradient(a.scale)[:, None]
         _contrast_product(self.q, y)
-        return self._div_potential(y).copy()
+        return _div_potential(a, self.imu, y)[0].copy()
 
     def density_rows(self, c: np.ndarray) -> np.ndarray:
         """x1 transform of the samples of w = Q grad(u^s + u^i), stripped
@@ -322,14 +350,45 @@ class Discretization:
         other rows vanish.
         """
         c = self.live_rows(c)
-        _, _, _, scale, *_ = self._rows(len(c))
+        a = self._rows(len(c))
         cols = self.support
-        y = self._gradient(c)[:, :, cols]
-        y += self._incident_gradient(scale)[:, :, cols]
+        y = _gradient(a, self.imu, c[None])[:, 0][:, :, cols]
+        y += self._incident_gradient(a.scale)[:, :, cols]
         _contrast_product(self.q[..., cols], y)
         grid = self.problem.grid
         y /= np.sqrt(4 * np.pi * grid.rho_box) / (grid.n1 * grid.n2)
         return y if len(c) == 1 else np.fft.fft(y, axis=1)
+
+
+class OperatorStack:
+    """The forward operators of the discretizations of one contrast layout
+    (the points of a k or theta sweep), applied to a stack of their
+    coefficient arrays in one call: one inverse and one forward FFT over
+    the stack.
+
+    Each array's product is bit-identical to that of its own
+    :meth:`Discretization.apply`: both run :func:`_forward`, whose steps
+    are elementwise, and numpy's FFTs give the same bits with a leading
+    batch axis.  ``rows`` is the row count of the arrays applied.
+    """
+
+    def __init__(self, discs, rows: int):
+        first = discs[0]
+        if any(d.problem.layout is not first.problem.layout
+               or d.problem.grid != first.problem.grid for d in discs):
+            raise ShapeMismatch("a stack of operators needs one contrast "
+                                "layout on one grid")
+        parts = [d._rows(rows) for d in discs]
+        self.imu, self.q = first.imu, first.q
+        self.arrays = parts[0]._replace(
+            ia=np.concatenate([p.ia for p in parts]),
+            multiplier=np.concatenate([p.multiplier for p in parts]),
+            work=np.empty((2, len(discs), rows, first.problem.grid.n2),
+                          dtype=complex))
+
+    def apply(self, c: np.ndarray) -> np.ndarray:
+        """The products of the P operators with a (P, rows, N2) stack."""
+        return _forward(self.arrays, self.imu, self.q, c)
 
 
 def apply_forward(u: SpectralField, problem: Problem,

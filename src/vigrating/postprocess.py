@@ -76,12 +76,12 @@ def rayleigh_both_sides(
     if not solution.converged:
         raise NotConverged("Rayleigh extraction requires a converged solve")
     disc = solution.discretization
-    c = solution.u.coeffs
     if disc is None or disc.problem is not problem or disc.table is not table:
         disc = Discretization(problem, table)
+        c = solution.u.coeffs
     else:
         # the field of this solve vanishes past the rows it solved
-        c = c[:disc.n_rows]
+        c = solution.rows
     if j_max is None:
         j_max = problem.grid.n1 // 2 - 1
     k, alpha, rho_ref = problem.k, problem.alpha, problem.rho_ref
@@ -233,10 +233,9 @@ def efficiencies(
     k, alpha = problem.k, problem.alpha
     rho_ref = rayleigh_below.rho_ref
     orders = rayleigh_above.propagating
-    beta0 = complex(_beta_many(np.array([0]), k**2, alpha)[0])
-    rows_r, rows_t, alphas, betas = [], [], [], []
-    for j in orders:
-        bj = complex(_beta_many(np.array([j]), k**2, alpha)[0])
+    beta0, *betas = _beta_many(np.array((0, *orders)), k**2, alpha).tolist()
+    rows_r, rows_t, alphas = [], [], []
+    for j, bj in zip(orders, betas):
         flux = bj.real / beta0.real
         up = rayleigh_above.order(j)
         down = rayleigh_below.order(j)
@@ -245,7 +244,6 @@ def efficiencies(
         rows_r.append(max(flux * abs(up) ** 2, 0.0))
         rows_t.append(max(flux * abs(down) ** 2, 0.0))
         alphas.append(j + alpha)
-        betas.append(bj)
     return EfficiencyTable(
         orders=tuple(int(j) for j in orders),
         alphas=tuple(alphas),

@@ -15,6 +15,7 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -128,16 +129,25 @@ class Grid:
         return -self.rho_box + 2 * self.rho_box * np.arange(self.n2) / self.n2
 
     def j1_modes(self) -> np.ndarray:
-        """Integer x1 frequencies in FFT storage order."""
-        return np.fft.fftfreq(self.n1, 1.0 / self.n1).astype(int)
+        """Integer x1 frequencies in FFT storage order (read-only)."""
+        return _modes(self.n1)
 
     def j2_modes(self) -> np.ndarray:
-        """Integer x2 frequencies in FFT storage order."""
-        return np.fft.fftfreq(self.n2, 1.0 / self.n2).astype(int)
+        """Integer x2 frequencies in FFT storage order (read-only)."""
+        return _modes(self.n2)
 
     def mesh(self) -> tuple[np.ndarray, np.ndarray]:
         """Node coordinates as (N1, N2) arrays (x1 varies along axis 0)."""
         return np.meshgrid(self.x1_nodes(), self.x2_nodes(), indexing="ij")
+
+
+@lru_cache(maxsize=None)
+def _modes(n: int) -> np.ndarray:
+    """The integer frequencies of n samples in FFT storage order, one
+    read-only array per size."""
+    modes = np.fft.fftfreq(n, 1.0 / n).astype(int)
+    modes.setflags(write=False)
+    return modes
 
 
 class ContrastLayout:

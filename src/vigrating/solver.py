@@ -11,13 +11,13 @@ from __future__ import annotations
 import logging
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BreakdownDetected, NotConverged, SizeGuard
+from .errors import BreakdownDetected, NotConverged, SizeGuard, VigratingError
 from .kernel import KernelTable
-from .operators import Discretization, SpectralField
+from .operators import Discretization, OperatorStack, SpectralField
 from .problem import Problem
 
 log = logging.getLogger(__name__)
@@ -38,20 +38,41 @@ class SolveOptions:
             raise ValueError("max_iterations must be at least 1")
 
 
-@dataclass(frozen=True)
 class Solution:
     """Converged (or best-effort) scattered field with its residual history.
 
+    ``rows`` are the leading coefficient rows the solve ran on: all N1, or
+    the row j1 = 0 of a layered solve, whose other rows vanish.  ``u`` is
+    the field on all N1 rows; a solve builds it from ``rows`` when it is
+    first read, so that a sweep point, which reads only its rows, never
+    allocates it.  A Solution made from a field ``u`` has its rows.
     ``discretization`` is the one the solve ran on; post-processing of the
     same problem and table reuses it.
     """
 
-    u: SpectralField
-    residual_history: tuple = field(repr=False)
-    converged: bool = False
-    iterations: int = 0
-    discretization: Discretization | None = field(
-        default=None, repr=False, compare=False)
+    def __init__(self, u: SpectralField | None = None,
+                 residual_history: tuple = (), converged: bool = False,
+                 iterations: int = 0,
+                 discretization: Discretization | None = None,
+                 rows: np.ndarray | None = None):
+        self._u = u
+        self.rows = u.coeffs if rows is None and u is not None else rows
+        self.residual_history = residual_history
+        self.converged = converged
+        self.iterations = iterations
+        self.discretization = discretization
+
+    @property
+    def u(self) -> SpectralField | None:
+        if self._u is None and self.rows is not None:
+            problem = self.discretization.problem
+            grid = problem.grid
+            coeffs = self.rows
+            if len(coeffs) != grid.n1:
+                coeffs = np.zeros((grid.n1, grid.n2), dtype=complex)
+                coeffs[:len(self.rows)] = self.rows
+            self._u = SpectralField(coeffs, grid, problem.alpha)
+        return self._u
 
 
 def assemble_rhs(problem: Problem, table: KernelTable) -> SpectralField:
@@ -63,17 +84,20 @@ def assemble_rhs(problem: Problem, table: KernelTable) -> SpectralField:
     return SpectralField(rhs, problem.grid, problem.alpha)
 
 
-def gmres(
-    matvec,
+def gmres_steps(
     b: np.ndarray,
     rel_tol: float = 1e-8,
     restart: int = 50,
     max_iterations: int = 500,
     breakdown_rtol: float = 1e-14,
 ):
-    """Restarted GMRES for complex systems, zero initial guess.
-
-    Returns (x, history, converged, iterations, stop).  ``history`` holds
+    """Restarted GMRES for complex systems, zero initial guess, as a
+    generator: it yields each vector to multiply by the operator, takes
+    the product through ``send`` in a one-item list, which it empties,
+    and returns (x, history, converged, iterations, stop), which
+    :func:`gmres` hands back.  (An argument of ``send`` stays referenced
+    until the next yield; the emptied list frees the product as soon as
+    the orthogonalization has used it.)  ``history`` holds
     the relative residual estimate after every inner iteration (monotone
     within and across cycles).  A vanishing Hessenberg subdiagonal before
     reaching the tolerance raises BreakdownDetected: with a trivial null
@@ -105,7 +129,7 @@ def gmres(
 
     while iterations < max_iterations and not converged:
         # the first cycle starts from the zero iterate: its residual is b
-        r = b - matvec(x) if iterations else b
+        r = b - (yield x).pop() if iterations else b
         beta0 = float(np.linalg.norm(r))
         rho = beta0 / bnorm
         if iterations:
@@ -143,8 +167,8 @@ def gmres(
 
         j_used = 0
         for j in range(m):
-            # w is never updated in place: matvec may hand back its argument
-            w = np.asarray(matvec(v[j]), dtype=complex)
+            # w is never updated in place: the product may be its argument
+            w = np.asarray((yield v[j]).pop(), dtype=complex)
             # classical Gram-Schmidt run twice (CGS2), two BLAS-2 products
             # per pass; conj(V @ conj(w)) does not copy the conjugated basis
             basis = v[:j + 1]
@@ -210,6 +234,25 @@ def gmres(
     return x, history, converged, iterations, stop
 
 
+def gmres(
+    matvec,
+    b: np.ndarray,
+    rel_tol: float = 1e-8,
+    restart: int = 50,
+    max_iterations: int = 500,
+    breakdown_rtol: float = 1e-14,
+):
+    """:func:`gmres_steps` with the operator ``matvec``: returns (x,
+    history, converged, iterations, stop)."""
+    steps = gmres_steps(b, rel_tol, restart, max_iterations, breakdown_rtol)
+    try:
+        vector = next(steps)
+        while True:
+            vector = steps.send([matvec(vector)])
+    except StopIteration as done:
+        return done.value
+
+
 def physical_memory_bytes() -> int | None:
     """Physical memory of the machine, or None where os.sysconf lacks it."""
     try:
@@ -218,9 +261,9 @@ def physical_memory_bytes() -> int | None:
         return None
 
 
-def check_memory(problem: Problem, opts: SolveOptions):
-    """Raise SizeGuard when the Krylov basis and the (2, rows, N2) work
-    buffer of a solve would exceed physical memory."""
+def check_memory(problem: Problem, opts: SolveOptions) -> int:
+    """The bytes of the Krylov basis and the (2, rows, N2) work buffer of
+    a solve; raises SizeGuard when they would exceed physical memory."""
     rows, n2 = problem.layout.n_rows, problem.grid.n2
     vectors = min(opts.restart, opts.max_iterations) + 1
     need = (vectors + 2) * rows * n2 * 16
@@ -230,6 +273,7 @@ def check_memory(problem: Problem, opts: SolveOptions):
             f"the solve needs about {need} bytes ({vectors} Krylov vectors "
             f"of {rows * n2} unknowns and the work buffer), more than the "
             f"{memory} bytes of physical memory; lower restart or the grid")
+    return need
 
 
 def solve(problem: Problem, table: KernelTable,
@@ -238,11 +282,10 @@ def solve(problem: Problem, table: KernelTable,
 
     Always starts from the zero iterate for reproducibility.  GMRES runs on
     the coefficient rows the discretization couples to the incident wave
-    (the j1 = 0 row alone for a layered contrast); the returned field holds
-    them in the full (N1, N2) array with the other rows zero.  That array
-    comes from ``np.zeros``, whose untouched pages the system maps lazily,
-    so a one-row solve writes one row of it.  On stall the best iterate and
-    its history are attached to the NotConverged error.
+    (the j1 = 0 row alone for a layered contrast); the Solution holds
+    them as ``rows`` and builds the full (N1, N2) field, the other rows
+    zero, when ``u`` is read.  On stall the best iterate and its history
+    are attached to the NotConverged error.
     GMRES stops before ``max_iterations`` when its best restarted cycle
     shows that the iterations left cannot reach ``rel_tol``; the error
     then names that per-cycle rate, the cycles it would need and the
@@ -261,19 +304,24 @@ def solve(problem: Problem, table: KernelTable,
         matvecs += 1
         return disc.apply(vec.reshape(shape)).reshape(-1)
 
-    x, history, converged, iters, stop = gmres(
+    result = gmres(
         matvec,
         rhs.reshape(-1),
         rel_tol=opts.rel_tol,
         restart=opts.restart,
         max_iterations=opts.max_iterations,
     )
+    return _finish(disc, result, matvecs)
+
+
+def _finish(disc: Discretization, result, matvecs: int) -> Solution:
+    """The Solution of a GMRES ``result`` on ``disc``'s rows; raises
+    NotConverged, with it attached, when GMRES stopped short."""
+    x, history, converged, iters, stop = result
     log.debug("solved %d of %d coefficient rows: %d iterations, %d matvecs",
-              disc.n_rows, problem.grid.n1, iters, matvecs)
-    u = np.zeros((problem.grid.n1, problem.grid.n2), dtype=complex)
-    u[:disc.n_rows] = x.reshape(shape)
+              disc.n_rows, disc.n1, iters, matvecs)
     sol = Solution(
-        u=SpectralField(u, problem.grid, problem.alpha),
+        rows=x.reshape(-1, disc.problem.grid.n2),
         residual_history=tuple(history),
         converged=converged,
         iterations=iters,
@@ -290,6 +338,95 @@ def solve(problem: Problem, table: KernelTable,
             solution=sol,
         )
     return sol
+
+
+class _Pending:
+    """A point of :func:`solve_lockstep` whose GMRES has not returned."""
+
+    def __init__(self, index, disc, steps, vector, need):
+        self.index, self.disc, self.steps = index, disc, steps
+        self.vector, self.need, self.matvecs = vector, need, 0
+
+
+def solve_lockstep(points, opts: SolveOptions | None = None):
+    """Solve the problems of ``points``, (problem, table) pairs of one
+    contrast layout on one grid, with the GMRES of every point in lockstep.
+
+    Each point runs its own :func:`gmres_steps` from the zero iterate, so
+    its iterations, history, stop rules and messages are those
+    :func:`solve` gives it; only the operator is applied differently:
+    each Krylov step multiplies the vectors of all pending points in one
+    :class:`OperatorStack` call.  Points join in order while the
+    :func:`check_memory` estimates of the pending points fit in physical
+    memory together; a point that cannot fit alone ends in SizeGuard.
+
+    A generator of (index, outcome) pairs in the order the points finish.
+    The outcome is the point's Solution, or the NotConverged (with the
+    solution attached), BreakdownDetected, SizeGuard, ShapeMismatch or
+    MemoryError that ended that point alone.
+    """
+    opts = opts or SolveOptions()
+    memory = physical_memory_bytes()
+    queue = list(enumerate(points))[::-1]
+    pending: list[_Pending] = []
+    held = 0
+    stack = None
+
+    def outcome(point: _Pending, result):
+        try:
+            return _finish(point.disc, result, point.matvecs)
+        except NotConverged as exc:
+            return exc
+
+    while queue or pending:
+        while queue:
+            index, (problem, table) = queue[-1]
+            try:
+                need = check_memory(problem, opts)
+            except SizeGuard as exc:
+                queue.pop()
+                yield index, exc
+                continue
+            if pending and memory is not None and held + need > memory:
+                break
+            queue.pop()
+            try:
+                disc = Discretization(problem, table)
+                point = _Pending(index, disc, gmres_steps(
+                    disc.rhs().reshape(-1), opts.rel_tol, opts.restart,
+                    opts.max_iterations), None, need)
+                point.vector = next(point.steps)
+            except StopIteration as done:
+                yield index, outcome(point, done.value)
+                continue
+            except (VigratingError, MemoryError) as exc:
+                yield index, exc
+                continue
+            pending.append(point)
+            held += need
+            stack = None
+        if not pending:
+            continue
+        rows, n2 = pending[0].disc.n_rows, pending[0].disc.problem.grid.n2
+        if stack is None:
+            stack = OperatorStack([p.disc for p in pending], rows)
+        products = stack.apply(np.stack([p.vector for p in pending]).reshape(
+            len(pending), rows, n2))
+        still = []
+        for point, product in zip(pending, products):
+            point.matvecs += 1
+            try:
+                point.vector = point.steps.send([product.reshape(-1)])
+                still.append(point)
+                continue
+            except StopIteration as done:
+                result = outcome(point, done.value)
+            except (BreakdownDetected, MemoryError) as exc:
+                result = exc
+            held -= point.need
+            yield point.index, result
+        if len(still) < len(pending):
+            pending, stack = still, None
 
 
 def residual(problem: Problem, table: KernelTable, u: SpectralField,

@@ -12,6 +12,8 @@ import vigrating.solver
 from vigrating.cli import main, write_slab_example_config
 from vigrating.config import PERIOD, load_config
 from vigrating.errors import BreakdownDetected, ConfigError, DegenerateAtZeroJ2
+from vigrating.kernel import kernel_table
+from vigrating.operators import Discretization
 from vigrating.problem import ContrastField
 
 
@@ -471,17 +473,31 @@ def test_exhausted_memory_exits_3(tmp_path, monkeypatch, caplog, command):
     assert not (tmp_path / "o").exists()
 
 
+def fail_point(monkeypatch, cfg: Path, param: str, value: float,
+               error: Exception):
+    """Make the GMRES of the point ``param = value`` of a one-row sweep of
+    ``cfg`` raise ``error`` after its first product, while every other
+    point of the lockstep runs as before.  The point is found by its
+    right-hand side."""
+    problem = load_config(cfg).replace_parameter(param, value).build()
+    table = kernel_table(problem.grid, problem.wave, 1)
+    target = Discretization(problem, table).rhs().reshape(-1)
+    steps = vigrating.solver.gmres_steps
+
+    def flaky(b, *args):
+        if not np.array_equal(b, target):
+            return (yield from steps(b, *args))
+        yield b
+        raise error
+
+    monkeypatch.setattr(vigrating.solver, "gmres_steps", flaky)
+
+
 def test_sweep_skips_a_point_out_of_memory(tmp_path, monkeypatch, caplog):
-    solve_config = vigrating.cli._solve_config
-
-    def flaky(cfg, *args):
-        if cfg.theta_deg == 10.0:
-            _out_of_memory()
-        return solve_config(cfg, *args)
-
-    monkeypatch.setattr(vigrating.cli, "_solve_config", flaky)
     out = tmp_path / "sw"
     cfg = _write(tmp_path / "s.ini", BASE.format(out=out))
+    fail_point(monkeypatch, cfg, "theta", 10.0,
+               MemoryError("Unable to allocate 32.0 GiB for an array"))
     assert main(["sweep", str(cfg), *COMMANDS["sweep"][1:],
                  "--output", str(out)]) == 0
     lines = (out / "sweep.csv").read_text().splitlines()
@@ -585,16 +601,10 @@ def test_cmd_solve_other_library_error_exits_3(tmp_path, monkeypatch, caplog):
 
 
 def test_sweep_skips_point_with_breakdown(tmp_path, monkeypatch, caplog):
-    solve_config = vigrating.cli._solve_config
-
-    def flaky(cfg, *args):
-        if cfg.theta_deg == 10.0:
-            raise BreakdownDetected("Krylov breakdown at iteration 1")
-        return solve_config(cfg, *args)
-
-    monkeypatch.setattr(vigrating.cli, "_solve_config", flaky)
     out = tmp_path / "sw"
     cfg = _write(tmp_path / "s.ini", BASE.format(out=out))
+    fail_point(monkeypatch, cfg, "theta", 10.0,
+               BreakdownDetected("Krylov breakdown at iteration 1"))
     assert main(["sweep", str(cfg), "--param", "theta", "--from", "0",
                  "--to", "20", "--steps", "3", "--output", str(out)]) == 0
     lines = (out / "sweep.csv").read_text().splitlines()

@@ -1,0 +1,186 @@
+"""One-row sweeps solve their points in lockstep (solver.solve_lockstep):
+the sweep's rows must equal those of separate solves, byte for byte, and
+a failing point must be skipped alone."""
+
+import csv
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import vigrating.solver
+from vigrating.cli import main
+from vigrating.config import PERIOD, load_config
+from vigrating.kernel import kernel_table
+from vigrating.postprocess import (
+    efficiencies,
+    efficiency_rows,
+    rayleigh_both_sides,
+)
+from vigrating.problem import write_raster
+from vigrating.solver import SolveOptions, solve
+
+from conftest import ANISO
+
+CONFIG = """
+[problem]
+k = {k}
+theta_deg = 0.0
+shape = {shape}
+
+[numerics]
+n1 = 16
+n2 = 128
+rho_box = {rho_box}
+{numerics}
+[output]
+directory = out
+"""
+
+SLAB = "slab\nq_re = 3.0\nthickness = 0.4"
+LOSSY = "slab\nq_re = 3.0\nq_im = -0.5\nthickness = 0.4"
+
+# order -1 starts to propagate at theta = 34.8 degrees for k = 4 per period
+THETAS = ("theta", 30.0, 40.0, 6)
+
+
+def _config(tmp_path, shape, k=4.0, rho_box=0.5, numerics=""):
+    path = tmp_path / "sweep.ini"
+    path.write_text(CONFIG.format(k=k, shape=shape, rho_box=rho_box,
+                                  numerics=numerics), encoding="utf-8")
+    return path
+
+
+def _anisotropic_stack(tmp_path):
+    """Raster shape of two x1-invariant layers: the lossy tensor ANISO
+    (Q12 != 0) below and q = -2 above, 0.2 and 0.15 periods thick."""
+    n1, n2, rho = 4, 64, 0.25 * PERIOD
+    centers = -rho + 2 * rho * (np.arange(n2) + 0.5) / n2
+    cells = np.zeros((n1, n2, 2, 2), dtype=complex)
+    cells[:, (centers > -0.2 * PERIOD) & (centers < 0)] = ANISO
+    cells[:, (centers > 0) & (centers < 0.15 * PERIOD)] = -2.0 * np.eye(2)
+    raster = tmp_path / "stack.bin"
+    write_raster(raster, cells, h=0.2 * PERIOD, rho=rho)
+    return f"raster\npath = {raster}"
+
+
+def _sweep(cfg, param, start, stop, steps, out):
+    code = main(["sweep", str(cfg), "--param", param, "--from", repr(start),
+                 "--to", repr(stop), "--steps", str(steps), "--output",
+                 str(out)])
+    with open(out / "sweep.csv", newline="", encoding="utf-8") as fh:
+        return code, list(csv.reader(fh))[1:]
+
+
+def _point_rows(cfg, param, value):
+    """The sweep.csv rows of one point, from a separate solve."""
+    run = load_config(cfg).replace_parameter(param, float(value))
+    problem = run.build()
+    table = kernel_table(problem.grid, problem.wave, 1)
+    sol = solve(problem, table, SolveOptions(
+        rel_tol=run.rel_tol, max_iterations=run.max_iterations,
+        restart=run.restart))
+    eff = efficiencies(*rayleigh_both_sides(sol, problem, table), problem)
+    return [[repr(float(value)), str(row[0]), *row[1:]]
+            for row in efficiency_rows(eff)]
+
+
+def _expected(cfg, param, start, stop, steps, skipped=()):
+    return [row for value in np.linspace(start, stop, steps)
+            if float(value) not in skipped
+            for row in _point_rows(cfg, param, value)]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("shape", ["slab", "lossy", "anisotropic-stack"])
+def test_lockstep_sweep_equals_point_by_point_solves(tmp_path, monkeypatch,
+                                                     shape, threads):
+    text = {"slab": SLAB, "lossy": LOSSY}.get(shape) or _anisotropic_stack(
+        tmp_path)
+    cfg = _config(tmp_path, text)
+    monkeypatch.setenv("GRATING_THREADS", threads)
+    code, rows = _sweep(cfg, *THETAS, tmp_path / "out")
+    assert code == 0
+    assert rows == _expected(cfg, *THETAS)
+    # the range crosses the onset of order -1
+    orders = {}
+    for row in rows:
+        orders.setdefault(row[0], []).append(row[1])
+    assert orders["30.0"] == ["0"] and orders["40.0"] == ["-1", "0"]
+
+
+def test_a_point_stopping_early_is_skipped_alone(tmp_path, caplog):
+    # GMRES(2) converges at k = 1, 2 and 3 per period; at k = 4 its best
+    # restarted cycle cannot reach rel_tol within 30 iterations
+    cfg = _config(tmp_path, "slab\nq_re = 3.0\nthickness = 1.0", k=1.0,
+                  rho_box=1.1277533039647577,
+                  numerics="rel_tol = 1e-10\nrestart = 2\n"
+                           "max_iterations = 30\n")
+    code, rows = _sweep(cfg, "k", 1.0, 4.0, 4, tmp_path / "out")
+    assert code == 0
+    assert rows == _expected(cfg, "k", 1.0, 4.0, 4, skipped=(4.0,))
+    assert "skipping k = 4: GMRES stopped early after" in caplog.text
+    assert "the best restarted cycle of GMRES(2) reduced it by" in (
+        caplog.text)
+    assert "skipping k = 1" not in caplog.text
+
+
+def test_a_point_at_a_rayleigh_anomaly_is_skipped_alone(tmp_path, caplog):
+    # the middle point has one full wave per period at normal incidence
+    cfg = _config(tmp_path, SLAB, k=1.0)
+    lo, hi = PERIOD - 0.1, PERIOD + 0.1
+    assert np.linspace(lo, hi, 3)[1] == PERIOD
+    code, rows = _sweep(cfg, "k", lo, hi, 3, tmp_path / "out")
+    assert code == 0
+    assert rows == _expected(cfg, "k", lo, hi, 3, skipped=(PERIOD,))
+    assert f"skipping k = {PERIOD:g}: invalid problem (" in caplog.text
+
+
+def test_batches_fit_the_memory_estimate(tmp_path, monkeypatch):
+    cfg = _config(tmp_path, SLAB)
+    _, unbounded = _sweep(cfg, *THETAS, tmp_path / "all")
+    sizes = []
+    stack = vigrating.solver.OperatorStack
+
+    def recorded(discs, rows):
+        sizes.append(len(discs))
+        return stack(discs, rows)
+
+    monkeypatch.setattr(vigrating.solver, "OperatorStack", recorded)
+    # check_memory's estimate of one point: 50 + 1 Krylov vectors and two
+    # work rows of one row of 128 values
+    need = (50 + 1 + 2) * 128 * 16
+    monkeypatch.setattr(vigrating.solver, "physical_memory_bytes",
+                        lambda: 2 * need + 1)
+    code, rows = _sweep(cfg, *THETAS, tmp_path / "two")
+    assert code == 0 and rows == unbounded
+    assert max(sizes) == 2
+
+
+def test_a_point_that_cannot_fit_alone_is_skipped(tmp_path, monkeypatch,
+                                                  caplog):
+    cfg = _config(tmp_path, SLAB)
+    monkeypatch.setattr(vigrating.solver, "physical_memory_bytes",
+                        lambda: 1000)
+    code, rows = _sweep(cfg, *THETAS, tmp_path / "out")
+    assert code == 3 and rows == []
+    assert "skipping theta = 30: invalid problem (the solve needs about" in (
+        caplog.text)
+
+
+def test_a_sweep_point_allocates_no_full_grid(tmp_path):
+    # a tall grid: one complex (N1, N2) array outweighs the three points'
+    # Krylov bases together
+    cfg = _config(tmp_path, SLAB)
+    cfg.write_text(cfg.read_text().replace("n1 = 16", "n1 = 1024").replace(
+        "n2 = 128", "n2 = 64"), encoding="utf-8")
+    args = ("theta", 0.0, 20.0, 3, tmp_path / "out")
+    assert _sweep(cfg, *args)[0] == 0                   # warm-up
+    tracemalloc.start()
+    try:
+        code, _ = _sweep(cfg, *args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 1024 * 64 * 16

@@ -39,8 +39,7 @@ from spans import Tracer
 
 tracer = Tracer()
 tracer.install()
-codes = [vigrating.cli.main([command, sys.argv[2], "--output", sys.argv[3]])
-         for command in ("solve", "diagnose")]
+codes = [vigrating.cli.main(argv) for argv in json.loads(sys.argv[2])]
 tracer.uninstall()
 spans = tracer.take()
 print(json.dumps({
@@ -52,16 +51,24 @@ print(json.dumps({
 """
 
 
-def test_every_tracer_target_is_found_and_its_hook_fits(tmp_path):
+def _traced(tmp_path, commands):
+    """Run vigrating ``commands`` on the slab config under the tracer; the
+    report of the traced process."""
     cfg = tmp_path / "slab.ini"
     cfg.write_text(SLAB.format(out=tmp_path / "out"), encoding="utf-8")
+    argvs = [[command, str(cfg), *args, "--output", str(tmp_path / "out")]
+             for command, *args in commands]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(ROOT / "perfbench"), str(cfg),
-         str(tmp_path / "out")],
+        [sys.executable, "-c", SCRIPT, str(ROOT / "perfbench"),
+         json.dumps(argvs)],
         capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    doc = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_every_tracer_target_is_found_and_its_hook_fits(tmp_path):
+    doc = _traced(tmp_path, [("solve",), ("diagnose",)])
     assert doc["codes"] == [0, 0]
     assert doc["missing"] == []
     assert doc["hook_failed"] == []
@@ -69,3 +76,15 @@ def test_every_tracer_target_is_found_and_its_hook_fits(tmp_path):
                  "kernel.kernel_table", "solver.solve", "solver.gmres",
                  "analysis.decompose_reQ", "analysis.garding_check"):
         assert name in doc["names"]
+
+
+def test_a_traced_one_row_sweep_finds_every_target(tmp_path):
+    # the theta-sweep workload: a slab sweep, whose points solve in lockstep
+    # outside the wrapped solver.solve and solver.gmres
+    doc = _traced(tmp_path, [("sweep", "--param", "theta", "--from", "0",
+                              "--to", "40", "--steps", "5")])
+    assert doc["codes"] == [0]
+    assert doc["missing"] == []
+    assert doc["hook_failed"] == []
+    assert {"cli.main", "config.load_config",
+            "kernel.kernel_table"} <= set(doc["names"])
