@@ -6,6 +6,10 @@ geometry, an unreadable input file, a Rayleigh anomaly or any other
 rejected problem), a grid that exhausts memory, or an output that cannot be
 written.  A sweep with no successful point exits 2 if a point failed to
 converge, else 3.
+
+A sweep samples the contrast once and solves its points in the batches of
+:func:`solver.solve_lockstep`: up to N1 points of a layered grating, or
+one 2-D point, at a time.  A point that fails is skipped alone.
 """
 
 from __future__ import annotations
@@ -16,11 +20,10 @@ import datetime
 import io
 import json
 import logging
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from functools import lru_cache
+from itertools import starmap
 from pathlib import Path
 
 import numpy as np
@@ -63,15 +66,13 @@ def _solve_options(cfg: RunConfig) -> SolveOptions:
                         restart=cfg.restart)
 
 
-def _solve_config(cfg: RunConfig, problem: Problem | None = None,
-                  opts: SolveOptions | None = None):
-    """Solve ``cfg``; ``problem`` and ``opts`` may pass its already sampled
-    problem and its checked solver options."""
-    if problem is None:
-        problem = cfg.build()
+def _solve_config(cfg: RunConfig):
+    """Solve ``cfg``: its problem, kernel table, solution and
+    efficiencies."""
+    problem = cfg.build()
     # a layered solve and its Rayleigh extraction read only the coupled rows
     table = kernel_table(problem.grid, problem.wave, problem.layout.n_rows)
-    solution = solve(problem, table, opts or _solve_options(cfg))
+    solution = solve(problem, table, _solve_options(cfg))
     above, below = pp.rayleigh_both_sides(solution, problem, table)
     eff = pp.efficiencies(above, below, problem)
     return problem, table, solution, eff
@@ -150,13 +151,10 @@ def cmd_sweep(config_path: str, param: str, start: float, stop: float,
             raise ConfigError("sweep parameter must be 'k' or 'theta'")
         if steps < 1:
             raise ConfigError("steps must be >= 1")
-        threads_env = os.environ.get("GRATING_THREADS", "1")
-        try:
-            threads = max(1, int(threads_env))
-        except ValueError:
-            raise ConfigError(
-                f"GRATING_THREADS must be an integer, got {threads_env!r}"
-            ) from None
+        for flag, bound in (("--from", start), ("--to", stop)):
+            if not np.isfinite(bound):
+                raise ConfigError(f"sweep {flag} must be finite, got "
+                                  f"{bound!r}")
     except ConfigError as exc:
         log.error("%s", exc)
         return EXIT_INVALID
@@ -173,6 +171,7 @@ def cmd_sweep(config_path: str, param: str, start: float, stop: float,
         return EXIT_INVALID
 
     values = np.linspace(start, stop, steps)
+    points = []
 
     def skip(value: float, exc: Exception) -> int:
         """Log why the point ``value`` is skipped; its exit code."""
@@ -183,27 +182,37 @@ def cmd_sweep(config_path: str, param: str, start: float, stop: float,
                     exc)
         return EXIT_INVALID
 
-    def point_problem(value: float):
-        cfg = base.replace_parameter(param, float(value))
-        return cfg, Problem(wave=cfg.wave(), contrast=contrast, grid=grid,
-                            rho_ref=rho_ref, layout=layout)
+    def problems():
+        """The (value, problem, kernel table) of each point, built only
+        when the solver takes it; a point rejected while it is built is
+        skipped."""
+        for value in values:
+            try:
+                wave = base.replace_parameter(param, float(value)).wave()
+                with _grid_memory(base):
+                    table = kernel_table(grid, wave, layout.n_rows)
+            except (VigratingError, ValueError) as exc:
+                points.append((value, skip(value, exc)))
+                continue
+            yield value, Problem(wave=wave, contrast=contrast, grid=grid,
+                                 rho_ref=rho_ref, layout=layout), table
 
-    def run_point(value: float):
+    def finish(value: float, outcome):
+        """Rayleigh extraction and efficiencies of a solved point."""
         try:
-            cfg, problem = point_problem(value)
-            with _grid_memory(cfg):
-                problem, _, _, eff = _solve_config(cfg, problem, opts)
+            with _grid_memory(base):
+                if isinstance(outcome, Exception):
+                    raise outcome
+                disc = outcome.discretization
+                above, below = pp.rayleigh_both_sides(outcome, disc.problem,
+                                                      disc.table)
+                return value, pp.efficiencies(above, below, disc.problem)
         except (VigratingError, ValueError) as exc:
             return value, skip(value, exc)
-        return value, eff
 
-    if layout.n_rows == 1:
-        points = _lockstep_sweep(values, point_problem, skip, opts)
-    elif threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            points = list(pool.map(run_point, values))
-    else:
-        points = [run_point(v) for v in values]
+    # starmap holds no solved point while the solver runs the next one
+    for point in starmap(finish, solve_lockstep(problems(), opts)):
+        points.append(point)
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
@@ -228,39 +237,6 @@ def cmd_sweep(config_path: str, param: str, start: float, stop: float,
     log.error("no sweep point succeeded")
     return (EXIT_NOT_CONVERGED if EXIT_NOT_CONVERGED in skipped
             else EXIT_INVALID)
-
-
-def _lockstep_sweep(values, point_problem, skip, opts: SolveOptions):
-    """The (value, efficiencies or exit code) of every point of a one-row
-    sweep, solved in lockstep by :func:`solve_lockstep`.
-
-    Each point's problem and one-row kernel table are built as
-    :func:`_solve_config` builds them; a point rejected there is skipped.
-    Each solved point is finished, Rayleigh extraction and efficiencies, as
-    soon as its GMRES returns, and dropped.
-    """
-    points, ready = [], []
-    for value in values:
-        try:
-            cfg, problem = point_problem(value)
-            with _grid_memory(cfg):
-                table = kernel_table(problem.grid, problem.wave, 1)
-        except (VigratingError, ValueError) as exc:
-            points.append((value, skip(value, exc)))
-            continue
-        ready.append((value, cfg, problem, table))
-    for index, outcome in solve_lockstep([r[2:] for r in ready], opts):
-        value, cfg, problem, table = ready[index]
-        ready[index] = None
-        try:
-            with _grid_memory(cfg):
-                if isinstance(outcome, Exception):
-                    raise outcome
-                above, below = pp.rayleigh_both_sides(outcome, problem, table)
-                points.append((value, pp.efficiencies(above, below, problem)))
-        except (VigratingError, ValueError) as exc:
-            points.append((value, skip(value, exc)))
-    return points
 
 
 def cmd_diagnose(config_path: str, output: str | None = None,

@@ -254,9 +254,6 @@ class Discretization:
     rows; the kernel table must hold the rows applied.  The operator runs
     on a stack of one array, the arithmetic :class:`OperatorStack` runs on
     a stack of many.
-
-    The work buffers make an instance unsafe to share between threads;
-    every solve builds its own.
     """
 
     def __init__(self, problem: Problem, table: KernelTable):
@@ -380,15 +377,20 @@ class OperatorStack:
                                 "layout on one grid")
         parts = [d._rows(rows) for d in discs]
         self.imu, self.q = first.imu, first.q
-        self.arrays = parts[0]._replace(
+        # a stack of one shares its discretization's arrays: no copy
+        self.arrays = parts[0] if len(parts) == 1 else parts[0]._replace(
             ia=np.concatenate([p.ia for p in parts]),
             multiplier=np.concatenate([p.multiplier for p in parts]),
             work=np.empty((2, len(discs), rows, first.problem.grid.n2),
                           dtype=complex))
 
-    def apply(self, c: np.ndarray) -> np.ndarray:
-        """The products of the P operators with a (P, rows, N2) stack."""
-        return _forward(self.arrays, self.imu, self.q, c)
+    def apply(self, vectors) -> np.ndarray:
+        """The (P, rows, N2) products of the P operators with their P
+        flattened arrays; the operator does not write its argument, so one
+        array is applied uncopied."""
+        c = np.stack(vectors) if len(vectors) > 1 else vectors[0][None]
+        return _forward(self.arrays, self.imu, self.q,
+                        c.reshape(self.arrays.multiplier.shape))
 
 
 def apply_forward(u: SpectralField, problem: Problem,

@@ -341,92 +341,108 @@ def _finish(disc: Discretization, result, matvecs: int) -> Solution:
 
 
 class _Pending:
-    """A point of :func:`solve_lockstep` whose GMRES has not returned."""
+    """A point of :func:`solve_lockstep`: its GMRES generator and the
+    vector that waits for its product."""
 
-    def __init__(self, index, disc, steps, vector, need):
-        self.index, self.disc, self.steps = index, disc, steps
-        self.vector, self.need, self.matvecs = vector, need, 0
+    def __init__(self, key, problem: Problem, table: KernelTable,
+                 opts: SolveOptions):
+        self.key, self.matvecs = key, 0
+        self.need = check_memory(problem, opts)
+        self.disc = Discretization(problem, table)
+        self.steps = gmres_steps(self.disc.rhs().reshape(-1), opts.rel_tol,
+                                 opts.restart, opts.max_iterations)
+
+    def advance(self, product: list | None, pending: list, ended: list):
+        """Send GMRES ``product`` in a one-item list, or start it with
+        None.  The point goes to ``pending`` while it waits for the
+        product of ``vector``, its (key, outcome) pair to ``ended`` once
+        GMRES ends."""
+        try:
+            self.vector = self.steps.send(product)
+            pending.append(self)
+            return
+        except StopIteration as done:
+            try:
+                outcome = _finish(self.disc, done.value, self.matvecs)
+            except NotConverged as exc:
+                outcome = exc
+        except (BreakdownDetected, MemoryError) as exc:
+            outcome = exc
+        ended.append((self.key, outcome))
+
+
+def _take(points, opts: SolveOptions, pending: list, ended: list) -> bool:
+    """Start the next point of ``points`` (see :meth:`_Pending.advance`);
+    False when ``points`` is exhausted."""
+    item = next(points, None)
+    if item is None:
+        return False
+    try:
+        point = _Pending(*item, opts)
+    except (VigratingError, MemoryError) as exc:
+        ended.append((item[0], exc))
+        return True
+    point.advance(None, pending, ended)
+    return True
+
+
+def _step(pending: list, stack: OperatorStack, ended: list) -> list:
+    """Send every pending point the product of its vector, from one call
+    of ``stack``; the points still pending."""
+    products = list(stack.apply([p.vector for p in pending]))
+    still = []
+    for point in pending:
+        point.matvecs += 1
+        # popped: nothing here holds a product GMRES has used
+        point.advance([products.pop(0).reshape(-1)], still, ended)
+    return still
 
 
 def solve_lockstep(points, opts: SolveOptions | None = None):
-    """Solve the problems of ``points``, (problem, table) pairs of one
-    contrast layout on one grid, with the GMRES of every point in lockstep.
+    """Solve ``points``, (key, problem, table) triples of one contrast
+    layout on one grid, with the GMRES of every pending point in lockstep.
 
     Each point runs its own :func:`gmres_steps` from the zero iterate, so
     its iterations, history, stop rules and messages are those
     :func:`solve` gives it; only the operator is applied differently:
     each Krylov step multiplies the vectors of all pending points in one
-    :class:`OperatorStack` call.  Points join in order while the
-    :func:`check_memory` estimates of the pending points fit in physical
-    memory together; a point that cannot fit alone ends in SizeGuard.
+    :class:`OperatorStack` call.  The next point is taken from ``points``
+    only when it can join: while the pending rows and its own stay within
+    one grid of N1 rows and their :func:`check_memory` estimates fit in
+    physical memory.  The points share a layout and ``opts``, so the last
+    point taken stands for the next: up to N1 one-row points run
+    together, a 2-D point runs alone.
 
-    A generator of (index, outcome) pairs in the order the points finish.
+    A generator of (key, outcome) pairs in the order the points finish.
     The outcome is the point's Solution, or the NotConverged (with the
     solution attached), BreakdownDetected, SizeGuard, ShapeMismatch or
     MemoryError that ended that point alone.
     """
     opts = opts or SolveOptions()
     memory = physical_memory_bytes()
-    queue = list(enumerate(points))[::-1]
+    points = iter(points)
     pending: list[_Pending] = []
-    held = 0
+    ended: list = []
     stack = None
+    more = True
 
-    def outcome(point: _Pending, result):
-        try:
-            return _finish(point.disc, result, point.matvecs)
-        except NotConverged as exc:
-            return exc
+    def joins() -> bool:
+        last, count = pending[-1], len(pending) + 1
+        return count * last.disc.n_rows <= last.disc.n1 and (
+            memory is None or count * last.need <= memory)
 
-    while queue or pending:
-        while queue:
-            index, (problem, table) = queue[-1]
-            try:
-                need = check_memory(problem, opts)
-            except SizeGuard as exc:
-                queue.pop()
-                yield index, exc
-                continue
-            if pending and memory is not None and held + need > memory:
-                break
-            queue.pop()
-            try:
-                disc = Discretization(problem, table)
-                point = _Pending(index, disc, gmres_steps(
-                    disc.rhs().reshape(-1), opts.rel_tol, opts.restart,
-                    opts.max_iterations), None, need)
-                point.vector = next(point.steps)
-            except StopIteration as done:
-                yield index, outcome(point, done.value)
-                continue
-            except (VigratingError, MemoryError) as exc:
-                yield index, exc
-                continue
-            pending.append(point)
-            held += need
+    while more or pending:
+        while more and (not pending or joins()):
+            more = _take(points, opts, pending, ended)
             stack = None
-        if not pending:
-            continue
-        rows, n2 = pending[0].disc.n_rows, pending[0].disc.problem.grid.n2
-        if stack is None:
-            stack = OperatorStack([p.disc for p in pending], rows)
-        products = stack.apply(np.stack([p.vector for p in pending]).reshape(
-            len(pending), rows, n2))
-        still = []
-        for point, product in zip(pending, products):
-            point.matvecs += 1
-            try:
-                point.vector = point.steps.send([product.reshape(-1)])
-                still.append(point)
-                continue
-            except StopIteration as done:
-                result = outcome(point, done.value)
-            except (BreakdownDetected, MemoryError) as exc:
-                result = exc
-            held -= point.need
-            yield point.index, result
-        if len(still) < len(pending):
-            pending, stack = still, None
+        if pending:
+            stack = stack or OperatorStack([p.disc for p in pending],
+                                           pending[0].disc.n_rows)
+            still = _step(pending, stack, ended)
+            if len(still) < len(pending):
+                pending, stack = still, None
+        while ended:
+            yield ended.pop(0)
 
 
 def residual(problem: Problem, table: KernelTable, u: SpectralField,

@@ -91,6 +91,9 @@ rel_tol = 1e-10
 directory = {out}
 """
 
+SLAB = "shape = slab\nq_re = 3.0\nthickness = 1.0"
+CIRCLE = "shape = circle\nq_re = 3.0\nradius = 0.2"
+
 COMMANDS = {
     "solve": ["solve"],
     "diagnose": ["diagnose"],
@@ -232,15 +235,23 @@ def test_solve_rejects_a_non_positive_size(tmp_path, caplog, text, old, new,
     assert not (tmp_path / "o").exists()
 
 
-def test_sweep_skips_non_finite_point(tmp_path, caplog):
+@pytest.mark.parametrize("bounds, flag, bound", [
+    (["--from", "nan", "--to", "0"], "--from", "nan"),
+    (["--from", "0", "--to", "inf"], "--to", "inf"),
+], ids=["from-nan", "to-inf"])
+def test_sweep_rejects_a_non_finite_bound(tmp_path, monkeypatch, caplog,
+                                          bounds, flag, bound):
+    def sampled(*args):
+        raise AssertionError("the contrast was sampled")
+
+    monkeypatch.setattr(ContrastField, "sample", sampled)
     out = tmp_path / "sw"
-    cfg = _write(tmp_path / "s.ini", BASE.format(out=out))
-    # no point succeeded and none failed to converge: invalid input
-    assert main(["sweep", str(cfg), "--param", "theta", "--from", "nan",
-                 "--to", "nan", "--steps", "1", "--output", str(out)]) == 3
-    assert (out / "sweep.csv").read_text().count("\n") == 1
-    assert "skipping theta = nan: invalid problem (wave must be finite" in (
-        caplog.text)
+    cfg = _write(tmp_path / "s.ini", BASE.format(out=out).replace(SLAB,
+                                                                  CIRCLE))
+    assert main(["sweep", str(cfg), "--param", "theta", *bounds, "--steps",
+                 "2", "--output", str(out)]) == 3
+    assert f"sweep {flag} must be finite, got {bound}" in caplog.text
+    assert not out.exists()
 
 
 def test_cmd_solve_writes_outputs(tmp_path):
@@ -385,17 +396,6 @@ def test_cmd_validate_quick(capsys):
     assert out.count("[PASS]") == 8
 
 
-def test_sweep_parallel_matches_serial(tmp_path, monkeypatch):
-    cfg = _write(tmp_path / "s.ini", BASE.format(out=tmp_path / "a"))
-    args = ["sweep", str(cfg), "--param", "theta", "--from", "0", "--to",
-            "20", "--steps", "3"]
-    assert main(args + ["--output", str(tmp_path / "serial")]) == 0
-    monkeypatch.setenv("GRATING_THREADS", "3")
-    assert main(args + ["--output", str(tmp_path / "par")]) == 0
-    assert (tmp_path / "serial" / "sweep.csv").read_bytes() == (
-        tmp_path / "par" / "sweep.csv").read_bytes()
-
-
 RASTER = """
 [problem]
 k = 0.8
@@ -475,12 +475,11 @@ def test_exhausted_memory_exits_3(tmp_path, monkeypatch, caplog, command):
 
 def fail_point(monkeypatch, cfg: Path, param: str, value: float,
                error: Exception):
-    """Make the GMRES of the point ``param = value`` of a one-row sweep of
-    ``cfg`` raise ``error`` after its first product, while every other
-    point of the lockstep runs as before.  The point is found by its
-    right-hand side."""
+    """Make the GMRES of the point ``param = value`` of a sweep of ``cfg``
+    raise ``error`` after its first product, while every other point runs
+    as before.  The point is found by its right-hand side."""
     problem = load_config(cfg).replace_parameter(param, value).build()
-    table = kernel_table(problem.grid, problem.wave, 1)
+    table = kernel_table(problem.grid, problem.wave, problem.layout.n_rows)
     target = Discretization(problem, table).rhs().reshape(-1)
     steps = vigrating.solver.gmres_steps
 
@@ -493,17 +492,28 @@ def fail_point(monkeypatch, cfg: Path, param: str, value: float,
     monkeypatch.setattr(vigrating.solver, "gmres_steps", flaky)
 
 
+def _layouts(tmp_path) -> dict[str, Path]:
+    """A one-row (slab) and a 2-D (circle) sweep config on the 32 x 64
+    grid of BASE."""
+    text = BASE.format(out=tmp_path / "o")
+    return {name: _write(tmp_path / f"{name}.ini", text.replace(SLAB, shape))
+            for name, shape in (("slab", SLAB), ("circle", CIRCLE))}
+
+
 def test_sweep_skips_a_point_out_of_memory(tmp_path, monkeypatch, caplog):
-    out = tmp_path / "sw"
-    cfg = _write(tmp_path / "s.ini", BASE.format(out=out))
-    fail_point(monkeypatch, cfg, "theta", 10.0,
-               MemoryError("Unable to allocate 32.0 GiB for an array"))
-    assert main(["sweep", str(cfg), *COMMANDS["sweep"][1:],
-                 "--output", str(out)]) == 0
-    lines = (out / "sweep.csv").read_text().splitlines()
-    assert {ln.split(",")[0] for ln in lines[1:]} == {"0.0", "20.0"}
-    assert ("skipping theta = 10: invalid problem (out of memory on the "
-            "32 x 64 grid: Unable to allocate") in caplog.text
+    for name, cfg in _layouts(tmp_path).items():
+        out = tmp_path / name
+        caplog.clear()
+        with monkeypatch.context() as patch:
+            fail_point(patch, cfg, "theta", 10.0,
+                       MemoryError("Unable to allocate 32.0 GiB for an "
+                                   "array"))
+            assert main(["sweep", str(cfg), *COMMANDS["sweep"][1:],
+                         "--output", str(out)]) == 0
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert {ln.split(",")[0] for ln in lines[1:]} == {"0.0", "20.0"}
+        assert ("skipping theta = 10: invalid problem (out of memory on the "
+                "32 x 64 grid: Unable to allocate") in caplog.text
 
 
 def test_sweep_skips_invalid_directions(tmp_path):
@@ -601,15 +611,18 @@ def test_cmd_solve_other_library_error_exits_3(tmp_path, monkeypatch, caplog):
 
 
 def test_sweep_skips_point_with_breakdown(tmp_path, monkeypatch, caplog):
-    out = tmp_path / "sw"
-    cfg = _write(tmp_path / "s.ini", BASE.format(out=out))
-    fail_point(monkeypatch, cfg, "theta", 10.0,
-               BreakdownDetected("Krylov breakdown at iteration 1"))
-    assert main(["sweep", str(cfg), "--param", "theta", "--from", "0",
-                 "--to", "20", "--steps", "3", "--output", str(out)]) == 0
-    lines = (out / "sweep.csv").read_text().splitlines()
-    assert {ln.split(",")[0] for ln in lines[1:]} == {"0.0", "20.0"}
-    assert "skipping theta = 10: Krylov breakdown" in caplog.text
+    for name, cfg in _layouts(tmp_path).items():
+        out = tmp_path / name
+        caplog.clear()
+        with monkeypatch.context() as patch:
+            fail_point(patch, cfg, "theta", 10.0,
+                       BreakdownDetected("Krylov breakdown at iteration 1"))
+            assert main(["sweep", str(cfg), "--param", "theta", "--from",
+                         "0", "--to", "20", "--steps", "3", "--output",
+                         str(out)]) == 0
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert {ln.split(",")[0] for ln in lines[1:]} == {"0.0", "20.0"}
+        assert "skipping theta = 10: Krylov breakdown" in caplog.text
 
 
 def test_sweep_samples_the_contrast_once(tmp_path, monkeypatch):
@@ -640,14 +653,6 @@ def test_sweep_rejects_invalid_geometry(tmp_path, caplog):
     assert not out.exists()
 
 
-def test_sweep_rejects_non_integer_thread_count(tmp_path, monkeypatch, caplog):
-    monkeypatch.setenv("GRATING_THREADS", "abc")
-    cfg = _write(tmp_path / "s.ini", BASE.format(out=tmp_path / "o"))
-    assert main(["sweep", str(cfg), "--param", "theta", "--from", "0",
-                 "--to", "20", "--steps", "3"]) == 3
-    assert "GRATING_THREADS must be an integer, got 'abc'" in caplog.text
-
-
 def test_layered_sweep_lays_out_the_contrast_once(tmp_path, monkeypatch):
     import vigrating.problem
 
@@ -659,7 +664,6 @@ def test_layered_sweep_lays_out_the_contrast_once(tmp_path, monkeypatch):
             super().__init__(samples, grid)
 
     monkeypatch.setattr(vigrating.problem, "ContrastLayout", Counted)
-    monkeypatch.setenv("GRATING_THREADS", "2")
     out = tmp_path / "sw"
     cfg = _write(tmp_path / "s.ini", BASE.format(out=out))
     assert main(["sweep", str(cfg), "--param", "theta", "--from", "0",
@@ -670,8 +674,8 @@ def test_layered_sweep_lays_out_the_contrast_once(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("shape, rows", [
-    ("shape = slab\nq_re = 3.0\nthickness = 1.0", 1),
-    ("shape = circle\nq_re = 3.0\nradius = 0.2", 32),
+    (SLAB, 1),
+    (CIRCLE, 32),
     ("shape = rectangle\nq_re = 3.0\nwidth = 0.5\nheight = 0.5", 32),
 ], ids=["slab", "circle", "rectangle"])
 def test_sweep_tables_hold_the_coupled_rows(tmp_path, monkeypatch, shape,
@@ -686,8 +690,7 @@ def test_sweep_tables_hold_the_coupled_rows(tmp_path, monkeypatch, shape,
 
     monkeypatch.setattr(vigrating.cli, "kernel_table", recorded)
     out = tmp_path / "sw"
-    text = BASE.format(out=out).replace(
-        "shape = slab\nq_re = 3.0\nthickness = 1.0", shape)
+    text = BASE.format(out=out).replace(SLAB, shape)
     cfg = _write(tmp_path / "s.ini", text)
     assert main(["sweep", str(cfg), "--param", "theta", "--from", "0",
                  "--to", "20", "--steps", "3", "--output", str(out)]) == 0

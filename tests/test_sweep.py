@@ -1,6 +1,7 @@
-"""One-row sweeps solve their points in lockstep (solver.solve_lockstep):
-the sweep's rows must equal those of separate solves, byte for byte, and
-a failing point must be skipped alone."""
+"""Sweeps solve their points in lockstep (solver.solve_lockstep): the
+sweep's rows must equal those of separate solves, byte for byte, a
+failing point must be skipped alone, and a batch must hold at most one
+full grid of rows."""
 
 import csv
 import tracemalloc
@@ -18,7 +19,7 @@ from vigrating.postprocess import (
     rayleigh_both_sides,
 )
 from vigrating.problem import write_raster
-from vigrating.solver import SolveOptions, solve
+from vigrating.solver import SolveOptions, check_memory, solve
 
 from conftest import ANISO
 
@@ -29,8 +30,8 @@ theta_deg = 0.0
 shape = {shape}
 
 [numerics]
-n1 = 16
-n2 = 128
+n1 = {n1}
+n2 = {n2}
 rho_box = {rho_box}
 {numerics}
 [output]
@@ -39,15 +40,18 @@ directory = out
 
 SLAB = "slab\nq_re = 3.0\nthickness = 0.4"
 LOSSY = "slab\nq_re = 3.0\nq_im = -0.5\nthickness = 0.4"
+CIRCLE = "circle\nq_re = 3.0\nradius = 0.2"
 
 # order -1 starts to propagate at theta = 34.8 degrees for k = 4 per period
 THETAS = ("theta", 30.0, 40.0, 6)
 
 
-def _config(tmp_path, shape, k=4.0, rho_box=0.5, numerics=""):
+def _config(tmp_path, shape, k=4.0, rho_box=0.5, numerics="", n1=16,
+            n2=128):
     path = tmp_path / "sweep.ini"
     path.write_text(CONFIG.format(k=k, shape=shape, rho_box=rho_box,
-                                  numerics=numerics), encoding="utf-8")
+                                  numerics=numerics, n1=n1, n2=n2),
+                    encoding="utf-8")
     return path
 
 
@@ -76,7 +80,7 @@ def _point_rows(cfg, param, value):
     """The sweep.csv rows of one point, from a separate solve."""
     run = load_config(cfg).replace_parameter(param, float(value))
     problem = run.build()
-    table = kernel_table(problem.grid, problem.wave, 1)
+    table = kernel_table(problem.grid, problem.wave, problem.layout.n_rows)
     sol = solve(problem, table, SolveOptions(
         rel_tol=run.rel_tol, max_iterations=run.max_iterations,
         restart=run.restart))
@@ -91,14 +95,14 @@ def _expected(cfg, param, start, stop, steps, skipped=()):
             for row in _point_rows(cfg, param, value)]
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-@pytest.mark.parametrize("shape", ["slab", "lossy", "anisotropic-stack"])
-def test_lockstep_sweep_equals_point_by_point_solves(tmp_path, monkeypatch,
-                                                     shape, threads):
-    text = {"slab": SLAB, "lossy": LOSSY}.get(shape) or _anisotropic_stack(
-        tmp_path)
-    cfg = _config(tmp_path, text)
-    monkeypatch.setenv("GRATING_THREADS", threads)
+@pytest.mark.parametrize("shape", ["slab", "lossy", "anisotropic-stack",
+                                   "circle"])
+def test_lockstep_sweep_equals_point_by_point_solves(tmp_path, shape):
+    if shape == "circle":
+        cfg = _config(tmp_path, CIRCLE, n2=32)
+    else:
+        cfg = _config(tmp_path, {"slab": SLAB, "lossy": LOSSY}.get(shape)
+                      or _anisotropic_stack(tmp_path))
     code, rows = _sweep(cfg, *THETAS, tmp_path / "out")
     assert code == 0
     assert rows == _expected(cfg, *THETAS)
@@ -136,9 +140,9 @@ def test_a_point_at_a_rayleigh_anomaly_is_skipped_alone(tmp_path, caplog):
     assert f"skipping k = {PERIOD:g}: invalid problem (" in caplog.text
 
 
-def test_batches_fit_the_memory_estimate(tmp_path, monkeypatch):
-    cfg = _config(tmp_path, SLAB)
-    _, unbounded = _sweep(cfg, *THETAS, tmp_path / "all")
+def _stack_sizes(monkeypatch) -> list[int]:
+    """The number of points of every OperatorStack the solver builds from
+    now on."""
     sizes = []
     stack = vigrating.solver.OperatorStack
 
@@ -147,6 +151,47 @@ def test_batches_fit_the_memory_estimate(tmp_path, monkeypatch):
         return stack(discs, rows)
 
     monkeypatch.setattr(vigrating.solver, "OperatorStack", recorded)
+    return sizes
+
+
+def test_a_batch_holds_at_most_one_full_grid_of_rows(tmp_path, monkeypatch):
+    sizes = _stack_sizes(monkeypatch)
+    # six one-row points on a grid of four rows
+    code, rows = _sweep(_config(tmp_path, SLAB, n1=4), *THETAS,
+                        tmp_path / "rows")
+    assert code == 0 and len(rows) == 9
+    assert max(sizes) == 4
+    # a 2-D point has all the rows: it runs alone
+    sizes.clear()
+    code, rows = _sweep(_config(tmp_path, CIRCLE, n2=32), *THETAS,
+                        tmp_path / "circle")
+    assert code == 0 and len(rows) == 9
+    assert sizes == [1] * 6
+
+
+def test_a_2d_sweep_holds_one_point_at_a_time(tmp_path):
+    cfg = _config(tmp_path, CIRCLE, n2=32)
+    run = load_config(cfg)
+    need = check_memory(run.build(), SolveOptions(
+        rel_tol=run.rel_tol, max_iterations=run.max_iterations,
+        restart=run.restart))
+    args = ("theta", 0.0, 20.0, 3, tmp_path / "out")
+    assert _sweep(cfg, *args)[0] == 0                   # warm-up
+    tracemalloc.start()
+    try:
+        code, _ = _sweep(cfg, *args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    # two pending points would hold two Krylov bases and work buffers
+    assert peak < 2 * need
+
+
+def test_batches_fit_the_memory_estimate(tmp_path, monkeypatch):
+    cfg = _config(tmp_path, SLAB)
+    _, unbounded = _sweep(cfg, *THETAS, tmp_path / "all")
+    sizes = _stack_sizes(monkeypatch)
     # check_memory's estimate of one point: 50 + 1 Krylov vectors and two
     # work rows of one row of 128 values
     need = (50 + 1 + 2) * 128 * 16
@@ -171,9 +216,7 @@ def test_a_point_that_cannot_fit_alone_is_skipped(tmp_path, monkeypatch,
 def test_a_sweep_point_allocates_no_full_grid(tmp_path):
     # a tall grid: one complex (N1, N2) array outweighs the three points'
     # Krylov bases together
-    cfg = _config(tmp_path, SLAB)
-    cfg.write_text(cfg.read_text().replace("n1 = 16", "n1 = 1024").replace(
-        "n2 = 128", "n2 = 64"), encoding="utf-8")
+    cfg = _config(tmp_path, SLAB, n1=1024, n2=64)
     args = ("theta", 0.0, 20.0, 3, tmp_path / "out")
     assert _sweep(cfg, *args)[0] == 0                   # warm-up
     tracemalloc.start()
