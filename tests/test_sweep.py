@@ -95,16 +95,28 @@ def _expected(cfg, param, start, stop, steps, skipped=()):
             for row in _point_rows(cfg, param, value)]
 
 
+@pytest.mark.parametrize("batch", [1, 2])
 @pytest.mark.parametrize("shape", ["slab", "lossy", "anisotropic-stack",
                                    "circle"])
-def test_lockstep_sweep_equals_point_by_point_solves(tmp_path, shape):
+def test_lockstep_sweep_equals_point_by_point_solves(tmp_path, monkeypatch,
+                                                     shape, batch):
     if shape == "circle":
         cfg = _config(tmp_path, CIRCLE, n2=32)
     else:
         cfg = _config(tmp_path, {"slab": SLAB, "lossy": LOSSY}.get(shape)
                       or _anisotropic_stack(tmp_path))
+    run = load_config(cfg)
+    need = check_memory(run.build(), SolveOptions(
+        rel_tol=run.rel_tol, max_iterations=run.max_iterations,
+        restart=run.restart))
+    # physical memory for ``batch`` points: batches of at most that many
+    monkeypatch.setattr(vigrating.solver, "physical_memory_bytes",
+                        lambda: batch * need)
+    sizes = _stack_sizes(monkeypatch)
     code, rows = _sweep(cfg, *THETAS, tmp_path / "out")
     assert code == 0
+    # a 2-D point has all the rows: it runs alone whatever the memory
+    assert max(sizes) == (1 if shape == "circle" else batch)
     assert rows == _expected(cfg, *THETAS)
     # the range crosses the onset of order -1
     orders = {}
