@@ -9,7 +9,10 @@ converge, else 3.
 
 A sweep samples the contrast once and solves its points in the batches of
 :func:`solver.solve_lockstep`: up to N1 points of a layered grating, or
-one 2-D point, at a time.  A point that fails is skipped alone.
+one 2-D point, at a time.  The points of a batch start together; the batch
+builds its kernel tables and right-hand sides in one stacked call each and
+finishes with one stacked Rayleigh extraction.  A point that fails is
+skipped alone.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import logging
 import sys
 from contextlib import contextmanager
 from functools import lru_cache
-from itertools import starmap
 from pathlib import Path
 
 import numpy as np
@@ -49,15 +51,20 @@ EXIT_NOT_CONVERGED = 2
 EXIT_INVALID = 3
 
 
+def _out_of_memory(cfg: RunConfig, exc: MemoryError) -> SizeGuard:
+    """The SizeGuard, naming ``cfg``'s grid, that a MemoryError while
+    sampling or solving on it becomes; the commands report it as exit 3."""
+    return SizeGuard(f"out of memory on the {cfg.n1} x {cfg.n2} grid: "
+                     f"{str(exc) or 'MemoryError'}")
+
+
 @contextmanager
 def _grid_memory(cfg: RunConfig):
-    """Turn a MemoryError while sampling or solving on ``cfg``'s grid into
-    SizeGuard naming the grid, which the commands report as exit 3."""
+    """Raise :func:`_out_of_memory` for a MemoryError of the block."""
     try:
         yield
     except MemoryError as exc:
-        raise SizeGuard(f"out of memory on the {cfg.n1} x {cfg.n2} grid: "
-                        f"{str(exc) or 'MemoryError'}") from None
+        raise _out_of_memory(cfg, exc) from None
 
 
 def _solve_options(cfg: RunConfig) -> SolveOptions:
@@ -143,18 +150,34 @@ def cmd_solve(config_path: str, output: str | None = None) -> int:
     return EXIT_OK
 
 
+def _sweep_values(start: float, stop: float, steps: int) -> np.ndarray:
+    """The ``steps`` evenly spaced sweep values from ``start`` to ``stop``;
+    raises ConfigError naming the flag when they cannot be held or when
+    the span overflows."""
+    if steps < 1:
+        raise ConfigError("steps must be >= 1")
+    for flag, bound in (("--from", start), ("--to", stop)):
+        if not np.isfinite(bound):
+            raise ConfigError(f"sweep {flag} must be finite, got {bound!r}")
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = np.linspace(start, stop, steps)
+    except MemoryError:
+        raise ConfigError(f"sweep --steps {steps} is more points than "
+                          "memory holds") from None
+    if not np.isfinite(values).all():
+        raise ConfigError(f"sweep --from {start!r} to --to {stop!r} spans "
+                          "more than the largest float")
+    return values
+
+
 def cmd_sweep(config_path: str, param: str, start: float, stop: float,
               steps: int, output: str | None = None) -> int:
     try:
         base = load_config(config_path)
         if param not in ("k", "theta"):
             raise ConfigError("sweep parameter must be 'k' or 'theta'")
-        if steps < 1:
-            raise ConfigError("steps must be >= 1")
-        for flag, bound in (("--from", start), ("--to", stop)):
-            if not np.isfinite(bound):
-                raise ConfigError(f"sweep {flag} must be finite, got "
-                                  f"{bound!r}")
+        values = _sweep_values(start, stop, steps)
     except ConfigError as exc:
         log.error("%s", exc)
         return EXIT_INVALID
@@ -170,7 +193,6 @@ def cmd_sweep(config_path: str, param: str, start: float, stop: float,
         log.error("invalid problem: %s", exc)
         return EXIT_INVALID
 
-    values = np.linspace(start, stop, steps)
     points = []
 
     def skip(value: float, exc: Exception) -> int:
@@ -178,41 +200,45 @@ def cmd_sweep(config_path: str, param: str, start: float, stop: float,
         if isinstance(exc, (NotConverged, BreakdownDetected)):
             log.warning("skipping %s = %g: %s", param, value, exc)
             return EXIT_NOT_CONVERGED
+        if isinstance(exc, MemoryError):
+            exc = _out_of_memory(base, exc)
         log.warning("skipping %s = %g: invalid problem (%s)", param, value,
                     exc)
         return EXIT_INVALID
 
     def problems():
-        """The (value, problem, kernel table) of each point, built only
-        when the solver takes it; a point rejected while it is built is
-        skipped."""
+        """The (value, problem) of each point, built only when the solver
+        takes it; a point whose wave is rejected is skipped."""
         for value in values:
             try:
                 wave = base.replace_parameter(param, float(value)).wave()
-                with _grid_memory(base):
-                    table = kernel_table(grid, wave, layout.n_rows)
             except (VigratingError, ValueError) as exc:
                 points.append((value, skip(value, exc)))
                 continue
             yield value, Problem(wave=wave, contrast=contrast, grid=grid,
-                                 rho_ref=rho_ref, layout=layout), table
+                                 rho_ref=rho_ref, layout=layout)
 
-    def finish(value: float, outcome):
-        """Rayleigh extraction and efficiencies of a solved point."""
+    def finish(batch: list) -> list:
+        """The (value, efficiencies or exit code) of a solved batch: one
+        Rayleigh extraction for its solved points."""
+        done = [(value, skip(value, outcome)) for value, outcome in batch
+                if isinstance(outcome, Exception)]
+        solved = [(value, sol) for value, sol in batch
+                  if not isinstance(sol, Exception)]
+        if not solved:
+            return done
         try:
             with _grid_memory(base):
-                if isinstance(outcome, Exception):
-                    raise outcome
-                disc = outcome.discretization
-                above, below = pp.rayleigh_both_sides(outcome, disc.problem,
-                                                      disc.table)
-                return value, pp.efficiencies(above, below, disc.problem)
+                data = pp.rayleigh_batch([sol for _, sol in solved])
         except (VigratingError, ValueError) as exc:
-            return value, skip(value, exc)
+            return done + [(value, skip(value, exc)) for value, _ in solved]
+        return done + [
+            (value, pp.efficiencies(above, below, sol.discretization.problem))
+            for (value, sol), (above, below) in zip(solved, data)]
 
-    # starmap holds no solved point while the solver runs the next one
-    for point in starmap(finish, solve_lockstep(problems(), opts)):
-        points.append(point)
+    # map holds no solved batch while the solver runs the next one
+    for done in map(finish, solve_lockstep(problems(), opts)):
+        points += done
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")

@@ -16,6 +16,7 @@ of the volume potential exact on trigonometric polynomials.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,51 +118,93 @@ class KernelTable:
         return self.coeffs.shape
 
 
-def _build_table(grid: Grid, alpha: float, k_squared: float, k: float,
-                 rows: int | None = None) -> KernelTable:
+def _build_tables(grid: Grid, alpha, k_squared, k,
+                  rows: int | None = None) -> list:
+    """The tables of P waves, given as sequences ``alpha``, ``k_squared``
+    and ``k`` of P values each, from one (P, rows, N2) build.
+
+    Each entry is the wave's :class:`KernelTable`, a read-only view of the
+    stack, or the DegenerateAtZeroJ2 that rejects that wave alone.  Every
+    step is elementwise, so a table is bit for bit the one its wave gets
+    alone.
+    """
     rho = grid.rho_box
     j1_all = grid.j1_modes()
     j1 = j1_all[:rows, None]
     j2 = grid.j2_modes()[None, :]
-    lam = helmholtz_symbol(j1, j2, k_squared, alpha, rho)
-    b = _beta_many(j1, k_squared, alpha)
-
-    eps_lam = 1e-8 * max(1.0, abs(k_squared))
-    degenerate = np.abs(lam) <= eps_lam
+    eps = [1e-8 * max(1.0, abs(ks)) for ks in k_squared]
+    waves = np.array([alpha, k_squared, eps], dtype=float)[:, :, None, None]
     # the j2 == 0 column of every row, tabulated or not
-    if np.any(np.abs(helmholtz_symbol(j1_all, 0, k_squared, alpha, rho))
-              <= eps_lam):
-        raise DegenerateAtZeroJ2(
-            "symbol vanished at a j2 == 0 mode; non-resonance validation "
-            "failed upstream"
-        )
+    zero = (np.abs(helmholtz_symbol(j1_all, 0, waves[1, :, 0],
+                                    waves[0, :, 0], rho))
+            <= waves[2, :, 0]).any(axis=1)
+    out = [DegenerateAtZeroJ2("symbol vanished at a j2 == 0 mode; "
+                              "non-resonance validation failed upstream")
+           if bad else None for bad in zero.tolist()]
+    built = np.flatnonzero(~zero)
+    if not built.size:
+        return out
+    alphas, k2s, eps_lam = waves[:, built]
+    lam = helmholtz_symbol(j1, j2, k2s, alphas, rho)
+    b = _beta_many(j1, k2s, alphas)
 
+    degenerate = np.abs(lam) <= eps_lam
     lam_safe = np.where(degenerate, 1.0, lam)
     num = np.cos(j2 * np.pi) * np.exp(1j * b * rho) - 1.0
     coeffs = num / (np.sqrt(4 * np.pi * rho) * lam_safe)
-    degs = ()
     if np.any(degenerate):
-        jj1, jj2 = np.broadcast_arrays(j1, j2)
+        jj2 = np.broadcast_to(j2, degenerate.shape)
         vals = 0.25j / np.abs(np.where(degenerate, jj2, 1)) * (rho / np.pi) ** 1.5
         coeffs = np.where(degenerate, vals, coeffs)
-        degs = tuple(zip(jj1[degenerate].tolist(), jj2[degenerate].tolist()))
     coeffs = np.ascontiguousarray(coeffs)
     coeffs.setflags(write=False)
-    return KernelTable(k_squared=k_squared, k=k, alpha=alpha, rho=rho,
-                       coeffs=coeffs, degenerate_modes=degs)
+    for p, i in enumerate(built.tolist()):
+        at = np.nonzero(degenerate[p])
+        degs = tuple(zip(j1[at[0], 0].tolist(), j2[0, at[1]].tolist()))
+        out[i] = KernelTable(k_squared=k_squared[i], k=k[i], alpha=alpha[i],
+                             rho=rho, coeffs=coeffs[p], degenerate_modes=degs)
+    return out
 
 
-def kernel_table(grid: Grid, wave: IncidentWave,
-                 rows: int | None = None) -> KernelTable:
+def _wave_tables(grid: Grid, waves, rows: int | None) -> list:
+    """The tables of ``waves`` from one build, or the RayleighAnomaly or
+    DegenerateAtZeroJ2 that rejects a wave alone."""
+    out: list = [None] * len(waves)
+    valid = []
+    for i, wave in enumerate(waves):
+        try:
+            wave.check_nonresonance()
+            valid.append(i)
+        except RayleighAnomaly as exc:
+            out[i] = exc
+    tables = _build_tables(grid, [waves[i].alpha for i in valid],
+                           [waves[i].k**2 for i in valid],
+                           [waves[i].k for i in valid], rows)
+    for i, table in zip(valid, tables):
+        out[i] = table
+    return out
+
+
+def kernel_table(grid: Grid, wave: IncidentWave | Sequence[IncidentWave],
+                 rows: int | None = None) -> KernelTable | list:
     """Tabulate the N1 x N2 kernel coefficients for a validated wave.
 
     ``rows`` keeps only the first ``rows`` storage rows (x1 frequencies
     ``j1_modes()[:rows]``), with the same values as the full table; a
     layered solve needs only the row j1 = 0.  Either way the table raises
     DegenerateAtZeroJ2 if the symbol vanishes at j2 == 0 in any row.
+
+    ``wave`` may also be a sequence of waves (the points of a sweep batch):
+    one (P, rows, N2) build tabulates them all, and the list returned holds
+    each wave's table, bit for bit the one it gets alone, or the
+    RayleighAnomaly or DegenerateAtZeroJ2 that rejects it alone.
     """
-    wave.check_nonresonance()
-    return _build_table(grid, wave.alpha, wave.k**2, wave.k, rows)
+    if not isinstance(wave, IncidentWave):
+        return _wave_tables(grid, wave, rows)
+    table, = _wave_tables(grid, [wave], rows)
+    if isinstance(table, Exception):
+        raise table
+    return table
 
 
 def reference_table(grid: Grid, alpha: float) -> KernelTable:
@@ -170,7 +213,8 @@ def reference_table(grid: Grid, alpha: float) -> KernelTable:
     All vertical wavenumbers are i*sqrt(1 + alpha_j^2); no cutoff orders and
     no degenerate modes exist, so no validation is needed.
     """
-    return _build_table(grid, alpha, -1.0, float("nan"))
+    table, = _build_tables(grid, [alpha], [-1.0], [float("nan")])
+    return table
 
 
 def decay_shell_stat(table: KernelTable, grid: Grid, shell: int) -> float:

@@ -18,7 +18,7 @@ application.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -205,6 +205,25 @@ class _RowArrays(NamedTuple):
     ifft: object
 
 
+def _row_arrays(grid: Grid, alphas: np.ndarray,
+                coeffs: np.ndarray) -> _RowArrays:
+    """The :class:`_RowArrays` of a stack of P arrays of ``rows`` rows,
+    from the P quasi-periodicity parameters ``alphas`` and the leading
+    kernel table rows ``coeffs`` (P, rows, N2) of their waves."""
+    rows = coeffs.shape[1]
+    ia = 1j * (grid.j1_modes()[:rows] + alphas[:, None])
+    if rows == 1:
+        transforms = (partial(np.fft.fft, axis=-1),
+                      partial(np.fft.ifft, axis=-1))
+    else:
+        transforms = (partial(np.fft.fftn, axes=(-2, -1)),
+                      partial(np.fft.ifftn, axes=(-2, -1)))
+    return _RowArrays(
+        ia[:, :, None], np.sqrt(4 * np.pi * grid.rho_box) * coeffs,
+        np.empty((2, len(coeffs), rows, grid.n2), dtype=complex),
+        np.sqrt(4 * np.pi * grid.rho_box) / (rows * grid.n2), *transforms)
+
+
 def _gradient(a: _RowArrays, imu: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Scaled gradient samples of a stack c of coefficient arrays."""
     np.multiply(a.ia, c, out=a.work[0])
@@ -251,9 +270,9 @@ class Discretization:
     The incident wave excites only the row j1 = 0, which a layered contrast
     maps to itself: ``n_rows``, from ``problem.layout``, is 1 for a layered
     contrast and N1 otherwise.  The operator methods take ``n_rows`` or N1
-    rows; the kernel table must hold the rows applied.  The operator runs
-    on a stack of one array, the arithmetic :class:`OperatorStack` runs on
-    a stack of many.
+    rows; the kernel table must hold the rows applied.  The operator and
+    the right-hand side run on a stack of one array, the arithmetic
+    :class:`OperatorStack` runs on a stack of many.
     """
 
     def __init__(self, problem: Problem, table: KernelTable):
@@ -273,54 +292,37 @@ class Discretization:
                 f"{table.alpha}; the problem has k = {problem.k}, alpha = "
                 f"{problem.alpha}")
         self.imu = (1j * np.pi / grid.rho_box * grid.j2_modes())[None, :]
-        self._by_rows = {self.n_rows: self._row_arrays(self.n_rows)}
-        self._incident = None
+        self._by_rows = {}
 
-    def _row_arrays(self, rows: int) -> _RowArrays:
-        """The :class:`_RowArrays` of a stack of one array of ``rows``
-        rows."""
-        grid = self.problem.grid
-        ia = 1j * (grid.j1_modes()[:rows] + self.problem.alpha)
-        multiplier = (np.sqrt(4 * np.pi * grid.rho_box)
-                      * self.table.coeffs[:rows])
-        if rows == 1:
-            transforms = (partial(np.fft.fft, axis=-1),
-                          partial(np.fft.ifft, axis=-1))
-        else:
-            transforms = (partial(np.fft.fftn, axes=(-2, -1)),
-                          partial(np.fft.ifftn, axes=(-2, -1)))
-        return _RowArrays(
-            ia[None, :, None], multiplier[None],
-            np.empty((2, 1, rows, grid.n2), dtype=complex),
-            np.sqrt(4 * np.pi * grid.rho_box) / (rows * grid.n2), *transforms)
+    def _check_rows(self, rows: int):
+        """Raise ShapeMismatch unless arrays of ``rows`` rows can be
+        applied: ``n_rows`` rows, or all N1 with the full kernel table."""
+        if rows == self.n_rows:
+            return
+        if rows != self.n1:
+            raise ShapeMismatch(
+                f"{rows} coefficient rows; expected {self.n_rows} or "
+                f"{self.n1}")
+        held = len(self.table.coeffs)
+        if held != rows:
+            raise ShapeMismatch(
+                f"an array of all {rows} coefficient rows needs the full "
+                f"kernel table; this one holds {held} row(s)")
 
     def _rows(self, rows: int) -> _RowArrays:
-        """The arrays of :meth:`_row_arrays` for an array of ``rows`` rows."""
+        """The :func:`_row_arrays` of a stack of one array of ``rows``
+        rows, built when first asked for."""
         arrays = self._by_rows.get(rows)
         if arrays is None:
-            if rows != self.n1:
-                raise ShapeMismatch(
-                    f"{rows} coefficient rows; expected {self.n_rows} or "
-                    f"{self.n1}")
-            held = len(self.table.coeffs)
-            if held != rows:
-                raise ShapeMismatch(
-                    f"an array of all {rows} coefficient rows needs the full "
-                    f"kernel table; this one holds {held} row(s)")
-            arrays = self._by_rows[rows] = self._row_arrays(rows)
+            self._check_rows(rows)
+            arrays = self._by_rows[rows] = _row_arrays(
+                self.problem.grid, np.array([self.problem.alpha]),
+                self.table.coeffs[None, :rows])
         return arrays
 
     def live_rows(self, c: np.ndarray) -> np.ndarray:
         """The first ``n_rows`` rows of c when the rest vanish, else c."""
         return c if c[self.n_rows:].any() else c[:self.n_rows]
-
-    def _incident_gradient(self, scale: float) -> np.ndarray:
-        """grad u^i stripped of exp(i alpha x1), times ``scale``; shape
-        (2, 1, N2), the samples of every x1 row."""
-        kd = self.problem.k * np.asarray(self.problem.wave.d)
-        if self._incident is None:
-            self._incident = np.exp(1j * kd[1] * self.x2)
-        return (scale * 1j * kd)[:, None, None] * self._incident
 
     def apply(self, c: np.ndarray) -> np.ndarray:
         """Forward operator c - div V(Q grad c) on a coefficient array."""
@@ -328,61 +330,48 @@ class Discretization:
 
     def rhs(self) -> np.ndarray:
         """The first ``n_rows`` coefficient rows of the right-hand side
-        div V(Q grad u^i), shape (n_rows, N2); its other rows vanish."""
-        a = self._rows(self.n_rows)
-        y = a.work
-        y[...] = self._incident_gradient(a.scale)[:, None]
-        _contrast_product(self.q, y)
-        return _div_potential(a, self.imu, y)[0].copy()
-
-    def density_rows(self, c: np.ndarray) -> np.ndarray:
-        """x1 transform of the samples of w = Q grad(u^s + u^i), stripped
-        of exp(i alpha x1), on the support columns.
-
-        Shape (2, rows, len(support)), node heights ``x2[support]``; row i
-        is x1 frequency ``j1_modes()[i]`` of the unnormalized FFT.  ``rows``
-        is that of c with its vanishing rows past ``n_rows`` dropped.  One
-        row of x1-invariant samples, divided by the sample scale of all N1
-        rows, is N1 times the samples: the row j1 = 0 of their FFT, whose
-        other rows vanish.
-        """
-        c = self.live_rows(c)
-        a = self._rows(len(c))
-        cols = self.support
-        y = _gradient(a, self.imu, c[None])[:, 0][:, :, cols]
-        y += self._incident_gradient(a.scale)[:, :, cols]
-        _contrast_product(self.q[..., cols], y)
-        grid = self.problem.grid
-        y /= np.sqrt(4 * np.pi * grid.rho_box) / (grid.n1 * grid.n2)
-        return y if len(c) == 1 else np.fft.fft(y, axis=1)
+        div V(Q grad u^i), shape (n_rows, N2); its other rows vanish.  The
+        stack of one of :meth:`OperatorStack.rhs`."""
+        return OperatorStack([self], self.n_rows).rhs()[0]
 
 
 class OperatorStack:
-    """The forward operators of the discretizations of one contrast layout
-    (the points of a k or theta sweep), applied to a stack of their
-    coefficient arrays in one call: one inverse and one forward FFT over
-    the stack.
+    """The discretizations of one contrast layout (the points of a k or
+    theta sweep), applied to a stack of P coefficient arrays of ``rows``
+    rows in one call: the forward operators with one inverse and one
+    forward FFT over the stack, the right-hand sides with one forward FFT
+    and the scattered densities with one inverse one.
 
-    Each array's product is bit-identical to that of its own
-    :meth:`Discretization.apply`: both run :func:`_forward`, whose steps
-    are elementwise, and numpy's FFTs give the same bits with a leading
-    batch axis.  ``rows`` is the row count of the arrays applied.
+    Each array's result is bit-identical to that of a stack of its own
+    discretization alone: every step is elementwise or a per-slice FFT,
+    and numpy's FFTs give the same bits with a leading batch axis.
     """
 
     def __init__(self, discs, rows: int):
         first = discs[0]
+        grid = first.problem.grid
         if any(d.problem.layout is not first.problem.layout
-               or d.problem.grid != first.problem.grid for d in discs):
+               or d.problem.grid != grid for d in discs):
             raise ShapeMismatch("a stack of operators needs one contrast "
                                 "layout on one grid")
-        parts = [d._rows(rows) for d in discs]
+        self.discs, self.rows, self.grid = discs, rows, grid
         self.imu, self.q = first.imu, first.q
-        # a stack of one shares its discretization's arrays: no copy
-        self.arrays = parts[0] if len(parts) == 1 else parts[0]._replace(
-            ia=np.concatenate([p.ia for p in parts]),
-            multiplier=np.concatenate([p.multiplier for p in parts]),
-            work=np.empty((2, len(discs), rows, first.problem.grid.n2),
-                          dtype=complex))
+        self.support, self.x2 = first.support, first.x2
+        if len(discs) == 1:
+            # a stack of one shares its discretization's arrays
+            self.arrays = first._rows(rows)
+            return
+        for d in discs:
+            d._check_rows(rows)
+        self.arrays = _row_arrays(
+            grid, np.array([d.problem.alpha for d in discs]),
+            np.stack([d.table.coeffs[:rows] for d in discs]))
+
+    @cached_property
+    def kd(self) -> np.ndarray:
+        """k d of every wave, (2, P, 1, 1)."""
+        return np.array([d.problem.k * np.asarray(d.problem.wave.d)
+                         for d in self.discs]).T[:, :, None, None]
 
     def apply(self, vectors) -> np.ndarray:
         """The (P, rows, N2) products of the P operators with their P
@@ -391,6 +380,40 @@ class OperatorStack:
         c = np.stack(vectors) if len(vectors) > 1 else vectors[0][None]
         return _forward(self.arrays, self.imu, self.q,
                         c.reshape(self.arrays.multiplier.shape))
+
+    def _incident_gradient(self, scale: float, x2: np.ndarray) -> np.ndarray:
+        """grad u^i stripped of exp(i alpha x1), times ``scale``, of every
+        wave at the heights ``x2``; shape (2, P, 1, len(x2)), the samples
+        of every x1 row."""
+        return (scale * 1j * self.kd) * np.exp(1j * self.kd[1] * x2)
+
+    def rhs(self) -> np.ndarray:
+        """The (P, rows, N2) right-hand sides div V(Q grad u^i); a stack
+        of ``n_rows`` rows holds every row that does not vanish."""
+        a = self.arrays
+        y = a.work
+        y[...] = self._incident_gradient(a.scale, self.x2)
+        _contrast_product(self.q, y)
+        return _div_potential(a, self.imu, y).copy()
+
+    def density_rows(self, c: np.ndarray) -> np.ndarray:
+        """x1 transform of the samples of w = Q grad(u^s + u^i), stripped
+        of exp(i alpha x1), on the support columns, for a (P, rows, N2)
+        stack c of scattered fields.
+
+        Shape (2, P, rows, len(support)), node heights ``x2[support]``;
+        row i is x1 frequency ``j1_modes()[i]`` of the unnormalized FFT.
+        One row of x1-invariant samples, divided by the sample scale of all
+        N1 rows, is N1 times the samples: the row j1 = 0 of their FFT,
+        whose other rows vanish.
+        """
+        a, cols = self.arrays, self.support
+        y = _gradient(a, self.imu, c)[..., cols]
+        y += self._incident_gradient(a.scale, self.x2[cols])
+        _contrast_product(self.q[..., cols], y)
+        y /= (np.sqrt(4 * np.pi * self.grid.rho_box)
+              / (self.grid.n1 * self.grid.n2))
+        return y if self.rows == 1 else np.fft.fft(y, axis=2)
 
 
 def apply_forward(u: SpectralField, problem: Problem,

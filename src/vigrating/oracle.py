@@ -266,6 +266,14 @@ def slab_reference(spec: SlabSpec, rho_ref: float | None = None) -> SlabResult:
     )
 
 
+def _two_sum(a: complex, b: complex) -> tuple[complex, complex]:
+    """a + b rounded, and its rounding error (Knuth's TwoSum; exact in each
+    component of a complex sum)."""
+    total = a + b
+    part = total - a
+    return total, (a - (total - part)) + (b - part)
+
+
 def slab_reference_fd(spec: SlabSpec, n: int = 2000,
                       pad: float = 2.0,
                       rho_ref: float | None = None) -> tuple[complex, complex]:
@@ -279,9 +287,20 @@ def slab_reference_fd(spec: SlabSpec, n: int = 2000,
     with A = I outside the slab and the slab faces on nodes.  The radiation
     conditions enter as the boundary terms -i b0 on the two end nodes, the
     incident wave as the load of the top node.  Richardson extrapolation
-    over n and 2n cells in the slab removes the leading quadratic error.
-    No closed form enters.  Returns (r, t) in the same normalization as
+    over n and 2n cells in the slab removes the leading quadratic error;
+    both meshes pad the slab by the same length, a whole number of the
+    coarse cells, so that they differ in nothing but h.  No closed form
+    enters.  Returns (r, t) in the same normalization as
     :func:`slab_reference`.
+
+    The tridiagonal system is solved by elimination on the deviations
+    e_i = d_i - s_i of the pivots d_i from the stiffness s_i = A22 / h of
+    the element right of node i, and the back substitution on the ratios
+    v_i / v_{i+1} = 1 + q_i.  Eliminating on d_i itself, which is s_i plus
+    a quantity of order one, rounds that quantity at the scale 1/h on
+    every node, an error that grows with the mesh.  e_i and v_i change by
+    O(h) from node to node; those changes are summed with compensated
+    (TwoSum) additions, so the rounding stays at a few ulp on any mesh.
     """
     if rho_ref is None:
         rho_ref = max(abs(spec.a), abs(spec.b))
@@ -289,9 +308,10 @@ def slab_reference_fd(spec: SlabSpec, n: int = 2000,
     b0 = complex(np.sqrt(complex(k**2 - alpha**2)))
     mat = spec.tensor()
 
-    def solve_once(m_cells: int) -> tuple[complex, complex]:
+    def solve_once(m_cells: int, p: int) -> tuple[complex, complex]:
+        """(r, t) on m_cells cells in the slab and p padding cells on
+        each side."""
         h = (spec.b - spec.a) / m_cells
-        p = int(np.ceil(pad / h))
         lo = spec.a - p * h
         hi = spec.b + p * h
         npts = m_cells + 2 * p + 1
@@ -306,31 +326,38 @@ def slab_reference_fd(spec: SlabSpec, n: int = 2000,
         skew = 1j * alpha * a12
         mass = (alpha**2 * a11 - k**2) * (h / 6)
 
-        diag = np.zeros(npts, dtype=complex)
-        diag[:-1] += stiff + 2 * mass
-        diag[1:] += stiff + 2 * mass
-        diag[[0, -1]] -= 1j * b0
-        upper = -stiff - skew + mass        # row i, column i + 1
-        lower = -stiff + skew + mass        # row i + 1, column i
-        rhs = np.zeros(npts, dtype=complex)
-        rhs[-1] = -2j * b0 * np.exp(-1j * b0 * hi)
-
-        # tridiagonal solve: forward elimination, then back substitution
+        # element i couples nodes i and i + 1: diagonal s + 2m on both,
+        # s + sk - m = -(row i, column i + 1), s - sk - m = -(row i + 1,
+        # column i); the end nodes add -i b0
+        s, sk, m = (np.broadcast_to(x, npts - 1).astype(complex).tolist()
+                    for x in (stiff, skew, mass))
+        # forward elimination, d_i = s_{i-1} + 2 m_{i-1} + s_i + 2 m_i
+        # - ((s_{i-1} - m_{i-1})^2 - sk_{i-1}^2) / d_{i-1}, written for e_i;
+        # the load sits on the last node alone, which it leaves unchanged
+        e, err = 2 * m[0] - 1j * b0, 0j
+        pivots = [e]
         for i in range(1, npts):
-            w = lower[i - 1] / diag[i - 1]
-            diag[i] -= w * upper[i - 1]
-            rhs[i] -= w * rhs[i - 1]
-        v = np.empty(npts, dtype=complex)
-        v[-1] = rhs[-1] / diag[-1]
+            si, ski, mi = s[i - 1], sk[i - 1], m[i - 1]
+            step = ((4 * mi * si + 2 * mi * e - mi * mi + ski * ski - e * e)
+                    / (si + e) + (2 * m[i] if i < npts - 1 else -1j * b0))
+            e, err = _two_sum(e, step + err)
+            pivots.append(e)
+        # back substitution, v_i = v_{i+1} (s_i + sk_i - m_i) / (s_i + e_i);
+        # the last pivot is e itself
+        top = -2j * b0 * complex(np.exp(-1j * b0 * hi)) / (e + err)
+        v, err = top, 0j
         for i in range(npts - 2, -1, -1):
-            v[i] = (rhs[i] - upper[i] * v[i + 1]) / diag[i]
+            q = (sk[i] - m[i] - pivots[i]) / (s[i] + pivots[i])
+            v, err = _two_sum(v, v * q + err * (1 + q))
+        bottom = v + err
 
-        r = (v[-1] - np.exp(-1j * b0 * hi)) * np.exp(-1j * b0 * (hi - rho_ref))
-        t = v[0] * np.exp(1j * b0 * (lo + rho_ref))
+        r = (top - np.exp(-1j * b0 * hi)) * np.exp(-1j * b0 * (hi - rho_ref))
+        t = bottom * np.exp(1j * b0 * (lo + rho_ref))
         return complex(r), complex(t)
 
-    r1, t1 = solve_once(n)
-    r2, t2 = solve_once(2 * n)
+    p = int(np.ceil(pad / ((spec.b - spec.a) / n)))
+    r1, t1 = solve_once(n, p)
+    r2, t2 = solve_once(2 * n, 2 * p)
     return (4 * r2 - r1) / 3, (4 * t2 - t1) / 3
 
 

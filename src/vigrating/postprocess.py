@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotConverged
+from .errors import NotConverged, ShapeMismatch
 from .kernel import KernelTable, _beta_many
-from .operators import Discretization, evaluate
+from .operators import Discretization, OperatorStack, evaluate
 from .problem import Problem
 from .solver import Solution
 
@@ -56,7 +56,41 @@ def rayleigh_both_sides(
     table: KernelTable,
     j_max: int | None = None,
 ) -> tuple[RayleighData, RayleighData]:
-    """Rayleigh coefficients above and below from moments of the density.
+    """Rayleigh coefficients above and below from moments of the density:
+    the batch of one of :func:`rayleigh_batch`, on the discretization of
+    ``problem`` and ``table``, which the solve's own serves."""
+    if not solution.converged:
+        raise NotConverged("Rayleigh extraction requires a converged solve")
+    disc = solution.discretization
+    if disc is None or disc.problem is not problem or disc.table is not table:
+        disc = Discretization(problem, table)
+        c = solution.u.coeffs
+    else:
+        # the field of this solve vanishes past the rows it solved
+        c = solution.rows
+    return _rayleigh([disc], [c], j_max)[0]
+
+
+def rayleigh_batch(
+    solutions, j_max: int | None = None,
+) -> list[tuple[RayleighData, RayleighData]]:
+    """The (above, below) Rayleigh coefficients of converged solutions of
+    one contrast layout, grid and reference height (the solved points of a
+    sweep batch), each on the discretization it was solved on.
+
+    One density stack and one moment pass per side serve the batch; each
+    solution's coefficients are bit for bit those of its own
+    :func:`rayleigh_both_sides`.
+    """
+    if not all(s.converged for s in solutions):
+        raise NotConverged("Rayleigh extraction requires a converged solve")
+    return _rayleigh([s.discretization for s in solutions],
+                     [s.rows for s in solutions], j_max)
+
+
+def _rayleigh(discs, fields, j_max: int | None):
+    """Rayleigh coefficients of the scattered fields ``fields`` (coefficient
+    rows) on the discretizations ``discs``.
 
     For a density w = Q grad(u^s + u^i) supported in the grating slab the
     scattered field above (below) is grad G * w summed over orders, which
@@ -67,51 +101,64 @@ def rayleigh_both_sides(
                               (alpha_j w_1 +- beta_j w_2) dy,
 
     evaluated by the trapezoidal rule on the grid (spectrally accurate in
-    the periodic direction).  The density is built once on the support
-    columns and transformed in x1, which turns the y1 sums of all orders
-    into row lookups, leaving one x2 dot product per order and side.  The
-    field of a layered solve has one row, j1 = 0, so its density has one
-    x1-invariant row and every other order an exactly zero coefficient.
+    the periodic direction).  The densities are built on the support
+    columns and transformed in x1 in one stack, which turns the y1 sums of
+    all orders into row lookups, leaving one x2 dot product per order, side
+    and field, all taken in one pass per side.  The field of a layered
+    solve has one row, j1 = 0, so its density has one x1-invariant row and
+    every other order an exactly zero coefficient.
     """
-    if not solution.converged:
-        raise NotConverged("Rayleigh extraction requires a converged solve")
-    disc = solution.discretization
-    if disc is None or disc.problem is not problem or disc.table is not table:
-        disc = Discretization(problem, table)
-        c = solution.u.coeffs
-    else:
-        # the field of this solve vanishes past the rows it solved
-        c = solution.rows
+    first = discs[0].problem
+    grid, rho_ref = first.grid, first.rho_ref
+    if any(d.problem.rho_ref != rho_ref for d in discs):
+        raise ShapeMismatch("a batch of Rayleigh extractions needs one "
+                            "reference height")
+    fields = [d.live_rows(c) for d, c in zip(discs, fields)]
+    if any(len(c) != len(fields[0]) for c in fields):
+        raise ShapeMismatch("a batch of Rayleigh extractions needs fields "
+                            "of one row count")
+    density = OperatorStack(discs, len(fields[0])).density_rows(
+        np.stack(fields))                           # (2, P, rows, x2)
     if j_max is None:
-        j_max = problem.grid.n1 // 2 - 1
-    k, alpha, rho_ref = problem.k, problem.alpha, problem.rho_ref
+        j_max = grid.n1 // 2 - 1
+    waves = np.array([[d.problem.k**2, d.problem.alpha] for d in discs])
+    alpha = waves[:, 1:]
 
     orders = np.arange(-j_max, j_max + 1)
-    betas = _beta_many(orders, k**2, alpha)
+    betas = _beta_many(orders, waves[:, :1], alpha)     # (P, orders)
     dropped = betas.imag * rho_ref > EVANESCENT_DROP
     # the y1 sum of order j is row j of the x1 transform of the density
-    rows = disc.density_rows(c)
-    idx = orders % problem.grid.n1
-    kept = ~dropped & (idx < rows.shape[1])
-    j, bj = orders[kept], betas[kept]
-    rows = rows[:, idx[kept]]                        # (2, orders, x2)
-    aj = (j + alpha)[:, None]
-    x2 = disc.x2[disc.support]
-    prefactor = (-problem.grid.cell_area * np.exp(1j * bj * rho_ref)
+    idx = orders % grid.n1
+    point, kept = np.nonzero(~dropped & (idx < density.shape[2]))
+    j, bj = orders[kept], betas[point, kept]
+    rows = density[:, point, idx[kept]]                 # (2, kept, x2)
+    aj = (j + alpha[point, 0])[:, None]
+    x2 = discs[0].x2[discs[0].support]
+    prefactor = (-grid.cell_area * np.exp(1j * bj * rho_ref)
                  / (4 * np.pi * bj))
     bj = bj[:, None]
-    propagating = tuple(orders[betas.imag == 0.0].tolist())
-    truncated = tuple(orders[dropped].tolist())
-    sides = []
-    for side, sgn in (("+", 1.0), ("-", -1.0)):
-        moment = np.sum(np.exp(-sgn * 1j * bj * x2)
-                        * (aj * rows[0] + sgn * bj * rows[1]), axis=1)
-        coeffs = dict.fromkeys(orders.tolist(), 0.0)
-        coeffs.update(zip(j.tolist(), (prefactor * moment).tolist()))
-        sides.append(RayleighData(side=side, coefficients=coeffs,
-                                  propagating=propagating, rho_ref=rho_ref,
-                                  truncated=truncated))
-    return sides[0], sides[1]
+    moments = [
+        (prefactor * np.sum(np.exp(-sgn * 1j * bj * x2)
+                            * (aj * rows[0] + sgn * bj * rows[1]),
+                            axis=1)).tolist()
+        for sgn in (1.0, -1.0)]
+    # each point's kept orders, in order, from its offset on
+    ends = np.cumsum(np.bincount(point, minlength=len(discs))).tolist()
+    zeros, j = dict.fromkeys(orders.tolist(), 0.0), j.tolist()
+    out = []
+    for p, end in enumerate(ends):
+        start = ends[p - 1] if p else 0
+        propagating = tuple(orders[betas[p].imag == 0.0].tolist())
+        truncated = tuple(orders[dropped[p]].tolist())
+        sides = []
+        for side, values in zip(("+", "-"), moments):
+            coeffs = zeros.copy()
+            coeffs.update(zip(j[start:end], values[start:end]))
+            sides.append(RayleighData(side=side, coefficients=coeffs,
+                                      propagating=propagating,
+                                      rho_ref=rho_ref, truncated=truncated))
+        out.append((sides[0], sides[1]))
+    return out
 
 
 def rayleigh_coefficients(

@@ -12,11 +12,12 @@ import logging
 import math
 import os
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
-from .errors import BreakdownDetected, NotConverged, SizeGuard, VigratingError
-from .kernel import KernelTable
+from .errors import BreakdownDetected, NotConverged, SizeGuard
+from .kernel import KernelTable, kernel_table
 from .operators import Discretization, OperatorStack, SpectralField
 from .problem import Problem
 
@@ -155,11 +156,13 @@ def gmres_steps(
                 break
         m = min(restart, max_iterations - iterations)
         v = np.empty((m + 1, n), dtype=complex)
-        h = np.zeros((m + 1, m), dtype=complex)
-        # rotations and the rotated right-hand side as Python scalars: the
-        # per-iteration loop over them is cheaper than on numpy scalars.  A
-        # division by a real multiplies by its reciprocal, which rounds as
-        # numpy's complex division by a real does.
+        # the rotated Hessenberg columns, rotations and rotated right-hand
+        # side as Python scalars: the per-iteration loop over them is
+        # cheaper than on numpy scalars, and no (m + 1, m) array is cleared
+        # for a cycle that may end after a few columns.  A division by a
+        # real multiplies by its reciprocal, which rounds as numpy's complex
+        # division by a real does.
+        h: list[list[complex]] = []
         cs: list[complex] = []
         sn: list[complex] = []
         g = [complex(beta0)] + [0j] * m
@@ -203,7 +206,7 @@ def gmres_steps(
                 cs.append(hjj * (1.0 / abs(hjj)))
                 sn.append(0j)
                 col[j] = complex(abs(hjj))
-                h[:j + 1, j] = col
+                h.append(col)
                 g[j] = cs[j].conjugate() * g[j]
                 g[j + 1] = 0j
                 history.append(0.0)
@@ -217,7 +220,7 @@ def gmres_steps(
             cs.append(hjj * inv)
             sn.append(complex(hsub * inv))
             col[j] = complex(denom)
-            h[:j + 1, j] = col
+            h.append(col)
             g[j + 1] = -sn[j] * g[j]
             g[j] = cs[j].conjugate() * g[j]
             history.append(abs(g[j + 1]) / bnorm)
@@ -227,7 +230,10 @@ def gmres_steps(
 
         if j_used:
             # upper triangular: LU without row exchanges is back substitution
-            y = np.linalg.solve(h[:j_used, :j_used], np.array(g[:j_used]))
+            r_upper = np.zeros((j_used, j_used), dtype=complex)
+            for i, col in enumerate(h):
+                r_upper[:i + 1, i] = col
+            y = np.linalg.solve(r_upper, np.array(g[:j_used]))
             x = x + v[:j_used].T @ y
         if history and history[-1] <= rel_tol:
             converged = True
@@ -344,13 +350,11 @@ class _Pending:
     """A point of :func:`solve_lockstep`: its GMRES generator and the
     vector that waits for its product."""
 
-    def __init__(self, key, problem: Problem, table: KernelTable,
+    def __init__(self, key, disc: Discretization, b: np.ndarray,
                  opts: SolveOptions):
-        self.key, self.matvecs = key, 0
-        self.need = check_memory(problem, opts)
-        self.disc = Discretization(problem, table)
-        self.steps = gmres_steps(self.disc.rhs().reshape(-1), opts.rel_tol,
-                                 opts.restart, opts.max_iterations)
+        self.key, self.disc, self.matvecs = key, disc, 0
+        self.steps = gmres_steps(b.reshape(-1), opts.rel_tol, opts.restart,
+                                 opts.max_iterations)
 
     def advance(self, product: list | None, pending: list, ended: list):
         """Send GMRES ``product`` in a one-item list, or start it with
@@ -371,21 +375,6 @@ class _Pending:
         ended.append((self.key, outcome))
 
 
-def _take(points, opts: SolveOptions, pending: list, ended: list) -> bool:
-    """Start the next point of ``points`` (see :meth:`_Pending.advance`);
-    False when ``points`` is exhausted."""
-    item = next(points, None)
-    if item is None:
-        return False
-    try:
-        point = _Pending(*item, opts)
-    except (VigratingError, MemoryError) as exc:
-        ended.append((item[0], exc))
-        return True
-    point.advance(None, pending, ended)
-    return True
-
-
 def _step(pending: list, stack: OperatorStack, ended: list) -> list:
     """Send every pending point the product of its vector, from one call
     of ``stack``; the points still pending."""
@@ -398,51 +387,74 @@ def _step(pending: list, stack: OperatorStack, ended: list) -> list:
     return still
 
 
+def _solve_batch(batch: list, opts: SolveOptions) -> list:
+    """The (key, outcome) pairs of one batch of (key, problem) pairs,
+    solved together: one kernel table build and one right-hand-side
+    transform for the batch, then GMRES in lockstep."""
+    first = batch[0][1]
+    rows = first.layout.n_rows
+    try:
+        tables = kernel_table(first.grid, [p.wave for _, p in batch], rows)
+        # a wave the table build rejects ends its point alone
+        ended = [(key, table) for (key, _), table in zip(batch, tables)
+                 if isinstance(table, Exception)]
+        discs = [(key, Discretization(problem, table))
+                 for (key, problem), table in zip(batch, tables)
+                 if not isinstance(table, Exception)]
+        if not discs:
+            return ended
+        stack = OperatorStack([disc for _, disc in discs], rows)
+        points = [_Pending(key, disc, b, opts)
+                  for (key, disc), b in zip(discs, stack.rhs())]
+    except MemoryError as exc:
+        return [(key, exc) for key, _ in batch]
+    pending: list[_Pending] = []
+    for point in points:
+        point.advance(None, pending, ended)
+    held = len(points)
+    while pending:
+        if len(pending) < held:
+            stack = OperatorStack([p.disc for p in pending], rows)
+            held = len(pending)
+        pending = _step(pending, stack, ended)
+    return ended
+
+
 def solve_lockstep(points, opts: SolveOptions | None = None):
-    """Solve ``points``, (key, problem, table) triples of one contrast
-    layout on one grid, with the GMRES of every pending point in lockstep.
+    """Solve ``points``, (key, problem) pairs of one contrast layout on one
+    grid, in batches whose points run GMRES in lockstep.
 
-    Each point runs its own :func:`gmres_steps` from the zero iterate, so
-    its iterations, history, stop rules and messages are those
-    :func:`solve` gives it; only the operator is applied differently:
-    each Krylov step multiplies the vectors of all pending points in one
-    :class:`OperatorStack` call.  The next point is taken from ``points``
-    only when it can join: while the pending rows and its own stay within
-    one grid of N1 rows and their :func:`check_memory` estimates fit in
-    physical memory.  The points share a layout and ``opts``, so the last
-    point taken stands for the next: up to N1 one-row points run
-    together, a 2-D point runs alone.
+    A batch takes the next points of ``points`` and starts them together:
+    up to one grid of N1 rows (up to N1 one-row points of a layered
+    contrast, one 2-D point), as many as their :func:`check_memory`
+    estimates fit in physical memory.  The batch builds the kernel tables
+    of its waves in one :func:`kernel.kernel_table` call and its
+    right-hand sides in one :meth:`OperatorStack.rhs` call, and each
+    Krylov step multiplies the vectors of all its pending points in one
+    :meth:`OperatorStack.apply` call.  Each point runs its own
+    :func:`gmres_steps` from the zero iterate, so its table, right-hand
+    side, iterations, history, stop rules and messages are, bit for bit,
+    those :func:`solve` gives it.
 
-    A generator of (key, outcome) pairs in the order the points finish.
-    The outcome is the point's Solution, or the NotConverged (with the
-    solution attached), BreakdownDetected, SizeGuard, ShapeMismatch or
+    A generator of one list per batch, of the (key, outcome) pairs of its
+    points in the order they finish.  The outcome is the point's
+    Solution, or the NotConverged (with the solution attached),
+    BreakdownDetected, RayleighAnomaly, DegenerateAtZeroJ2, SizeGuard or
     MemoryError that ended that point alone.
     """
     opts = opts or SolveOptions()
     memory = physical_memory_bytes()
     points = iter(points)
-    pending: list[_Pending] = []
-    ended: list = []
-    stack = None
-    more = True
-
-    def joins() -> bool:
-        last, count = pending[-1], len(pending) + 1
-        return count * last.disc.n_rows <= last.disc.n1 and (
-            memory is None or count * last.need <= memory)
-
-    while more or pending:
-        while more and (not pending or joins()):
-            more = _take(points, opts, pending, ended)
-            stack = None
-        if pending:
-            stack = stack or OperatorStack([p.disc for p in pending],
-                                           pending[0].disc.n_rows)
-            still = _step(pending, stack, ended)
-            if len(still) < len(pending):
-                pending, stack = still, None
-        while ended:
-            yield ended.pop(0)
+    for key, problem in points:
+        try:
+            need = check_memory(problem, opts)
+        except SizeGuard as exc:
+            yield [(key, exc)]
+            continue
+        size = problem.grid.n1 // problem.layout.n_rows
+        if memory is not None:
+            size = min(size, memory // need)
+        yield _solve_batch([(key, problem), *islice(points, size - 1)], opts)
 
 
 def residual(problem: Problem, table: KernelTable, u: SpectralField,

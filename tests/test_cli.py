@@ -254,6 +254,28 @@ def test_sweep_rejects_a_non_finite_bound(tmp_path, monkeypatch, caplog,
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("args, message", [
+    (["--from", "0", "--to", "1", "--steps", "1000000000000"],
+     "sweep --steps 1000000000000 is more points than memory holds"),
+    (["--from=-1e308", "--to=1e308", "--steps", "3"],
+     "sweep --from -1e+308 to --to 1e+308 spans more than the largest "
+     "float"),
+], ids=["steps", "span"])
+def test_sweep_rejects_values_it_cannot_hold(tmp_path, monkeypatch, caplog,
+                                             args, message):
+    def sampled(*args):
+        raise AssertionError("the contrast was sampled")
+
+    monkeypatch.setattr(ContrastField, "sample", sampled)
+    out = tmp_path / "sw"
+    cfg = _write(tmp_path / "s.ini", BASE.format(out=out))
+    assert main(["sweep", str(cfg), "--param", "theta", *args, "--output",
+                 str(out)]) == 3
+    assert message in caplog.text
+    assert not out.exists()
+
+
 def test_cmd_solve_writes_outputs(tmp_path):
     out = tmp_path / "run"
     cfg = _write(tmp_path / "s.ini", BASE.format(out=out))
@@ -681,14 +703,15 @@ def test_layered_sweep_lays_out_the_contrast_once(tmp_path, monkeypatch):
 def test_sweep_tables_hold_the_coupled_rows(tmp_path, monkeypatch, shape,
                                             rows):
     shapes = []
-    build = vigrating.cli.kernel_table
+    build = vigrating.solver.kernel_table
 
     def recorded(*args):
-        table = build(*args)
-        shapes.append(table.shape)
-        return table
+        tables = build(*args)
+        shapes.extend(table.shape for table in tables)
+        return tables
 
-    monkeypatch.setattr(vigrating.cli, "kernel_table", recorded)
+    # a sweep batch builds the tables of its waves in one call
+    monkeypatch.setattr(vigrating.solver, "kernel_table", recorded)
     out = tmp_path / "sw"
     text = BASE.format(out=out).replace(SLAB, shape)
     cfg = _write(tmp_path / "s.ini", text)

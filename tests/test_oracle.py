@@ -59,6 +59,22 @@ def test_slab_against_finite_differences():
     assert abs(t_fd - ref.t) < 1e-8
 
 
+@pytest.mark.parametrize("q", [3.0, np.diag([3.0, 0.0])],
+                         ids=["q3", "vacuum-like"])
+def test_finite_elements_do_not_lose_accuracy_on_a_finer_mesh(q):
+    # diag(3, 0) at alpha = 0 scatters exactly like vacuum.  Elimination on
+    # the pivots themselves rounded their O(1) part at the scale 1/h: the
+    # q = 3 error rose from 5.4e-9 at n = 2000 to 2.1e-8 at n = 4000
+    spec = SlabSpec(q=q, a=-SLAB_H, b=SLAB_H, k=SLAB_K, alpha=0.0)
+    ref = slab_reference(spec, rho_ref=1.15 * SLAB_H)
+    errors = []
+    for n in (2000, 4000):
+        r_fe, t_fe = slab_reference_fd(spec, n=n, rho_ref=1.15 * SLAB_H)
+        errors.append(max(abs(r_fe - ref.r), abs(t_fe - ref.t)))
+    # no higher, up to the two ulp the closed form itself may be off by
+    assert errors[1] <= max(errors[0], 2 * np.finfo(float).eps)
+
+
 def test_slab_oblique_and_negative_against_fd():
     for spec in (
         SlabSpec(q=2.0, a=-0.7, b=0.4, k=0.8, alpha=0.3),

@@ -8,7 +8,7 @@ import pytest
 from vigrating.errors import NotConverged, ShapeMismatch
 from vigrating.kernel import beta, kernel_table
 from vigrating.operators import (
-    Discretization,
+    OperatorStack,
     SpectralField,
     contrast_gradient_potential,
     grad_spectral,
@@ -93,13 +93,13 @@ def test_rayleigh_rejects_a_table_of_another_wave():
 def test_scattered_field_extracts_the_density_once(monkeypatch):
     problem, table, sol = _solve_slab(3.0, 8, 64, 2.5)
     calls = []
-    density_rows = Discretization.density_rows
+    density_rows = OperatorStack.density_rows
 
     def counted(self, c):
         calls.append(1)
         return density_rows(self, c)
 
-    monkeypatch.setattr(Discretization, "density_rows", counted)
+    monkeypatch.setattr(OperatorStack, "density_rows", counted)
     pts = np.array([[0.3, 0.2], [0.0, 5.0], [1.0, -4.0]])
     given = rayleigh_both_sides(sol, problem, table)
     expected = scattered_field_at(sol, problem, table, pts, *given)

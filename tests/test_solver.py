@@ -87,6 +87,25 @@ def test_cgs2_basis_orthonormal():
         assert np.linalg.norm(gram - np.eye(len(basis))) <= 1e-12
 
 
+def test_gmres_allocates_no_full_hessenberg():
+    # a cycle of GMRES(1000) on a system of 40 unknowns ends after at most
+    # 40 columns: the rotated columns are lists, and only the triangle of
+    # the columns used becomes an array
+    a, b = _dense_reference_system()
+    gmres(lambda v: a @ v, b, rel_tol=1e-10, restart=1000)       # warm-up
+    tracemalloc.start()
+    try:
+        x, _, conv, iters, _ = gmres(lambda v: a @ v, b, rel_tol=1e-10,
+                                     restart=1000, max_iterations=1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert conv and iters <= len(b)
+    assert np.allclose(x, np.linalg.solve(a, b), atol=1e-8)
+    # a (1001, 1000) complex array alone is 16 MB; the basis is 0.6 MB
+    assert peak < 1001 * 1000 * 16 // 10
+
+
 def test_gmres_trivial_cases():
     b = np.arange(1.0, 6.0).astype(complex)
     x, hist, conv, iters, _ = gmres(lambda v: v, b)
