@@ -1,5 +1,6 @@
-"""Matrix-free spectral application of the volume potential and the
-strongly singular forward operator A: v -> v - div V(Q grad v).
+"""Matrix-free spectral application of the volume potential, the strongly
+singular field operator A: v -> v - div V(Q grad v) and the density operator
+z -> z - Q grad div V z, which the solve runs on.
 
 All fields live on the quasi-periodic basis
 
@@ -11,8 +12,12 @@ kernel is diagonal on this basis with multiplier sqrt(4 pi rho) * K_hat(j).
 
 The functions on SpectralField are the reference transforms; the solve path
 runs on a Discretization, which precomputes everything a solve applies
-repeatedly and needs one batched inverse and one forward FFT per operator
-application.
+repeatedly.  The density z = Q grad(u^s + u^i) vanishes off the support
+nodes of the contrast, so it is held there alone; one application of the
+density operator scatters it onto the grid, takes one batched forward FFT
+for div V and one inverse FFT for the gradient, and gathers the product
+back.  The field operator A, one inverse and one forward FFT on all the
+coefficients, is the independent check of the solve's residual.
 """
 
 from __future__ import annotations
@@ -225,9 +230,10 @@ def _row_arrays(grid: Grid, alphas: np.ndarray,
 
 
 def _gradient(a: _RowArrays, imu: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Scaled gradient samples of a stack c of coefficient arrays."""
-    np.multiply(a.ia, c, out=a.work[0])
+    """Scaled gradient samples of a stack c of coefficient arrays, which
+    may be ``a.work[0]``."""
     np.multiply(imu, c, out=a.work[1])
+    np.multiply(a.ia, c, out=a.work[0])
     # ifft2 ignores ``out`` in numpy 2.x; ifft and ifftn honour it
     return a.ifft(a.work, out=a.work)
 
@@ -250,16 +256,61 @@ def _forward(a: _RowArrays, imu: np.ndarray, q: np.ndarray, c: np.ndarray):
     return c - _div_potential(a, imu, y)
 
 
+class _Nodes:
+    """Where the packed densities of a stack of P points sit in its
+    (2, P, rows, N2) work buffer: at the flat support nodes ``nodes`` of
+    each (rows, N2) array.  A few runs of consecutive nodes, as the one or
+    two of a layered contrast, are copied as slices; more go through one
+    flat index, which is cheaper than many slices."""
+
+    MAX_RUNS = 4
+
+    def __init__(self, nodes: np.ndarray, points: int, size: int):
+        self.n = len(nodes)
+        bounds = [0, *(np.flatnonzero(np.diff(nodes) != 1) + 1).tolist(),
+                  self.n]
+        runs = list(zip(bounds[:-1], bounds[1:])) if self.n else []
+        self.runs = self.index = None
+        if 0 < len(runs) <= self.MAX_RUNS:
+            self.runs = [(slice(nodes[a], nodes[b - 1] + 1), slice(a, b))
+                         for a, b in runs]
+        else:
+            # component c of point p starts at (c P + p) size
+            starts = np.arange(2) * points + np.arange(points)[:, None]
+            self.index = (starts[..., None] * size + nodes).ravel()
+
+    def scatter(self, z: np.ndarray, buf: np.ndarray):
+        """Write the densities z (P, 2, n) at the nodes of ``buf``, and
+        zeros at every other node."""
+        buf.fill(0)
+        if self.runs is None:
+            buf.reshape(-1)[self.index] = z.reshape(-1)
+            return
+        flat = buf.reshape(2, len(z), -1).transpose(1, 0, 2)
+        for at, of in self.runs:
+            flat[..., at] = z[..., of]
+
+    def gather(self, y: np.ndarray) -> np.ndarray:
+        """The (P, 2, n) entries of the buffer y at the nodes."""
+        points = y.shape[1]
+        if self.runs is None:
+            return np.take(y.reshape(-1), self.index).reshape(
+                points, 2, self.n)
+        flat = y.reshape(2, points, -1).transpose(1, 0, 2)
+        return np.concatenate([flat[..., at] for at, _ in self.runs], axis=-1)
+
+
 class Discretization:
     """The arrays one solve applies, for one problem and kernel table.
 
-    Built once per solve and shared by the forward operator, the right-hand
-    side, the residual and the scattered density.  Physical samples live on
-    the natural FFT layout: sample m sits half a box away from the centered
-    node m, at (2 pi m1 / N1, 2 rho m2 / N2) modulo the box.  There the
-    (-1)^(j1 + j2) signs of the centered basis become an index shift, and
-    the exp(i alpha x1) phase cancels around every pointwise product, so a
-    transform pair needs no other factor than the sample scale.
+    Built once per solve and shared by the density operator, the
+    right-hand side, the scattered field, the residual and the Rayleigh
+    extraction.  Physical samples live on the natural FFT layout: sample m
+    sits half a box away from the centered node m, at (2 pi m1 / N1,
+    2 rho m2 / N2) modulo the box.  There the (-1)^(j1 + j2) signs of the
+    centered basis become an index shift, and the exp(i alpha x1) phase
+    cancels around every pointwise product, so a transform pair needs no
+    other factor than the sample scale.
 
     An array of coefficients holds the leading Fourier rows of a field:
     all N1, or the one row j1 = 0 of a field whose other rows vanish.  The
@@ -269,10 +320,13 @@ class Discretization:
     x1, so it transforms in x2 alone (fft) and stands for every x1 row.
     The incident wave excites only the row j1 = 0, which a layered contrast
     maps to itself: ``n_rows``, from ``problem.layout``, is 1 for a layered
-    contrast and N1 otherwise.  The operator methods take ``n_rows`` or N1
-    rows; the kernel table must hold the rows applied.  The operator and
-    the right-hand side run on a stack of one array, the arithmetic
-    :class:`OperatorStack` runs on a stack of many.
+    contrast and N1 otherwise.  The kernel table must hold the rows
+    applied.
+
+    A density is packed component-major: its two components at the
+    support nodes ``problem.layout.nodes`` of ``n_rows`` rows, in the
+    units of the scaled samples.  The solve runs on the density; the field
+    operator :meth:`apply` is the independent check of its residual.
     """
 
     def __init__(self, problem: Problem, table: KernelTable):
@@ -292,7 +346,8 @@ class Discretization:
                 f"{table.alpha}; the problem has k = {problem.k}, alpha = "
                 f"{problem.alpha}")
         self.imu = (1j * np.pi / grid.rho_box * grid.j2_modes())[None, :]
-        self._by_rows = {}
+        self._stacks = {}
+        self._rhs = None
 
     def _check_rows(self, rows: int):
         """Raise ShapeMismatch unless arrays of ``rows`` rows can be
@@ -309,97 +364,128 @@ class Discretization:
                 f"an array of all {rows} coefficient rows needs the full "
                 f"kernel table; this one holds {held} row(s)")
 
-    def _rows(self, rows: int) -> _RowArrays:
-        """The :func:`_row_arrays` of a stack of one array of ``rows``
-        rows, built when first asked for."""
-        arrays = self._by_rows.get(rows)
-        if arrays is None:
-            self._check_rows(rows)
-            arrays = self._by_rows[rows] = _row_arrays(
-                self.problem.grid, np.array([self.problem.alpha]),
-                self.table.coeffs[None, :rows])
-        return arrays
+    def stack(self, rows: int) -> "OperatorStack":
+        """The :class:`OperatorStack` of this discretization alone on
+        arrays of ``rows`` rows, built when first asked for."""
+        stack = self._stacks.get(rows)
+        if stack is None:
+            stack = self._stacks[rows] = OperatorStack([self], rows)
+        return stack
 
     def live_rows(self, c: np.ndarray) -> np.ndarray:
         """The first ``n_rows`` rows of c when the rest vanish, else c."""
         return c if c[self.n_rows:].any() else c[:self.n_rows]
 
     def apply(self, c: np.ndarray) -> np.ndarray:
-        """Forward operator c - div V(Q grad c) on a coefficient array."""
-        return _forward(self._rows(c.shape[0]), self.imu, self.q, c[None])[0]
+        """Field operator c - div V(Q grad c) on a coefficient array."""
+        stack = self.stack(c.shape[0])
+        return _forward(stack.arrays, self.imu, self.q, c[None])[0]
 
     def rhs(self) -> np.ndarray:
-        """The first ``n_rows`` coefficient rows of the right-hand side
-        div V(Q grad u^i), shape (n_rows, N2); its other rows vanish.  The
-        stack of one of :meth:`OperatorStack.rhs`."""
-        return OperatorStack([self], self.n_rows).rhs()[0]
+        """The packed incident density Q grad u^i, the right-hand side of
+        the density equation: the stack of one of
+        :meth:`OperatorStack.rhs`, built once."""
+        if self._rhs is None:
+            self._rhs = self.stack(self.n_rows).rhs()[0]
+            self._rhs.setflags(write=False)
+        return self._rhs
+
+    def potential(self, z: np.ndarray) -> np.ndarray:
+        """The first ``n_rows`` coefficient rows of div V z, (n_rows, N2),
+        for a packed density z; its other rows vanish."""
+        return self.stack(self.n_rows).potential(z[None])[0].copy()
 
 
 class OperatorStack:
     """The discretizations of one contrast layout (the points of a k or
-    theta sweep), applied to a stack of P coefficient arrays of ``rows``
-    rows in one call: the forward operators with one inverse and one
-    forward FFT over the stack, the right-hand sides with one forward FFT
-    and the scattered densities with one inverse one.
+    theta sweep) on arrays of ``rows`` rows, applied to a stack of P
+    packed densities in one call: the density operators z - Q grad div V z
+    with one forward and one inverse FFT over the stack, the right-hand
+    sides with none and the x1 rows of the densities with one.
 
     Each array's result is bit-identical to that of a stack of its own
-    discretization alone: every step is elementwise or a per-slice FFT,
-    and numpy's FFTs give the same bits with a leading batch axis.
+    discretization alone: every step is elementwise, a copy or a per-slice
+    FFT, and numpy's FFTs give the same bits with a leading batch axis.
+    A stack of all N1 rows of a layered contrast holds its densities at
+    the support nodes of every row.
     """
 
     def __init__(self, discs, rows: int):
         first = discs[0]
         grid = first.problem.grid
-        if any(d.problem.layout is not first.problem.layout
-               or d.problem.grid != grid for d in discs):
+        layout = first.problem.layout
+        if any(d.problem.layout is not layout or d.problem.grid != grid
+               for d in discs):
             raise ShapeMismatch("a stack of operators needs one contrast "
                                 "layout on one grid")
-        self.discs, self.rows, self.grid = discs, rows, grid
-        self.imu, self.q = first.imu, first.q
-        self.support, self.x2 = first.support, first.x2
-        if len(discs) == 1:
-            # a stack of one shares its discretization's arrays
-            self.arrays = first._rows(rows)
-            return
         for d in discs:
             d._check_rows(rows)
+        # the problems, not the discretizations, which cache their stacks
+        self.problems = [d.problem for d in discs]
+        self.rows, self.grid = rows, grid
+        self.imu, self.support = first.imu, first.support
+        coeffs = (first.table.coeffs[None, :rows] if len(discs) == 1 else
+                  np.stack([d.table.coeffs[:rows] for d in discs]))
         self.arrays = _row_arrays(
-            grid, np.array([d.problem.alpha for d in discs]),
-            np.stack([d.table.coeffs[:rows] for d in discs]))
+            grid, np.array([d.problem.alpha for d in discs]), coeffs)
+        nodes, self.q = layout.nodes, layout.q_nodes
+        if rows != layout.n_rows:
+            # every row of an x1-invariant layout
+            nodes = (np.arange(rows)[:, None] * grid.n2 + nodes).ravel()
+            self.q = np.tile(self.q, rows)
+        self.nodes = _Nodes(nodes, len(discs), rows * grid.n2)
+        self.x2_nodes = first.x2[nodes % grid.n2]
 
     @cached_property
     def kd(self) -> np.ndarray:
-        """k d of every wave, (2, P, 1, 1)."""
-        return np.array([d.problem.k * np.asarray(d.problem.wave.d)
-                         for d in self.discs]).T[:, :, None, None]
+        """k d of every wave, (P, 2, 1)."""
+        return np.array([p.k * np.asarray(p.wave.d)
+                         for p in self.problems])[:, :, None]
+
+    def _packed(self, z) -> np.ndarray:
+        """A stack of packed densities as (P, 2, n)."""
+        return z.reshape(len(self.problems), 2, self.nodes.n)
+
+    def _contrast_gradient(self, c: np.ndarray) -> np.ndarray:
+        """Scaled samples of Q grad c at the nodes, (P, 2, n), for a stack
+        c (P, rows, N2) of coefficient arrays."""
+        g = self.nodes.gather(_gradient(self.arrays, self.imu, c))
+        _contrast_product(self.q, g.transpose(1, 0, 2))
+        return g
+
+    def potential(self, z) -> np.ndarray:
+        """The (P, rows, N2) coefficients of div V z for a stack z of P
+        packed densities, a view of the work buffer."""
+        a = self.arrays
+        self.nodes.scatter(self._packed(z), a.work)
+        return _div_potential(a, self.imu, a.work)
 
     def apply(self, vectors) -> np.ndarray:
-        """The (P, rows, N2) products of the P operators with their P
-        flattened arrays; the operator does not write its argument, so one
-        array is applied uncopied."""
-        c = np.stack(vectors) if len(vectors) > 1 else vectors[0][None]
-        return _forward(self.arrays, self.imu, self.q,
-                        c.reshape(self.arrays.multiplier.shape))
-
-    def _incident_gradient(self, scale: float, x2: np.ndarray) -> np.ndarray:
-        """grad u^i stripped of exp(i alpha x1), times ``scale``, of every
-        wave at the heights ``x2``; shape (2, P, 1, len(x2)), the samples
-        of every x1 row."""
-        return (scale * 1j * self.kd) * np.exp(1j * self.kd[1] * x2)
+        """The (P, 2, n) products z - Q grad div V z of the P density
+        operators with their P packed densities; the operator does not
+        write its argument, so one array is applied uncopied."""
+        z = self._packed(np.concatenate(vectors) if len(vectors) > 1
+                         else vectors[0])
+        g = self._contrast_gradient(self.potential(z))
+        return np.subtract(z, g, out=g)
 
     def rhs(self) -> np.ndarray:
-        """The (P, rows, N2) right-hand sides div V(Q grad u^i); a stack
-        of ``n_rows`` rows holds every row that does not vanish."""
-        a = self.arrays
-        y = a.work
-        y[...] = self._incident_gradient(a.scale, self.x2)
-        _contrast_product(self.q, y)
-        return _div_potential(a, self.imu, y).copy()
+        """The (P, 2n) packed incident densities Q grad u^i: grad u^i of
+        every wave at the heights of the nodes, stripped of exp(i alpha
+        x1), which leaves it x1-invariant, times the sample scale."""
+        y = (self.arrays.scale * 1j * self.kd) * np.exp(
+            1j * self.kd[:, 1:] * self.x2_nodes)
+        _contrast_product(self.q, y.transpose(1, 0, 2))
+        return y.reshape(len(self.problems), -1)
 
-    def density_rows(self, c: np.ndarray) -> np.ndarray:
-        """x1 transform of the samples of w = Q grad(u^s + u^i), stripped
-        of exp(i alpha x1), on the support columns, for a (P, rows, N2)
-        stack c of scattered fields.
+    def density(self, c: np.ndarray) -> np.ndarray:
+        """The (P, 2n) packed total densities Q grad(u^s + u^i) of a stack
+        c (P, rows, N2) of scattered fields."""
+        return self.rhs() + self._contrast_gradient(c).reshape(len(c), -1)
+
+    def density_rows(self, z) -> np.ndarray:
+        """x1 transform of the samples of a stack z of P packed densities
+        on the support columns.
 
         Shape (2, P, rows, len(support)), node heights ``x2[support]``;
         row i is x1 frequency ``j1_modes()[i]`` of the unnormalized FFT.
@@ -407,12 +493,11 @@ class OperatorStack:
         N1 rows, is N1 times the samples: the row j1 = 0 of their FFT,
         whose other rows vanish.
         """
-        a, cols = self.arrays, self.support
-        y = _gradient(a, self.imu, c)[..., cols]
-        y += self._incident_gradient(a.scale, self.x2[cols])
-        _contrast_product(self.q[..., cols], y)
-        y /= (np.sqrt(4 * np.pi * self.grid.rho_box)
-              / (self.grid.n1 * self.grid.n2))
+        a = self.arrays
+        self.nodes.scatter(self._packed(z), a.work)
+        y = a.work[..., self.support] / (
+            np.sqrt(4 * np.pi * self.grid.rho_box)
+            / (self.grid.n1 * self.grid.n2))
         return y if self.rows == 1 else np.fft.fft(y, axis=2)
 
 

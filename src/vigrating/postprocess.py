@@ -35,9 +35,12 @@ EVANESCENT_DROP = 40.0
 class RayleighData:
     """One-sided Rayleigh coefficients of the scattered field.
 
-    ``coefficients[j]`` maps the order to its amplitude; orders whose decay
-    exponent Im(beta_j) * rho_ref exceeds the drop threshold are stored as
-    exact zeros and listed in ``truncated``.
+    ``coefficients[j]`` maps each order the density reaches to its
+    amplitude: every order of a density on all N1 rows, the order 0 of the
+    one-row density of a layered solve.  Every other order is an exact
+    zero, which :meth:`order` returns; orders whose decay exponent
+    Im(beta_j) * rho_ref exceeds the drop threshold are among them and
+    listed in ``truncated``.
     """
 
     side: str                       # "+" above, "-" below
@@ -47,7 +50,7 @@ class RayleighData:
     truncated: tuple = ()
 
     def order(self, j: int) -> complex:
-        return self.coefficients[j]
+        return self.coefficients.get(j, 0.0)
 
 
 def rayleigh_both_sides(
@@ -58,25 +61,32 @@ def rayleigh_both_sides(
 ) -> tuple[RayleighData, RayleighData]:
     """Rayleigh coefficients above and below from moments of the density:
     the batch of one of :func:`rayleigh_batch`, on the discretization of
-    ``problem`` and ``table``, which the solve's own serves."""
+    ``problem`` and ``table``, which the solve's own serves.  A solution
+    of ``problem`` brings its density; the density of any other is built
+    from its field."""
     if not solution.converged:
         raise NotConverged("Rayleigh extraction requires a converged solve")
     disc = solution.discretization
+    solved = (disc is not None and disc.problem is problem
+              and solution.density is not None)
     if disc is None or disc.problem is not problem or disc.table is not table:
         disc = Discretization(problem, table)
-        c = solution.u.coeffs
+    if solved:
+        stack, z = disc.stack(disc.n_rows), solution.density[None]
     else:
-        # the field of this solve vanishes past the rows it solved
-        c = solution.rows
-    return _rayleigh([disc], [c], j_max)[0]
+        c = disc.live_rows(solution.u.coeffs)
+        stack = disc.stack(len(c))
+        z = stack.density(c[None])
+    return _rayleigh(stack, z, j_max)[0]
 
 
 def rayleigh_batch(
     solutions, j_max: int | None = None,
 ) -> list[tuple[RayleighData, RayleighData]]:
-    """The (above, below) Rayleigh coefficients of converged solutions of
+    """The (above, below) Rayleigh coefficients of converged solves of
     one contrast layout, grid and reference height (the solved points of a
-    sweep batch), each on the discretization it was solved on.
+    sweep batch), each from its density on the discretization it was
+    solved on.
 
     One density stack and one moment pass per side serve the batch; each
     solution's coefficients are bit for bit those of its own
@@ -84,13 +94,15 @@ def rayleigh_batch(
     """
     if not all(s.converged for s in solutions):
         raise NotConverged("Rayleigh extraction requires a converged solve")
-    return _rayleigh([s.discretization for s in solutions],
-                     [s.rows for s in solutions], j_max)
+    discs = [s.discretization for s in solutions]
+    stack = OperatorStack(discs, discs[0].n_rows)
+    return _rayleigh(stack, np.stack([s.density for s in solutions]), j_max)
 
 
-def _rayleigh(discs, fields, j_max: int | None):
-    """Rayleigh coefficients of the scattered fields ``fields`` (coefficient
-    rows) on the discretizations ``discs``.
+def _rayleigh(stack: OperatorStack, densities: np.ndarray,
+              j_max: int | None):
+    """Rayleigh coefficients of the packed total densities ``densities``
+    of the points of ``stack``.
 
     For a density w = Q grad(u^s + u^i) supported in the grating slab the
     scattered field above (below) is grad G * w summed over orders, which
@@ -101,27 +113,23 @@ def _rayleigh(discs, fields, j_max: int | None):
                               (alpha_j w_1 +- beta_j w_2) dy,
 
     evaluated by the trapezoidal rule on the grid (spectrally accurate in
-    the periodic direction).  The densities are built on the support
+    the periodic direction).  The densities are laid out on the support
     columns and transformed in x1 in one stack, which turns the y1 sums of
     all orders into row lookups, leaving one x2 dot product per order, side
-    and field, all taken in one pass per side.  The field of a layered
-    solve has one row, j1 = 0, so its density has one x1-invariant row and
-    every other order an exactly zero coefficient.
+    and point, all taken in one pass per side.  The density of a layered
+    solve has one x1-invariant row, so every order but 0 has an exactly
+    zero coefficient.
     """
-    first = discs[0].problem
+    problems = stack.problems
+    first = problems[0]
     grid, rho_ref = first.grid, first.rho_ref
-    if any(d.problem.rho_ref != rho_ref for d in discs):
+    if any(p.rho_ref != rho_ref for p in problems):
         raise ShapeMismatch("a batch of Rayleigh extractions needs one "
                             "reference height")
-    fields = [d.live_rows(c) for d, c in zip(discs, fields)]
-    if any(len(c) != len(fields[0]) for c in fields):
-        raise ShapeMismatch("a batch of Rayleigh extractions needs fields "
-                            "of one row count")
-    density = OperatorStack(discs, len(fields[0])).density_rows(
-        np.stack(fields))                           # (2, P, rows, x2)
+    density = stack.density_rows(densities)         # (2, P, rows, x2)
     if j_max is None:
         j_max = grid.n1 // 2 - 1
-    waves = np.array([[d.problem.k**2, d.problem.alpha] for d in discs])
+    waves = np.array([[p.k**2, p.alpha] for p in problems])
     alpha = waves[:, 1:]
 
     orders = np.arange(-j_max, j_max + 1)
@@ -133,7 +141,7 @@ def _rayleigh(discs, fields, j_max: int | None):
     j, bj = orders[kept], betas[point, kept]
     rows = density[:, point, idx[kept]]                 # (2, kept, x2)
     aj = (j + alpha[point, 0])[:, None]
-    x2 = discs[0].x2[discs[0].support]
+    x2 = first.layout.x2[stack.support]
     prefactor = (-grid.cell_area * np.exp(1j * bj * rho_ref)
                  / (4 * np.pi * bj))
     bj = bj[:, None]
@@ -143,8 +151,8 @@ def _rayleigh(discs, fields, j_max: int | None):
                             axis=1)).tolist()
         for sgn in (1.0, -1.0)]
     # each point's kept orders, in order, from its offset on
-    ends = np.cumsum(np.bincount(point, minlength=len(discs))).tolist()
-    zeros, j = dict.fromkeys(orders.tolist(), 0.0), j.tolist()
+    ends = np.cumsum(np.bincount(point, minlength=len(problems))).tolist()
+    j = j.tolist()
     out = []
     for p, end in enumerate(ends):
         start = ends[p - 1] if p else 0
@@ -152,8 +160,7 @@ def _rayleigh(discs, fields, j_max: int | None):
         truncated = tuple(orders[dropped[p]].tolist())
         sides = []
         for side, values in zip(("+", "-"), moments):
-            coeffs = zeros.copy()
-            coeffs.update(zip(j[start:end], values[start:end]))
+            coeffs = dict(zip(j[start:end], values[start:end]))
             sides.append(RayleighData(side=side, coefficients=coeffs,
                                       propagating=propagating,
                                       rho_ref=rho_ref, truncated=truncated))

@@ -163,6 +163,10 @@ class ContrastLayout:
     half a box in each direction onto the natural FFT layout: (2, 2,
     n_rows, N2), or (n_rows, N2) for a scalar contrast field.  ``support``
     lists the x2 columns that carry contrast and ``x2`` the rolled heights.
+    ``nodes`` are the flat indices, into an (n_rows, N2) array, of the
+    nodes that carry contrast, where the density a solve runs on lives, and
+    ``q_nodes`` holds ``q`` at them: (2, 2, len(nodes)), or (len(nodes),)
+    for a scalar contrast field.
     """
 
     def __init__(self, samples: np.ndarray, grid: Grid):
@@ -176,10 +180,13 @@ class ContrastLayout:
                 and np.array_equal(q[0, 0], q[1, 1])):
             q = q[0, 0]
         self.q = np.ascontiguousarray(q)
-        self.support = np.flatnonzero(
-            self.q.any(axis=tuple(range(self.q.ndim - 1))))
+        mask = self.q != 0 if self.q.ndim == 2 else self.q.any(axis=(0, 1))
+        self.support = np.flatnonzero(mask.any(axis=0))
+        self.nodes = np.flatnonzero(mask)
+        self.q_nodes = self.q.reshape(*self.q.shape[:-2], -1)[..., self.nodes]
         self.x2 = np.roll(grid.x2_nodes(), shift[1])
-        for a in (self.samples, self.q, self.support, self.x2):
+        for a in (self.samples, self.q, self.support, self.nodes,
+                  self.q_nodes, self.x2):
             a.setflags(write=False)
 
 

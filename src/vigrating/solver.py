@@ -1,9 +1,19 @@
-"""Right-hand-side assembly and the restarted-GMRES solve of the discrete
-volume integral equation  u - div V(Q grad u) = div V(Q grad u^i).
+"""The restarted-GMRES solve of the discrete volume integral equation
 
-The unknown is the scattered field on the whole computational box; since the
-contrast vanishes off its support slab, the restriction to the slab solves
-the same equation there and the exterior values are the potential extension.
+    u - div V(Q grad u) = div V(Q grad u^i)
+
+for the scattered field u, run on the contrast density.  Q vanishes off
+its support, so the total density w = Q grad(u + u^i) lives on the support
+nodes alone, and it solves
+
+    w - Q grad div V w = Q grad u^i,
+
+from which u = div V w.  With D = div V, M = Q and T = grad the two
+operators are I - DMT and I - MTD, which share their spectrum apart from
+the eigenvalue 1, so the solvability of the field equation carries over.
+A Krylov vector holds the two components of w at the support nodes, no
+more; ``rel_tol`` bounds the density residual, and :func:`residual`
+recomputes the field residual from scratch.
 """
 
 from __future__ import annotations
@@ -40,13 +50,15 @@ class SolveOptions:
 
 
 class Solution:
-    """Converged (or best-effort) scattered field with its residual history.
+    """Converged (or best-effort) solution with its residual history.
 
-    ``rows`` are the leading coefficient rows the solve ran on: all N1, or
-    the row j1 = 0 of a layered solve, whose other rows vanish.  ``u`` is
-    the field on all N1 rows; a solve builds it from ``rows`` when it is
-    first read, so that a sweep point, which reads only its rows, never
-    allocates it.  A Solution made from a field ``u`` has its rows.
+    ``density`` is the packed total density Q grad(u^s + u^i) GMRES solved
+    for (see :class:`operators.Discretization`).  ``rows`` are the leading
+    coefficient rows of the scattered field div V(density): all N1, or the
+    row j1 = 0 of a layered solve, whose other rows vanish.  ``u`` is the
+    field on all N1 rows.  Both are built when first read, so that a sweep
+    point, which reads only its density, never allocates them.  A Solution
+    made from a field ``u`` has its rows and no density.
     ``discretization`` is the one the solve ran on; post-processing of the
     same problem and table reuses it.
     """
@@ -55,13 +67,20 @@ class Solution:
                  residual_history: tuple = (), converged: bool = False,
                  iterations: int = 0,
                  discretization: Discretization | None = None,
-                 rows: np.ndarray | None = None):
+                 density: np.ndarray | None = None):
         self._u = u
-        self.rows = u.coeffs if rows is None and u is not None else rows
+        self._rows = None if u is None else u.coeffs
+        self.density = density
         self.residual_history = residual_history
         self.converged = converged
         self.iterations = iterations
         self.discretization = discretization
+
+    @property
+    def rows(self) -> np.ndarray | None:
+        if self._rows is None and self.density is not None:
+            self._rows = self.discretization.potential(self.density)
+        return self._rows
 
     @property
     def u(self) -> SpectralField | None:
@@ -77,12 +96,20 @@ class Solution:
 
 
 def assemble_rhs(problem: Problem, table: KernelTable) -> SpectralField:
-    """div V(Q grad u^i), the right-hand side of the scattering equation,
-    on all N1 rows."""
-    rows = Discretization(problem, table).rhs()
+    """div V(Q grad u^i), the right-hand side of the field equation
+    u - div V(Q grad u) = div V(Q grad u^i), on all N1 rows."""
+    disc = Discretization(problem, table)
+    rows = disc.potential(disc.rhs())
     rhs = np.zeros((problem.grid.n1, problem.grid.n2), dtype=complex)
     rhs[:len(rows)] = rows
     return SpectralField(rhs, problem.grid, problem.alpha)
+
+
+def _norm(w: np.ndarray) -> float:
+    """The 2-norm of a complex vector from one BLAS dot product, without
+    the argument handling of ``np.linalg.norm``, which GMRES would pay at
+    every iteration."""
+    return math.sqrt(np.vdot(w, w).real)
 
 
 def gmres_steps(
@@ -115,7 +142,7 @@ def gmres_steps(
     ``stop`` says why.  ``stop`` is None otherwise.
     """
     n = b.size
-    bnorm = float(np.linalg.norm(b))
+    bnorm = _norm(b)
     if bnorm == 0.0:
         return np.zeros(n, dtype=complex), [], True, 0, None
 
@@ -131,7 +158,7 @@ def gmres_steps(
     while iterations < max_iterations and not converged:
         # the first cycle starts from the zero iterate: its residual is b
         r = b - (yield x).pop() if iterations else b
-        beta0 = float(np.linalg.norm(r))
+        beta0 = _norm(r)
         rho = beta0 / bnorm
         if iterations:
             reductions.append(rho / rho_start)
@@ -160,17 +187,17 @@ def gmres_steps(
         # side as Python scalars: the per-iteration loop over them is
         # cheaper than on numpy scalars, and no (m + 1, m) array is cleared
         # for a cycle that may end after a few columns.  A division by a
-        # real multiplies by its reciprocal, which rounds as numpy's complex
-        # division by a real does.
+        # real is a product with its reciprocal, which rounds as numpy's
+        # complex division by a real does and writes a basis row in place.
         h: list[list[complex]] = []
         cs: list[complex] = []
         sn: list[complex] = []
         g = [complex(beta0)] + [0j] * m
-        v[0] = r / beta0
+        np.multiply(r, 1.0 / beta0, out=v[0])
 
         j_used = 0
         for j in range(m):
-            # w is never updated in place: the product may be its argument
+            # the product, which may be its argument, is not written
             w = np.asarray((yield v[j]).pop(), dtype=complex)
             # classical Gram-Schmidt run twice (CGS2), two BLAS-2 products
             # per pass; conj(V @ conj(w)) does not copy the conjugated basis
@@ -178,9 +205,9 @@ def gmres_steps(
             proj = np.conj(basis @ np.conj(w))
             w = w - basis.T @ proj
             again = np.conj(basis @ np.conj(w))
-            w = w - basis.T @ again
+            w -= basis.T @ again
             col = (proj + again).tolist()
-            hsub = float(np.linalg.norm(w))
+            hsub = _norm(w)
             iterations += 1
             for i in range(j):              # stored rotations on the new column
                 c, s = cs[i], sn[i]
@@ -214,8 +241,9 @@ def gmres_steps(
                 converged = True
                 break
 
-            v[j + 1] = w / hsub
-            denom = float(np.hypot(abs(hjj), hsub))
+            np.multiply(w, 1.0 / hsub, out=v[j + 1])
+            # the hypot of libm, as np.hypot takes it
+            denom = abs(complex(abs(hjj), hsub))
             inv = 1.0 / denom
             cs.append(hjj * inv)
             sn.append(complex(hsub * inv))
@@ -229,12 +257,15 @@ def gmres_steps(
                 break
 
         if j_used:
-            # upper triangular: LU without row exchanges is back substitution
-            r_upper = np.zeros((j_used, j_used), dtype=complex)
-            for i, col in enumerate(h):
-                r_upper[:i + 1, i] = col
-            y = np.linalg.solve(r_upper, np.array(g[:j_used]))
-            x = x + v[:j_used].T @ y
+            # back substitution on the rotated Hessenberg columns, column
+            # by column
+            y = g[:j_used]
+            for k in range(j_used - 1, -1, -1):
+                col = h[k]
+                y[k] = yk = y[k] / col[k]
+                for i in range(k):
+                    y[i] -= yk * col[i]
+            x = x + v[:j_used].T @ np.array(y)
         if history and history[-1] <= rel_tol:
             converged = True
     return x, history, converged, iterations, stop
@@ -268,30 +299,33 @@ def physical_memory_bytes() -> int | None:
 
 
 def check_memory(problem: Problem, opts: SolveOptions) -> int:
-    """The bytes of the Krylov basis and the (2, rows, N2) work buffer of
-    a solve; raises SizeGuard when they would exceed physical memory."""
-    rows, n2 = problem.layout.n_rows, problem.grid.n2
+    """The bytes of the Krylov basis, (restart + 1) vectors of the 2
+    |support| density unknowns, and the (2, rows, N2) work buffer of a
+    solve; raises SizeGuard when they would exceed physical memory."""
+    layout = problem.layout
+    unknowns = 2 * len(layout.nodes)
     vectors = min(opts.restart, opts.max_iterations) + 1
-    need = (vectors + 2) * rows * n2 * 16
+    need = (vectors * unknowns + 2 * layout.n_rows * problem.grid.n2) * 16
     memory = physical_memory_bytes()
     if memory is not None and need > memory:
         raise SizeGuard(
             f"the solve needs about {need} bytes ({vectors} Krylov vectors "
-            f"of {rows * n2} unknowns and the work buffer), more than the "
-            f"{memory} bytes of physical memory; lower restart or the grid")
+            f"of {unknowns} density unknowns and the work buffer), more "
+            f"than the {memory} bytes of physical memory; lower restart or "
+            "the grid")
     return need
 
 
 def solve(problem: Problem, table: KernelTable,
           opts: SolveOptions | None = None) -> Solution:
-    """Solve the discrete scattering equation; returns the scattered field.
+    """Solve the discrete scattering equation; returns its Solution.
 
     Always starts from the zero iterate for reproducibility.  GMRES runs on
-    the coefficient rows the discretization couples to the incident wave
-    (the j1 = 0 row alone for a layered contrast); the Solution holds
-    them as ``rows`` and builds the full (N1, N2) field, the other rows
-    zero, when ``u`` is read.  On stall the best iterate and its history
-    are attached to the NotConverged error.
+    the packed density at the support nodes of the rows the discretization
+    couples to the incident wave (the j1 = 0 row alone for a layered
+    contrast); the Solution holds it as ``density`` and builds the field
+    from it when ``rows`` or ``u`` is read.  On stall the best iterate and
+    its history are attached to the NotConverged error.
     GMRES stops before ``max_iterations`` when its best restarted cycle
     shows that the iterations left cannot reach ``rel_tol``; the error
     then names that per-cycle rate, the cycles it would need and the
@@ -301,18 +335,17 @@ def solve(problem: Problem, table: KernelTable,
     opts = opts or SolveOptions()
     check_memory(problem, opts)
     disc = Discretization(problem, table)
-    rhs = disc.rhs()
-    shape = rhs.shape
+    stack = disc.stack(disc.n_rows)
     matvecs = 0
 
     def matvec(vec: np.ndarray) -> np.ndarray:
         nonlocal matvecs
         matvecs += 1
-        return disc.apply(vec.reshape(shape)).reshape(-1)
+        return stack.apply([vec]).reshape(-1)
 
     result = gmres(
         matvec,
-        rhs.reshape(-1),
+        disc.rhs(),
         rel_tol=opts.rel_tol,
         restart=opts.restart,
         max_iterations=opts.max_iterations,
@@ -327,7 +360,7 @@ def _finish(disc: Discretization, result, matvecs: int) -> Solution:
     log.debug("solved %d of %d coefficient rows: %d iterations, %d matvecs",
               disc.n_rows, disc.n1, iters, matvecs)
     sol = Solution(
-        rows=x.reshape(-1, disc.problem.grid.n2),
+        density=x,
         residual_history=tuple(history),
         converged=converged,
         iterations=iters,
@@ -353,7 +386,7 @@ class _Pending:
     def __init__(self, key, disc: Discretization, b: np.ndarray,
                  opts: SolveOptions):
         self.key, self.disc, self.matvecs = key, disc, 0
-        self.steps = gmres_steps(b.reshape(-1), opts.rel_tol, opts.restart,
+        self.steps = gmres_steps(b, opts.rel_tol, opts.restart,
                                  opts.max_iterations)
 
     def advance(self, product: list | None, pending: list, ended: list):
@@ -390,7 +423,7 @@ def _step(pending: list, stack: OperatorStack, ended: list) -> list:
 def _solve_batch(batch: list, opts: SolveOptions) -> list:
     """The (key, outcome) pairs of one batch of (key, problem) pairs,
     solved together: one kernel table build and one right-hand-side
-    transform for the batch, then GMRES in lockstep."""
+    stack for the batch, then GMRES in lockstep."""
     first = batch[0][1]
     rows = first.layout.n_rows
     try:
@@ -430,11 +463,11 @@ def solve_lockstep(points, opts: SolveOptions | None = None):
     estimates fit in physical memory.  The batch builds the kernel tables
     of its waves in one :func:`kernel.kernel_table` call and its
     right-hand sides in one :meth:`OperatorStack.rhs` call, and each
-    Krylov step multiplies the vectors of all its pending points in one
+    Krylov step multiplies the densities of all its pending points in one
     :meth:`OperatorStack.apply` call.  Each point runs its own
     :func:`gmres_steps` from the zero iterate, so its table, right-hand
-    side, iterations, history, stop rules and messages are, bit for bit,
-    those :func:`solve` gives it.
+    side, density, iterations, history, stop rules and messages are, bit
+    for bit, those :func:`solve` gives it.
 
     A generator of one list per batch, of the (key, outcome) pairs of its
     points in the order they finish.  The outcome is the point's
@@ -459,19 +492,20 @@ def solve_lockstep(points, opts: SolveOptions | None = None):
 
 def residual(problem: Problem, table: KernelTable, u: SpectralField,
              disc: Discretization | None = None) -> float:
-    """Relative residual ||A u - rhs|| / ||rhs||, recomputed from scratch.
+    """Relative residual ||A u - rhs|| / ||rhs|| of the field equation,
+    recomputed from scratch with the field operator A.
 
-    ``disc`` may pass the discretization of the solve.  Falls back to the
-    absolute norm when the right-hand side vanishes.  The field of a
-    layered solve has only the row j1 = 0, which is applied alone and which
-    a one-row table serves.  Any other u is applied on all N1 rows, which
-    needs the full table of ``kernel_table(grid, wave)``: a one-row table
-    raises ShapeMismatch.  The right-hand side vanishes past its
-    ``n_rows`` rows, so it is subtracted from the leading rows of A u
-    alone.
+    ``disc`` may pass the discretization of the solve, whose right-hand
+    side is then not built again.  Falls back to the absolute norm when
+    the right-hand side vanishes.  The field of a layered solve has only
+    the row j1 = 0, which is applied alone and which a one-row table
+    serves.  Any other u is applied on all N1 rows, which needs the full
+    table of ``kernel_table(grid, wave)``: a one-row table raises
+    ShapeMismatch.  The right-hand side vanishes past its ``n_rows`` rows,
+    so it is subtracted from the leading rows of A u alone.
     """
     disc = disc or Discretization(problem, table)
-    rhs = disc.rhs()
+    rhs = disc.potential(disc.rhs())
     # rows of u that vanish, past the solved ones, map to vanishing rows
     r = disc.apply(disc.live_rows(u.coeffs))
     r[:len(rhs)] -= rhs

@@ -117,13 +117,22 @@ def test_stacked_rayleigh_of_a_2d_batch_of_one_is_the_field_extraction():
     (_, sol), = batch
     assert len(sol.rows) == grid.n1
     both, = rayleigh_batch([sol])
-    # from the full field on a discretization of its own
+    # from the solved density on a discretization of its own
     table = kernel_table(grid, problem.wave)
-    alone = rayleigh_both_sides(Solution(sol.u, converged=True), problem,
-                                table)
+    alone = rayleigh_both_sides(sol, problem, table)
     assert [_coefficients(d) for d in both] == [
         _coefficients(d) for d in alone]
     assert any(v != 0 for j, v in both[0].coefficients.items() if j != 0)
+    # from the full field, whose density differs from the solved one by the
+    # density residual, which rel_tol bounds
+    field = rayleigh_both_sides(Solution(sol.u, converged=True), problem,
+                                table)
+    for data, direct in zip(both, field):
+        assert list(data.coefficients) == list(direct.coefficients)
+        scale = max(abs(v) for v in direct.coefficients.values())
+        assert max(abs(data.order(j) - v)
+                   for j, v in direct.coefficients.items()) <= (
+                       OPTS.rel_tol * scale)
 
 
 SLAB_SWEEP = """

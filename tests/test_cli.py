@@ -746,13 +746,14 @@ def test_near_anomaly_still_rejected(tmp_path, caplog):
 
 def test_solve_beyond_physical_memory_exits_3(tmp_path, monkeypatch, caplog):
     monkeypatch.setattr(vigrating.solver, "physical_memory_bytes",
-                        lambda: 50_000)
+                        lambda: 40_000)
     cfg = _write(tmp_path / "s.ini", BASE.format(out=tmp_path / "o"))
     assert main(["solve", str(cfg)]) == 3
-    # (50 + 1 Krylov vectors + 2 work rows) x 1 row x 64 columns x 16 bytes
-    assert ("invalid problem: the solve needs about 54272 bytes"
-            in caplog.text)
-    assert "more than the 50000 bytes of physical memory" in caplog.text
+    # ((50 + 1) Krylov vectors x 2 x 29 support nodes + the work buffer of
+    # 2 x 1 row x 64 columns) x 16 bytes
+    assert ("invalid problem: the solve needs about 49376 bytes (51 Krylov "
+            "vectors of 58 density unknowns" in caplog.text)
+    assert "more than the 40000 bytes of physical memory" in caplog.text
     assert not (tmp_path / "o").exists()
 
 

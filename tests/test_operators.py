@@ -336,7 +336,39 @@ def test_discretization_matches_public_composition(kind):
                                  g2=to_spectral(grad_i[..., 1], grid, alpha))
     f = pointwise_matrix_product(problem.layout.samples, grad_i)
     rhs = div_potential(f, table).coeffs
-    # rhs() returns the n_rows coupled rows; the reference vanishes past them
+    # rhs() is the incident density Q grad u^i, whose potential div V is
+    # the field right-hand side on the n_rows coupled rows; the reference
+    # vanishes past them
     bound = 1e-13 * np.abs(rhs).max()
-    assert np.abs(disc.rhs() - rhs[:disc.n_rows]).max() <= bound
+    assert np.abs(disc.potential(disc.rhs())
+                  - rhs[:disc.n_rows]).max() <= bound
     assert np.abs(rhs[disc.n_rows:]).max(initial=0.0) <= bound
+
+
+@pytest.mark.parametrize("kind", ["one-row", "2-d-tensor"])
+def test_density_operator_pushes_through_to_the_field_operator(kind):
+    # div V (z - Q grad div V z) = (I - div V Q grad)(div V z): the density
+    # operator I - MTD and the field operator I - DMT, with D = div V,
+    # M = Q and T = grad, agree through D
+    if kind == "one-row":
+        wave = _wave(0.8, 0.15)
+        grid = Grid(n1=16, n2=64, rho_box=1.1)
+        contrast = slab_contrast(3.0 - 0.5j, 1.0)
+    else:
+        wave = _wave(0.8, 0.15)
+        grid = Grid(n1=64, n2=64, rho_box=1.7)
+        q = np.array([[2.0, 0.4], [0.4, 1.0]]) - np.array([[0.3j, 0.0],
+                                                          [0.0, 0.1j]])
+        contrast = circle_contrast(q, 0.8)
+    problem = build_problem(wave, contrast, grid)
+    disc = Discretization(problem, kernel_table(grid, wave))
+    assert disc.n_rows == (1 if kind == "one-row" else grid.n1)
+    n = 2 * len(problem.layout.nodes)
+    rng = np.random.default_rng(21)
+    for _ in range(3):
+        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        product = disc.stack(disc.n_rows).apply([z]).reshape(-1)
+        got = disc.potential(product)
+        expected = disc.apply(disc.potential(z))
+        assert (np.abs(got - expected).max()
+                <= 1e-13 * np.abs(expected).max())

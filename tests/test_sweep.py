@@ -204,9 +204,11 @@ def test_batches_fit_the_memory_estimate(tmp_path, monkeypatch):
     cfg = _config(tmp_path, SLAB)
     _, unbounded = _sweep(cfg, *THETAS, tmp_path / "all")
     sizes = _stack_sizes(monkeypatch)
-    # check_memory's estimate of one point: 50 + 1 Krylov vectors and two
-    # work rows of one row of 128 values
-    need = (50 + 1 + 2) * 128 * 16
+    # check_memory's estimate of one point: 50 + 1 Krylov vectors of the
+    # two density components at the support nodes, and the work buffer of
+    # two components of one row of 128 values
+    nodes = len(load_config(cfg).build().layout.nodes)
+    need = ((50 + 1) * 2 * nodes + 2 * 128) * 16
     monkeypatch.setattr(vigrating.solver, "physical_memory_bytes",
                         lambda: 2 * need + 1)
     code, rows = _sweep(cfg, *THETAS, tmp_path / "two")
