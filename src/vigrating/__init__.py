@@ -26,7 +26,6 @@ from .kernel import (
     reference_table,
 )
 from .operators import (
-    Discretization,
     SpectralField,
     VectorSpectralField,
     apply_forward,

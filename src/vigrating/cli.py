@@ -90,8 +90,7 @@ def _write_solution(out_dir: Path, problem, table, solution, eff,
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "efficiencies.csv").write_text(pp.efficiency_csv(eff),
                                               encoding="utf-8")
-    true_residual = residual(problem, table, solution.u,
-                             solution.discretization)
+    true_residual = residual(problem, table, solution.u, solution.stack)
     lossless = problem.is_lossless()
     meta = {
         "converged": solution.converged,
@@ -233,7 +232,7 @@ def cmd_sweep(config_path: str, param: str, start: float, stop: float,
         except (VigratingError, ValueError) as exc:
             return done + [(value, skip(value, exc)) for value, _ in solved]
         return done + [
-            (value, pp.efficiencies(above, below, sol.discretization.problem))
+            (value, pp.efficiencies(above, below, sol.problem))
             for (value, sol), (above, below) in zip(solved, data)]
 
     # map holds no solved batch while the solver runs the next one

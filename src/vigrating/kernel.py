@@ -217,21 +217,6 @@ def reference_table(grid: Grid, alpha: float) -> KernelTable:
     return table
 
 
-def decay_shell_stat(table: KernelTable, grid: Grid, shell: int) -> float:
-    """max over |j|_inf == shell of |K_hat(j)| * (1 + alpha_j^2 + (j2 pi/rho)^2).
-
-    The kernel coefficients decay quadratically, so this quantity is bounded
-    by a single table-wide constant; comparing shells checks the bound.
-    """
-    j1 = grid.j1_modes()[:, None]
-    j2 = grid.j2_modes()[None, :]
-    ring = np.maximum(np.abs(j1), np.abs(j2)) == shell
-    aj = j1 + table.alpha
-    mu = j2 * np.pi / table.rho
-    weight = 1.0 + aj**2 + mu**2
-    return float(np.max(np.abs(table.coeffs[ring]) * weight[ring]))
-
-
 # ----------------------------------------------------------------------------
 # truncated series evaluation (oracle use only; the production path never
 # sums the kernel series pointwise)

@@ -11,20 +11,21 @@ exp(i alpha x1) phase and applying an FFT.  Convolution with the periodized
 kernel is diagonal on this basis with multiplier sqrt(4 pi rho) * K_hat(j).
 
 The functions on SpectralField are the reference transforms; the solve path
-runs on a Discretization, which precomputes everything a solve applies
-repeatedly.  The density z = Q grad(u^s + u^i) vanishes off the support
-nodes of the contrast, so it is held there alone; one application of the
-density operator scatters it onto the grid, takes one batched forward FFT
-for div V and one inverse FFT for the gradient, and gathers the product
-back.  The field operator A, one inverse and one forward FFT on all the
-coefficients, is the independent check of the solve's residual.
+runs on an OperatorStack, which checks its points (one solve, or a sweep
+batch) and holds what their solves apply repeatedly.  The density
+z = Q grad(u^s + u^i) vanishes off the support nodes of the contrast, so it
+is held there alone; one application of the density operator scatters it
+onto the grid, takes one batched forward FFT for div V and one inverse FFT
+for the gradient, and gathers the product back.  The field operator A, one
+inverse and one forward FFT on all the coefficients, is the independent
+check of the solve's residual.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import NamedTuple
 
 import numpy as np
 
@@ -114,13 +115,6 @@ def evaluate(u: SpectralField, points) -> np.ndarray:
     return scale * np.einsum("...i,ij,...j->...", e1, u.coeffs, e2)
 
 
-def basis_field(grid: Grid, alpha: float, j1: int, j2: int) -> SpectralField:
-    """Single basis function phi_(j1, j2) as a spectral field."""
-    coeffs = np.zeros((grid.n1, grid.n2), dtype=complex)
-    coeffs[j1 % grid.n1, j2 % grid.n2] = 1.0
-    return SpectralField(coeffs=coeffs, grid=grid, alpha=alpha)
-
-
 def _wavenumbers(grid: Grid, alpha: float):
     aj = (grid.j1_modes() + alpha)[:, None]
     mu = (grid.j2_modes() * np.pi / grid.rho_box)[None, :]
@@ -195,65 +189,34 @@ def _contrast_product(q: np.ndarray, y: np.ndarray):
     y[0] = h0
 
 
-class _RowArrays(NamedTuple):
-    """What a stack of P coefficient arrays of ``rows`` rows is applied
-    with: i alpha_j (P, rows, 1), the multiplier sqrt(4 pi rho) K_hat
-    (P, rows, N2), a (2, P, rows, N2) work buffer, the sample scale and
-    the forward and inverse transforms over the last axis (one row) or
-    the last two."""
-
-    ia: np.ndarray
-    multiplier: np.ndarray
-    work: np.ndarray
-    scale: float
-    fft: object
-    ifft: object
-
-
-def _row_arrays(grid: Grid, alphas: np.ndarray,
-                coeffs: np.ndarray) -> _RowArrays:
-    """The :class:`_RowArrays` of a stack of P arrays of ``rows`` rows,
-    from the P quasi-periodicity parameters ``alphas`` and the leading
-    kernel table rows ``coeffs`` (P, rows, N2) of their waves."""
-    rows = coeffs.shape[1]
-    ia = 1j * (grid.j1_modes()[:rows] + alphas[:, None])
-    if rows == 1:
-        transforms = (partial(np.fft.fft, axis=-1),
-                      partial(np.fft.ifft, axis=-1))
-    else:
-        transforms = (partial(np.fft.fftn, axes=(-2, -1)),
-                      partial(np.fft.ifftn, axes=(-2, -1)))
-    return _RowArrays(
-        ia[:, :, None], np.sqrt(4 * np.pi * grid.rho_box) * coeffs,
-        np.empty((2, len(coeffs), rows, grid.n2), dtype=complex),
-        np.sqrt(4 * np.pi * grid.rho_box) / (rows * grid.n2), *transforms)
+def _check_point(problem: Problem, table: KernelTable, rows: int):
+    """Raise ShapeMismatch unless ``table`` was built for the grid and the
+    wave of ``problem`` and serves arrays of ``rows`` rows: the
+    ``layout.n_rows`` rows the solve couples, or all N1 with the full
+    kernel table."""
+    grid, n_rows = problem.grid, problem.layout.n_rows
+    _check_table(grid, table, sorted({n_rows, grid.n1}))
+    if table.k != problem.k or table.alpha != problem.alpha:
+        raise ShapeMismatch(
+            f"kernel table was built for the wave k = {table.k}, alpha = "
+            f"{table.alpha}; the problem has k = {problem.k}, alpha = "
+            f"{problem.alpha}")
+    if rows == n_rows:
+        return
+    if rows != grid.n1:
+        raise ShapeMismatch(
+            f"{rows} coefficient rows; expected {n_rows} or {grid.n1}")
+    held = len(table.coeffs)
+    if held != rows:
+        raise ShapeMismatch(
+            f"an array of all {rows} coefficient rows needs the full "
+            f"kernel table; this one holds {held} row(s)")
 
 
-def _gradient(a: _RowArrays, imu: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Scaled gradient samples of a stack c of coefficient arrays, which
-    may be ``a.work[0]``."""
-    np.multiply(imu, c, out=a.work[1])
-    np.multiply(a.ia, c, out=a.work[0])
-    # ifft2 ignores ``out`` in numpy 2.x; ifft and ifftn honour it
-    return a.ifft(a.work, out=a.work)
-
-
-def _div_potential(a: _RowArrays, imu: np.ndarray, y: np.ndarray):
-    """Coefficients of div V(y) for a stack of scaled samples y (a view
-    of the work buffer)."""
-    f = a.fft(y, out=y)
-    f[0] *= a.ia
-    f[1] *= imu
-    f[0] += f[1]
-    f[0] *= a.multiplier
-    return f[0]
-
-
-def _forward(a: _RowArrays, imu: np.ndarray, q: np.ndarray, c: np.ndarray):
-    """c - div V(Q grad c) on a stack c of coefficient arrays."""
-    y = _gradient(a, imu, c)
-    _contrast_product(q, y)
-    return c - _div_potential(a, imu, y)
+def live_rows(c: np.ndarray, n_rows: int) -> np.ndarray:
+    """The first ``n_rows`` rows of a coefficient array c when the rest
+    vanish, else c."""
+    return c if c[n_rows:].any() else c[:n_rows]
 
 
 class _Nodes:
@@ -300,17 +263,23 @@ class _Nodes:
         return np.concatenate([flat[..., at] for at, _ in self.runs], axis=-1)
 
 
-class Discretization:
-    """The arrays one solve applies, for one problem and kernel table.
+class OperatorStack:
+    """The operators of P points of one contrast layout on one grid (one
+    solve, or the points of a k or theta sweep) on arrays of ``rows``
+    coefficient rows, ``layout.n_rows`` by default, each point with its
+    ``problems`` entry and its kernel table ``tables`` entry.  One call
+    applies them to a stack of P arrays: the density operators
+    z - Q grad div V z with one forward and one inverse FFT over the
+    stack, the field operators c - div V(Q grad c) likewise, and the x1
+    rows of the densities with one FFT.  A point's stack of one serves its
+    solve, its residual and its Rayleigh extraction.
 
-    Built once per solve and shared by the density operator, the
-    right-hand side, the scattered field, the residual and the Rayleigh
-    extraction.  Physical samples live on the natural FFT layout: sample m
-    sits half a box away from the centered node m, at (2 pi m1 / N1,
-    2 rho m2 / N2) modulo the box.  There the (-1)^(j1 + j2) signs of the
-    centered basis become an index shift, and the exp(i alpha x1) phase
-    cancels around every pointwise product, so a transform pair needs no
-    other factor than the sample scale.
+    Physical samples live on the natural FFT layout: sample m sits half a
+    box away from the centered node m, at (2 pi m1 / N1, 2 rho m2 / N2)
+    modulo the box.  There the (-1)^(j1 + j2) signs of the centered basis
+    become an index shift, and the exp(i alpha x1) phase cancels around
+    every pointwise product, so a transform pair needs no other factor
+    than the sample scale.
 
     An array of coefficients holds the leading Fourier rows of a field:
     all N1, or the one row j1 = 0 of a field whose other rows vanish.  The
@@ -319,146 +288,143 @@ class Discretization:
     transform in x1 and x2 (fftn); the samples of one row do not depend on
     x1, so it transforms in x2 alone (fft) and stands for every x1 row.
     The incident wave excites only the row j1 = 0, which a layered contrast
-    maps to itself: ``n_rows``, from ``problem.layout``, is 1 for a layered
-    contrast and N1 otherwise.  The kernel table must hold the rows
-    applied.
+    maps to itself: ``layout.n_rows`` is 1 for a layered contrast and N1
+    otherwise.  Each kernel table must hold the rows applied, and have
+    been built for its point's wave and the grid's box.
 
     A density is packed component-major: its two components at the
-    support nodes ``problem.layout.nodes`` of ``n_rows`` rows, in the
-    units of the scaled samples.  The solve runs on the density; the field
-    operator :meth:`apply` is the independent check of its residual.
+    support nodes ``layout.nodes`` of ``n_rows`` rows, in the units of the
+    scaled samples.  A stack of all N1 rows of a layered contrast holds
+    its densities at the support nodes of every row.  The solve runs on
+    the density; the field operator :meth:`apply_field` is the independent
+    check of its residual.
+
+    Each array's result is bit-identical to that of its point's stack of
+    one: every step is elementwise, a copy or a per-slice FFT, and numpy's
+    FFTs give the same bits with a leading batch axis.  The arrays sized
+    by the points are built when first read: the kernel multiplier and the
+    i alpha_j rows when an operator is applied, the incident densities
+    :attr:`rhs` once.
     """
 
-    def __init__(self, problem: Problem, table: KernelTable):
-        grid = problem.grid
-        layout = problem.layout
-        self.problem = problem
-        self.table = table
-        self.n_rows = layout.n_rows
-        self.n1 = grid.n1
-        self.q = layout.q
-        self.support = layout.support
-        self.x2 = layout.x2
-        _check_table(grid, table, sorted({self.n_rows, grid.n1}))
-        if table.k != problem.k or table.alpha != problem.alpha:
-            raise ShapeMismatch(
-                f"kernel table was built for the wave k = {table.k}, alpha = "
-                f"{table.alpha}; the problem has k = {problem.k}, alpha = "
-                f"{problem.alpha}")
-        self.imu = (1j * np.pi / grid.rho_box * grid.j2_modes())[None, :]
-        self._stacks = {}
-        self._rhs = None
-
-    def _check_rows(self, rows: int):
-        """Raise ShapeMismatch unless arrays of ``rows`` rows can be
-        applied: ``n_rows`` rows, or all N1 with the full kernel table."""
-        if rows == self.n_rows:
-            return
-        if rows != self.n1:
-            raise ShapeMismatch(
-                f"{rows} coefficient rows; expected {self.n_rows} or "
-                f"{self.n1}")
-        held = len(self.table.coeffs)
-        if held != rows:
-            raise ShapeMismatch(
-                f"an array of all {rows} coefficient rows needs the full "
-                f"kernel table; this one holds {held} row(s)")
-
-    def stack(self, rows: int) -> "OperatorStack":
-        """The :class:`OperatorStack` of this discretization alone on
-        arrays of ``rows`` rows, built when first asked for."""
-        stack = self._stacks.get(rows)
-        if stack is None:
-            stack = self._stacks[rows] = OperatorStack([self], rows)
-        return stack
-
-    def live_rows(self, c: np.ndarray) -> np.ndarray:
-        """The first ``n_rows`` rows of c when the rest vanish, else c."""
-        return c if c[self.n_rows:].any() else c[:self.n_rows]
-
-    def apply(self, c: np.ndarray) -> np.ndarray:
-        """Field operator c - div V(Q grad c) on a coefficient array."""
-        stack = self.stack(c.shape[0])
-        return _forward(stack.arrays, self.imu, self.q, c[None])[0]
-
-    def rhs(self) -> np.ndarray:
-        """The packed incident density Q grad u^i, the right-hand side of
-        the density equation: the stack of one of
-        :meth:`OperatorStack.rhs`, built once."""
-        if self._rhs is None:
-            self._rhs = self.stack(self.n_rows).rhs()[0]
-            self._rhs.setflags(write=False)
-        return self._rhs
-
-    def potential(self, z: np.ndarray) -> np.ndarray:
-        """The first ``n_rows`` coefficient rows of div V z, (n_rows, N2),
-        for a packed density z; its other rows vanish."""
-        return self.stack(self.n_rows).potential(z[None])[0].copy()
-
-
-class OperatorStack:
-    """The discretizations of one contrast layout (the points of a k or
-    theta sweep) on arrays of ``rows`` rows, applied to a stack of P
-    packed densities in one call: the density operators z - Q grad div V z
-    with one forward and one inverse FFT over the stack, the right-hand
-    sides with none and the x1 rows of the densities with one.
-
-    Each array's result is bit-identical to that of a stack of its own
-    discretization alone: every step is elementwise, a copy or a per-slice
-    FFT, and numpy's FFTs give the same bits with a leading batch axis.
-    A stack of all N1 rows of a layered contrast holds its densities at
-    the support nodes of every row.
-    """
-
-    def __init__(self, discs, rows: int):
-        first = discs[0]
-        grid = first.problem.grid
-        layout = first.problem.layout
-        if any(d.problem.layout is not layout or d.problem.grid != grid
-               for d in discs):
+    def __init__(self, problems, tables, rows: int | None = None):
+        first = problems[0]
+        grid, layout = first.grid, first.layout
+        if any(p.layout is not layout or p.grid != grid for p in problems):
             raise ShapeMismatch("a stack of operators needs one contrast "
                                 "layout on one grid")
-        for d in discs:
-            d._check_rows(rows)
-        # the problems, not the discretizations, which cache their stacks
-        self.problems = [d.problem for d in discs]
-        self.rows, self.grid = rows, grid
-        self.imu, self.support = first.imu, first.support
-        coeffs = (first.table.coeffs[None, :rows] if len(discs) == 1 else
-                  np.stack([d.table.coeffs[:rows] for d in discs]))
-        self.arrays = _row_arrays(
-            grid, np.array([d.problem.alpha for d in discs]), coeffs)
-        nodes, self.q = layout.nodes, layout.q_nodes
+        rows = layout.n_rows if rows is None else rows
+        for problem, table in zip(problems, tables, strict=True):
+            _check_point(problem, table, rows)
+        self.problems, self.tables = list(problems), list(tables)
+        self.rows, self.grid, self.layout = rows, grid, layout
+        self.imu = (1j * np.pi / grid.rho_box * grid.j2_modes())[None, :]
+        self.scale = np.sqrt(4 * np.pi * grid.rho_box) / (rows * grid.n2)
+        if rows == 1:
+            self.fft = partial(np.fft.fft, axis=-1)
+            self.ifft = partial(np.fft.ifft, axis=-1)
+        else:
+            self.fft = partial(np.fft.fftn, axes=(-2, -1))
+            self.ifft = partial(np.fft.ifftn, axes=(-2, -1))
+        nodes, self.q_nodes = layout.nodes, layout.q_nodes
         if rows != layout.n_rows:
             # every row of an x1-invariant layout
             nodes = (np.arange(rows)[:, None] * grid.n2 + nodes).ravel()
-            self.q = np.tile(self.q, rows)
-        self.nodes = _Nodes(nodes, len(discs), rows * grid.n2)
-        self.x2_nodes = first.x2[nodes % grid.n2]
+            self.q_nodes = np.tile(self.q_nodes, rows)
+        self.node_index = nodes
+        self.x2_nodes = layout.x2[nodes % grid.n2]
+
+    def take(self, keep) -> "OperatorStack":
+        """The stack of the points ``keep`` (indices, in order) of this
+        one, unchecked: its multiplier and i alpha_j rows are rows of this
+        stack's, and its work buffer is its own."""
+        new = copy.copy(self)
+        new.problems = [self.problems[i] for i in keep]
+        new.tables = [self.tables[i] for i in keep]
+        held = new.__dict__
+        for name in ("rhs", "work", "nodes"):
+            held.pop(name, None)
+        for name in ("ia", "multiplier"):
+            if name in held:
+                held[name] = held[name][keep]
+        return new
 
     @cached_property
-    def kd(self) -> np.ndarray:
-        """k d of every wave, (P, 2, 1)."""
-        return np.array([p.k * np.asarray(p.wave.d)
-                         for p in self.problems])[:, :, None]
+    def ia(self) -> np.ndarray:
+        """i alpha_j of every point's rows, (P, rows, 1)."""
+        alphas = np.array([p.alpha for p in self.problems])
+        ia = 1j * (self.grid.j1_modes()[:self.rows] + alphas[:, None])
+        return ia[:, :, None]
+
+    @cached_property
+    def multiplier(self) -> np.ndarray:
+        """The kernel multiplier sqrt(4 pi rho) K_hat of every point's
+        rows, (P, rows, N2)."""
+        tables = self.tables
+        coeffs = (tables[0].coeffs[None, :self.rows] if len(tables) == 1 else
+                  np.stack([t.coeffs[:self.rows] for t in tables]))
+        return np.sqrt(4 * np.pi * self.grid.rho_box) * coeffs
+
+    @cached_property
+    def work(self) -> np.ndarray:
+        """The (2, P, rows, N2) buffer every application works in."""
+        return np.empty((2, len(self.problems), self.rows, self.grid.n2),
+                        dtype=complex)
+
+    @cached_property
+    def nodes(self) -> _Nodes:
+        return _Nodes(self.node_index, len(self.problems),
+                      self.rows * self.grid.n2)
+
+    @cached_property
+    def rhs(self) -> np.ndarray:
+        """The (P, 2n) packed incident densities Q grad u^i, the
+        right-hand sides of the density equations, read-only: grad u^i of
+        every wave at the heights of the nodes, stripped of exp(i alpha
+        x1), which leaves it x1-invariant, times the sample scale."""
+        kd = np.array([p.k * np.asarray(p.wave.d)
+                       for p in self.problems])[:, :, None]
+        y = (self.scale * 1j * kd) * np.exp(1j * kd[:, 1:] * self.x2_nodes)
+        _contrast_product(self.q_nodes, y.transpose(1, 0, 2))
+        y = y.reshape(len(self.problems), -1)
+        y.setflags(write=False)
+        return y
 
     def _packed(self, z) -> np.ndarray:
         """A stack of packed densities as (P, 2, n)."""
-        return z.reshape(len(self.problems), 2, self.nodes.n)
+        return z.reshape(len(self.problems), 2, len(self.node_index))
+
+    def _gradient(self, c: np.ndarray) -> np.ndarray:
+        """Scaled gradient samples of a stack c of coefficient arrays,
+        which may be ``work[0]``."""
+        work = self.work
+        np.multiply(self.imu, c, out=work[1])
+        np.multiply(self.ia, c, out=work[0])
+        # ifft2 ignores ``out`` in numpy 2.x; ifft and ifftn honour it
+        return self.ifft(work, out=work)
+
+    def _div_potential(self, y: np.ndarray) -> np.ndarray:
+        """Coefficients of div V(y) for a stack of scaled samples y (the
+        work buffer)."""
+        f = self.fft(y, out=y)
+        f[0] *= self.ia
+        f[1] *= self.imu
+        f[0] += f[1]
+        f[0] *= self.multiplier
+        return f[0]
 
     def _contrast_gradient(self, c: np.ndarray) -> np.ndarray:
         """Scaled samples of Q grad c at the nodes, (P, 2, n), for a stack
         c (P, rows, N2) of coefficient arrays."""
-        g = self.nodes.gather(_gradient(self.arrays, self.imu, c))
-        _contrast_product(self.q, g.transpose(1, 0, 2))
+        g = self.nodes.gather(self._gradient(c))
+        _contrast_product(self.q_nodes, g.transpose(1, 0, 2))
         return g
 
     def potential(self, z) -> np.ndarray:
         """The (P, rows, N2) coefficients of div V z for a stack z of P
         packed densities, a view of the work buffer."""
-        a = self.arrays
-        self.nodes.scatter(self._packed(z), a.work)
-        return _div_potential(a, self.imu, a.work)
+        self.nodes.scatter(self._packed(z), self.work)
+        return self._div_potential(self.work)
 
     def apply(self, vectors) -> np.ndarray:
         """The (P, 2, n) products z - Q grad div V z of the P density
@@ -469,19 +435,17 @@ class OperatorStack:
         g = self._contrast_gradient(self.potential(z))
         return np.subtract(z, g, out=g)
 
-    def rhs(self) -> np.ndarray:
-        """The (P, 2n) packed incident densities Q grad u^i: grad u^i of
-        every wave at the heights of the nodes, stripped of exp(i alpha
-        x1), which leaves it x1-invariant, times the sample scale."""
-        y = (self.arrays.scale * 1j * self.kd) * np.exp(
-            1j * self.kd[:, 1:] * self.x2_nodes)
-        _contrast_product(self.q, y.transpose(1, 0, 2))
-        return y.reshape(len(self.problems), -1)
+    def apply_field(self, c: np.ndarray) -> np.ndarray:
+        """The (P, rows, N2) products c - div V(Q grad c) of the P field
+        operators with a stack c of coefficient arrays."""
+        y = self._gradient(c)
+        _contrast_product(self.layout.q, y)
+        return c - self._div_potential(y)
 
     def density(self, c: np.ndarray) -> np.ndarray:
         """The (P, 2n) packed total densities Q grad(u^s + u^i) of a stack
         c (P, rows, N2) of scattered fields."""
-        return self.rhs() + self._contrast_gradient(c).reshape(len(c), -1)
+        return self.rhs + self._contrast_gradient(c).reshape(len(c), -1)
 
     def density_rows(self, z) -> np.ndarray:
         """x1 transform of the samples of a stack z of P packed densities
@@ -493,9 +457,8 @@ class OperatorStack:
         N1 rows, is N1 times the samples: the row j1 = 0 of their FFT,
         whose other rows vanish.
         """
-        a = self.arrays
-        self.nodes.scatter(self._packed(z), a.work)
-        y = a.work[..., self.support] / (
+        self.nodes.scatter(self._packed(z), self.work)
+        y = self.work[..., self.layout.support] / (
             np.sqrt(4 * np.pi * self.grid.rho_box)
             / (self.grid.n1 * self.grid.n2))
         return y if self.rows == 1 else np.fft.fft(y, axis=2)
@@ -504,7 +467,8 @@ class OperatorStack:
 def apply_forward(u: SpectralField, problem: Problem,
                   table: KernelTable) -> SpectralField:
     """Forward operator u - div V(Q grad u) on the collocation grid."""
-    return u.replace(Discretization(problem, table).apply(u.coeffs))
+    stack = OperatorStack([problem], [table], len(u.coeffs))
+    return u.replace(stack.apply_field(u.coeffs[None])[0])
 
 
 def contrast_gradient_potential(

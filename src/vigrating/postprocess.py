@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import NotConverged, ShapeMismatch
 from .kernel import KernelTable, _beta_many
-from .operators import Discretization, OperatorStack, evaluate
+from .operators import OperatorStack, evaluate, live_rows
 from .problem import Problem
 from .solver import Solution
 
@@ -60,22 +60,19 @@ def rayleigh_both_sides(
     j_max: int | None = None,
 ) -> tuple[RayleighData, RayleighData]:
     """Rayleigh coefficients above and below from moments of the density:
-    the batch of one of :func:`rayleigh_batch`, on the discretization of
+    the batch of one of :func:`rayleigh_batch`, on the stack of one of
     ``problem`` and ``table``, which the solve's own serves.  A solution
     of ``problem`` brings its density; the density of any other is built
     from its field."""
     if not solution.converged:
         raise NotConverged("Rayleigh extraction requires a converged solve")
-    disc = solution.discretization
-    solved = (disc is not None and disc.problem is problem
-              and solution.density is not None)
-    if disc is None or disc.problem is not problem or disc.table is not table:
-        disc = Discretization(problem, table)
-    if solved:
-        stack, z = disc.stack(disc.n_rows), solution.density[None]
+    if solution.problem is problem and solution.density is not None:
+        stack = (solution.stack if solution.table is table
+                 else OperatorStack([problem], [table]))
+        z = solution.density[None]
     else:
-        c = disc.live_rows(solution.u.coeffs)
-        stack = disc.stack(len(c))
+        c = live_rows(solution.u.coeffs, problem.layout.n_rows)
+        stack = OperatorStack([problem], [table], len(c))
         z = stack.density(c[None])
     return _rayleigh(stack, z, j_max)[0]
 
@@ -85,17 +82,17 @@ def rayleigh_batch(
 ) -> list[tuple[RayleighData, RayleighData]]:
     """The (above, below) Rayleigh coefficients of converged solves of
     one contrast layout, grid and reference height (the solved points of a
-    sweep batch), each from its density on the discretization it was
-    solved on.
+    sweep batch), each from its density on its problem and table.
 
     One density stack and one moment pass per side serve the batch; each
     solution's coefficients are bit for bit those of its own
-    :func:`rayleigh_both_sides`.
+    :func:`rayleigh_both_sides`.  The stack applies no operator, so it
+    builds no kernel multiplier.
     """
     if not all(s.converged for s in solutions):
         raise NotConverged("Rayleigh extraction requires a converged solve")
-    discs = [s.discretization for s in solutions]
-    stack = OperatorStack(discs, discs[0].n_rows)
+    stack = OperatorStack([s.problem for s in solutions],
+                          [s.table for s in solutions])
     return _rayleigh(stack, np.stack([s.density for s in solutions]), j_max)
 
 
@@ -141,7 +138,7 @@ def _rayleigh(stack: OperatorStack, densities: np.ndarray,
     j, bj = orders[kept], betas[point, kept]
     rows = density[:, point, idx[kept]]                 # (2, kept, x2)
     aj = (j + alpha[point, 0])[:, None]
-    x2 = first.layout.x2[stack.support]
+    x2 = first.layout.x2[stack.layout.support]
     prefactor = (-grid.cell_area * np.exp(1j * bj * rho_ref)
                  / (4 * np.pi * bj))
     bj = bj[:, None]

@@ -159,7 +159,7 @@ class ContrastLayout:
     an x1-invariant contrast is; they broadcast against (N1, N2) fields.
     ``n_rows`` is also the number of leading Fourier rows a solve couples
     to the incident wave.  ``q`` holds the samples as a solve applies them
-    (the wave-independent half of ``operators.Discretization``), rolled by
+    (the wave-independent half of ``operators.OperatorStack``), rolled by
     half a box in each direction onto the natural FFT layout: (2, 2,
     n_rows, N2), or (n_rows, N2) for a scalar contrast field.  ``support``
     lists the x2 columns that carry contrast and ``x2`` the rolled heights.

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import BreakdownDetected, NotConverged, SizeGuard
 from .kernel import KernelTable, kernel_table
-from .operators import Discretization, OperatorStack, SpectralField
+from .operators import OperatorStack, SpectralField, live_rows
 from .problem import Problem
 
 log = logging.getLogger(__name__)
@@ -41,8 +41,9 @@ class SolveOptions:
     restart: int = 50
 
     def __post_init__(self):
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be positive")
+        if not 0 < self.rel_tol < math.inf:
+            raise ValueError(f"rel_tol must be positive and finite, got "
+                             f"{self.rel_tol!r}")
         if self.restart < 1:
             raise ValueError("restart must be at least 1")
         if self.max_iterations < 1:
@@ -53,39 +54,48 @@ class Solution:
     """Converged (or best-effort) solution with its residual history.
 
     ``density`` is the packed total density Q grad(u^s + u^i) GMRES solved
-    for (see :class:`operators.Discretization`).  ``rows`` are the leading
-    coefficient rows of the scattered field div V(density): all N1, or the
-    row j1 = 0 of a layered solve, whose other rows vanish.  ``u`` is the
-    field on all N1 rows.  Both are built when first read, so that a sweep
-    point, which reads only its density, never allocates them.  A Solution
-    made from a field ``u`` has its rows and no density.
-    ``discretization`` is the one the solve ran on; post-processing of the
-    same problem and table reuses it.
+    for (see :class:`operators.OperatorStack`), on ``problem`` with the
+    kernel table ``table``.  ``stack`` is the stack of one the solve ran
+    on, which its residual and Rayleigh extraction reuse; a point of a
+    lockstep batch builds it when it is first read.  ``rows`` are the
+    leading coefficient rows of the scattered field div V(density): all
+    N1, or the row j1 = 0 of a layered solve, whose other rows vanish.
+    ``u`` is the field on all N1 rows.  Both are built when first read, so
+    that a sweep point, which reads only its density, never allocates
+    them.  A Solution made from a field ``u`` has its rows, and no
+    density, problem or stack.
     """
 
     def __init__(self, u: SpectralField | None = None,
                  residual_history: tuple = (), converged: bool = False,
-                 iterations: int = 0,
-                 discretization: Discretization | None = None,
-                 density: np.ndarray | None = None):
+                 iterations: int = 0, density: np.ndarray | None = None,
+                 problem: Problem | None = None,
+                 table: KernelTable | None = None,
+                 stack: OperatorStack | None = None):
         self._u = u
         self._rows = None if u is None else u.coeffs
         self.density = density
         self.residual_history = residual_history
         self.converged = converged
         self.iterations = iterations
-        self.discretization = discretization
+        self.problem, self.table, self._stack = problem, table, stack
+
+    @property
+    def stack(self) -> OperatorStack | None:
+        if self._stack is None and self.problem is not None:
+            self._stack = OperatorStack([self.problem], [self.table])
+        return self._stack
 
     @property
     def rows(self) -> np.ndarray | None:
         if self._rows is None and self.density is not None:
-            self._rows = self.discretization.potential(self.density)
+            self._rows = self.stack.potential(self.density)[0].copy()
         return self._rows
 
     @property
     def u(self) -> SpectralField | None:
         if self._u is None and self.rows is not None:
-            problem = self.discretization.problem
+            problem = self.problem
             grid = problem.grid
             coeffs = self.rows
             if len(coeffs) != grid.n1:
@@ -98,8 +108,8 @@ class Solution:
 def assemble_rhs(problem: Problem, table: KernelTable) -> SpectralField:
     """div V(Q grad u^i), the right-hand side of the field equation
     u - div V(Q grad u) = div V(Q grad u^i), on all N1 rows."""
-    disc = Discretization(problem, table)
-    rows = disc.potential(disc.rhs())
+    stack = OperatorStack([problem], [table])
+    rows = stack.potential(stack.rhs)[0]
     rhs = np.zeros((problem.grid.n1, problem.grid.n2), dtype=complex)
     rhs[:len(rows)] = rows
     return SpectralField(rhs, problem.grid, problem.alpha)
@@ -320,10 +330,11 @@ def solve(problem: Problem, table: KernelTable,
           opts: SolveOptions | None = None) -> Solution:
     """Solve the discrete scattering equation; returns its Solution.
 
-    Always starts from the zero iterate for reproducibility.  GMRES runs on
-    the packed density at the support nodes of the rows the discretization
-    couples to the incident wave (the j1 = 0 row alone for a layered
-    contrast); the Solution holds it as ``density`` and builds the field
+    Always starts from the zero iterate for reproducibility.  GMRES runs,
+    on the stack of one of ``problem`` and ``table``, on the packed
+    density at the support nodes of the rows the layout couples to the
+    incident wave (the j1 = 0 row alone for a layered contrast); the
+    Solution holds it as ``density``, with that stack, and builds the field
     from it when ``rows`` or ``u`` is read.  On stall the best iterate and
     its history are attached to the NotConverged error.
     GMRES stops before ``max_iterations`` when its best restarted cycle
@@ -334,8 +345,7 @@ def solve(problem: Problem, table: KernelTable,
     """
     opts = opts or SolveOptions()
     check_memory(problem, opts)
-    disc = Discretization(problem, table)
-    stack = disc.stack(disc.n_rows)
+    stack = OperatorStack([problem], [table])
     matvecs = 0
 
     def matvec(vec: np.ndarray) -> np.ndarray:
@@ -345,26 +355,30 @@ def solve(problem: Problem, table: KernelTable,
 
     result = gmres(
         matvec,
-        disc.rhs(),
+        stack.rhs[0],
         rel_tol=opts.rel_tol,
         restart=opts.restart,
         max_iterations=opts.max_iterations,
     )
-    return _finish(disc, result, matvecs)
+    return _finish(problem, table, stack, result, matvecs)
 
 
-def _finish(disc: Discretization, result, matvecs: int) -> Solution:
-    """The Solution of a GMRES ``result`` on ``disc``'s rows; raises
-    NotConverged, with it attached, when GMRES stopped short."""
+def _finish(problem: Problem, table: KernelTable, stack, result,
+            matvecs: int) -> Solution:
+    """The Solution of a GMRES ``result`` on ``problem`` and ``table``,
+    solved on the stack of one ``stack`` or, for a batch point, None;
+    raises NotConverged, with it attached, when GMRES stopped short."""
     x, history, converged, iters, stop = result
     log.debug("solved %d of %d coefficient rows: %d iterations, %d matvecs",
-              disc.n_rows, disc.n1, iters, matvecs)
+              problem.layout.n_rows, problem.grid.n1, iters, matvecs)
     sol = Solution(
         density=x,
         residual_history=tuple(history),
         converged=converged,
         iterations=iters,
-        discretization=disc,
+        problem=problem,
+        table=table,
+        stack=stack,
     )
     if stop:
         raise NotConverged(
@@ -383,9 +397,10 @@ class _Pending:
     """A point of :func:`solve_lockstep`: its GMRES generator and the
     vector that waits for its product."""
 
-    def __init__(self, key, disc: Discretization, b: np.ndarray,
-                 opts: SolveOptions):
-        self.key, self.disc, self.matvecs = key, disc, 0
+    def __init__(self, key, problem: Problem, table: KernelTable,
+                 b: np.ndarray, opts: SolveOptions):
+        self.key, self.problem, self.table = key, problem, table
+        self.matvecs = 0
         self.steps = gmres_steps(b, opts.rel_tol, opts.restart,
                                  opts.max_iterations)
 
@@ -400,7 +415,8 @@ class _Pending:
             return
         except StopIteration as done:
             try:
-                outcome = _finish(self.disc, done.value, self.matvecs)
+                outcome = _finish(self.problem, self.table, None,
+                                  done.value, self.matvecs)
             except NotConverged as exc:
                 outcome = exc
         except (BreakdownDetected, MemoryError) as exc:
@@ -431,24 +447,27 @@ def _solve_batch(batch: list, opts: SolveOptions) -> list:
         # a wave the table build rejects ends its point alone
         ended = [(key, table) for (key, _), table in zip(batch, tables)
                  if isinstance(table, Exception)]
-        discs = [(key, Discretization(problem, table))
-                 for (key, problem), table in zip(batch, tables)
-                 if not isinstance(table, Exception)]
-        if not discs:
+        solvable = [(key, problem, table)
+                    for (key, problem), table in zip(batch, tables)
+                    if not isinstance(table, Exception)]
+        if not solvable:
             return ended
-        stack = OperatorStack([disc for _, disc in discs], rows)
-        points = [_Pending(key, disc, b, opts)
-                  for (key, disc), b in zip(discs, stack.rhs())]
+        stack = OperatorStack([p for _, p, _ in solvable],
+                              [t for _, _, t in solvable])
+        held = [_Pending(key, problem, table, b, opts)
+                for (key, problem, table), b in zip(solvable, stack.rhs)]
     except MemoryError as exc:
         return [(key, exc) for key, _ in batch]
     pending: list[_Pending] = []
-    for point in points:
+    for point in held:
         point.advance(None, pending, ended)
-    held = len(points)
     while pending:
-        if len(pending) < held:
-            stack = OperatorStack([p.disc for p in pending], rows)
-            held = len(pending)
+        if len(pending) < len(held):
+            # the stack of the points still pending, from the rows of this
+            # one's arrays
+            alive = set(pending)
+            stack = stack.take([i for i, p in enumerate(held) if p in alive])
+            held = pending
         pending = _step(pending, stack, ended)
     return ended
 
@@ -491,23 +510,27 @@ def solve_lockstep(points, opts: SolveOptions | None = None):
 
 
 def residual(problem: Problem, table: KernelTable, u: SpectralField,
-             disc: Discretization | None = None) -> float:
+             stack: OperatorStack | None = None) -> float:
     """Relative residual ||A u - rhs|| / ||rhs|| of the field equation,
     recomputed from scratch with the field operator A.
 
-    ``disc`` may pass the discretization of the solve, whose right-hand
-    side is then not built again.  Falls back to the absolute norm when
-    the right-hand side vanishes.  The field of a layered solve has only
-    the row j1 = 0, which is applied alone and which a one-row table
-    serves.  Any other u is applied on all N1 rows, which needs the full
-    table of ``kernel_table(grid, wave)``: a one-row table raises
-    ShapeMismatch.  The right-hand side vanishes past its ``n_rows`` rows,
-    so it is subtracted from the leading rows of A u alone.
+    ``stack`` may pass the stack of one of the solve (``Solution.stack``),
+    whose incident density is then not built again.  Falls back to the
+    absolute norm when the right-hand side vanishes.  The field of a
+    layered solve has only the row j1 = 0, which is applied alone and
+    which a one-row table serves.  Any other u is applied on all N1 rows,
+    which needs the full table of ``kernel_table(grid, wave)``: a one-row
+    table raises ShapeMismatch.  The right-hand side vanishes past its
+    ``n_rows`` rows, so it is subtracted from the leading rows of A u
+    alone.
     """
-    disc = disc or Discretization(problem, table)
-    rhs = disc.potential(disc.rhs())
+    stack = stack or OperatorStack([problem], [table])
+    rhs = stack.potential(stack.rhs)[0].copy()
     # rows of u that vanish, past the solved ones, map to vanishing rows
-    r = disc.apply(disc.live_rows(u.coeffs))
+    c = live_rows(u.coeffs, problem.layout.n_rows)
+    if len(c) != stack.rows:
+        stack = OperatorStack([problem], [table], len(c))
+    r = stack.apply_field(c[None])[0]
     r[:len(rhs)] -= rhs
     num = float(np.linalg.norm(r))
     den = float(np.linalg.norm(rhs))

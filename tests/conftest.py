@@ -50,6 +50,15 @@ def smooth_isotropic_contrast(q, h):
     return ContrastField(sampler=sampler, h=h, isotropic=True)
 
 
+def basis_field(grid, alpha, j1, j2):
+    """Single basis function phi_(j1, j2) as a spectral field."""
+    from vigrating.operators import SpectralField
+
+    coeffs = np.zeros((grid.n1, grid.n2), dtype=complex)
+    coeffs[j1 % grid.n1, j2 % grid.n2] = 1.0
+    return SpectralField(coeffs=coeffs, grid=grid, alpha=alpha)
+
+
 def reference_rhs(problem, table):
     """div V(Q grad u^i) composed from the public 2-D transforms."""
     from vigrating.operators import (

@@ -21,7 +21,7 @@ from vigrating.analysis import (
     weighted_norm,
 )
 from vigrating.errors import GeometryNotGraph, SingularReQ
-from vigrating.operators import basis_field, to_spectral
+from vigrating.operators import to_spectral
 from vigrating.problem import (
     ContrastField,
     Grid,
@@ -32,6 +32,8 @@ from vigrating.problem import (
     two_layer_contrast,
     write_raster,
 )
+
+from conftest import basis_field
 
 WAVE = IncidentWave(k=0.5, d=(0.0, -1.0))
 GRID = Grid(n1=16, n2=32, rho_box=2.0)

@@ -9,7 +9,7 @@ import vigrating.solver
 from vigrating.cli import main
 from vigrating.errors import DegenerateAtZeroJ2, RayleighAnomaly
 from vigrating.kernel import kernel_table
-from vigrating.operators import Discretization, OperatorStack
+from vigrating.operators import OperatorStack
 from vigrating.postprocess import rayleigh_batch, rayleigh_both_sides
 from vigrating.problem import (
     Grid,
@@ -100,8 +100,7 @@ def test_stacked_rayleigh_of_a_one_row_batch_is_the_one_solution_one():
     solutions = [sol for _, sol in sorted(batch, key=lambda kv: kv[0])]
     assert len({len(sol.rows) for sol in solutions}) == 1
     for sol, both in zip(solutions, rayleigh_batch(solutions)):
-        disc = sol.discretization
-        alone = rayleigh_both_sides(sol, disc.problem, disc.table)
+        alone = rayleigh_both_sides(sol, sol.problem, sol.table)
         assert [_coefficients(d) for d in both] == [
             _coefficients(d) for d in alone]
     # the order that propagates at the first point only
@@ -117,7 +116,7 @@ def test_stacked_rayleigh_of_a_2d_batch_of_one_is_the_field_extraction():
     (_, sol), = batch
     assert len(sol.rows) == grid.n1
     both, = rayleigh_batch([sol])
-    # from the solved density on a discretization of its own
+    # from the solved density on a stack of one of its own
     table = kernel_table(grid, problem.wave)
     alone = rayleigh_both_sides(sol, problem, table)
     assert [_coefficients(d) for d in both] == [
@@ -133,6 +132,32 @@ def test_stacked_rayleigh_of_a_2d_batch_of_one_is_the_field_extraction():
         assert max(abs(data.order(j) - v)
                    for j, v in direct.coefficients.items()) <= (
                        OPTS.rel_tol * scale)
+
+
+def test_extracting_a_2d_batch_builds_no_kernel_multiplier(monkeypatch):
+    grid = Grid(n1=16, n2=32, rho_box=2.0)
+    problems = _points(circle_contrast(3.0, 0.6), grid,
+                       [IncidentWave.from_angle(1.1, a) for a in (5.0, 10.0)])
+    solutions = [sol for batch in solve_lockstep(enumerate(problems), OPTS)
+                 for _, sol in batch]
+    assert [len(sol.rows) for sol in solutions] == [grid.n1, grid.n1]
+    built = []
+    multiplier = OperatorStack.__dict__["multiplier"]
+    compute = multiplier.func
+
+    def counted(self):
+        built.append(len(self.problems))
+        return compute(self)
+
+    monkeypatch.setattr(multiplier, "func", counted)
+    data = rayleigh_batch(solutions)
+    assert built == []
+    # the field rows above were read on each point's own stack of one,
+    # which the extraction reads no multiplier of either
+    for sol, both in zip(solutions, data):
+        alone = rayleigh_both_sides(sol, sol.problem, sol.table)
+        assert [_coefficients(d) for d in both] == [
+            _coefficients(d) for d in alone]
 
 
 SLAB_SWEEP = """
@@ -159,9 +184,9 @@ def test_a_sweep_batch_builds_tables_rhs_and_densities_once(
         tmp_path, monkeypatch, size, batches):
     calls = {}
 
-    def count(owner, name):
+    def count(owner, name, key=None):
         original = getattr(owner, name)
-        key = f"{getattr(owner, '__name__', owner)}.{name}"
+        key = key or f"{getattr(owner, '__name__', owner)}.{name}"
         calls[key] = 0
 
         def counted(*args, **kwargs):
@@ -179,9 +204,10 @@ def test_a_sweep_batch_builds_tables_rhs_and_densities_once(
         monkeypatch.setattr(vigrating.solver, "physical_memory_bytes",
                             lambda: size * need)
     count(vigrating.solver, "kernel_table")
-    count(OperatorStack, "rhs")
+    # the incident densities, a cached property: what computes them
+    count(OperatorStack.__dict__["rhs"], "func", "OperatorStack.rhs")
     count(OperatorStack, "density_rows")
-    count(Discretization, "rhs")
+    count(OperatorStack, "__init__")
     out = tmp_path / "out"
     assert main(["sweep", str(cfg), "--param", "theta", "--from", "0",
                  "--to", "40", "--steps", "21", "--output", str(out)]) == 0
@@ -189,4 +215,5 @@ def test_a_sweep_batch_builds_tables_rhs_and_densities_once(
     assert calls == {"vigrating.solver.kernel_table": batches,
                      "OperatorStack.rhs": batches,
                      "OperatorStack.density_rows": batches,
-                     "Discretization.rhs": 0}
+                     # one stack to solve and one to extract, none per point
+                     "OperatorStack.__init__": 2 * batches}

@@ -13,7 +13,7 @@ from vigrating.cli import main, write_slab_example_config
 from vigrating.config import PERIOD, load_config
 from vigrating.errors import BreakdownDetected, ConfigError, DegenerateAtZeroJ2
 from vigrating.kernel import kernel_table
-from vigrating.operators import Discretization
+from vigrating.operators import OperatorStack
 from vigrating.problem import ContrastField
 
 
@@ -502,7 +502,7 @@ def fail_point(monkeypatch, cfg: Path, param: str, value: float,
     as before.  The point is found by its right-hand side."""
     problem = load_config(cfg).replace_parameter(param, value).build()
     table = kernel_table(problem.grid, problem.wave, problem.layout.n_rows)
-    target = Discretization(problem, table).rhs().reshape(-1)
+    target = OperatorStack([problem], [table]).rhs[0]
     steps = vigrating.solver.gmres_steps
 
     def flaky(b, *args):
@@ -520,6 +520,34 @@ def _layouts(tmp_path) -> dict[str, Path]:
     text = BASE.format(out=tmp_path / "o")
     return {name: _write(tmp_path / f"{name}.ini", text.replace(SLAB, shape))
             for name, shape in (("slab", SLAB), ("circle", CIRCLE))}
+
+
+def test_solve_builds_one_operator_stack_and_one_incident_density(
+        tmp_path, monkeypatch):
+    # the solve, its residual and its Rayleigh extraction share the stack
+    # of one the solve ran on
+    init = OperatorStack.__init__
+    rhs = OperatorStack.__dict__["rhs"]
+    incident = rhs.func
+    for name, cfg in _layouts(tmp_path).items():
+        calls = {"stacks": 0, "incident densities": 0}
+
+        def counted_init(self, *args, **kwargs):
+            calls["stacks"] += 1
+            init(self, *args, **kwargs)
+
+        def counted_incident(self):
+            calls["incident densities"] += 1
+            return incident(self)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(OperatorStack, "__init__", counted_init)
+            patch.setattr(rhs, "func", counted_incident)
+            assert main(["solve", str(cfg), "--output",
+                         str(tmp_path / name)]) == 0
+        result = json.loads((tmp_path / name / "result.json").read_text())
+        assert result["metadata"]["relative_residual"] < 1e-8
+        assert calls == {"stacks": 1, "incident densities": 1}, name
 
 
 def test_sweep_skips_a_point_out_of_memory(tmp_path, monkeypatch, caplog):

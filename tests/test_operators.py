@@ -4,12 +4,11 @@ import pytest
 from vigrating.errors import ShapeMismatch, SizeGuard
 from vigrating.kernel import kernel_table
 from vigrating.operators import (
-    Discretization,
+    OperatorStack,
     SpectralField,
     VectorSpectralField,
     apply_forward,
     assemble_dense,
-    basis_field,
     div_potential,
     evaluate,
     grad_spectral,
@@ -27,6 +26,8 @@ from vigrating.problem import (
     incident_field,
     slab_contrast,
 )
+
+from conftest import basis_field
 
 
 def _wave(k, alpha):
@@ -318,17 +319,20 @@ EQUIVALENCE_KINDS = ("isotropic", "lossy", "anisotropic", "lossy-anisotropic",
 def test_discretization_matches_public_composition(kind):
     problem, table = _equivalence_problem(kind)
     grid, alpha = problem.grid, problem.alpha
-    disc = Discretization(problem, table)
+    stack = OperatorStack([problem], [table])
+    # u fills all N1 rows: a layered contrast applies them on a stack of N1
+    # rows
+    full = OperatorStack([problem], [table], grid.n1)
     rng = np.random.default_rng(13)
     shape = (grid.n1, grid.n2)
     u = SpectralField(rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
                       grid, alpha)
     qg = pointwise_matrix_product(problem.layout.samples, grad_spectral(u))
     expected = u.coeffs - div_potential(qg, table).coeffs
-    got = disc.apply(u.coeffs)
+    got = full.apply_field(u.coeffs[None])[0]
     assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
     # the buffer is reused: a second application gives the same bits
-    assert np.array_equal(disc.apply(u.coeffs), got)
+    assert np.array_equal(full.apply_field(u.coeffs[None])[0], got)
 
     xx1, xx2 = grid.mesh()
     _, grad_i = incident_field(problem.wave, np.stack([xx1, xx2], axis=-1))
@@ -336,13 +340,13 @@ def test_discretization_matches_public_composition(kind):
                                  g2=to_spectral(grad_i[..., 1], grid, alpha))
     f = pointwise_matrix_product(problem.layout.samples, grad_i)
     rhs = div_potential(f, table).coeffs
-    # rhs() is the incident density Q grad u^i, whose potential div V is
+    # rhs is the incident density Q grad u^i, whose potential div V is
     # the field right-hand side on the n_rows coupled rows; the reference
     # vanishes past them
     bound = 1e-13 * np.abs(rhs).max()
-    assert np.abs(disc.potential(disc.rhs())
-                  - rhs[:disc.n_rows]).max() <= bound
-    assert np.abs(rhs[disc.n_rows:]).max(initial=0.0) <= bound
+    assert np.abs(stack.potential(stack.rhs)[0]
+                  - rhs[:stack.rows]).max() <= bound
+    assert np.abs(rhs[stack.rows:]).max(initial=0.0) <= bound
 
 
 @pytest.mark.parametrize("kind", ["one-row", "2-d-tensor"])
@@ -361,14 +365,15 @@ def test_density_operator_pushes_through_to_the_field_operator(kind):
                                                           [0.0, 0.1j]])
         contrast = circle_contrast(q, 0.8)
     problem = build_problem(wave, contrast, grid)
-    disc = Discretization(problem, kernel_table(grid, wave))
-    assert disc.n_rows == (1 if kind == "one-row" else grid.n1)
+    stack = OperatorStack([problem], [kernel_table(grid, wave)])
+    assert stack.rows == (1 if kind == "one-row" else grid.n1)
     n = 2 * len(problem.layout.nodes)
     rng = np.random.default_rng(21)
     for _ in range(3):
         z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        product = disc.stack(disc.n_rows).apply([z]).reshape(-1)
-        got = disc.potential(product)
-        expected = disc.apply(disc.potential(z))
+        product = stack.apply([z]).reshape(-1)
+        # potential returns a view of the work buffer the operators reuse
+        got = stack.potential(product).copy()
+        expected = stack.apply_field(stack.potential(z).copy())
         assert (np.abs(got - expected).max()
                 <= 1e-13 * np.abs(expected).max())

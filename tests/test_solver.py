@@ -18,7 +18,7 @@ from vigrating.errors import (
 )
 from vigrating.kernel import kernel_table
 from vigrating.operators import (
-    Discretization,
+    OperatorStack,
     SpectralField,
     contrast_gradient_potential,
 )
@@ -185,7 +185,7 @@ def test_multi_cycle_negative_contrast_still_converges(budget, caplog):
     sol = solve(problem, table,
                 SolveOptions(rel_tol=1e-10, max_iterations=budget))
     assert sol.converged and sol.iterations > 9 * 50
-    assert residual(problem, table, sol.u, sol.discretization) <= 2e-10
+    assert residual(problem, table, sol.u, sol.stack) <= 2e-10
     # the cycle starts of the stop rule, from the arguments of its log lines
     reductions, best_only = [], []
     for record in caplog.records:
@@ -297,11 +297,11 @@ def test_layered_detection(tmp_path, kind, layered):
     grid = Grid(n1=16, n2=64, rho_box=1.1)
     wave = IncidentWave.from_angle(0.8, 25.0)
     problem = build_problem(wave, contrast, grid)
-    disc = Discretization(problem, kernel_table(grid, wave))
+    table = kernel_table(grid, wave)
     assert (problem.layout.n_rows == 1) is layered
-    assert disc.n_rows == (1 if layered else 16)
+    assert OperatorStack([problem], [table]).rows == (1 if layered else 16)
     with pytest.raises(ShapeMismatch):
-        disc.apply(np.zeros((2 if layered else 1, 64), dtype=complex))
+        OperatorStack([problem], [table], 2 if layered else 1)
 
 
 def test_x1_invariant_raster_is_detected_by_its_rows(tmp_path):
@@ -405,9 +405,9 @@ def test_layered_one_row_table_matches_full_table():
     assert sol_row.residual_history == sol_full.residual_history
     assert residual(problem, row, sol_row.u) == residual(problem, full,
                                                          sol_full.u)
-    c = np.random.default_rng(2).standard_normal((1, 64)) + 0j
-    assert np.array_equal(Discretization(problem, row).apply(c),
-                          Discretization(problem, full).apply(c))
+    c = np.random.default_rng(2).standard_normal((1, 1, 64)) + 0j
+    assert np.array_equal(OperatorStack([problem], [row]).apply_field(c),
+                          OperatorStack([problem], [full]).apply_field(c))
 
 
 def test_full_rows_need_the_full_table():
@@ -415,18 +415,17 @@ def test_full_rows_need_the_full_table():
     grid = Grid(n1=16, n2=64, rho_box=1.1)
     problem = build_problem(wave, slab_contrast(3.0, 1.0), grid)
     table = kernel_table(grid, wave, 1)
-    disc = Discretization(problem, table)
     full = np.ones((16, 64), dtype=complex)
     message = ("an array of all 16 coefficient rows needs the full kernel "
                "table; this one holds 1 row")
     with pytest.raises(ShapeMismatch, match=message):
-        disc.apply(full)
+        OperatorStack([problem], [table], 16)
     with pytest.raises(ShapeMismatch, match=message):
         residual(problem, table, SpectralField(full, grid, problem.alpha))
     # a contrast that couples every row has no use for a one-row table
     circle = build_problem(wave, circle_contrast(3.0, 0.4), grid)
     with pytest.raises(ShapeMismatch, match="expected 16 rows of 64"):
-        Discretization(circle, table)
+        OperatorStack([circle], [table])
 
 
 @pytest.mark.parametrize("other", [
@@ -441,6 +440,15 @@ def test_table_of_another_wave_is_rejected(other):
     for rows in (1, None):
         with pytest.raises(ShapeMismatch, match=message):
             solve(problem, kernel_table(grid, other, rows))
+
+
+@pytest.mark.parametrize("rel_tol", [float("inf"), float("nan"),
+                                     float("-inf")])
+def test_options_reject_a_non_finite_rel_tol(rel_tol):
+    # inf would mark a zero density converged, nan would never stop
+    with pytest.raises(ValueError, match="rel_tol must be positive and "
+                                         "finite"):
+        SolveOptions(rel_tol=rel_tol)
 
 
 def test_memory_estimate_counts_basis_and_work_rows(monkeypatch):
@@ -533,7 +541,7 @@ def test_field_residual_is_within_rel_tol(tmp_path, name):
     table = kernel_table(problem.grid, problem.wave, problem.layout.n_rows)
     sol = solve(problem, table, _options(cfg))
     assert sol.converged
-    assert residual(problem, table, sol.u, sol.discretization) <= cfg.rel_tol
+    assert residual(problem, table, sol.u, sol.stack) <= cfg.rel_tol
 
 
 @pytest.mark.parametrize("shape", ["slab", "circle"])
@@ -586,7 +594,7 @@ def test_empty_support_gives_an_exactly_zero_field(contrast):
 
 
 def test_a_solve_is_freed_without_the_cycle_collector():
-    # a Discretization caches its operator stacks, so a stack must not
+    # a Solution keeps the stack it was solved on, so the stack must not
     # refer back to it: a cycle would keep the arrays of every solve alive
     # until the cycle collector runs
     problem = build_problem(IncidentWave.from_angle(0.8, 25.0),
@@ -597,9 +605,9 @@ def test_a_solve_is_freed_without_the_cycle_collector():
     try:
         sol = solve(problem, table)
         assert sol.rows is not None and residual(
-            problem, table, sol.u, sol.discretization) < 1e-8
+            problem, table, sol.u, sol.stack) < 1e-8
         rayleigh_both_sides(sol, problem, table)
-        freed = weakref.ref(sol.discretization)
+        freed = weakref.ref(sol.stack)
         del sol
         assert freed() is None
     finally:

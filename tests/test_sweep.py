@@ -153,14 +153,15 @@ def test_a_point_at_a_rayleigh_anomaly_is_skipped_alone(tmp_path, caplog):
 
 
 def _stack_sizes(monkeypatch) -> list[int]:
-    """The number of points of every OperatorStack the solver builds from
-    now on."""
+    """The number of points of every OperatorStack the solver constructs
+    from now on (a batch shrinks its stack by ``take``, which holds fewer
+    points and is not recorded)."""
     sizes = []
     stack = vigrating.solver.OperatorStack
 
-    def recorded(discs, rows):
-        sizes.append(len(discs))
-        return stack(discs, rows)
+    def recorded(problems, tables, rows=None):
+        sizes.append(len(problems))
+        return stack(problems, tables, rows)
 
     monkeypatch.setattr(vigrating.solver, "OperatorStack", recorded)
     return sizes

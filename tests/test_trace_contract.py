@@ -1,13 +1,17 @@
 """The benchmark tracer (perfbench/spans.py) wraps package functions by
 name.  A target it cannot find, or whose count hook no longer fits its
 signature, silently drops a per-layer metric from a traced run, so the
-package keeps every target loaded by ``import vigrating.cli``."""
+package keeps every target loaded by ``import vigrating.cli``, and the
+``solver.gmres`` span of a traced solve counts the iterations the solve
+reports."""
 
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -23,6 +27,23 @@ thickness = 1.0
 n1 = 8
 n2 = 32
 rho_box = 1.1277533039647577
+
+[output]
+directory = {out}
+"""
+
+# a small 2-D grating, solved on all N1 rows
+CIRCLE = """
+[problem]
+k = 1.0
+theta_deg = 10.0
+shape = circle
+q_re = 3.0
+radius = 0.2
+
+[numerics]
+n1 = 16
+n2 = 16
 
 [output]
 directory = {out}
@@ -47,15 +68,17 @@ print(json.dumps({
     "missing": sorted(tracer.missing),
     "hook_failed": sorted({s["name"] for s in spans if s.get("hook_failed")}),
     "names": sorted({s["name"] for s in spans}),
+    "gmres_iterations": [s.get("iterations") for s in spans
+                         if s["name"] == "solver.gmres"],
 }))
 """
 
 
-def _traced(tmp_path, commands):
-    """Run vigrating ``commands`` on the slab config under the tracer; the
-    report of the traced process."""
-    cfg = tmp_path / "slab.ini"
-    cfg.write_text(SLAB.format(out=tmp_path / "out"), encoding="utf-8")
+def _traced(tmp_path, commands, config=SLAB):
+    """Run vigrating ``commands`` on ``config``, the slab by default, under
+    the tracer; the report of the traced process."""
+    cfg = tmp_path / "grating.ini"
+    cfg.write_text(config.format(out=tmp_path / "out"), encoding="utf-8")
     argvs = [[command, str(cfg), *args, "--output", str(tmp_path / "out")]
              for command, *args in commands]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -88,3 +111,14 @@ def test_a_traced_one_row_sweep_finds_every_target(tmp_path):
     assert doc["hook_failed"] == []
     assert {"cli.main", "config.load_config",
             "kernel.kernel_table"} <= set(doc["names"])
+
+
+@pytest.mark.parametrize("config", [SLAB, CIRCLE], ids=["slab", "circle"])
+def test_the_gmres_span_counts_the_iterations_of_the_solve(tmp_path, config):
+    doc = _traced(tmp_path, [("solve",)], config)
+    assert doc["codes"] == [0]
+    assert doc["missing"] == [] and doc["hook_failed"] == []
+    result = json.loads((tmp_path / "out" / "result.json").read_text())
+    iterations = result["metadata"]["iterations"]
+    assert iterations > 0
+    assert doc["gmres_iterations"] == [iterations]
