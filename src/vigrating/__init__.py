@@ -4,7 +4,6 @@ quasi-periodic volume integral equation with FFT-accelerated operators."""
 from .errors import (
     BreakdownDetected,
     ConfigError,
-    DegenerateAtZeroJ2,
     GeometryError,
     GeometryNotGraph,
     NonSymmetric,

@@ -504,8 +504,7 @@ def garding_check(
             {"sign_verdict": sign},
         ))
 
-    scalar_real = problem.contrast.isotropic and problem.is_lossless()
-    if scalar_real and sign == "negative":
+    if problem.layout.real_scalar and sign == "negative":
         if ext_bound is None:
             conditions.append(ConditionVerdict(
                 "isotropic_negative_contrast", "not-applicable", ext_details,
@@ -521,7 +520,7 @@ def garding_check(
     else:
         conditions.append(ConditionVerdict(
             "isotropic_negative_contrast", "not-applicable",
-            {"isotropic": problem.contrast.isotropic,
+            {"isotropic": problem.layout.real_scalar,
              "lossless": problem.is_lossless(), "sign_verdict": sign},
         ))
 

@@ -14,7 +14,8 @@ class GeometryError(VigratingError):
 
 
 class RayleighAnomaly(VigratingError):
-    """A diffraction order sits exactly at cutoff (k^2 == alpha_j^2).
+    """A diffraction order sits at cutoff (k^2 == alpha_j^2), to the
+    tolerance of :func:`problem.at_cutoff`.
 
     The quasi-periodic Green's function degenerates there, so the problem
     is rejected rather than silently perturbed.
@@ -28,14 +29,6 @@ class RayleighAnomaly(VigratingError):
             f"Rayleigh anomaly at order j={order}: k^2 == (j + alpha)^2 "
             f"for k={k!r}, alpha={alpha!r}"
         )
-
-
-class DegenerateAtZeroJ2(VigratingError):
-    """Kernel symbol vanished at a mode with j2 == 0.
-
-    Cannot happen when the non-resonance check passed; signals an upstream
-    validation bug.
-    """
 
 
 class NonSymmetric(VigratingError):

@@ -21,20 +21,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateAtZeroJ2, RayleighAnomaly, SlowConvergence
-from .problem import ANOMALY_RTOL, Grid, IncidentWave
+from .errors import RayleighAnomaly, SlowConvergence
+from .problem import Grid, IncidentWave, at_cutoff
 
 
 def beta(j1, k: float, alpha: float) -> complex:
     """Vertical wavenumber of order j1: sqrt(k^2 - (j1 + alpha)^2).
 
     Principal branch with Im >= 0; real positive for propagating orders,
-    positive imaginary for evanescent ones.  Raises RayleighAnomaly within
-    relative tolerance 1e-10 of cutoff.
+    positive imaginary for evanescent ones.  Raises RayleighAnomaly where
+    :func:`problem.at_cutoff` holds for k^2 - (j1 + alpha)^2.
     """
     k2 = k**2
     aj = j1 + alpha
-    if abs(k2 - aj**2) < ANOMALY_RTOL * max(1.0, abs(k2)):
+    if at_cutoff(k2 - aj**2, k2):
         raise RayleighAnomaly(j1, k, alpha)
     return complex(np.sqrt(complex(k2 - aj**2)))
 
@@ -54,19 +54,6 @@ def helmholtz_symbol(j1, j2, k_squared: float, alpha: float, rho: float):
     return k_squared - aj**2 - mu**2
 
 
-def degenerate_coefficient(j2: int, rho: float) -> complex:
-    """Kernel coefficient at a mode where the Helmholtz symbol vanishes.
-
-    The limiting value of the generic formula is (i / (4 |j2|)) (rho/pi)^{3/2};
-    it is even in j2 because the kernel itself is even in x2.
-    """
-    if j2 == 0:
-        raise DegenerateAtZeroJ2(
-            "symbol vanished at j2 == 0; non-resonance validation failed upstream"
-        )
-    return 0.25j / abs(j2) * (rho / np.pi) ** 1.5
-
-
 def kernel_coefficient(
     j1: int,
     j2: int,
@@ -78,9 +65,13 @@ def kernel_coefficient(
     """Fourier coefficient of the periodized kernel at mode (j1, j2).
 
     Generic branch: (cos(j2 pi) e^{i beta_{j1} rho} - 1) / (sqrt(4 pi rho)
-    lambda_j) with lambda_j the Helmholtz symbol; when |lambda_j| falls below
-    1e-8 * max(1, |k^2|) the closed-form limit value is used instead (the
-    generic branch loses about eight digits there in double precision).
+    lambda_j) with lambda_j the Helmholtz symbol.  Where
+    :func:`problem.at_cutoff` holds for lambda_j, the generic branch loses
+    about eight digits in double precision, and the closed-form limit
+    value (i / (4 |j2|)) (rho/pi)^{3/2} is used instead; it is even in j2
+    because the kernel itself is even in x2.  At j2 = 0 that symbol is
+    k^2 - alpha_{j1}^2, and the order j1 is at a Rayleigh anomaly: raises
+    RayleighAnomaly.  Only the mode (j1, j2) is checked, not the wave.
 
     Pass ``k_squared=-1.0`` (with k=None) for the exponentially damped
     reference kernel used by the compactness diagnostics.
@@ -88,9 +79,10 @@ def kernel_coefficient(
     if k_squared is None:
         k_squared = float(k) ** 2
     lam = float(helmholtz_symbol(j1, j2, k_squared, alpha, rho))
-    eps_lam = 1e-8 * max(1.0, abs(k_squared))
-    if abs(lam) <= eps_lam:
-        return degenerate_coefficient(j2, rho)
+    if at_cutoff(lam, k_squared):
+        if j2 == 0:
+            raise RayleighAnomaly(j1, k, alpha)
+        return 0.25j / abs(j2) * (rho / np.pi) ** 1.5
     b = complex(_beta_many(np.array([j1]), k_squared, alpha)[0])
     num = np.cos(j2 * np.pi) * np.exp(1j * b * rho) - 1.0
     return complex(num / (np.sqrt(4 * np.pi * rho) * lam))
@@ -124,31 +116,19 @@ def _build_tables(grid: Grid, alpha, k_squared, k,
     and ``k`` of P values each, from one (P, rows, N2) build.
 
     Each entry is the wave's :class:`KernelTable`, a read-only view of the
-    stack, or the DegenerateAtZeroJ2 that rejects that wave alone.  Every
-    step is elementwise, so a table is bit for bit the one its wave gets
-    alone.
+    stack.  Every step is elementwise, so a table is bit for bit the one
+    its wave gets alone.  The waves must be clear of the Rayleigh
+    anomalies (:meth:`IncidentWave.check_nonresonance`): only a mode with
+    j2 != 0 may take the limit value.
     """
     rho = grid.rho_box
-    j1_all = grid.j1_modes()
-    j1 = j1_all[:rows, None]
+    j1 = grid.j1_modes()[:rows, None]
     j2 = grid.j2_modes()[None, :]
-    eps = [1e-8 * max(1.0, abs(ks)) for ks in k_squared]
-    waves = np.array([alpha, k_squared, eps], dtype=float)[:, :, None, None]
-    # the j2 == 0 column of every row, tabulated or not
-    zero = (np.abs(helmholtz_symbol(j1_all, 0, waves[1, :, 0],
-                                    waves[0, :, 0], rho))
-            <= waves[2, :, 0]).any(axis=1)
-    out = [DegenerateAtZeroJ2("symbol vanished at a j2 == 0 mode; "
-                              "non-resonance validation failed upstream")
-           if bad else None for bad in zero.tolist()]
-    built = np.flatnonzero(~zero)
-    if not built.size:
-        return out
-    alphas, k2s, eps_lam = waves[:, built]
+    alphas, k2s = np.array([alpha, k_squared], dtype=float)[:, :, None, None]
     lam = helmholtz_symbol(j1, j2, k2s, alphas, rho)
     b = _beta_many(j1, k2s, alphas)
 
-    degenerate = np.abs(lam) <= eps_lam
+    degenerate = at_cutoff(lam, k2s)
     lam_safe = np.where(degenerate, 1.0, lam)
     num = np.cos(j2 * np.pi) * np.exp(1j * b * rho) - 1.0
     coeffs = num / (np.sqrt(4 * np.pi * rho) * lam_safe)
@@ -158,17 +138,20 @@ def _build_tables(grid: Grid, alpha, k_squared, k,
         coeffs = np.where(degenerate, vals, coeffs)
     coeffs = np.ascontiguousarray(coeffs)
     coeffs.setflags(write=False)
-    for p, i in enumerate(built.tolist()):
+    out = []
+    for p in range(len(coeffs)):
         at = np.nonzero(degenerate[p])
         degs = tuple(zip(j1[at[0], 0].tolist(), j2[0, at[1]].tolist()))
-        out[i] = KernelTable(k_squared=k_squared[i], k=k[i], alpha=alpha[i],
-                             rho=rho, coeffs=coeffs[p], degenerate_modes=degs)
+        out.append(KernelTable(k_squared=k_squared[p], k=k[p], alpha=alpha[p],
+                               rho=rho, coeffs=coeffs[p],
+                               degenerate_modes=degs))
     return out
 
 
 def _wave_tables(grid: Grid, waves, rows: int | None) -> list:
-    """The tables of ``waves`` from one build, or the RayleighAnomaly or
-    DegenerateAtZeroJ2 that rejects a wave alone."""
+    """The tables of ``waves`` from one build, or the RayleighAnomaly that
+    rejects a wave alone: the one place where the waves of a batch are
+    checked against the anomalies."""
     out: list = [None] * len(waves)
     valid = []
     for i, wave in enumerate(waves):
@@ -187,17 +170,18 @@ def _wave_tables(grid: Grid, waves, rows: int | None) -> list:
 
 def kernel_table(grid: Grid, wave: IncidentWave | Sequence[IncidentWave],
                  rows: int | None = None) -> KernelTable | list:
-    """Tabulate the N1 x N2 kernel coefficients for a validated wave.
+    """Tabulate the N1 x N2 kernel coefficients for a wave, which raises
+    RayleighAnomaly at a cutoff order.
 
     ``rows`` keeps only the first ``rows`` storage rows (x1 frequencies
     ``j1_modes()[:rows]``), with the same values as the full table; a
-    layered solve needs only the row j1 = 0.  Either way the table raises
-    DegenerateAtZeroJ2 if the symbol vanishes at j2 == 0 in any row.
+    layered solve needs only the row j1 = 0.  A wave is checked at every
+    order, whether or not its row is kept.
 
     ``wave`` may also be a sequence of waves (the points of a sweep batch):
     one (P, rows, N2) build tabulates them all, and the list returned holds
     each wave's table, bit for bit the one it gets alone, or the
-    RayleighAnomaly or DegenerateAtZeroJ2 that rejects it alone.
+    RayleighAnomaly that rejects it alone.
     """
     if not isinstance(wave, IncidentWave):
         return _wave_tables(grid, wave, rows)

@@ -395,7 +395,7 @@ def smooth_test_contrast(h: float = 0.5) -> ContrastField:
         q = 0.8 * (0.55 + 0.45 * np.cos(x1)) * profile(x2)
         return q[..., None, None] * np.eye(2)
 
-    return ContrastField(sampler=sampler, h=h, isotropic=True)
+    return ContrastField(sampler=sampler, h=h)
 
 
 def compactness_indicator(n: int, k: float = 1.0, alpha: float = 0.3,

@@ -29,6 +29,8 @@ from .problem import Problem
 from .solver import Solution
 
 EVANESCENT_DROP = 40.0
+# an absorbed fraction below minus this marks an active medium
+PASSIVITY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -57,7 +59,6 @@ def rayleigh_both_sides(
     solution: Solution,
     problem: Problem,
     table: KernelTable,
-    j_max: int | None = None,
 ) -> tuple[RayleighData, RayleighData]:
     """Rayleigh coefficients above and below from moments of the density:
     the batch of one of :func:`rayleigh_batch`, on the stack of one of
@@ -74,12 +75,10 @@ def rayleigh_both_sides(
         c = live_rows(solution.u.coeffs, problem.layout.n_rows)
         stack = OperatorStack([problem], [table], len(c))
         z = stack.density(c[None])
-    return _rayleigh(stack, z, j_max)[0]
+    return _rayleigh(stack, z)[0]
 
 
-def rayleigh_batch(
-    solutions, j_max: int | None = None,
-) -> list[tuple[RayleighData, RayleighData]]:
+def rayleigh_batch(solutions) -> list[tuple[RayleighData, RayleighData]]:
     """The (above, below) Rayleigh coefficients of converged solves of
     one contrast layout, grid and reference height (the solved points of a
     sweep batch), each from its density on its problem and table.
@@ -93,11 +92,10 @@ def rayleigh_batch(
         raise NotConverged("Rayleigh extraction requires a converged solve")
     stack = OperatorStack([s.problem for s in solutions],
                           [s.table for s in solutions])
-    return _rayleigh(stack, np.stack([s.density for s in solutions]), j_max)
+    return _rayleigh(stack, np.stack([s.density for s in solutions]))
 
 
-def _rayleigh(stack: OperatorStack, densities: np.ndarray,
-              j_max: int | None):
+def _rayleigh(stack: OperatorStack, densities: np.ndarray):
     """Rayleigh coefficients of the packed total densities ``densities``
     of the points of ``stack``.
 
@@ -124,12 +122,10 @@ def _rayleigh(stack: OperatorStack, densities: np.ndarray,
         raise ShapeMismatch("a batch of Rayleigh extractions needs one "
                             "reference height")
     density = stack.density_rows(densities)         # (2, P, rows, x2)
-    if j_max is None:
-        j_max = grid.n1 // 2 - 1
     waves = np.array([[p.k**2, p.alpha] for p in problems])
     alpha = waves[:, 1:]
 
-    orders = np.arange(-j_max, j_max + 1)
+    orders = np.arange(1 - grid.n1 // 2, grid.n1 // 2)      # |j| < N1/2
     betas = _beta_many(orders, waves[:, :1], alpha)     # (P, orders)
     dropped = betas.imag * rho_ref > EVANESCENT_DROP
     # the y1 sum of order j is row j of the x1 transform of the density
@@ -170,12 +166,11 @@ def rayleigh_coefficients(
     problem: Problem,
     table: KernelTable,
     side: str,
-    j_max: int | None = None,
 ) -> RayleighData:
     """One side ("+" above, "-" below) of :func:`rayleigh_both_sides`."""
     if side not in ("+", "-"):
         raise ValueError("side must be '+' or '-'")
-    above, below = rayleigh_both_sides(solution, problem, table, j_max)
+    above, below = rayleigh_both_sides(solution, problem, table)
     return above if side == "+" else below
 
 
@@ -304,8 +299,7 @@ def efficiencies(
     )
 
 
-def energy_balance(table: EfficiencyTable, problem: Problem,
-                   passivity_tol: float = 1e-8) -> float:
+def energy_balance(table: EfficiencyTable, problem: Problem) -> float:
     """Energy-conservation defect (lossless) or absorbed fraction (lossy).
 
     For a lossless contrast returns |1 - sum of efficiencies|.  Otherwise
@@ -316,7 +310,7 @@ def energy_balance(table: EfficiencyTable, problem: Problem,
     absorbed = table.absorbed
     if problem.is_lossless():
         return abs(absorbed)
-    if absorbed < -passivity_tol:
+    if absorbed < -PASSIVITY_TOL:
         raise ValueError(
             f"negative absorption {absorbed:.3e}: medium is active "
             "(passive contrast requires Im Q <= 0 in this convention)"

@@ -21,7 +21,20 @@ import numpy as np
 
 from .errors import GeometryError, NonSymmetric, RayleighAnomaly, ShapeMismatch
 
-ANOMALY_RTOL = 1e-10
+ANOMALY_RTOL = 1e-8
+
+
+def at_cutoff(symbol, k_squared):
+    """The Rayleigh-anomaly rule: whether ``symbol``, k^2 - alpha_j^2 or
+    the Helmholtz symbol of a mode, vanishes, |symbol| <= ANOMALY_RTOL *
+    max(1, |k^2|).  Elementwise on arrays, which broadcast together.
+
+    The integral equation is posed away from the cutoffs k^2 = alpha_j^2,
+    where the quasi-periodic kernel degenerates: a wave within this
+    tolerance of one is rejected, and the kernel table takes the limit
+    value at a mode (j1, j2 != 0) whose symbol vanishes.
+    """
+    return np.abs(symbol) <= ANOMALY_RTOL * np.maximum(1.0, np.abs(k_squared))
 
 
 @dataclass(frozen=True)
@@ -50,14 +63,17 @@ class IncidentWave:
     def check_nonresonance(self):
         """Reject wavenumbers at a cutoff order (Wood anomaly).
 
-        Checks k^2 != (j + alpha)^2 for every order that could possibly be
-        anomalous, |j| <= k + |alpha| + 1.
+        Raises RayleighAnomaly at the lowest order j at which
+        :func:`at_cutoff` holds for k^2 - (j + alpha)^2.  Only the orders
+        nearest the two cutoffs j + alpha = -k and j + alpha = k can: the
+        tolerance band of a cutoff is less than max(1e-4, 5e-9 k) wide in
+        |alpha_j|, far below the spacing 1 of the orders for any k below
+        1e7.
         """
         k2 = self.k**2
-        tol = ANOMALY_RTOL * max(1.0, k2)
-        jmax = int(np.ceil(self.k + abs(self.alpha) + 1))
-        for j in range(-jmax, jmax + 1):
-            if abs(k2 - (j + self.alpha) ** 2) < tol:
+        for j in sorted({round(-self.k - self.alpha),
+                         round(self.k - self.alpha)}):
+            if at_cutoff(k2 - (j + self.alpha) ** 2, k2):
                 raise RayleighAnomaly(j, self.k, self.alpha)
 
     @classmethod
@@ -76,12 +92,12 @@ class ContrastField:
     2*pi-periodic in x1 and must return exactly zero for |x2| > h.
     ``x1_invariant`` declares that the sampler does not depend on x1 (a
     slab or a stack of layers), so :func:`sample_contrast` samples one x1
-    row; the constructors set it, as they set ``isotropic``.
+    row; the constructors set it.  Whether the contrast is a real scalar
+    is read from its samples (:attr:`ContrastLayout.real_scalar`).
     """
 
     sampler: object
     h: float
-    isotropic: bool = False
     x1_invariant: bool = False
 
     def sample(self, x1, x2) -> np.ndarray:
@@ -166,7 +182,9 @@ class ContrastLayout:
     ``nodes`` are the flat indices, into an (n_rows, N2) array, of the
     nodes that carry contrast, where the density a solve runs on lives, and
     ``q_nodes`` holds ``q`` at them: (2, 2, len(nodes)), or (len(nodes),)
-    for a scalar contrast field.
+    for a scalar contrast field.  ``real_scalar`` says whether the samples
+    are real multiples of the identity, the isotropic lossless contrast of
+    the Garding check.
     """
 
     def __init__(self, samples: np.ndarray, grid: Grid):
@@ -185,6 +203,7 @@ class ContrastLayout:
         self.nodes = np.flatnonzero(mask)
         self.q_nodes = self.q.reshape(*self.q.shape[:-2], -1)[..., self.nodes]
         self.x2 = np.roll(grid.x2_nodes(), shift[1])
+        self.real_scalar = self.q.ndim == 2 and not self.q.imag.any()
         for a in (self.samples, self.q, self.support, self.nodes,
                   self.q_nodes, self.x2):
             a.setflags(write=False)
@@ -306,15 +325,6 @@ def _as_matrix(q) -> np.ndarray:
     return q
 
 
-def _is_scalar_matrix(m: np.ndarray) -> bool:
-    return bool(
-        abs(m[0, 1]) == 0
-        and abs(m[1, 0]) == 0
-        and m[0, 0] == m[1, 1]
-        and abs(m[0, 0].imag) == 0
-    )
-
-
 def _indicator_sampler(mat: np.ndarray, inside):
     """Pointwise sampler q(x) = mat * chi(x), half value on the boundary.
 
@@ -362,10 +372,8 @@ def slab_contrast(q, thickness: float) -> ContrastField:
     def inside(x1, x2):
         return _interval_weight(x2, -h, h) * np.ones_like(np.asarray(x1, float))
 
-    return ContrastField(
-        sampler=_indicator_sampler(mat, inside), h=h,
-        isotropic=_is_scalar_matrix(mat), x1_invariant=True,
-    )
+    return ContrastField(sampler=_indicator_sampler(mat, inside), h=h,
+                         x1_invariant=True)
 
 
 def circle_contrast(q, radius: float, center_x2: float = 0.0) -> ContrastField:
@@ -383,10 +391,7 @@ def circle_contrast(q, radius: float, center_x2: float = 0.0) -> ContrastField:
         w[np.abs(r - radius) <= 1e-12 * radius] = 0.5
         return w
 
-    return ContrastField(
-        sampler=_indicator_sampler(mat, inside), h=h,
-        isotropic=_is_scalar_matrix(mat),
-    )
+    return ContrastField(sampler=_indicator_sampler(mat, inside), h=h)
 
 
 def rectangle_contrast(q, width: float, height: float) -> ContrastField:
@@ -403,10 +408,7 @@ def rectangle_contrast(q, width: float, height: float) -> ContrastField:
             x2, -h, h
         )
 
-    return ContrastField(
-        sampler=_indicator_sampler(mat, inside), h=h,
-        isotropic=_is_scalar_matrix(mat),
-    )
+    return ContrastField(sampler=_indicator_sampler(mat, inside), h=h)
 
 
 def two_layer_contrast(q_lower, q_upper, thickness_lower: float,
@@ -429,9 +431,7 @@ def two_layer_contrast(q_lower, q_upper, thickness_lower: float,
             (w_up * ones)[..., None, None] * m_up
         )
 
-    iso = _is_scalar_matrix(m_lo) and _is_scalar_matrix(m_up)
-    return ContrastField(sampler=sampler, h=h, isotropic=iso,
-                         x1_invariant=True)
+    return ContrastField(sampler=sampler, h=h, x1_invariant=True)
 
 
 # ----------------------------------------------------------------------------
@@ -498,4 +498,4 @@ def raster_contrast(path) -> ContrastField:
         out[ok] = cells[i1b[ok], np.clip(i2b[ok], 0, n2 - 1)]
         return out
 
-    return ContrastField(sampler=sampler, h=h, isotropic=False)
+    return ContrastField(sampler=sampler, h=h)

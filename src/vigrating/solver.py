@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 import os
 from dataclasses import dataclass
 from itertools import islice
@@ -33,6 +34,9 @@ from .problem import Problem
 
 log = logging.getLogger(__name__)
 
+# a Hessenberg subdiagonal at or below this multiple of ||b|| is a breakdown
+BREAKDOWN_RTOL = 1e-14
+
 
 @dataclass(frozen=True)
 class SolveOptions:
@@ -44,10 +48,15 @@ class SolveOptions:
         if not 0 < self.rel_tol < math.inf:
             raise ValueError(f"rel_tol must be positive and finite, got "
                              f"{self.rel_tol!r}")
-        if self.restart < 1:
-            raise ValueError("restart must be at least 1")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+        for name in ("restart", "max_iterations"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got "
+                                 f"{value!r}") from None
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1")
 
 
 class Solution:
@@ -127,7 +136,6 @@ def gmres_steps(
     rel_tol: float = 1e-8,
     restart: int = 50,
     max_iterations: int = 500,
-    breakdown_rtol: float = 1e-14,
 ):
     """Restarted GMRES for complex systems, zero initial guess, as a
     generator: it yields each vector to multiply by the operator, takes
@@ -137,7 +145,8 @@ def gmres_steps(
     until the next yield; the emptied list frees the product as soon as
     the orthogonalization has used it.)  ``history`` holds
     the relative residual estimate after every inner iteration (monotone
-    within and across cycles).  A vanishing Hessenberg subdiagonal before
+    within and across cycles).  A vanishing Hessenberg subdiagonal
+    (:data:`BREAKDOWN_RTOL`) before
     reaching the tolerance raises BreakdownDetected: with a trivial null
     space the Krylov space can only stagnate this way if the operator is
     singular on it, which violates the unique-solvability hypothesis.
@@ -227,9 +236,9 @@ def gmres_steps(
                 )
             hjj = col[j]
 
-            if hsub <= breakdown_rtol * bnorm:
+            if hsub <= BREAKDOWN_RTOL * bnorm:
                 # invariant Krylov space: exact solve if the pivot survives
-                if abs(hjj) <= breakdown_rtol * bnorm:
+                if abs(hjj) <= BREAKDOWN_RTOL * bnorm:
                     est = abs(g[j]) / bnorm
                     if est <= rel_tol:
                         j_used = j
@@ -287,11 +296,10 @@ def gmres(
     rel_tol: float = 1e-8,
     restart: int = 50,
     max_iterations: int = 500,
-    breakdown_rtol: float = 1e-14,
 ):
     """:func:`gmres_steps` with the operator ``matvec``: returns (x,
     history, converged, iterations, stop)."""
-    steps = gmres_steps(b, rel_tol, restart, max_iterations, breakdown_rtol)
+    steps = gmres_steps(b, rel_tol, restart, max_iterations)
     try:
         vector = next(steps)
         while True:
@@ -461,14 +469,20 @@ def _solve_batch(batch: list, opts: SolveOptions) -> list:
     pending: list[_Pending] = []
     for point in held:
         point.advance(None, pending, ended)
-    while pending:
-        if len(pending) < len(held):
-            # the stack of the points still pending, from the rows of this
-            # one's arrays
-            alive = set(pending)
-            stack = stack.take([i for i, p in enumerate(held) if p in alive])
-            held = pending
-        pending = _step(pending, stack, ended)
+    try:
+        while pending:
+            if len(pending) < len(held):
+                # the stack of the points still pending, from the rows of
+                # this one's arrays
+                alive = set(pending)
+                stack = stack.take([i for i, p in enumerate(held)
+                                    if p in alive])
+                held = pending
+            pending = _step(pending, stack, ended)
+    except MemoryError as exc:
+        # a stack that cannot be applied or taken ends every point that
+        # still waits on it; _step advances none before its product
+        ended += [(point.key, exc) for point in pending]
     return ended
 
 
@@ -491,8 +505,10 @@ def solve_lockstep(points, opts: SolveOptions | None = None):
     A generator of one list per batch, of the (key, outcome) pairs of its
     points in the order they finish.  The outcome is the point's
     Solution, or the NotConverged (with the solution attached),
-    BreakdownDetected, RayleighAnomaly, DegenerateAtZeroJ2, SizeGuard or
-    MemoryError that ended that point alone.
+    BreakdownDetected, RayleighAnomaly, SizeGuard or MemoryError that
+    ended that point alone; a MemoryError of a stacked Krylov step ends
+    every point still pending in the batch, and the points it already
+    ended keep their outcomes.
     """
     opts = opts or SolveOptions()
     memory = physical_memory_bytes()

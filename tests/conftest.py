@@ -47,7 +47,7 @@ def smooth_isotropic_contrast(q, h):
         w = q * smooth_profile(x2, h) * np.ones_like(np.asarray(x1, float))
         return w[..., None, None] * np.eye(2)
 
-    return ContrastField(sampler=sampler, h=h, isotropic=True)
+    return ContrastField(sampler=sampler, h=h)
 
 
 def basis_field(grid, alpha, j1, j2):

@@ -7,7 +7,7 @@ import pytest
 
 import vigrating.solver
 from vigrating.cli import main
-from vigrating.errors import DegenerateAtZeroJ2, RayleighAnomaly
+from vigrating.errors import RayleighAnomaly
 from vigrating.kernel import kernel_table
 from vigrating.operators import OperatorStack
 from vigrating.postprocess import rayleigh_batch, rayleigh_both_sides
@@ -29,15 +29,16 @@ from vigrating.solver import (
 
 # one wave per period at normal incidence: orders +-1 are at cutoff
 ANOMALY = IncidentWave.from_angle(1.0, 0.0)
-# order -1 lies within 3e-9 k^2 of cutoff: the non-resonance check passes,
-# but the symbol vanishes at (j1, j2) = (-1, 0)
+# order -1 lies within 3e-9 k^2 of cutoff, inside the anomaly tolerance
 NEAR_ANOMALY = IncidentWave.from_angle(4.0 / (2 * np.pi), 34.805774833288794)
 # on a box of height 2 pi / 3 the symbol of k = 1.5, alpha = 0 vanishes at
 # (j1, j2) = (0, +-1): the table takes the limit value there
 DEGENERATE_MODE = IncidentWave.from_angle(1.5, 0.0)
 WAVES = [DEGENERATE_MODE, ANOMALY, IncidentWave.from_angle(0.7, 20.0),
          NEAR_ANOMALY, IncidentWave.from_angle(1.1, 35.0)]
-REJECTED = {1: RayleighAnomaly, 3: DegenerateAtZeroJ2}
+# both rejected at their first anomalous order, -1
+REJECTED = {1: RayleighAnomaly, 3: RayleighAnomaly}
+REJECTED_AT = "Rayleigh anomaly at order j=-1"
 OPTS = SolveOptions(rel_tol=1e-10)
 
 
@@ -63,7 +64,8 @@ def test_stacked_tables_are_the_one_wave_tables(rows):
     for i, wave in enumerate(WAVES):
         if i in REJECTED:
             assert isinstance(tables[i], REJECTED[i])
-            with pytest.raises(REJECTED[i]):
+            assert str(tables[i]).startswith(REJECTED_AT)
+            with pytest.raises(REJECTED[i], match=REJECTED_AT):
                 kernel_table(grid, wave, rows)
             continue
         alone = kernel_table(grid, wave, rows)
@@ -85,11 +87,41 @@ def test_a_batch_skips_an_anomaly_and_a_degenerate_point_alone():
     for i, problem in enumerate(problems):
         if i in REJECTED:
             assert isinstance(outcomes[i], REJECTED[i])
+            assert str(outcomes[i]).startswith(REJECTED_AT)
             continue
         alone = solve(problem, kernel_table(grid, problem.wave, 1), OPTS)
         assert outcomes[i].rows.tobytes() == alone.rows.tobytes()
         assert outcomes[i].residual_history == alone.residual_history
         assert outcomes[i].iterations == alone.iterations
+
+
+def test_out_of_memory_in_a_krylov_step_ends_the_pending_points(
+        monkeypatch):
+    grid = Grid(n1=16, n2=64, rho_box=2 * np.pi / 3)
+    problems = _points(slab_contrast(3.0, 1.0), grid, WAVES)
+    solvable = len(WAVES) - len(REJECTED)
+    apply = OperatorStack.apply
+
+    def failing(self, vectors):
+        # the first product after a point converged
+        if len(vectors) < solvable:
+            raise MemoryError("Krylov step")
+        return apply(self, vectors)
+
+    monkeypatch.setattr(OperatorStack, "apply", failing)
+    batch, = solve_lockstep(enumerate(problems), OPTS)
+    outcomes = dict(batch)
+    assert sorted(outcomes) == list(range(len(WAVES)))
+    for i in REJECTED:
+        assert isinstance(outcomes[i], REJECTED[i])
+    # the first point converges first and keeps its solution
+    monkeypatch.setattr(OperatorStack, "apply", apply)
+    alone = solve(problems[0], kernel_table(grid, WAVES[0], 1), OPTS)
+    assert outcomes[0].rows.tobytes() == alone.rows.tobytes()
+    assert outcomes[0].iterations == alone.iterations
+    for i in (2, 4):
+        assert isinstance(outcomes[i], MemoryError)
+        assert str(outcomes[i]) == "Krylov step"
 
 
 def test_stacked_rayleigh_of_a_one_row_batch_is_the_one_solution_one():

@@ -11,10 +11,22 @@ import vigrating.cli
 import vigrating.solver
 from vigrating.cli import main, write_slab_example_config
 from vigrating.config import PERIOD, load_config
-from vigrating.errors import BreakdownDetected, ConfigError, DegenerateAtZeroJ2
-from vigrating.kernel import kernel_table
+from vigrating.errors import (
+    BreakdownDetected,
+    ConfigError,
+    NonSymmetric,
+    RayleighAnomaly,
+)
+from vigrating.kernel import beta, kernel_coefficient, kernel_table
 from vigrating.operators import OperatorStack
-from vigrating.problem import ContrastField
+from vigrating.problem import (
+    ANOMALY_RTOL,
+    ContrastField,
+    IncidentWave,
+    Problem,
+    sample_contrast,
+)
+from vigrating.solver import Solution, SolveOptions, solve_lockstep
 
 
 def _write(path: Path, text: str) -> Path:
@@ -651,13 +663,13 @@ def test_cmd_solve_breakdown_exits_2(tmp_path, monkeypatch, caplog):
 
 
 def test_cmd_solve_other_library_error_exits_3(tmp_path, monkeypatch, caplog):
-    def degenerate(*args, **kwargs):
-        raise DegenerateAtZeroJ2("symbol vanished at a j2 == 0 mode")
+    def asymmetric(*args, **kwargs):
+        raise NonSymmetric("Q12 != Q21 on the grid")
 
-    monkeypatch.setattr(vigrating.cli, "kernel_table", degenerate)
+    monkeypatch.setattr(vigrating.cli, "kernel_table", asymmetric)
     cfg = _write(tmp_path / "s.ini", BASE.format(out=tmp_path / "o"))
     assert main(["solve", str(cfg)]) == 3
-    assert "invalid problem: symbol vanished" in caplog.text
+    assert "invalid problem: Q12 != Q21" in caplog.text
 
 
 def test_sweep_skips_point_with_breakdown(tmp_path, monkeypatch, caplog):
@@ -748,8 +760,7 @@ def test_sweep_tables_hold_the_coupled_rows(tmp_path, monkeypatch, shape,
     assert shapes == [(rows, 64)] * 3
 
 
-# order -1 lies within 3e-9 k^2 of cutoff: the non-resonance check passes,
-# but the kernel symbol vanishes at (j1, j2) = (-1, 0)
+# order -1 lies within 3e-9 k^2 of cutoff, inside the anomaly tolerance
 NEAR_ANOMALY_THETA = 34.805774833288794
 
 
@@ -759,7 +770,7 @@ def test_near_anomaly_still_rejected(tmp_path, caplog):
         "theta_deg = 0.0", f"theta_deg = {NEAR_ANOMALY_THETA!r}")
     cfg = _write(tmp_path / "near.ini", text)
     assert main(["solve", str(cfg), "--output", str(tmp_path / "o")]) == 3
-    assert ("invalid problem: symbol vanished at a j2 == 0 mode"
+    assert ("invalid problem: Rayleigh anomaly at order j=-1"
             in caplog.text)
     caplog.clear()
     out = tmp_path / "sw"
@@ -767,9 +778,72 @@ def test_near_anomaly_still_rejected(tmp_path, caplog):
                  repr(NEAR_ANOMALY_THETA), "--to", "35", "--steps", "2",
                  "--output", str(out)]) == 0
     assert (f"skipping theta = {NEAR_ANOMALY_THETA:g}: invalid problem "
-            "(symbol vanished at a j2 == 0 mode") in caplog.text
+            "(Rayleigh anomaly at order j=-1") in caplog.text
     lines = (out / "sweep.csv").read_text().splitlines()
     assert {ln.split(",")[0] for ln in lines[1:]} == {"35.0"}
+
+
+@pytest.mark.parametrize("gap", [-2.0, -0.5, 0.5, 2.0])
+def test_one_anomaly_rule_at_every_layer(tmp_path, caplog, gap):
+    # order -1 at k^2 - alpha_{-1}^2 = gap * ANOMALY_RTOL (k < 1): inside
+    # the tolerance every layer rejects the wave there, outside none does
+    k = 4.0 / PERIOD
+    theta = float(np.degrees(np.arcsin(
+        (1 - np.sqrt(k**2 - gap * ANOMALY_RTOL)) / k)))
+    wave = IncidentWave.from_angle(k, theta)
+    assert abs((k**2 - (wave.alpha - 1) ** 2) / ANOMALY_RTOL - gap) < 1e-6
+    rejected = abs(gap) < 1
+    cfg = _write(tmp_path / "near.ini", (
+        Path(__file__).resolve().parents[1] / "configs" / "slab_q3.ini"
+    ).read_text().replace("k = 1.0", "k = 4.0").replace(
+        "theta_deg = 0.0", f"theta_deg = {theta!r}"))
+    run = load_config(cfg)
+    contrast = run.contrast()
+    grid = run.grid(contrast)
+    rho_ref, layout = sample_contrast(contrast, grid)
+    other = IncidentWave.from_angle(k, 20.0)
+
+    def verdict(call) -> bool:
+        try:
+            outcome = call()
+        except RayleighAnomaly as exc:
+            outcome = exc
+        if isinstance(outcome, list):
+            assert not isinstance(outcome[0], Exception)
+            outcome = outcome[1]
+        if isinstance(outcome, RayleighAnomaly):
+            assert str(outcome).startswith("Rayleigh anomaly at order j=-1")
+            return True
+        return False
+
+    def batch():
+        points = [(i, Problem(wave=w, contrast=contrast, grid=grid,
+                              rho_ref=rho_ref, layout=layout))
+                  for i, w in enumerate((other, wave))]
+        done, = solve_lockstep(points, SolveOptions(rel_tol=1e-10))
+        outcomes = [sol for _, sol in sorted(done, key=lambda kv: kv[0])]
+        assert all(isinstance(o, (Solution, RayleighAnomaly))
+                   for o in outcomes)
+        return outcomes
+
+    layers = {
+        "check_nonresonance": wave.check_nonresonance,
+        "beta": lambda: beta(-1, wave.k, wave.alpha),
+        "kernel_coefficient": lambda: kernel_coefficient(
+            -1, 0, wave.k, wave.alpha, grid.rho_box),
+        "kernel_table": lambda: kernel_table(grid, wave),
+        "kernel_table of a list": lambda: kernel_table(grid, [other, wave],
+                                                       1),
+        "solve_lockstep": batch,
+    }
+    verdicts = {name: verdict(call) for name, call in layers.items()}
+    assert verdicts == dict.fromkeys(layers, rejected)
+    for command in ("solve", "diagnose"):
+        caplog.clear()
+        code = main([command, str(cfg), "--output", str(tmp_path / "o")])
+        assert code == (3 if rejected else 0)
+        assert ("invalid problem: Rayleigh anomaly at order j=-1"
+                in caplog.text) == rejected
 
 
 def test_solve_beyond_physical_memory_exits_3(tmp_path, monkeypatch, caplog):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vigrating.errors import DegenerateAtZeroJ2, RayleighAnomaly, SlowConvergence
+from vigrating.errors import RayleighAnomaly, SlowConvergence
 from vigrating.kernel import (
     beta,
     greens_series,
@@ -93,7 +93,8 @@ def test_branch_continuity_through_symbol_zero():
 
 
 def test_degenerate_at_zero_j2_guard():
-    with pytest.raises(DegenerateAtZeroJ2):
+    # at j2 == 0 a vanishing symbol is the order j1 at cutoff
+    with pytest.raises(RayleighAnomaly, match="order j=0"):
         kernel_coefficient(0, 0, None, 0.0, 1.0, k_squared=0.0)
 
 
@@ -199,13 +200,13 @@ def test_row_table_is_the_leading_rows_of_the_full_table(k, alpha, rho):
 
 
 def test_row_table_keeps_the_zero_j2_guard_of_every_row():
-    # order -1 lies within 3e-9 k^2 of cutoff: the non-resonance check
-    # passes, but the symbol vanishes at (j1, j2) = (-1, 0), outside row 0
+    # order -1 lies within 3e-9 k^2 of cutoff: the symbol vanishes at
+    # (j1, j2) = (-1, 0), outside row 0, and the wave is rejected there
     wave = IncidentWave.from_angle(4.0 / (2 * np.pi), 34.805774833288794)
-    wave.check_nonresonance()
     grid = Grid(n1=16, n2=32, rho_box=3.0)
     for rows in (None, 1):
-        with pytest.raises(DegenerateAtZeroJ2, match="j2 == 0 mode"):
+        with pytest.raises(RayleighAnomaly,
+                           match="Rayleigh anomaly at order j=-1"):
             kernel_table(grid, wave, rows)
 
 

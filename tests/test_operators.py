@@ -199,7 +199,7 @@ def _random_problem(n1=8, n2=8, seed=3):
 
     from vigrating.problem import ContrastField
 
-    contrast = ContrastField(sampler=sampler, h=h, isotropic=False)
+    contrast = ContrastField(sampler=sampler, h=h)
     problem = build_problem(wave, contrast, grid)
     return problem, kernel_table(grid, wave)
 

@@ -13,7 +13,7 @@ from vigrating.oracle import (
     slab_reference_fd,
     smooth_test_contrast,
 )
-from vigrating.problem import Grid, IncidentWave
+from vigrating.problem import Grid, IncidentWave, sample_contrast
 
 from conftest import SLAB_H, SLAB_K
 
@@ -235,7 +235,7 @@ def test_compactness_size_guard():
 
 def test_smooth_test_contrast_properties():
     c = smooth_test_contrast()
-    assert c.isotropic
+    assert sample_contrast(c, Grid(n1=8, n2=16, rho_box=1.0))[1].real_scalar
     q = c.sample(np.array([0.0, 1.0]), np.array([0.0, 0.0]))
     assert np.all(q[..., 0, 0].real > 0)
     assert np.all(c.sample(np.array(0.0), np.array(0.6)) == 0)

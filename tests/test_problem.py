@@ -10,10 +10,12 @@ from vigrating.errors import (
     ShapeMismatch,
 )
 from vigrating.problem import (
+    ANOMALY_RTOL,
     ContrastField,
     ContrastLayout,
     Grid,
     IncidentWave,
+    at_cutoff,
     build_problem,
     circle_contrast,
     incident_field,
@@ -46,6 +48,45 @@ def test_nonresonance_check():
         IncidentWave(k=1.0, d=(0.0, -1.0)).check_nonresonance()
     assert abs(err.value.order) == 1
     IncidentWave(k=1.0, d=(0.3, -np.sqrt(1 - 0.09))).check_nonresonance()
+
+
+@pytest.mark.parametrize("k", [1e-6, 0.3, 1.0, 2.7, 40.0, 3e3])
+def test_nonresonance_check_matches_a_scan_of_every_order(k):
+    def scan(wave):
+        """The reference: the lowest order, of every order that could be
+        anomalous, at which the rule holds."""
+        k2 = wave.k**2
+        reach = int(np.ceil(wave.k + abs(wave.alpha) + 1))
+        for j in range(-reach, reach + 1):
+            if at_cutoff(k2 - (j + wave.alpha) ** 2, k2):
+                return j
+        return None
+
+    def order(wave):
+        try:
+            wave.check_nonresonance()
+        except RayleighAnomaly as exc:
+            return exc.order
+        return None
+
+    tol = ANOMALY_RTOL * max(1.0, k**2)
+    waves = [IncidentWave.from_angle(k, theta)
+             for theta in np.random.default_rng(11).uniform(-89, 89, 50)]
+    # a cutoff order at k^2 - alpha_j^2 = gap * tolerance, on either side
+    for gap in (0.0, 0.5, -0.5, 0.999, -0.999, 1.001, -1.001, 2.0, -2.0):
+        if k**2 < gap * tol:
+            continue
+        for side in (-1.0, 1.0):
+            alpha_j = side * np.sqrt(k**2 - gap * tol)
+            alpha = alpha_j - round(alpha_j)
+            if abs(alpha) < k:
+                waves.append(IncidentWave(k=k, d=(
+                    alpha / k, -np.sqrt(1 - (alpha / k) ** 2))))
+    verdicts = [order(wave) for wave in waves]
+    assert verdicts == [scan(wave) for wave in waves]
+    if k > 0.5:
+        assert verdicts.count(None) > 50
+        assert len(verdicts) - verdicts.count(None) >= 6
 
 
 def test_grid_validation():
@@ -223,8 +264,9 @@ def test_incident_gradient_matches_finite_differences():
 
 
 def test_shape_builders():
+    grid = Grid(n1=8, n2=16, rho_box=1.5)
     slab = slab_contrast(3.0, 1.0)
-    assert slab.h == 0.5 and slab.isotropic
+    assert slab.h == 0.5 and sample_contrast(slab, grid)[1].real_scalar
     assert np.allclose(slab.sample(np.array(0.0), np.array(0.0)),
                        3.0 * np.eye(2))
     assert np.all(slab.sample(np.array(0.0), np.array(0.6)) == 0)
@@ -233,7 +275,7 @@ def test_shape_builders():
                        1.5 * np.eye(2))
 
     circ = circle_contrast(np.array([[2.0, 0.5], [0.5, 1.0]]), radius=0.7)
-    assert circ.h == 0.7 and not circ.isotropic
+    assert circ.h == 0.7 and not sample_contrast(circ, grid)[1].real_scalar
     # periodic wrap in x1
     a = circ.sample(np.array(0.1), np.array(0.0))
     b = circ.sample(np.array(0.1 + 2 * np.pi), np.array(0.0))
@@ -249,6 +291,25 @@ def test_shape_builders():
     high = layered.sample(np.array(0.0), np.array(0.3))
     assert np.allclose(low, 2.0 * np.eye(2))
     assert np.allclose(high, -1.5 * np.eye(2))
+
+
+@pytest.mark.parametrize("shape, real_scalar", [
+    (lambda path: slab_contrast(3.0, 1.0), True),
+    (lambda path: slab_contrast(3.0 - 0.5j, 1.0), False),
+    (lambda path: two_layer_contrast(-2.0, 3.0 * np.eye(2), 0.4, 0.6), True),
+    (lambda path: rectangle_contrast(np.diag([2.0, 1.0]), 1.0, 0.6), False),
+    (lambda path: raster_contrast(path), True),
+], ids=["slab", "lossy-slab", "two-layer", "anisotropic-rectangle",
+        "raster"])
+def test_real_scalar_is_read_from_the_samples(tmp_path, shape, real_scalar):
+    # a raster of real scalar cells is isotropic too: nothing declares it
+    cells = np.zeros((8, 16, 2, 2), dtype=complex)
+    cells[:, 6:10] = -4.0 * np.eye(2)
+    path = tmp_path / "scalar.bin"
+    write_raster(path, cells, h=0.5, rho=1.0)
+    grid = Grid(n1=8, n2=16, rho_box=1.0)
+    _, layout = sample_contrast(shape(path), grid)
+    assert layout.real_scalar is real_scalar
 
 
 def test_raster_roundtrip(tmp_path):

@@ -451,6 +451,17 @@ def test_options_reject_a_non_finite_rel_tol(rel_tol):
         SolveOptions(rel_tol=rel_tol)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("restart", 2.5), ("restart", float("nan")),
+    ("max_iterations", 10.5), ("max_iterations", float("nan")),
+])
+def test_options_reject_a_non_integer_count(field, value):
+    # a float would end the solve in a TypeError, max_iterations=nan in an
+    # IndexError
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        SolveOptions(**{field: value})
+
+
 def test_memory_estimate_counts_basis_and_work_rows(monkeypatch):
     wave = IncidentWave.from_angle(0.8, 25.0)
     grid = Grid(n1=16, n2=64, rho_box=1.1)

@@ -5,6 +5,7 @@ full grid of rows."""
 
 import csv
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import vigrating.solver
 from vigrating.cli import main
 from vigrating.config import PERIOD, load_config
 from vigrating.kernel import kernel_table
+from vigrating.operators import OperatorStack
 from vigrating.postprocess import (
     efficiencies,
     efficiency_rows,
@@ -226,6 +228,28 @@ def test_a_point_that_cannot_fit_alone_is_skipped(tmp_path, monkeypatch,
     assert code == 3 and rows == []
     assert "skipping theta = 30: invalid problem (the solve needs about" in (
         caplog.text)
+
+
+def test_a_krylov_step_out_of_memory_skips_its_batch(tmp_path, monkeypatch,
+                                                     caplog):
+    # the third stacked product of the batch's three points fails
+    calls = []
+    apply = OperatorStack.apply
+
+    def failing(self, vectors):
+        calls.append(len(vectors))
+        if len(calls) == 3:
+            raise MemoryError
+        return apply(self, vectors)
+
+    monkeypatch.setattr(OperatorStack, "apply", failing)
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "slab_q3.ini"
+    code, rows = _sweep(cfg, "theta", 0.0, 20.0, 3, tmp_path / "out")
+    assert code == 3 and rows == []
+    assert calls == [3, 3, 3]
+    for value in ("0", "10", "20"):
+        assert (f"skipping theta = {value}: invalid problem (out of memory "
+                "on the 256 x 256 grid: MemoryError)") in caplog.text
 
 
 def test_a_sweep_point_allocates_no_full_grid(tmp_path):
