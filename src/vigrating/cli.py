@@ -207,15 +207,17 @@ def cmd_sweep(config_path: str, param: str, start: float, stop: float,
 
     def problems():
         """The (value, problem) of each point, built only when the solver
-        takes it; a point whose wave is rejected is skipped."""
+        takes it; a point whose wave is rejected, or whose propagating
+        orders the grid cannot hold, is skipped."""
         for value in values:
             try:
                 wave = base.replace_parameter(param, float(value)).wave()
+                problem = Problem(wave=wave, contrast=contrast, grid=grid,
+                                  rho_ref=rho_ref, layout=layout)
             except (VigratingError, ValueError) as exc:
                 points.append((value, skip(value, exc)))
                 continue
-            yield value, Problem(wave=wave, contrast=contrast, grid=grid,
-                                 rho_ref=rho_ref, layout=layout)
+            yield value, problem
 
     def finish(batch: list) -> list:
         """The (value, efficiencies or exit code) of a solved batch: one

@@ -31,6 +31,20 @@ class RayleighAnomaly(VigratingError):
         )
 
 
+class UnresolvedOrder(VigratingError):
+    """A propagating diffraction order lies outside the x1 orders
+    |j| < N1/2 the grid resolves, so its efficiency would be lost."""
+
+    def __init__(self, order, n1, needed):
+        self.order = order
+        self.n1 = n1
+        self.needed = needed
+        super().__init__(
+            f"propagating order j={order} lies outside the orders "
+            f"|j| < {n1 // 2} that n1 = {n1} resolves; n1 = {needed} is the "
+            "smallest grid that holds it")
+
+
 class NonSymmetric(VigratingError):
     """Contrast matrix is not (complex) symmetric."""
 

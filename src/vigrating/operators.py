@@ -14,16 +14,21 @@ The functions on SpectralField are the reference transforms; the solve path
 runs on an OperatorStack, which checks its points (one solve, or a sweep
 batch) and holds what their solves apply repeatedly.  The density
 z = Q grad(u^s + u^i) vanishes off the support nodes of the contrast, so it
-is held there alone; one application of the density operator scatters it
-onto the grid, takes one batched forward FFT for div V and one inverse FFT
-for the gradient, and gathers the product back.  The field operator A, one
-inverse and one forward FFT on all the coefficients, is the independent
-check of the solve's residual.
+is held there alone.  One application of the density operator on one
+coefficient row (a layered grating), or on a large grid whose support is
+wide, scatters it onto the grid, takes one batched forward FFT for div V
+and one inverse FFT for the gradient, and gathers the product back.  On
+more rows it runs, where :data:`BOX_RATIO` says it is cheaper, through DFT
+matrices restricted to the box of rows and columns that hold the support,
+with the derivative multipliers folded into them.  The field operator A,
+one inverse and one forward FFT on all the coefficients, stays on the FFTs
+whatever the route: it is the independent check of the solve's residual.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 
@@ -34,6 +39,21 @@ from .kernel import KernelTable
 from .problem import Grid, Problem
 
 DENSE_GUARD = 4096
+
+# The density operator of arrays of more than one row runs through DFT
+# matrices on its support box, rows R and columns C, when
+# |R| (|C| + N1) <= BOX_RATIO N1 log2(N1 N2), and through full-grid FFTs
+# otherwise.  Box / FFT time per application of a q = -5 circle of radius
+# r periods, at (count ratio), each case in one process on 2 vCPUs with
+# numpy 2.4 and OpenBLAS 0.3.31: 64^2 r = 0.2, 0.58 (3.2); 128^2 r = 0.12
+# (rho_box 0.3), 0.43 (3.1); 128^2 r = 0.1, 0.44 (2.7); 512^2 r = 0.05,
+# 0.43 (4.3); 256^2 r = 0.1, 0.58 (4.8); 128^2 r = 0.2, 0.76 (5.5);
+# 512^2 r = 0.1, 0.89 (8.6); 256^2 r = 0.2, 0.89 (9.7); 128^2 r = 0.4,
+# 1.01 (11.1); 256^2 r = 0.3, 1.57 (14.4).  The crossover lies near 10;
+# past 5 the box saves less than a quarter of the time and holds its
+# matrices, 4 (|C| N2 + |R| N1) entries, besides, so wide supports on
+# large grids keep the FFTs.
+BOX_RATIO = 5.0
 
 
 @dataclass(frozen=True)
@@ -219,6 +239,51 @@ def live_rows(c: np.ndarray, n_rows: int) -> np.ndarray:
     return c if c[n_rows:].any() else c[:n_rows]
 
 
+def support_box(nodes: np.ndarray, rows: int, n2: int):
+    """The x1 rows R and x2 columns C (sorted) of the box that holds the
+    flat support ``nodes`` of arrays of ``rows`` rows of ``n2``, when the
+    density operator of such arrays runs through DFT matrices on that box
+    (:data:`BOX_RATIO`), else None: one row, or a box too large."""
+    if rows == 1:
+        return None
+    # np.unique would import numpy.ma
+    r = np.flatnonzero(np.bincount(nodes // n2, minlength=rows))
+    c = np.flatnonzero(np.bincount(nodes % n2, minlength=n2))
+    if len(r) * (len(c) + rows) > BOX_RATIO * rows * math.log2(rows * n2):
+        return None
+    return r, c
+
+
+def _box_sizes(box, rows: int, n2: int) -> tuple[int, int]:
+    """The complex entries one point's stack holds to apply its density
+    operator on the support ``box`` (None for the FFTs), as (buffer,
+    matrices): the buffer is the (2, rows, N2) work buffer, or what the
+    box products need if that is more; the matrices are the box route's
+    DFT matrices."""
+    work = 2 * rows * n2
+    if box is None:
+        return work, 0
+    r, c = len(box[0]), len(box[1])
+    buffer = max(work, max(rows * n2, 2 * r * c) + 2 * r * n2)
+    return buffer, 4 * (c * n2 + r * rows)
+
+
+def operator_entries(layout, grid: Grid) -> int:
+    """The complex entries a solve's stack of one holds to apply its
+    density operator: its buffer, and on the box route the DFT
+    matrices."""
+    rows = layout.n_rows
+    return sum(_box_sizes(support_box(layout.nodes, rows, grid.n2), rows,
+                          grid.n2))
+
+
+def _dft(k: np.ndarray, m: np.ndarray, n: int, sign: float) -> np.ndarray:
+    """exp(sign 2 pi i k m / n) for the integers k (rows) and m (columns),
+    each entry the root of unity of the exact product k m mod n."""
+    roots = np.exp(sign * 2j * np.pi / n * np.arange(n))
+    return roots[np.outer(k, m) % n]
+
+
 class _Nodes:
     """Where the packed densities of a stack of P points sit in its
     (2, P, rows, N2) work buffer: at the flat support nodes ``nodes`` of
@@ -270,9 +335,10 @@ class OperatorStack:
     ``problems`` entry and its kernel table ``tables`` entry.  One call
     applies them to a stack of P arrays: the density operators
     z - Q grad div V z with one forward and one inverse FFT over the
-    stack, the field operators c - div V(Q grad c) likewise, and the x1
-    rows of the densities with one FFT.  A point's stack of one serves its
-    solve, its residual and its Rayleigh extraction.
+    stack, or on the support box (below), the field operators
+    c - div V(Q grad c) with the FFTs, and the x1 rows of the densities
+    with one FFT.  A point's stack of one serves its solve, its residual
+    and its Rayleigh extraction.
 
     Physical samples live on the natural FFT layout: sample m sits half a
     box away from the centered node m, at (2 pi m1 / N1, 2 rho m2 / N2)
@@ -297,13 +363,26 @@ class OperatorStack:
     scaled samples.  A stack of all N1 rows of a layered contrast holds
     its densities at the support nodes of every row.  The solve runs on
     the density; the field operator :meth:`apply_field` is the independent
-    check of its residual.
+    check of its residual, so it keeps the FFTs whichever route
+    :meth:`apply` takes.
+
+    The support box: on more than one row the density of a compact
+    support sits inside the box of the x1 rows R and x2 columns C that
+    hold its nodes (:attr:`box`, decided by :func:`support_box` from the
+    shapes alone).  There :meth:`apply` runs the transforms as products
+    with DFT matrices restricted to the box, in place of the FFTs of the
+    whole grid: forward, the x2 transform of each component (times i mu
+    for the second) and then one product with [diag(i alpha_j) A1 | A1];
+    inverse, one product with [B1 diag(i alpha_j) ; B1] and then the x2
+    transforms at the box columns, plain and times i mu.  The kernel
+    multiplier stays one elementwise product on the (N1, N2) spectrum.
 
     Each array's result is bit-identical to that of its point's stack of
-    one: every step is elementwise, a copy or a per-slice FFT, and numpy's
-    FFTs give the same bits with a leading batch axis.  The arrays sized
-    by the points are built when first read: the kernel multiplier and the
-    i alpha_j rows when an operator is applied, the incident densities
+    one: every step is elementwise, a copy, a per-slice FFT or a per-slice
+    matrix product, and numpy's FFTs and batched ``matmul`` give the same
+    bits with a leading batch axis.  The arrays sized by the points are
+    built when first read: the kernel multiplier, the i alpha_j rows and
+    the x1 DFT matrices when an operator is applied, the incident densities
     :attr:`rhs` once.
     """
 
@@ -333,20 +412,24 @@ class OperatorStack:
             self.q_nodes = np.tile(self.q_nodes, rows)
         self.node_index = nodes
         self.x2_nodes = layout.x2[nodes % grid.n2]
+        self.box = support_box(nodes, rows, grid.n2)
 
     def take(self, keep) -> "OperatorStack":
         """The stack of the points ``keep`` (indices, in order) of this
-        one, unchecked: its multiplier and i alpha_j rows are rows of this
-        stack's, and its work buffer is its own."""
+        one, unchecked: its multiplier, i alpha_j rows and x1 DFT matrices
+        are rows of this stack's, and its buffer is its own."""
         new = copy.copy(self)
         new.problems = [self.problems[i] for i in keep]
         new.tables = [self.tables[i] for i in keep]
         held = new.__dict__
-        for name in ("rhs", "work", "nodes"):
+        for name in ("rhs", "buffer", "work", "nodes", "box_nodes",
+                     "box_views"):
             held.pop(name, None)
         for name in ("ia", "multiplier"):
             if name in held:
                 held[name] = held[name][keep]
+        if "x1_dft" in held:
+            held["x1_dft"] = tuple(m[keep] for m in held["x1_dft"])
         return new
 
     @cached_property
@@ -366,15 +449,64 @@ class OperatorStack:
         return np.sqrt(4 * np.pi * self.grid.rho_box) * coeffs
 
     @cached_property
+    def buffer(self) -> np.ndarray:
+        """The flat buffer every application works in: the work buffer,
+        and the products of the box route."""
+        size, _ = _box_sizes(self.box, self.rows, self.grid.n2)
+        return np.empty(len(self.problems) * size, dtype=complex)
+
+    @cached_property
     def work(self) -> np.ndarray:
-        """The (2, P, rows, N2) buffer every application works in."""
-        return np.empty((2, len(self.problems), self.rows, self.grid.n2),
-                        dtype=complex)
+        """The (2, P, rows, N2) buffer every FFT application works in."""
+        shape = (2, len(self.problems), self.rows, self.grid.n2)
+        return self.buffer[:math.prod(shape)].reshape(shape)
 
     @cached_property
     def nodes(self) -> _Nodes:
         return _Nodes(self.node_index, len(self.problems),
                       self.rows * self.grid.n2)
+
+    @cached_property
+    def box_nodes(self) -> _Nodes:
+        """The support nodes in the (R, C) arrays of the box."""
+        rows, cols = self.box
+        n2 = self.grid.n2
+        at = (np.searchsorted(rows, self.node_index // n2) * len(cols)
+              + np.searchsorted(cols, self.node_index % n2))
+        return _Nodes(at, len(self.problems), len(rows) * len(cols))
+
+    @cached_property
+    def x2_dft(self) -> tuple[np.ndarray, np.ndarray]:
+        """The x2 DFT matrices of the box columns C, which every point
+        shares: the forward (2, C, N2), plain and times i mu, and the
+        inverse (2, N2, C), plain and i mu times, with its 1 / N2."""
+        n2, cols = self.grid.n2, self.box[1]
+        k2 = np.arange(n2)
+        forward = np.empty((2, len(cols), n2), dtype=complex)
+        forward[0] = _dft(cols, k2, n2, -1.0)
+        np.multiply(forward[0], self.imu, out=forward[1])
+        inverse = np.empty((2, n2, len(cols)), dtype=complex)
+        inverse[0] = _dft(k2, cols, n2, 1.0)
+        inverse[0] /= n2
+        np.multiply(self.imu.T, inverse[0], out=inverse[1])
+        return forward, inverse
+
+    @cached_property
+    def x1_dft(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every point's x1 DFT matrices of the box rows R: the forward
+        [diag(i alpha_j) A1 | A1], (P, N1, 2R), and the inverse
+        [B1 diag(i alpha_j) ; B1], (P, 2R, N1), with its 1 / N1."""
+        n1, rows = self.grid.n1, self.box[0]
+        r, k1, ia = len(rows), np.arange(n1), self.ia
+        forward = np.empty((len(ia), n1, 2 * r), dtype=complex)
+        forward[:, :, r:] = _dft(k1, rows, n1, -1.0)
+        np.multiply(ia, forward[:, :, r:], out=forward[:, :, :r])
+        inverse = np.empty((len(ia), 2 * r, n1), dtype=complex)
+        inverse[:, r:] = _dft(rows, k1, n1, 1.0)
+        inverse[:, r:] /= n1
+        np.multiply(inverse[:, r:], ia.transpose(0, 2, 1),
+                    out=inverse[:, :r])
+        return forward, inverse
 
     @cached_property
     def rhs(self) -> np.ndarray:
@@ -426,13 +558,45 @@ class OperatorStack:
         self.nodes.scatter(self._packed(z), self.work)
         return self._div_potential(self.work)
 
+    @cached_property
+    def box_views(self) -> tuple[np.ndarray, ...]:
+        """The views of the buffer the box products write: the (2, P, R,
+        C) box samples and the (P, N1, N2) spectrum from its start, and
+        past both the (P, 2R, N2) x1 rows, also as their (2, P, R, N2)
+        component-major view."""
+        points, (rows, cols) = len(self.problems), self.box
+        r, c, n1, n2 = len(rows), len(cols), self.grid.n1, self.grid.n2
+        at = points * max(n1 * n2, 2 * r * c)
+        half = self.buffer[at:at + 2 * points * r * n2].reshape(
+            points, 2 * r, n2)
+        return (self.buffer[:2 * points * r * c].reshape(2, points, r, c),
+                self.buffer[:points * n1 * n2].reshape(points, n1, n2),
+                half, half.reshape(points, 2, r, n2).transpose(1, 0, 2, 3))
+
+    def _box_gradient(self, z) -> np.ndarray:
+        """Scaled samples of grad div V z at the nodes, (P, 2, n), for a
+        stack z of P packed densities, by the DFT matrices of the box."""
+        box, spectrum, half, halves = self.box_views
+        forward2, inverse2 = self.x2_dft
+        forward1, inverse1 = self.x1_dft
+        self.box_nodes.scatter(z, box)
+        np.matmul(box, forward2[:, None], out=halves)
+        np.matmul(forward1, half, out=spectrum)
+        spectrum *= self.multiplier
+        np.matmul(inverse1, spectrum, out=half)
+        np.matmul(halves, inverse2[:, None], out=box)
+        return self.box_nodes.gather(box)
+
     def apply(self, vectors) -> np.ndarray:
         """The (P, 2, n) products z - Q grad div V z of the P density
-        operators with their P packed densities; the operator does not
-        write its argument, so one array is applied uncopied."""
+        operators with their P packed densities, through the FFTs or on
+        the support box; the operator does not write its argument, so one
+        array is applied uncopied."""
         z = self._packed(np.concatenate(vectors) if len(vectors) > 1
                          else vectors[0])
-        g = self._contrast_gradient(self.potential(z))
+        g = (self.nodes.gather(self._gradient(self.potential(z)))
+             if self.box is None else self._box_gradient(z))
+        _contrast_product(self.q_nodes, g.transpose(1, 0, 2))
         return np.subtract(z, g, out=g)
 
     def apply_field(self, c: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ Conventions (fixed throughout the library):
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -19,9 +20,18 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import GeometryError, NonSymmetric, RayleighAnomaly, ShapeMismatch
+from .errors import (
+    GeometryError,
+    NonSymmetric,
+    RayleighAnomaly,
+    ShapeMismatch,
+    UnresolvedOrder,
+)
 
 ANOMALY_RTOL = 1e-8
+# at or below this wavenumber k^2 <= ANOMALY_RTOL, so every wave would be
+# within the anomaly tolerance of order 0
+K_FLOOR = math.sqrt(ANOMALY_RTOL)
 
 
 def at_cutoff(symbol, k_squared):
@@ -50,6 +60,11 @@ class IncidentWave:
                 f"wave must be finite, got k={self.k}, d={self.d}")
         if self.k <= 0:
             raise ValueError(f"wavenumber must be positive, got {self.k}")
+        if self.k <= K_FLOOR:
+            raise ValueError(
+                f"wavenumber {self.k!r} is at or below the floor {K_FLOOR:g} "
+                f"({2 * math.pi * K_FLOOR:.3g} per period), where k^2 lies "
+                "within the Rayleigh-anomaly tolerance of every wave")
         d1, d2 = self.d
         if abs(np.hypot(d1, d2) - 1.0) > 1e-12:
             raise ValueError(f"direction must be a unit vector, got {self.d}")
@@ -214,7 +229,10 @@ class Problem:
     """Immutable solver input: wave, contrast, grid and the sampled contrast.
 
     ``rho_ref`` (h < rho_ref <= rho_box) is the reference height of the
-    Rayleigh expansion; ``layout`` holds the samples.
+    Rayleigh expansion; ``layout`` holds the samples.  A contrast that
+    couples x1 orders (``layout.n_rows > 1``) must have every propagating
+    order among the ones the grid resolves: :func:`check_orders` raises
+    UnresolvedOrder otherwise.
     """
 
     wave: IncidentWave
@@ -222,6 +240,10 @@ class Problem:
     grid: Grid
     rho_ref: float
     layout: ContrastLayout = field(repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.layout.n_rows > 1:
+            check_orders(self.wave, self.grid)
 
     @property
     def alpha(self) -> float:
@@ -236,6 +258,18 @@ class Problem:
         return float(np.max(np.abs(self.layout.samples.imag))) <= tol
 
 
+def check_orders(wave: IncidentWave, grid: Grid):
+    """Raise UnresolvedOrder when a propagating order j, (j + alpha)^2 <
+    k^2, lies outside the orders |j| < N1/2 that the Rayleigh extraction
+    of a contrast coupling x1 orders reads on the grid, naming the
+    farthest such order and the smallest n1 that holds it."""
+    k, alpha = wave.k, wave.alpha
+    far = max(math.floor(-k - alpha) + 1, math.ceil(k - alpha) - 1,
+              key=abs)
+    if abs(far) >= grid.n1 // 2:
+        raise UnresolvedOrder(far, grid.n1, 1 << (2 * abs(far)).bit_length())
+
+
 def build_problem(
     wave: IncidentWave,
     contrast: ContrastField,
@@ -244,8 +278,10 @@ def build_problem(
 ) -> Problem:
     """Validate the inputs and sample the contrast on the grid.
 
-    Raises RayleighAnomaly at a cutoff order, and what
-    :func:`sample_contrast` raises for the geometry.
+    Raises RayleighAnomaly at a cutoff order, what :func:`sample_contrast`
+    raises for the geometry, and UnresolvedOrder when a contrast that
+    couples x1 orders has a propagating order the grid cannot hold
+    (:func:`check_orders`).
     """
     wave.check_nonresonance()
     rho_ref, layout = sample_contrast(contrast, grid, rho_ref)

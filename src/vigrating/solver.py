@@ -29,7 +29,12 @@ import numpy as np
 
 from .errors import BreakdownDetected, NotConverged, SizeGuard
 from .kernel import KernelTable, kernel_table
-from .operators import OperatorStack, SpectralField, live_rows
+from .operators import (
+    OperatorStack,
+    SpectralField,
+    live_rows,
+    operator_entries,
+)
 from .problem import Problem
 
 log = logging.getLogger(__name__)
@@ -318,19 +323,21 @@ def physical_memory_bytes() -> int | None:
 
 def check_memory(problem: Problem, opts: SolveOptions) -> int:
     """The bytes of the Krylov basis, (restart + 1) vectors of the 2
-    |support| density unknowns, and the (2, rows, N2) work buffer of a
-    solve; raises SizeGuard when they would exceed physical memory."""
+    |support| density unknowns, and of what the solve's stack holds to
+    apply its operator: the (2, rows, N2) work buffer, and on the support
+    box route its DFT matrices (:func:`operators.operator_entries`);
+    raises SizeGuard when they would exceed physical memory."""
     layout = problem.layout
     unknowns = 2 * len(layout.nodes)
     vectors = min(opts.restart, opts.max_iterations) + 1
-    need = (vectors * unknowns + 2 * layout.n_rows * problem.grid.n2) * 16
+    need = (vectors * unknowns + operator_entries(layout, problem.grid)) * 16
     memory = physical_memory_bytes()
     if memory is not None and need > memory:
         raise SizeGuard(
             f"the solve needs about {need} bytes ({vectors} Krylov vectors "
-            f"of {unknowns} density unknowns and the work buffer), more "
-            f"than the {memory} bytes of physical memory; lower restart or "
-            "the grid")
+            f"of {unknowns} density unknowns and the work buffer, with any "
+            f"DFT matrices), more than the {memory} bytes of physical "
+            "memory; lower restart or the grid")
     return need
 
 

@@ -877,3 +877,70 @@ def test_validate_exits_1_when_a_gate_fails(monkeypatch, capsys):
                         lambda level, tmp_dir=None: [failed])
     assert main(["validate"]) == 1
     assert "[FAIL] fake: off by 1" in capsys.readouterr().out
+
+
+# a q = 3 circle whose propagating orders run from -9 to 6 (k = 50 per
+# period, theta = 10 degrees), which n1 = 16 cannot hold: its Rayleigh
+# extraction reads the orders |j| < 8 alone
+COARSE_X1 = """
+[problem]
+k = {k}
+theta_deg = 10.0
+shape = circle
+radius = 0.2
+q_re = 3.0
+
+[numerics]
+n1 = {n1}
+n2 = 64
+
+[output]
+directory = out
+"""
+
+
+def test_a_propagating_order_past_the_x1_grid_exits_3(tmp_path, caplog):
+    cfg = _write(tmp_path / "c.ini", COARSE_X1.format(k=50.0, n1=16))
+    assert main(["solve", str(cfg), "--output", str(tmp_path / "o")]) == 3
+    assert ("invalid problem: propagating order j=-9 lies outside the "
+            "orders |j| < 8 that n1 = 16 resolves; n1 = 32 is the smallest "
+            "grid that holds it") in caplog.text
+    assert not (tmp_path / "o").exists()
+    # n1 = 32 holds every order
+    cfg = _write(tmp_path / "d.ini", COARSE_X1.format(k=50.0, n1=32))
+    assert main(["solve", str(cfg), "--output", str(tmp_path / "o")]) == 0
+    rows = (tmp_path / "o" / "efficiencies.csv").read_text().splitlines()
+    assert [int(r.split(",")[0]) for r in rows[1:]] == list(range(-9, 7))
+
+
+def test_a_sweep_skips_a_point_whose_orders_the_grid_cannot_hold(
+        tmp_path, caplog):
+    cfg = _write(tmp_path / "c.ini", COARSE_X1.format(k=5.0, n1=16))
+    out = tmp_path / "sw"
+    assert main(["sweep", str(cfg), "--param", "k", "--from", "5", "--to",
+                 "50", "--steps", "2", "--output", str(out)]) == 0
+    assert ("skipping k = 50: invalid problem (propagating order j=-9 lies "
+            "outside the orders |j| < 8") in caplog.text
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert {ln.split(",")[0] for ln in lines[1:]} == {"5.0"}
+
+
+def test_a_wavenumber_below_the_anomaly_floor_exits_3(tmp_path, caplog):
+    # k = 0.0005 per period is 8e-5 in the library's units, where k^2 lies
+    # within the anomaly tolerance of every wave
+    text = (Path(__file__).resolve().parents[1] / "configs" / "slab_q3.ini"
+            ).read_text().replace("k = 1.0", "k = 0.0005").replace(
+        "theta_deg = 0.0", "theta_deg = 30.0")
+    cfg = _write(tmp_path / "low.ini", text)
+    assert main(["solve", str(cfg), "--output", str(tmp_path / "o")]) == 3
+    assert ("invalid problem: wavenumber 7.957747154594768e-05 is at or "
+            "below the floor 0.0001") in caplog.text
+    assert "Rayleigh anomaly" not in caplog.text
+    caplog.clear()
+    out = tmp_path / "sw"
+    assert main(["sweep", str(cfg), "--param", "k", "--from", "0.0005",
+                 "--to", "1", "--steps", "2", "--output", str(out)]) == 0
+    assert ("skipping k = 0.0005: invalid problem (wavenumber "
+            "7.957747154594768e-05 is at or below the floor") in caplog.text
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert {ln.split(",")[0] for ln in lines[1:]} == {"1.0"}

@@ -4,6 +4,7 @@ import pytest
 from vigrating.errors import ShapeMismatch, SizeGuard
 from vigrating.kernel import kernel_table
 from vigrating.operators import (
+    BOX_RATIO,
     OperatorStack,
     SpectralField,
     VectorSpectralField,
@@ -12,7 +13,9 @@ from vigrating.operators import (
     div_potential,
     evaluate,
     grad_spectral,
+    operator_entries,
     pointwise_matrix_product,
+    support_box,
     to_physical,
     to_spectral,
     volume_potential,
@@ -21,9 +24,12 @@ from vigrating.oracle import dense_quadrature_potential
 from vigrating.problem import (
     Grid,
     IncidentWave,
+    Problem,
     build_problem,
     circle_contrast,
     incident_field,
+    rectangle_contrast,
+    sample_contrast,
     slab_contrast,
 )
 
@@ -377,3 +383,119 @@ def test_density_operator_pushes_through_to_the_field_operator(kind):
         expected = stack.apply_field(stack.potential(z).copy())
         assert (np.abs(got - expected).max()
                 <= 1e-13 * np.abs(expected).max())
+
+
+# ----------------------------------------------------------------------------
+# the support-box route of the density operator
+
+TENSOR = np.array([[2.0, 0.4], [0.4, 1.0]]) - np.array([[0.3j, 0.0],
+                                                       [0.0, 0.1j]])
+
+
+def _box_problem(kind, wave=None):
+    wave = wave or _wave(0.8, 0.15)
+    if kind == "negative":
+        # the q = -5 circle of radius 0.2 periods at 64^2, rho_box 2h
+        contrast = circle_contrast(-5.0, 0.4 * np.pi)
+        grid = Grid(n1=64, n2=64, rho_box=0.8 * np.pi)
+    elif kind == "lossy":
+        contrast, grid = circle_contrast(3.0 - 0.5j, 0.8), Grid(32, 64, 1.7)
+    elif kind == "tensor":
+        contrast, grid = circle_contrast(TENSOR, 0.8), Grid(64, 64, 1.7)
+    else:
+        # a box of more than N1/2 rows: its products need more room than
+        # the work buffer
+        contrast = rectangle_contrast(3.0, 1.6 * np.pi, 1.0)
+        grid = Grid(n1=16, n2=16, rho_box=1.1)
+    return build_problem(wave, contrast, grid), kernel_table(grid, wave)
+
+
+BOX_KINDS = ("negative", "lossy", "tensor", "wide")
+
+
+@pytest.mark.parametrize("kind", BOX_KINDS)
+def test_the_box_route_is_the_fft_route(kind):
+    problem, table = _box_problem(kind)
+    grid = problem.grid
+    stack = OperatorStack([problem], [table])
+    rows, cols = stack.box
+    assert len(rows) < grid.n1 and len(cols) < grid.n2
+    assert (2 * len(rows) > grid.n1) == (kind == "wide")
+    fft = OperatorStack([problem], [table])
+    fft.box = None
+    rng = np.random.default_rng(5)
+    n = 2 * len(problem.layout.nodes)
+    for _ in range(3):
+        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        got, expected = stack.apply([z]), fft.apply([z])
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+        # the FFT-side operators read the same buffer, and agree with the
+        # box route through the potential
+        assert np.array_equal(stack.potential(z), fft.potential(z))
+
+
+def test_a_2d_stack_of_two_is_bitwise_its_stacks_of_one():
+    grid = Grid(n1=64, n2=64, rho_box=1.7)
+    contrast = circle_contrast(TENSOR, 0.8)
+    rho_ref, layout = sample_contrast(contrast, grid)
+    waves = [_wave(0.8, 0.15), _wave(1.1, -0.3)]
+    problems = [Problem(wave=w, contrast=contrast, grid=grid,
+                        rho_ref=rho_ref, layout=layout) for w in waves]
+    tables = [kernel_table(grid, w) for w in waves]
+    stack = OperatorStack(problems, tables)
+    assert stack.box is not None
+    rng = np.random.default_rng(8)
+    n = 2 * len(layout.nodes)
+    z = [rng.standard_normal(n) + 1j * rng.standard_normal(n)
+         for _ in waves]
+    both = stack.apply(z)
+    for i, (problem, table) in enumerate(zip(problems, tables)):
+        alone = OperatorStack([problem], [table]).apply([z[i]])
+        assert np.array_equal(both[i], alone[0])
+    # a stack taken from it keeps the rows of its x1 DFT matrices
+    assert np.array_equal(stack.take([1]).apply([z[1]])[0], both[1])
+
+
+@pytest.mark.parametrize("n, radius, rho_box, box", [
+    (64, 0.2, None, True),          # neg-circle: count ratio 3.2
+    (128, 0.12, 0.3, True),         # circle_anisotropic: 3.1
+    (128, 0.2, None, False),        # 5.5
+    (256, 0.2, None, False),        # 9.7
+])
+def test_the_route_is_chosen_from_the_support_box_counts(n, radius, rho_box,
+                                                         box):
+    # radius and rho_box in periods, rho_box 2h by default, as in a config
+    contrast = circle_contrast(-5.0, 2 * np.pi * radius)
+    grid = Grid(n1=n, n2=n, rho_box=(2 * np.pi * rho_box if rho_box
+                                     else 2 * contrast.h))
+    _, layout = sample_contrast(contrast, grid)
+    rows = np.unique(layout.nodes // n)
+    ratio = len(rows) * (len(layout.support) + n) / (n * np.log2(n * n))
+    assert (ratio <= BOX_RATIO) == box
+    chosen = support_box(layout.nodes, n, n)
+    assert (chosen is not None) == box
+    if box:
+        assert np.array_equal(chosen[0], rows)
+        assert np.array_equal(chosen[1], layout.support)
+    # one row always transforms with the FFTs
+    assert support_box(layout.nodes % n, 1, n) is None
+
+
+@pytest.mark.parametrize("kind", ["negative", "wide", "one-row"])
+def test_the_memory_estimate_counts_what_the_stack_holds(kind):
+    if kind == "one-row":
+        wave = _wave(0.8, 0.15)
+        grid = Grid(n1=16, n2=64, rho_box=1.1)
+        problem = build_problem(wave, slab_contrast(3.0, 1.0), grid)
+        table = kernel_table(grid, wave, 1)
+    else:
+        problem, table = _box_problem(kind)
+    stack = OperatorStack([problem], [table])
+    stack.apply([stack.rhs[0]])
+    held = stack.buffer.nbytes
+    if stack.box is not None:
+        held += sum(m.nbytes for m in (*stack.x2_dft, *stack.x1_dft))
+    assert held == 16 * operator_entries(problem.layout, problem.grid)
+    # the FFT-side operators work in the same buffer
+    stack.potential(stack.rhs)
+    assert stack.work.base is stack.buffer

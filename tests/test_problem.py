@@ -8,15 +8,18 @@ from vigrating.errors import (
     GeometryError,
     RayleighAnomaly,
     ShapeMismatch,
+    UnresolvedOrder,
 )
 from vigrating.problem import (
     ANOMALY_RTOL,
+    K_FLOOR,
     ContrastField,
     ContrastLayout,
     Grid,
     IncidentWave,
     at_cutoff,
     build_problem,
+    check_orders,
     circle_contrast,
     incident_field,
     raster_contrast,
@@ -50,7 +53,9 @@ def test_nonresonance_check():
     IncidentWave(k=1.0, d=(0.3, -np.sqrt(1 - 0.09))).check_nonresonance()
 
 
-@pytest.mark.parametrize("k", [1e-6, 0.3, 1.0, 2.7, 40.0, 3e3])
+# 1.5e-4 is just above the wavenumber floor, where the tolerance is still
+# absolute and every wave steeper than 48 degrees is at cutoff at order 0
+@pytest.mark.parametrize("k", [1.5e-4, 0.3, 1.0, 2.7, 40.0, 3e3])
 def test_nonresonance_check_matches_a_scan_of_every_order(k):
     def scan(wave):
         """The reference: the lowest order, of every order that could be
@@ -87,6 +92,55 @@ def test_nonresonance_check_matches_a_scan_of_every_order(k):
     if k > 0.5:
         assert verdicts.count(None) > 50
         assert len(verdicts) - verdicts.count(None) >= 6
+
+
+@pytest.mark.parametrize("k", [1e-6, K_FLOOR])
+def test_a_wavenumber_at_or_below_the_floor_is_rejected(k):
+    # k^2 <= ANOMALY_RTOL: every wave would be at cutoff at order 0
+    with pytest.raises(ValueError, match=f"wavenumber {k!r} is at or below "
+                                         "the floor 0.0001"):
+        IncidentWave.from_angle(k, 30.0)
+
+
+def test_a_wavenumber_just_above_the_floor_is_accepted():
+    wave = IncidentWave(k=1.001 * K_FLOOR, d=(0.0, -1.0))
+    wave.check_nonresonance()
+
+
+def test_every_propagating_order_lies_within_the_x1_orders():
+    # orders -N1/2 < j < N1/2 are resolved; the smallest n1 that holds
+    # order j is the least power of two above 2 |j|
+    def order_at(j_far, n1):
+        # a wave whose farthest propagating order is j_far alone: alpha
+        # shifts the orders away from it
+        alpha = 0.3 if j_far < 0 else -0.3
+        k = abs(j_far + alpha) + 0.2
+        wave = IncidentWave(k=k, d=(alpha / k,
+                                    -np.sqrt(1 - (alpha / k) ** 2)))
+        try:
+            check_orders(wave, Grid(n1=n1, n2=8, rho_box=1.0))
+        except UnresolvedOrder as exc:
+            return exc.order, exc.needed
+        return None
+
+    assert order_at(-7, 16) is None and order_at(7, 16) is None
+    assert order_at(-8, 16) == (-8, 32)
+    assert order_at(8, 16) == (8, 32)
+    assert order_at(-9, 16) == (-9, 32)
+    assert order_at(-16, 16) == (-16, 64)
+    assert order_at(-16, 64) is None
+
+
+def test_a_coupling_contrast_needs_its_propagating_orders_on_the_grid():
+    wave = IncidentWave.from_angle(50.0 / (2 * np.pi), 10.0)
+    circle = circle_contrast(3.0, 0.4 * np.pi)
+    with pytest.raises(UnresolvedOrder, match="order j=-9 .* n1 = 32 is"):
+        build_problem(wave, circle, Grid(n1=16, n2=64, rho_box=2.6))
+    assert build_problem(wave, circle, Grid(n1=32, n2=64, rho_box=2.6))
+    # a layered contrast has order 0 alone: it needs no x1 orders
+    slab = build_problem(wave, slab_contrast(3.0, 1.0),
+                         Grid(n1=16, n2=64, rho_box=2.6))
+    assert slab.layout.n_rows == 1
 
 
 def test_grid_validation():

@@ -468,10 +468,16 @@ def test_memory_estimate_counts_basis_and_work_rows(monkeypatch):
     problem = build_problem(wave, circle_contrast(3.0, 0.4), grid)
     opts = SolveOptions(restart=1000, max_iterations=40)
     # 40 + 1 Krylov vectors of two density components at each support
-    # node, and the (2, 16, 64) work buffer
+    # node, the (2, 16, 64) work buffer, and the DFT matrices of the
+    # support box of 3 x1 rows and 23 x2 columns: the forward and inverse
+    # x2 pairs, (2, 23, 64) and (2, 64, 23), and the x1 matrices (16, 6)
+    # and (6, 16)
     nodes = len(problem.layout.nodes)
     assert 0 < nodes < 16 * 64
-    need = ((40 + 1) * 2 * nodes + 2 * 16 * 64) * 16
+    assert len(np.unique(problem.layout.nodes // 64)) == 3
+    assert len(problem.layout.support) == 23
+    need = ((40 + 1) * 2 * nodes + 2 * 16 * 64
+            + 2 * 2 * 23 * 64 + 2 * 16 * 6) * 16
     monkeypatch.setattr(vigrating.solver, "physical_memory_bytes",
                         lambda: need)
     check_memory(problem, opts)
@@ -531,11 +537,13 @@ def test_memory_estimate_of_the_negative_circle(tmp_path, monkeypatch):
     cfg = _neg_circle(tmp_path)
     problem = cfg.build()
     assert len(problem.layout.nodes) == 641
-    # min(1000, 500) + 1 vectors of 1,282 unknowns, the (2, 64, 64) buffer
+    # min(1000, 500) + 1 vectors of 1,282 unknowns, the (2, 64, 64)
+    # buffer, and the DFT matrices of the 25 x 33 support box: two x2
+    # pairs of 2 x 33 x 64 entries and two x1 matrices of 64 x 50
     assert check_memory(problem, _options(cfg)) == (
-        10_276_512 + 131_072) == 10_407_584
+        10_276_512 + 131_072 + 237_568) == 10_645_152
     monkeypatch.setattr(vigrating.solver, "physical_memory_bytes",
-                        lambda: 10_407_583)
+                        lambda: 10_645_151)
     with pytest.raises(SizeGuard, match="501 Krylov vectors of 1282 density "
                                         "unknowns and the work buffer"):
         check_memory(problem, _options(cfg))
