@@ -171,22 +171,18 @@ def contrast_form(u: SpectralField, v: SpectralField, problem: Problem,
     return complex(cell * (grad_term + l2_term))
 
 
-def im_bound_constant(problem: Problem, spectra: ContrastSpectra) -> float:
+def im_bound_constant(problem: Problem) -> float:
     """Smallest C with |Im(Q) xi| <= C |Re(Q) xi| pointwise on D.
 
     Substituting eta = Re(Q) xi turns the bound into the spectral norm of
     Im(Q) Re(Q)^{-1}, maximized over the support nodes.  It is exactly 0,
     with no inverse taken, when Im(Q) vanishes on the support.
     """
-    # the sampled rows of the layout hold every node's value
-    q = problem.layout.samples
-    m = spectra.mask[:len(q)]
-    if not m.any():
-        return 0.0
-    imq = q.imag[m]
+    q = problem.layout.matrices()
+    imq = q.imag
     if not imq.any():
         return 0.0
-    prod = imq @ np.linalg.inv(q.real[m])
+    prod = imq @ np.linalg.inv(q.real)
     return float(np.max(np.linalg.norm(prod, ord=2, axis=(1, 2))))
 
 
@@ -438,7 +434,7 @@ def garding_check(
     m = spectra.mask
     inf_min = float(np.min(spectra.abs_min[m])) if m.any() else 0.0
     sup_max = float(np.max(spectra.abs_max[m])) if m.any() else 0.0
-    c_im = im_bound_constant(problem, spectra)
+    c_im = im_bound_constant(problem)
 
     lip = ext_bound = ext_est = None
     ext_details: dict = {"geometry": "not graph-given"}

@@ -45,6 +45,19 @@ class UnresolvedOrder(VigratingError):
             "smallest grid that holds it")
 
 
+class Underresolved(VigratingError):
+    """An axis of the grid holds fewer nodes per material wavelength than
+    the minimum, so the grid cannot represent the wave."""
+
+    def __init__(self, axis, count, minimum, grid, needed):
+        self.axis = axis
+        self.count = count
+        super().__init__(
+            f"{grid} holds {count:.3g} nodes per material wavelength on "
+            f"{axis}, fewer than {minimum:g}; {needed} is the smallest grid "
+            f"that holds {minimum:g}")
+
+
 class NonSymmetric(VigratingError):
     """Contrast matrix is not (complex) symmetric."""
 

@@ -601,10 +601,10 @@ class OperatorStack:
 
     def apply_field(self, c: np.ndarray) -> np.ndarray:
         """The (P, rows, N2) products c - div V(Q grad c) of the P field
-        operators with a stack c of coefficient arrays."""
-        y = self._gradient(c)
-        _contrast_product(self.layout.q, y)
-        return c - self._div_potential(y)
+        operators with a stack c of coefficient arrays: the gradient at
+        the support nodes and the potential of the density there, both
+        through the FFTs whichever route :meth:`apply` takes."""
+        return c - self.potential(self._contrast_gradient(c))
 
     def density(self, c: np.ndarray) -> np.ndarray:
         """The (P, 2n) packed total densities Q grad(u^s + u^i) of a stack

@@ -12,9 +12,11 @@ Conventions (fixed throughout the library):
 
 from __future__ import annotations
 
+import logging
 import math
 import os
 import struct
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -25,13 +27,21 @@ from .errors import (
     NonSymmetric,
     RayleighAnomaly,
     ShapeMismatch,
+    Underresolved,
     UnresolvedOrder,
 )
+
+log = logging.getLogger(__name__)
 
 ANOMALY_RTOL = 1e-8
 # at or below this wavenumber k^2 <= ANOMALY_RTOL, so every wave would be
 # within the anomaly tolerance of order 0
 K_FLOOR = math.sqrt(ANOMALY_RTOL)
+
+# nodes per material wavelength below which a grid is rejected, and below
+# which a solve is warned that its efficiencies may be inaccurate
+MIN_NODES_PER_WAVELENGTH = 2.0
+WARN_NODES_PER_WAVELENGTH = 6.0
 
 
 def at_cutoff(symbol, k_squared):
@@ -182,46 +192,91 @@ def _modes(n: int) -> np.ndarray:
 
 
 class ContrastLayout:
-    """The sampled contrast, built once per sampling and shared read-only
-    by every solve and diagnostic of it.
+    """The sampled contrast, held once at the nodes that carry it, built
+    once per sampling and shared read-only by every solve and diagnostic
+    of it.
 
-    ``samples`` are the node-order samples, (n_rows, N2, 2, 2): all N1
-    rows, or one when the rows are exactly equal, as the one sampled row of
-    an x1-invariant contrast is; they broadcast against (N1, N2) fields.
-    ``n_rows`` is also the number of leading Fourier rows a solve couples
-    to the incident wave.  ``q`` holds the samples as a solve applies them
-    (the wave-independent half of ``operators.OperatorStack``), rolled by
-    half a box in each direction onto the natural FFT layout: (2, 2,
-    n_rows, N2), or (n_rows, N2) for a scalar contrast field.  ``support``
-    lists the x2 columns that carry contrast and ``x2`` the rolled heights.
-    ``nodes`` are the flat indices, into an (n_rows, N2) array, of the
-    nodes that carry contrast, where the density a solve runs on lives, and
-    ``q_nodes`` holds ``q`` at them: (2, 2, len(nodes)), or (len(nodes),)
-    for a scalar contrast field.  ``real_scalar`` says whether the samples
-    are real multiples of the identity, the isotropic lossless contrast of
-    the Garding check.
+    Built from the node-order samples, (rows, N2, 2, 2), of which it keeps
+    the rows: all N1, or one when the rows are exactly equal, as the one
+    sampled row of an x1-invariant contrast is.  ``n_rows`` counts them;
+    it is also the number of leading Fourier rows a solve couples to the
+    incident wave.  The nodes sit on the natural FFT layout of an (n_rows,
+    N2) array, where a solve applies them (``operators.OperatorStack``):
+    node (m1, m2) at (m1 + N1/2, m2 + N2/2), modulo the array.  ``nodes``
+    are the sorted flat indices, in that array, of the nodes that carry
+    contrast, where the density a solve runs on lives, and ``q_nodes``
+    the samples there: (2, 2, len(nodes)), or (len(nodes),) for a scalar
+    contrast field.  Q vanishes at every other node.  ``support`` lists
+    the x2 columns that hold nodes and ``x2`` the rolled heights.
+    ``real_scalar`` says whether the samples are real multiples of the
+    identity, the isotropic lossless contrast of the Garding check;
+    ``max_eig`` is the largest |eigenvalue| of I + Q over the nodes, at
+    least 1, which :func:`check_resolution` reads.  No array held is
+    sized by the grid: :attr:`samples` rebuilds the node-order samples
+    when read.
     """
 
     def __init__(self, samples: np.ndarray, grid: Grid):
-        if (samples == samples[:1]).all():      # equal x1 rows keep one
-            samples = samples[:1]
-        self.samples, self.n_rows = samples[:], len(samples)
-        shift = (grid.n1 // 2, grid.n2 // 2)
-        q = np.roll(np.moveaxis(samples, (2, 3), (0, 1)), shift, axis=(2, 3))
+        n1, n2 = self.grid_shape = (grid.n1, grid.n2)
+        if all(np.array_equal(row, samples[0]) for row in samples[1:]):
+            samples = samples[:1]                   # equal x1 rows keep one
+        self.n_rows = rows = len(samples)
+        i1, i2 = np.nonzero(samples.any(axis=(2, 3)))
+        rolled = (i1 + n1 // 2) % rows * n2 + (i2 + n2 // 2) % n2
+        order = np.argsort(rolled)
+        self.nodes = rolled[order]
+        q = samples[i1[order], i2[order]]
         # a scalar contrast field: one product per sample instead of four
-        if (not q[0, 1].any() and not q[1, 0].any()
-                and np.array_equal(q[0, 0], q[1, 1])):
-            q = q[0, 0]
-        self.q = np.ascontiguousarray(q)
-        mask = self.q != 0 if self.q.ndim == 2 else self.q.any(axis=(0, 1))
-        self.support = np.flatnonzero(mask.any(axis=0))
-        self.nodes = np.flatnonzero(mask)
-        self.q_nodes = self.q.reshape(*self.q.shape[:-2], -1)[..., self.nodes]
-        self.x2 = np.roll(grid.x2_nodes(), shift[1])
-        self.real_scalar = self.q.ndim == 2 and not self.q.imag.any()
-        for a in (self.samples, self.q, self.support, self.nodes,
-                  self.q_nodes, self.x2):
+        if (not q[:, 0, 1].any() and not q[:, 1, 0].any()
+                and np.array_equal(q[:, 0, 0], q[:, 1, 1])):
+            self.q_nodes = q[:, 0, 0].copy()
+        else:
+            self.q_nodes = np.ascontiguousarray(q.transpose(1, 2, 0))
+        self.support = np.flatnonzero(np.bincount(self.nodes % n2,
+                                                  minlength=n2))
+        self.x2 = np.roll(grid.x2_nodes(), n2 // 2)
+        self.real_scalar = (self.q_nodes.ndim == 1
+                            and not self.q_nodes.imag.any())
+        self.max_eig = _max_eig(self.q_nodes)
+        for a in (self.nodes, self.q_nodes, self.support, self.x2):
             a.setflags(write=False)
+
+    def matrices(self) -> np.ndarray:
+        """The 2x2 contrast at each node, (len(nodes), 2, 2)."""
+        q = self.q_nodes
+        return q[:, None, None] * np.eye(2) if q.ndim == 1 else np.moveaxis(
+            q, -1, 0)
+
+    @property
+    def samples(self) -> np.ndarray:
+        """The node-order samples, (n_rows, N2, 2, 2), read-only, which
+        broadcast against (N1, N2) fields: built on every read, for the
+        diagnostics and the reference operators."""
+        (n1, n2), rows = self.grid_shape, self.n_rows
+        m1, m2 = np.divmod(self.nodes, n2)
+        out = np.zeros((rows, n2, 2, 2), dtype=complex)
+        out[(m1 - n1 // 2) % rows, (m2 - n2 // 2) % n2] = self.matrices()
+        out.setflags(write=False)
+        return out
+
+
+def _max_eig(q_nodes: np.ndarray) -> float:
+    """The largest |eigenvalue| of I + Q over the nodes of ``q_nodes``
+    and 1, the eigenvalue where Q vanishes; the largest float when it
+    overflows."""
+    with np.errstate(all="ignore"):
+        if q_nodes.ndim == 1:
+            eig = np.abs(1 + q_nodes)
+        else:
+            # scaled so that squares of entries up to the largest float
+            # do not overflow
+            scale = max(1.0, float(np.abs(q_nodes).max()))
+            a = np.eye(2)[..., None] / scale + q_nodes / scale
+            mean = (a[0, 0] + a[1, 1]) / 2
+            root = np.sqrt(((a[0, 0] - a[1, 1]) / 2) ** 2 + a[0, 1] * a[1, 0])
+            eig = scale * np.maximum(np.abs(mean + root), np.abs(mean - root))
+        top = float(eig.max(initial=1.0))
+    return top if math.isfinite(top) else sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -232,7 +287,8 @@ class Problem:
     Rayleigh expansion; ``layout`` holds the samples.  A contrast that
     couples x1 orders (``layout.n_rows > 1``) must have every propagating
     order among the ones the grid resolves: :func:`check_orders` raises
-    UnresolvedOrder otherwise.
+    UnresolvedOrder otherwise.  Then the grid must resolve the material
+    wavelength (:func:`check_resolution`).
     """
 
     wave: IncidentWave
@@ -244,6 +300,7 @@ class Problem:
     def __post_init__(self):
         if self.layout.n_rows > 1:
             check_orders(self.wave, self.grid)
+        check_resolution(self.wave, self.grid, self.layout)
 
     @property
     def alpha(self) -> float:
@@ -255,7 +312,8 @@ class Problem:
 
     def is_lossless(self, tol: float = 0.0) -> bool:
         """No contrast sample has an imaginary part above ``tol``."""
-        return float(np.max(np.abs(self.layout.samples.imag))) <= tol
+        imag = np.abs(self.layout.q_nodes.imag)
+        return float(imag.max(initial=0.0)) <= tol
 
 
 def check_orders(wave: IncidentWave, grid: Grid):
@@ -270,6 +328,31 @@ def check_orders(wave: IncidentWave, grid: Grid):
         raise UnresolvedOrder(far, grid.n1, 1 << (2 * abs(far)).bit_length())
 
 
+def check_resolution(wave: IncidentWave, grid: Grid, layout: ContrastLayout):
+    """Count the nodes per material wavelength lambda = 2 pi / (k
+    sqrt(layout.max_eig)) on x2, and on x1 when the contrast couples x1
+    orders (``layout.n_rows > 1``).  Raise Underresolved, naming the axis,
+    the count and the smallest power-of-two n that holds
+    :data:`MIN_NODES_PER_WAVELENGTH`, when an axis holds fewer; log a
+    warning when it holds fewer than :data:`WARN_NODES_PER_WAVELENGTH`.
+    """
+    wavelength = 2 * math.pi / (wave.k * math.sqrt(layout.max_eig))
+    axes = [("x2", "n2", grid.n2, 2 * grid.rho_box)]
+    if layout.n_rows > 1:
+        axes.insert(0, ("x1", "n1", grid.n1, 2 * math.pi))
+    for axis, name, n, length in axes:
+        count = wavelength * n / length
+        if count < MIN_NODES_PER_WAVELENGTH:
+            ratio = MIN_NODES_PER_WAVELENGTH * length / wavelength
+            needed = 1 << max(1, math.ceil(math.log2(ratio)))
+            raise Underresolved(axis, count, MIN_NODES_PER_WAVELENGTH,
+                                f"{name} = {n}", f"{name} = {needed}")
+        if count < WARN_NODES_PER_WAVELENGTH:
+            log.warning("%s = %d holds %.3g nodes per material wavelength "
+                        "on %s; below %g the efficiencies may be inaccurate",
+                        name, n, count, axis, WARN_NODES_PER_WAVELENGTH)
+
+
 def build_problem(
     wave: IncidentWave,
     contrast: ContrastField,
@@ -279,9 +362,10 @@ def build_problem(
     """Validate the inputs and sample the contrast on the grid.
 
     Raises RayleighAnomaly at a cutoff order, what :func:`sample_contrast`
-    raises for the geometry, and UnresolvedOrder when a contrast that
-    couples x1 orders has a propagating order the grid cannot hold
-    (:func:`check_orders`).
+    raises for the geometry, UnresolvedOrder when a contrast that couples
+    x1 orders has a propagating order the grid cannot hold
+    (:func:`check_orders`), and Underresolved when the grid cannot hold
+    the material wavelength (:func:`check_resolution`).
     """
     wave.check_nonresonance()
     rho_ref, layout = sample_contrast(contrast, grid, rho_ref)
@@ -299,10 +383,14 @@ def sample_contrast(
 
     Raises GeometryError when the box is too small (rho_box >= 2h is
     required so that the periodized kernel agrees with the free
-    quasi-periodic kernel on the support slab).  Sampling is pointwise at
-    the nodes, in a fixed deterministic order.  An x1-invariant contrast
+    quasi-periodic kernel on the support slab), when a sample is not
+    finite (naming the first such node) and when the sampler returns
+    contrast beyond h; NonSymmetric when Q12 != Q21.  Sampling is pointwise
+    at the nodes, in a fixed deterministic order.  An x1-invariant contrast
     is sampled, checked and laid out on the first x1 row alone; any other
-    contrast is sampled on the full mesh.  A k or theta sweep samples once
+    contrast is sampled on the full mesh.  Nothing sized by the grid is
+    kept but the sampler's own output, until the layout has taken the
+    nodes that carry contrast from it.  A k or theta sweep samples once
     and gives each point its wave.
     """
     if grid.rho_box < 2 * contrast.h - 1e-14:
@@ -316,20 +404,34 @@ def sample_contrast(
             f"rho_ref = {rho_ref} must satisfy h < rho_ref <= rho_box"
         )
 
-    x1 = grid.x1_nodes()
+    x1, x2 = grid.x1_nodes(), grid.x2_nodes()
     if contrast.x1_invariant:
         x1 = x1[:1]
-    q = contrast.sample(*np.meshgrid(x1, grid.x2_nodes(), indexing="ij"))
-    # tolerance admits interface nodes that land on |x2| = h through rounding
-    outside = np.abs(grid.x2_nodes()) > contrast.h * (1 + 1e-10) + 1e-300
-    if np.any(q[:, outside, :, :] != 0):
+    # the mesh as broadcast views: no (N1, N2) coordinate arrays
+    q = contrast.sample(*np.meshgrid(x1, x2, indexing="ij", copy=False))
+    finite = np.isfinite(q).all(axis=(2, 3))
+    if not finite.all():
+        m1, m2 = np.argwhere(~finite)[0]
+        raise GeometryError(
+            f"sampler returned a non-finite contrast {q[m1, m2].tolist()} at "
+            f"node ({m1}, {m2}), (x1, x2) = ({x1[m1]:.6g}, {x2[m2]:.6g})")
+    # tolerance admits interface nodes that land on |x2| = h through
+    # rounding; the nodes within h are one run of columns
+    inside = np.flatnonzero(np.abs(x2) <= contrast.h * (1 + 1e-10) + 1e-300)
+    lo, hi = (inside[0], inside[-1] + 1) if inside.size else (0, 0)
+    if q[:, :lo].any() or q[:, hi:].any():
         raise GeometryError(
             "sampler returned nonzero contrast beyond its declared half-height h"
         )
-    asym = np.max(np.abs(q[..., 0, 1] - q[..., 1, 0]))
-    if asym > 1e-12 * max(1.0, float(np.max(np.abs(q)))):
-        raise NonSymmetric(f"Q12 != Q21 on the grid (max deviation {asym:g})")
-    return float(rho_ref), ContrastLayout(q, grid)
+    layout = ContrastLayout(q, grid)
+    # Q12 and Q21 vanish off the nodes, and on them for a scalar field
+    qn = layout.q_nodes
+    if qn.ndim == 3:
+        asym = np.max(np.abs(qn[0, 1] - qn[1, 0]))
+        if asym > 1e-12 * max(1.0, float(np.max(np.abs(qn)))):
+            raise NonSymmetric(
+                f"Q12 != Q21 on the grid (max deviation {asym:g})")
+    return float(rho_ref), layout
 
 
 def incident_field(wave: IncidentWave, points) -> tuple[np.ndarray, np.ndarray]:

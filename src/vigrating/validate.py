@@ -288,7 +288,7 @@ def gate_diagnostics() -> GateResult:
                  and an.reflected_part_bound(0.0) == np.sqrt(3.0))
 
     prob_im = build_problem(wave, slab_contrast(3.0 + 4.0j, 1.6), grid)
-    c_im = an.im_bound_constant(prob_im, an.decompose_reQ(prob_im))
+    c_im = an.im_bound_constant(prob_im)
     ok_im = abs(c_im - 4.0 / 3.0) < 1e-12
 
     passed = ok_pos and ok_bounds and ok_im

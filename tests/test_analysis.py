@@ -121,7 +121,7 @@ def test_one_row_diagnostics_equal_the_full_grid_formulas(tmp_path, make):
     prod = q.imag[mask] @ np.linalg.inv(q.real[mask])
     expected = float(np.max(np.linalg.norm(prod, ord=2, axis=(1, 2))))
     assert expected > 0
-    assert im_bound_constant(problem, spec) == expected
+    assert im_bound_constant(problem) == expected
 
 
 def test_one_row_decompose_allocates_no_full_grid():
@@ -201,13 +201,11 @@ def test_norm_is_real_part_of_form():
 
 
 def test_im_bound_examples():
-    assert abs(im_bound_constant(_problem(3.0 + 4.0j),
-                                 decompose_reQ(_problem(3.0 + 4.0j)))
+    assert abs(im_bound_constant(_problem(3.0 + 4.0j))
                - 4.0 / 3.0) < 1e-12
-    assert im_bound_constant(_problem(5.0),
-                             decompose_reQ(_problem(5.0))) == 0.0
+    assert im_bound_constant(_problem(5.0)) == 0.0
     p = _problem(np.array([[2.0 + 1.0j, 0.0], [0.0, 5.0]]))
-    assert abs(im_bound_constant(p, decompose_reQ(p)) - 0.5) < 1e-12
+    assert abs(im_bound_constant(p) - 0.5) < 1e-12
 
 
 def test_im_bound_lossless_takes_no_inverse(monkeypatch):
@@ -218,7 +216,7 @@ def test_im_bound_lossless_takes_no_inverse(monkeypatch):
         raise AssertionError("a lossless contrast needs no inverse")
 
     monkeypatch.setattr(np.linalg, "inv", refuse)
-    assert im_bound_constant(problem, spectra) == 0.0
+    assert im_bound_constant(problem) == 0.0
 
 
 def test_im_bound_lossy_matches_the_full_formula():
@@ -229,14 +227,14 @@ def test_im_bound_lossy_matches_the_full_formula():
     prod = q.imag[m] @ np.linalg.inv(q.real[m])
     expected = float(np.max(np.linalg.norm(prod, ord=2, axis=(1, 2))))
     assert expected > 0
-    assert im_bound_constant(problem, spectra) == expected
+    assert im_bound_constant(problem) == expected
 
 
 def test_im_bound_scale_invariance():
     p1 = _problem(2.0 + 0.8j)
     p2 = _problem(3.0 * (2.0 + 0.8j))
-    c1 = im_bound_constant(p1, decompose_reQ(p1))
-    c2 = im_bound_constant(p2, decompose_reQ(p2))
+    c1 = im_bound_constant(p1)
+    c2 = im_bound_constant(p2)
     assert abs(c1 - c2) < 1e-13
     # sign verdict unchanged under positive scaling
     assert decompose_reQ(p1).sign_verdict == decompose_reQ(p2).sign_verdict

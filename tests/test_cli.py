@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -944,3 +945,130 @@ def test_a_wavenumber_below_the_anomaly_floor_exits_3(tmp_path, caplog):
             "7.957747154594768e-05 is at or below the floor") in caplog.text
     lines = (out / "sweep.csv").read_text().splitlines()
     assert {ln.split(",")[0] for ln in lines[1:]} == {"1.0"}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_a_non_finite_raster_cell_exits_3(tmp_path, caplog, command, value):
+    from vigrating.problem import write_raster
+
+    # a 16 x 32 raster of a thin slab, with one non-finite cell inside h:
+    # the node (5, 64) of the 16 x 128 grid samples it
+    rho_r = 0.6 * PERIOD
+    cells = np.zeros((16, 32, 2, 2), dtype=complex)
+    x2_centers = -rho_r + 2 * rho_r * (np.arange(32) + 0.5) / 32
+    cells[:, np.abs(x2_centers) < 0.25 * PERIOD] = 2.0 * np.eye(2)
+    cells[5, 16, 0, 0] = value
+    raster = tmp_path / "grating.bin"
+    write_raster(raster, cells, h=0.25 * PERIOD, rho=rho_r)
+    cfg = _write(tmp_path / "r.ini",
+                 RASTER.format(path=raster, out=tmp_path / "o"))
+    args = COMMANDS[command]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(args[:1] + [str(cfg)] + args[1:]) == 3
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert (f"invalid problem: sampler returned a non-finite contrast "
+            f"[[({value}+0j), 0j], [0j, (2+0j)]] at node (5, 64), (x1, x2) "
+            "= (-1.1781, 0)") in caplog.text
+    # a sweep stops before its first point
+    assert "skipping" not in caplog.text
+    assert not (tmp_path / "o").exists()
+
+
+def _lossy_slab(tmp_path, k: float, n2: int) -> Path:
+    text = (Path(__file__).resolve().parents[1] / "configs" / "slab_lossy.ini"
+            ).read_text().replace("k = 1.0", f"k = {k}").replace(
+        "n2 = 256", f"n2 = {n2}")
+    return _write(tmp_path / f"lossy-{k}-{n2}.ini", text)
+
+
+NEG_CIRCLE_32 = """
+[problem]
+k = 1.0
+theta_deg = 10.0
+shape = circle
+radius = 0.2
+q_re = -5.0
+
+[numerics]
+n1 = 32
+n2 = 32
+rho_box = 100
+
+[output]
+directory = out
+"""
+
+
+# each row exited 0 with efficiencies far above 1 before the rule
+@pytest.mark.parametrize("config, cause", [
+    (lambda p: _lossy_slab(p, 30.0, 8),
+     "n2 = 8 holds 0.37 nodes per material wavelength on x2, fewer than 2; "
+     "n2 = 64 is the smallest grid that holds 2"),
+    (lambda p: _lossy_slab(p, 30.0, 16),
+     "n2 = 16 holds 0.74 nodes per material wavelength on x2, fewer than 2; "
+     "n2 = 64 is the smallest grid that holds 2"),
+    (lambda p: _lossy_slab(p, 10.0, 8),
+     "n2 = 8 holds 1.11 nodes per material wavelength on x2, fewer than 2; "
+     "n2 = 16 is the smallest grid that holds 2"),
+    (lambda p: _write(p / "neg.ini", NEG_CIRCLE_32),
+     "n2 = 32 holds 0.503 nodes per material wavelength on x2, fewer than "
+     "2; n2 = 128 is the smallest grid that holds 2"),
+], ids=["lossy-k30-n8", "lossy-k30-n16", "lossy-k10-n8", "neg-circle-rho100"])
+@pytest.mark.parametrize("command", ["solve", "diagnose"])
+def test_an_unresolved_material_wavelength_exits_3(tmp_path, caplog, config,
+                                                   cause, command):
+    cfg = config(tmp_path)
+    out = tmp_path / "o"
+    assert main([command, str(cfg), "--output", str(out)]) == 3
+    assert f"invalid problem: {cause}" in caplog.text
+    assert not out.exists()
+
+
+def test_a_sweep_skips_a_point_whose_wavelength_the_grid_cannot_hold(
+        tmp_path, caplog):
+    cfg = _lossy_slab(tmp_path, 1.0, 16)
+    out = tmp_path / "sw"
+    assert main(["sweep", str(cfg), "--param", "k", "--from", "1", "--to",
+                 "30", "--steps", "2", "--output", str(out)]) == 0
+    assert ("skipping k = 30: invalid problem (n2 = 16 holds 0.74 nodes per "
+            "material wavelength on x2, fewer than 2") in caplog.text
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert {ln.split(",")[0] for ln in lines[1:]} == {"1.0"}
+
+
+def test_a_grid_near_the_minimum_solves_with_a_warning(tmp_path, caplog):
+    cfg = _lossy_slab(tmp_path, 30.0, 64)
+    assert main(["solve", str(cfg), "--output", str(tmp_path / "o")]) == 0
+    warned = [r.getMessage() for r in caplog.records
+              if r.levelname == "WARNING"]
+    assert warned == ["n2 = 64 holds 2.96 nodes per material wavelength on "
+                      "x2; below 6 the efficiencies may be inaccurate"]
+    assert (tmp_path / "o" / "efficiencies.csv").is_file()
+
+
+def test_diagnose_builds_the_node_order_samples_once(tmp_path, monkeypatch):
+    import vigrating.problem
+
+    reads = []
+    samples = vigrating.problem.ContrastLayout.samples
+
+    def counted(layout):
+        reads.append(1)
+        return samples.fget(layout)
+
+    monkeypatch.setattr(vigrating.problem.ContrastLayout, "samples",
+                        property(counted))
+    config = (Path(__file__).resolve().parents[1] / "configs"
+              / "circle_anisotropic.ini")
+    assert main(["diagnose", str(config), "--output",
+                 str(tmp_path / "o")]) == 0
+    assert len(reads) == 1
+    # a solve or a sweep never reads them
+    reads.clear()
+    assert main(["solve", str(config), "--output", str(tmp_path / "o")]) == 0
+    assert main(["sweep", str(config), "--param", "theta", "--from", "0",
+                 "--to", "20", "--steps", "2", "--output",
+                 str(tmp_path / "o")]) == 0
+    assert reads == []

@@ -434,6 +434,28 @@ def test_the_box_route_is_the_fft_route(kind):
         assert np.array_equal(stack.potential(z), fft.potential(z))
 
 
+@pytest.mark.parametrize("kind", BOX_KINDS)
+def test_the_field_operator_keeps_the_ffts_on_the_box_route(kind,
+                                                             monkeypatch):
+    problem, table = _box_problem(kind)
+    grid = problem.grid
+    stack = OperatorStack([problem], [table])
+    assert stack.box is not None and stack.rows == grid.n1
+
+    def refuse(self, z):
+        raise AssertionError("the residual check must not take the box route")
+
+    monkeypatch.setattr(OperatorStack, "_box_gradient", refuse)
+    rng = np.random.default_rng(21)
+    shape = (grid.n1, grid.n2)
+    u = SpectralField(rng.standard_normal(shape)
+                      + 1j * rng.standard_normal(shape), grid, problem.alpha)
+    qg = pointwise_matrix_product(problem.layout.samples, grad_spectral(u))
+    expected = u.coeffs - div_potential(qg, table).coeffs
+    got = stack.apply_field(u.coeffs[None])[0]
+    assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
 def test_a_2d_stack_of_two_is_bitwise_its_stacks_of_one():
     grid = Grid(n1=64, n2=64, rho_box=1.7)
     contrast = circle_contrast(TENSOR, 0.8)

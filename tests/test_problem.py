@@ -8,11 +8,13 @@ from vigrating.errors import (
     GeometryError,
     RayleighAnomaly,
     ShapeMismatch,
+    Underresolved,
     UnresolvedOrder,
 )
 from vigrating.problem import (
     ANOMALY_RTOL,
     K_FLOOR,
+    WARN_NODES_PER_WAVELENGTH,
     ContrastField,
     ContrastLayout,
     Grid,
@@ -20,6 +22,7 @@ from vigrating.problem import (
     at_cutoff,
     build_problem,
     check_orders,
+    check_resolution,
     circle_contrast,
     incident_field,
     raster_contrast,
@@ -216,7 +219,10 @@ def test_build_problem_deterministic():
     (two_layer_contrast(np.array([[2.0, 0.4], [0.4, 1.0]]), -2.0, 0.4, 0.6),
      True, False),
     (circle_contrast(3.0, 0.4), False, True),
-], ids=["slab", "anisotropic-two-layer", "circle"])
+    (circle_contrast(np.array([[2.0, 0.4], [0.4, 1.0 - 0.1j]]), 0.4), False,
+     False),
+    (rectangle_contrast(0.0, 1.0, 1.0), True, True),
+], ids=["slab", "anisotropic-two-layer", "circle", "tensor-circle", "empty"])
 def test_contrast_layout(contrast, layered, scalar):
     grid = Grid(n1=16, n2=32, rho_box=1.2)
     problem = build_problem(IncidentWave(k=0.7, d=(0.0, -1.0)), contrast, grid)
@@ -229,12 +235,18 @@ def test_contrast_layout(contrast, layered, scalar):
     rolled = np.roll(layout.samples, (8, 16), axis=(0, 1))
     expected = rolled[..., 0, 0] if scalar else np.moveaxis(
         rolled, (2, 3), (0, 1))
-    assert np.array_equal(layout.q, expected)
+    # the rolled samples at the nodes, and zeros at every other node
+    held = np.zeros(expected.shape, dtype=complex)
+    held.reshape(*held.shape[:-2], -1)[..., layout.nodes] = layout.q_nodes
+    assert np.array_equal(held, expected)
+    assert np.array_equal(layout.nodes, np.flatnonzero(
+        expected if scalar else expected.any(axis=(0, 1))))
     assert np.array_equal(layout.x2, np.roll(grid.x2_nodes(), 16))
     assert np.array_equal(layout.support, np.flatnonzero(
         np.roll(full.any(axis=(0, 2, 3)), 16)))
     # shared by every solve of the sample, so never written
-    for a in (layout.samples, layout.q, layout.support, layout.x2):
+    for a in (layout.samples, layout.nodes, layout.q_nodes, layout.support,
+              layout.x2):
         assert not a.flags.writeable
 
 
@@ -446,7 +458,7 @@ def test_x1_invariant_contrast_is_sampled_on_one_row(contrast):
     assert not layout.samples.flags.writeable
     assert np.array_equal(np.broadcast_to(layout.samples, full.shape), full)
     assert layout.n_rows == reference.n_rows == 1
-    for name in ("samples", "q", "support", "x2"):
+    for name in ("samples", "nodes", "q_nodes", "support", "x2"):
         assert np.array_equal(getattr(layout, name), getattr(reference, name))
 
 
@@ -462,3 +474,105 @@ def test_sampling_a_slab_allocates_no_full_grid():
         tracemalloc.stop()
     # one complex (N1, N2) array: the samples of a full mesh hold four
     assert peak < grid.n1 * grid.n2 * 16
+
+
+TENSOR = np.array([[2.0, 0.4], [0.4, 1.0 - 0.1j]])
+
+
+def test_a_2d_layout_holds_nothing_sized_by_the_grid():
+    grid = Grid(n1=64, n2=64, rho_box=1.7)
+    layout = build_problem(IncidentWave.from_angle(0.8, 10.0),
+                           circle_contrast(TENSOR, 0.8), grid).layout
+    assert layout.n_rows == 64
+    held = [a for a in vars(layout).values() if isinstance(a, np.ndarray)]
+    # nodes, q_nodes, support and x2
+    assert len(held) == 4 and layout.q_nodes.shape[:2] == (2, 2)
+    for a in held:
+        assert a.size < grid.n1 * grid.n2
+    assert not hasattr(layout, "q")
+    # the node-order samples are built on each read, never kept
+    assert layout.samples is not layout.samples
+    assert "samples" not in vars(layout)
+
+
+def test_sampling_a_tensor_circle_holds_its_samples_once():
+    grid = Grid(n1=256, n2=256, rho_box=1.7)
+    contrast = circle_contrast(TENSOR, 0.8)
+    sample_contrast(contrast, grid)             # warm-up
+    tracemalloc.start()
+    try:
+        sample_contrast(contrast, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the sampler's output, N1 N2 2x2 complex samples, and its own
+    # transients measured 1.46 times the output; a second copy of the
+    # samples, rolled onto the FFT layout, made it 3.1
+    assert peak < 2 * grid.n1 * grid.n2 * 64
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf * 1j],
+                         ids=["nan", "inf", "imaginary-inf"])
+def test_a_non_finite_sample_is_rejected_naming_its_node(value):
+    def sampler(x1, x2):
+        x1, x2 = np.broadcast_arrays(x1, x2)
+        q = np.zeros(x1.shape + (2, 2), dtype=complex)
+        q[np.abs(x2) < 0.3, 0, 0] = q[np.abs(x2) < 0.3, 1, 1] = value
+        return q
+
+    # non-finite beyond h as well: that is reported before the support
+    for h in (0.3, 0.1):
+        contrast = ContrastField(sampler=sampler, h=h)
+        with pytest.raises(GeometryError, match=r"non-finite contrast .* at "
+                           r"node \(0, 6\), \(x1, x2\) = \(-3.14159, -0.25\)"):
+            build_problem(IncidentWave(k=0.5, d=(0.0, -1.0)), contrast,
+                          Grid(n1=8, n2=16, rho_box=1.0))
+
+
+def test_a_grid_coarser_than_half_a_material_wavelength_is_rejected():
+    # vacuum orders |j + alpha| < 1 fit n1 = 8, but in q = 99 the
+    # wavelength is 2 pi / 10
+    wave = IncidentWave.from_angle(1.0, 10.0)
+    circle = circle_contrast(99.0, 1.0)
+    with pytest.raises(Underresolved) as info:
+        build_problem(wave, circle, Grid(n1=8, n2=64, rho_box=2.0))
+    assert str(info.value) == (
+        "n1 = 8 holds 0.8 nodes per material wavelength on x1, fewer than "
+        "2; n1 = 32 is the smallest grid that holds 2")
+    assert build_problem(wave, circle, Grid(n1=32, n2=64, rho_box=2.0))
+    # a layered contrast couples no x1 orders: x2 alone is counted
+    slab = build_problem(wave, slab_contrast(99.0, 1.0),
+                         Grid(n1=8, n2=64, rho_box=2.0))
+    assert slab.layout.n_rows == 1
+    with pytest.raises(Underresolved, match="n2 = 8 holds 1.26 nodes per "
+                       "material wavelength on x2.*n2 = 16 is the smallest"):
+        build_problem(wave, slab_contrast(99.0, 1.0),
+                      Grid(n1=8, n2=8, rho_box=2.0))
+
+
+@pytest.mark.parametrize("q, max_eig", [
+    (3.0 - 4.0j, abs(4.0 - 4.0j)),
+    (-0.5, 1.0),                                # |1 + q| < 1: vacuum sets it
+    (np.array([[2.0, 1.0], [1.0, 2.0]]), 4.0),  # eigenvalues 2 and 4 of I + Q
+    (np.array([[1e200, 0.0], [0.0, 1.0]]), 1e200),
+], ids=["scalar", "below-vacuum", "tensor", "huge"])
+def test_max_eig_is_that_of_i_plus_q(q, max_eig):
+    _, layout = sample_contrast(slab_contrast(q, 1.0),
+                                Grid(n1=8, n2=16, rho_box=1.0))
+    assert layout.max_eig == pytest.approx(max_eig, rel=1e-14)
+
+
+def test_a_grid_near_the_minimum_warns(caplog):
+    # 2 pi / 10 is 10 nodes on x2 at n2 = 64, 5 at 32 and 2.5 at 16
+    wave = IncidentWave.from_angle(1.0, 10.0)
+    for n2, count in ((64, None), (32, "5.03"), (16, "2.51")):
+        caplog.clear()
+        grid = Grid(n1=8, n2=n2, rho_box=2.0)
+        _, layout = sample_contrast(slab_contrast(99.0, 1.0), grid)
+        check_resolution(wave, grid, layout)
+        expected = [] if count is None else [
+            f"n2 = {n2} holds {count} nodes per material wavelength on x2; "
+            f"below {WARN_NODES_PER_WAVELENGTH:g} the efficiencies may be "
+            "inaccurate"]
+        assert [r.getMessage() for r in caplog.records] == expected
+        assert all(r.levelname == "WARNING" for r in caplog.records)
