@@ -1,11 +1,14 @@
 """Command-line front end: solve, sweep, diagnose, validate.
 
 Exit codes: 0 success, 1 a failed gate of ``validate``, 2 solver did not
-converge (including a Krylov breakdown), 3 invalid input (configuration,
-geometry, an unreadable input file, a Rayleigh anomaly or any other
-rejected problem), a grid that exhausts memory, or an output that cannot be
-written.  A sweep with no successful point exits 2 if a point failed to
-converge, else 3.
+converge (including a Krylov breakdown), 3 a usage error, invalid input
+(configuration, geometry, an unreadable input file, a Rayleigh anomaly or
+any other rejected problem), a grid that exhausts memory, or an output
+that cannot be written.  A sweep with no successful point exits 2 if a
+point failed to converge, else 3.  :func:`_failure` maps every failure to
+its code and cause.  Each command computes everything under one guard
+before it writes anything, so a failed command writes nothing but the
+partial ``result.json`` of a solve that did not converge.
 
 A sweep samples the contrast once and solves its points in the batches of
 :func:`solver.solve_lockstep`: up to N1 points of a layered grating, or
@@ -24,7 +27,6 @@ import io
 import json
 import logging
 import sys
-from contextlib import contextmanager
 from functools import lru_cache
 from pathlib import Path
 
@@ -32,14 +34,8 @@ import numpy as np
 
 from . import analysis as an
 from . import postprocess as pp
-from .config import RunConfig, load_config
-from .errors import (
-    BreakdownDetected,
-    ConfigError,
-    NotConverged,
-    SizeGuard,
-    VigratingError,
-)
+from .config import SWEEP_PARAMETERS, RunConfig, load_config
+from .errors import BreakdownDetected, ConfigError, NotConverged, VigratingError
 from .kernel import kernel_table
 from .problem import Problem, sample_contrast
 from .solver import SolveOptions, residual, solve, solve_lockstep
@@ -50,21 +46,47 @@ EXIT_OK = 0
 EXIT_NOT_CONVERGED = 2
 EXIT_INVALID = 3
 
-
-def _out_of_memory(cfg: RunConfig, exc: MemoryError) -> SizeGuard:
-    """The SizeGuard, naming ``cfg``'s grid, that a MemoryError while
-    sampling or solving on it becomes; the commands report it as exit 3."""
-    return SizeGuard(f"out of memory on the {cfg.n1} x {cfg.n2} grid: "
-                     f"{str(exc) or 'MemoryError'}")
+# what a command or a sweep point may fail with; anything else is a bug
+FAILURES = (VigratingError, OSError, ValueError, MemoryError)
 
 
-@contextmanager
-def _grid_memory(cfg: RunConfig):
-    """Raise :func:`_out_of_memory` for a MemoryError of the block."""
+def _failure(exc: BaseException, cfg: RunConfig | None = None,
+             invalid: str = "invalid problem: {}") -> tuple[int, str]:
+    """The exit code of the failure ``exc`` of a command or a sweep point,
+    and its cause: 2 and the message for a solve that did not converge or
+    broke down; 3 for any other failure, its message set in ``invalid``.  A
+    MemoryError is named by ``cfg``'s n1 x n2 grid."""
+    if isinstance(exc, (NotConverged, BreakdownDetected)):
+        return EXIT_NOT_CONVERGED, str(exc)
+    if isinstance(exc, MemoryError):
+        grid = f" on the {cfg.n1} x {cfg.n2} grid" if cfg else ""
+        exc = f"out of memory{grid}: {str(exc) or 'MemoryError'}"
+    return EXIT_INVALID, invalid.format(exc)
+
+
+def _failed(exc: BaseException, cfg: RunConfig | None = None,
+            invalid: str = "invalid problem: {}") -> int:
+    """Log the failure ``exc`` of a command; its exit code."""
+    code, cause = _failure(exc, cfg, invalid)
+    log.error("%s", cause)
+    return code
+
+
+def _write(out_dir: Path, files: dict[str, str]) -> int:
+    """Write ``files``, name to text, into ``out_dir``; EXIT_OK, or
+    EXIT_INVALID naming the output that cannot be written."""
     try:
-        yield
-    except MemoryError as exc:
-        raise _out_of_memory(cfg, exc) from None
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            (out_dir / name).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        log.error("cannot write output %s: %s", out_dir, exc)
+        return EXIT_INVALID
+    return EXIT_OK
+
+
+def _json(doc: dict) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _solve_options(cfg: RunConfig) -> SolveOptions:
@@ -74,30 +96,28 @@ def _solve_options(cfg: RunConfig) -> SolveOptions:
 
 
 def _solve_config(cfg: RunConfig):
-    """Solve ``cfg``: its problem, kernel table, solution and
-    efficiencies."""
+    """Solve ``cfg``: its problem, solution and efficiencies, the
+    recomputed relative residual and the energy defect (None for a lossy
+    grating)."""
     problem = cfg.build()
     # a layered solve and its Rayleigh extraction read only the coupled rows
     table = kernel_table(problem.grid, problem.wave, problem.layout.n_rows)
     solution = solve(problem, table, _solve_options(cfg))
     above, below = pp.rayleigh_both_sides(solution, problem, table)
     eff = pp.efficiencies(above, below, problem)
-    return problem, table, solution, eff
-
-
-def _write_solution(out_dir: Path, problem, table, solution, eff,
-                    cfg: RunConfig):
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "efficiencies.csv").write_text(pp.efficiency_csv(eff),
-                                              encoding="utf-8")
     true_residual = residual(problem, table, solution.u, solution.stack)
-    lossless = problem.is_lossless()
+    defect = pp.energy_balance(eff, problem) if problem.is_lossless() else None
+    return problem, solution, eff, true_residual, defect
+
+
+def _write_solution(out_dir: Path, cfg: RunConfig, problem, solution, eff,
+                    true_residual: float, defect: float | None) -> int:
     meta = {
         "converged": solution.converged,
         "iterations": solution.iterations,
         "relative_residual": true_residual,
-        "lossless": lossless,
-        "energy_defect": (pp.energy_balance(eff, problem) if lossless else None),
+        "lossless": defect is not None,
+        "energy_defect": defect,
         "absorbed_fraction": eff.absorbed,
         "k_per_period": cfg.k_period,
         "theta_deg": cfg.theta_deg,
@@ -105,48 +125,32 @@ def _write_solution(out_dir: Path, problem, table, solution, eff,
     }
     doc = json.loads(pp.efficiency_json(eff, problem, metadata=meta))
     doc["residual_history"] = list(solution.residual_history)
-    (out_dir / "result.json").write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-
-def _cannot_write(out_dir: Path, exc: OSError) -> int:
-    log.error("cannot write output %s: %s", out_dir, exc)
-    return EXIT_INVALID
+    return _write(out_dir, {"efficiencies.csv": pp.efficiency_csv(eff),
+                            "result.json": _json(doc)})
 
 
 def cmd_solve(config_path: str, output: str | None = None) -> int:
+    cfg = None
     try:
         cfg = load_config(config_path)
         out_dir = Path(output) if output else Path(cfg.output_directory)
-        with _grid_memory(cfg):
-            problem, table, solution, eff = _solve_config(cfg)
-    except BreakdownDetected as exc:
-        log.error("%s", exc)
-        return EXIT_NOT_CONVERGED
-    except NotConverged as exc:
-        log.error("%s", exc)
-        sol = exc.solution
-        if sol is not None:
-            try:
-                out_dir.mkdir(parents=True, exist_ok=True)
-                (out_dir / "result.json").write_text(json.dumps({
-                    "converged": False,
-                    "iterations": sol.iterations,
-                    "residual_history": list(sol.residual_history),
-                }, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-            except OSError as err:
-                return _cannot_write(out_dir, err)
-        return EXIT_NOT_CONVERGED
-    except (VigratingError, OSError, ValueError) as exc:
-        log.error("invalid problem: %s", exc)
-        return EXIT_INVALID
-    try:
-        _write_solution(out_dir, problem, table, solution, eff, cfg)
-    except OSError as exc:
-        return _cannot_write(out_dir, exc)
-    log.info("wrote %s", out_dir / "efficiencies.csv")
-    return EXIT_OK
+        solved = _solve_config(cfg)
+    except FAILURES as exc:
+        code = _failed(exc, cfg)
+        if isinstance(exc, NotConverged) and exc.solution is not None:
+            # a solve that did not converge leaves its history; an output
+            # that cannot be written makes its exit 3
+            sol = exc.solution
+            code = _write(out_dir, {"result.json": _json({
+                "converged": False,
+                "iterations": sol.iterations,
+                "residual_history": list(sol.residual_history),
+            })}) or code
+        return code
+    code = _write_solution(out_dir, cfg, *solved)
+    if code == EXIT_OK:
+        log.info("wrote %s", out_dir / "efficiencies.csv")
+    return code
 
 
 def _sweep_values(start: float, stop: float, steps: int) -> np.ndarray:
@@ -170,40 +174,21 @@ def _sweep_values(start: float, stop: float, steps: int) -> np.ndarray:
     return values
 
 
-def cmd_sweep(config_path: str, param: str, start: float, stop: float,
-              steps: int, output: str | None = None) -> int:
-    try:
-        base = load_config(config_path)
-        if param not in ("k", "theta"):
-            raise ConfigError("sweep parameter must be 'k' or 'theta'")
-        values = _sweep_values(start, stop, steps)
-    except ConfigError as exc:
-        log.error("%s", exc)
-        return EXIT_INVALID
-    # k and theta change only the wave: the options are checked and the
-    # contrast is sampled once
-    try:
-        opts = _solve_options(base)
-        with _grid_memory(base):
-            contrast = base.contrast()
-            grid = base.grid(contrast)
-            rho_ref, layout = sample_contrast(contrast, grid)
-    except (VigratingError, OSError, ValueError) as exc:
-        log.error("invalid problem: %s", exc)
-        return EXIT_INVALID
-
+def _sweep_points(base: RunConfig, param: str, values) -> list:
+    """The (value, efficiencies, or the exit code of the failure that
+    skipped it) of every sweep point.  k and theta change only the wave:
+    the options are checked and the contrast is sampled once."""
+    opts = _solve_options(base)
+    contrast = base.contrast()
+    grid = base.grid(contrast)
+    rho_ref, layout = sample_contrast(contrast, grid)
     points = []
 
-    def skip(value: float, exc: Exception) -> int:
+    def skip(value: float, exc: BaseException) -> int:
         """Log why the point ``value`` is skipped; its exit code."""
-        if isinstance(exc, (NotConverged, BreakdownDetected)):
-            log.warning("skipping %s = %g: %s", param, value, exc)
-            return EXIT_NOT_CONVERGED
-        if isinstance(exc, MemoryError):
-            exc = _out_of_memory(base, exc)
-        log.warning("skipping %s = %g: invalid problem (%s)", param, value,
-                    exc)
-        return EXIT_INVALID
+        code, cause = _failure(exc, base, "invalid problem ({})")
+        log.warning("skipping %s = %g: %s", param, value, cause)
+        return code
 
     def problems():
         """The (value, problem) of each point, built only when the solver
@@ -214,7 +199,7 @@ def cmd_sweep(config_path: str, param: str, start: float, stop: float,
                 wave = base.replace_parameter(param, float(value)).wave()
                 problem = Problem(wave=wave, contrast=contrast, grid=grid,
                                   rho_ref=rho_ref, layout=layout)
-            except (VigratingError, ValueError) as exc:
+            except FAILURES as exc:
                 points.append((value, skip(value, exc)))
                 continue
             yield value, problem
@@ -229,9 +214,8 @@ def cmd_sweep(config_path: str, param: str, start: float, stop: float,
         if not solved:
             return done
         try:
-            with _grid_memory(base):
-                data = pp.rayleigh_batch([sol for _, sol in solved])
-        except (VigratingError, ValueError) as exc:
+            data = pp.rayleigh_batch([sol for _, sol in solved])
+        except FAILURES as exc:
             return done + [(value, skip(value, exc)) for value, _ in solved]
         return done + [
             (value, pp.efficiencies(above, below, sol.problem))
@@ -240,62 +224,70 @@ def cmd_sweep(config_path: str, param: str, start: float, stop: float,
     # map holds no solved batch while the solver runs the next one
     for done in map(finish, solve_lockstep(problems(), opts)):
         points += done
+    return points
+
+
+def cmd_sweep(config_path: str, param: str, start: float, stop: float,
+              steps: int, output: str | None = None) -> int:
+    base = None
+    try:
+        base = load_config(config_path)
+        if param not in SWEEP_PARAMETERS:
+            raise ConfigError("sweep parameter must be "
+                              + " or ".join(map(repr, SWEEP_PARAMETERS)))
+        values = _sweep_values(start, stop, steps)
+    except FAILURES as exc:
+        # the sweep's own input errors are logged as they are
+        return _failed(exc, base, "{}")
+    try:
+        points = _sweep_points(base, param, values)
+    except FAILURES as exc:
+        return _failed(exc, base)
+    # a skipped point holds its exit code in place of the efficiencies
+    skipped = [eff for _, eff in points if isinstance(eff, int)]
+    if len(skipped) == len(points):
+        log.error("no sweep point succeeded")
+        return (EXIT_NOT_CONVERGED if EXIT_NOT_CONVERGED in skipped
+                else EXIT_INVALID)
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
     writer.writerow((param,) + pp.EFFICIENCY_COLUMNS)
-    # a skipped point holds its exit code in place of the efficiencies
-    skipped = []
     for value, eff in sorted(points, key=lambda p: p[0]):
-        if isinstance(eff, int):
-            skipped.append(eff)
-        else:
+        if not isinstance(eff, int):
             writer.writerows([repr(float(value))] + row
                              for row in pp.efficiency_rows(eff))
     out_dir = Path(output) if output else Path(base.output_directory)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "sweep.csv").write_text(buf.getvalue(), encoding="utf-8")
-    except OSError as exc:
-        return _cannot_write(out_dir, exc)
-    log.info("wrote %s", out_dir / "sweep.csv")
-    if len(skipped) < len(points):
-        return EXIT_OK
-    log.error("no sweep point succeeded")
-    return (EXIT_NOT_CONVERGED if EXIT_NOT_CONVERGED in skipped
-            else EXIT_INVALID)
+    code = _write(out_dir, {"sweep.csv": buf.getvalue()})
+    if code == EXIT_OK:
+        log.info("wrote %s", out_dir / "sweep.csv")
+    return code
 
 
 def cmd_diagnose(config_path: str, output: str | None = None,
                  estimate_extension: bool = False) -> int:
+    cfg = None
     try:
         cfg = load_config(config_path)
-        with _grid_memory(cfg):
-            problem = cfg.build()
-            spectra = an.decompose_reQ(problem)
-    except (VigratingError, OSError, ValueError) as exc:
-        log.error("invalid problem: %s", exc)
-        return EXIT_INVALID
-
-    geometry = None
-    if cfg.shape in ("slab", "two_layer"):
-        h = problem.contrast.h
-        geometry = an.GraphGeometry(
-            zeta_plus=lambda x1, h=h: np.full_like(np.asarray(x1, float), h),
-            zeta_minus=lambda x1, h=h: np.full_like(np.asarray(x1, float), -h),
-            rho=1.2 * h,
-        )
-    report = an.garding_check(problem, spectra, geometry=geometry,
-                              estimate_extension=estimate_extension)
+        problem = cfg.build()
+        spectra = an.decompose_reQ(problem)
+        geometry = None
+        if cfg.shape in ("slab", "two_layer"):
+            h = problem.contrast.h
+            geometry = an.GraphGeometry(
+                zeta_plus=lambda x1: np.full_like(np.asarray(x1, float), h),
+                zeta_minus=lambda x1: np.full_like(np.asarray(x1, float), -h),
+                rho=1.2 * h,
+            )
+        report = an.garding_check(problem, spectra, geometry=geometry,
+                                  estimate_extension=estimate_extension)
+    except FAILURES as exc:
+        return _failed(exc, cfg)
     out_dir = Path(output) if output else Path(cfg.output_directory)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "garding_report.json").write_text(report.to_json(),
-                                                     encoding="utf-8")
-    except OSError as exc:
-        return _cannot_write(out_dir, exc)
-    log.info("wrote %s", out_dir / "garding_report.json")
-    return EXIT_OK
+    code = _write(out_dir, {"garding_report.json": report.to_json()})
+    if code == EXIT_OK:
+        log.info("wrote %s", out_dir / "garding_report.json")
+    return code
 
 
 def cmd_validate(level: str, tmp_dir: str | None = None) -> int:
@@ -367,7 +359,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="solve over a parameter range")
     p_sweep.add_argument("config")
-    p_sweep.add_argument("--param", required=True, choices=("k", "theta"))
+    p_sweep.add_argument("--param", required=True, choices=SWEEP_PARAMETERS)
     p_sweep.add_argument("--from", dest="start", type=float, required=True)
     p_sweep.add_argument("--to", dest="stop", type=float, required=True)
     p_sweep.add_argument("--steps", type=int, required=True)
@@ -385,8 +377,12 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 on a usage error, which is
+        # the code of a solve that did not converge
+        return EXIT_OK if exc.code == 0 else EXIT_INVALID
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
@@ -400,10 +396,7 @@ def main(argv=None) -> int:
     if args.command == "diagnose":
         return cmd_diagnose(args.config, output=args.output,
                             estimate_extension=args.estimate_extension)
-    if args.command == "validate":
-        return cmd_validate(args.level)
-    parser.error(f"unknown command {args.command!r}")
-    return EXIT_INVALID
+    return cmd_validate(args.level)
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ rejected before any computation starts.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,6 +44,9 @@ _PROBLEM_BASE = {"k", "theta_deg", "shape"}
 _NUMERICS_KEYS = {"n1", "n2", "rho_box", "rel_tol", "max_iterations",
                   "restart"}
 _OUTPUT_KEYS = {"directory"}
+
+# the parameters a sweep varies, each with the RunConfig field it sets
+SWEEP_PARAMETERS = {"k": "k_period", "theta": "theta_deg"}
 
 
 @dataclass(frozen=True)
@@ -106,14 +109,12 @@ class RunConfig:
         return build_problem(self.wave(), contrast, self.grid(contrast))
 
     def replace_parameter(self, name: str, value: float) -> "RunConfig":
-        """New config with k or theta_deg replaced (sweep support)."""
-        from dataclasses import replace
-
-        if name == "k":
-            return replace(self, k_period=value)
-        if name == "theta":
-            return replace(self, theta_deg=value)
-        raise ConfigError(f"sweep parameter must be 'k' or 'theta', got {name!r}")
+        """New config with the sweep parameter ``name`` replaced."""
+        if name not in SWEEP_PARAMETERS:
+            raise ConfigError(
+                "sweep parameter must be "
+                + " or ".join(map(repr, SWEEP_PARAMETERS)) + f", got {name!r}")
+        return replace(self, **{SWEEP_PARAMETERS[name]: value})
 
 
 def _getfloat(sec, key, where, default=None):

@@ -287,45 +287,24 @@ def _dft(k: np.ndarray, m: np.ndarray, n: int, sign: float) -> np.ndarray:
 class _Nodes:
     """Where the packed densities of a stack of P points sit in its
     (2, P, rows, N2) work buffer: at the flat support nodes ``nodes`` of
-    each (rows, N2) array.  A few runs of consecutive nodes, as the one or
-    two of a layered contrast, are copied as slices; more go through one
-    flat index, which is cheaper than many slices."""
-
-    MAX_RUNS = 4
+    each (rows, N2) array, all reached through one flat index."""
 
     def __init__(self, nodes: np.ndarray, points: int, size: int):
         self.n = len(nodes)
-        bounds = [0, *(np.flatnonzero(np.diff(nodes) != 1) + 1).tolist(),
-                  self.n]
-        runs = list(zip(bounds[:-1], bounds[1:])) if self.n else []
-        self.runs = self.index = None
-        if 0 < len(runs) <= self.MAX_RUNS:
-            self.runs = [(slice(nodes[a], nodes[b - 1] + 1), slice(a, b))
-                         for a, b in runs]
-        else:
-            # component c of point p starts at (c P + p) size
-            starts = np.arange(2) * points + np.arange(points)[:, None]
-            self.index = (starts[..., None] * size + nodes).ravel()
+        # component c of point p starts at (c P + p) size
+        starts = np.arange(2) * points + np.arange(points)[:, None]
+        self.index = (starts[..., None] * size + nodes).ravel()
 
     def scatter(self, z: np.ndarray, buf: np.ndarray):
         """Write the densities z (P, 2, n) at the nodes of ``buf``, and
         zeros at every other node."""
         buf.fill(0)
-        if self.runs is None:
-            buf.reshape(-1)[self.index] = z.reshape(-1)
-            return
-        flat = buf.reshape(2, len(z), -1).transpose(1, 0, 2)
-        for at, of in self.runs:
-            flat[..., at] = z[..., of]
+        buf.reshape(-1)[self.index] = z.reshape(-1)
 
     def gather(self, y: np.ndarray) -> np.ndarray:
         """The (P, 2, n) entries of the buffer y at the nodes."""
-        points = y.shape[1]
-        if self.runs is None:
-            return np.take(y.reshape(-1), self.index).reshape(
-                points, 2, self.n)
-        flat = y.reshape(2, points, -1).transpose(1, 0, 2)
-        return np.concatenate([flat[..., at] for at, _ in self.runs], axis=-1)
+        return np.take(y.reshape(-1), self.index).reshape(
+            y.shape[1], 2, self.n)
 
 
 class OperatorStack:

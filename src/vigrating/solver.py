@@ -144,17 +144,14 @@ def gmres_steps(
 ):
     """Restarted GMRES for complex systems, zero initial guess, as a
     generator: it yields each vector to multiply by the operator, takes
-    the product through ``send`` in a one-item list, which it empties,
-    and returns (x, history, converged, iterations, stop), which
-    :func:`gmres` hands back.  (An argument of ``send`` stays referenced
-    until the next yield; the emptied list frees the product as soon as
-    the orthogonalization has used it.)  ``history`` holds
+    the product through ``send`` and returns (x, history, converged,
+    iterations, stop), which :func:`gmres` hands back.  ``history`` holds
     the relative residual estimate after every inner iteration (monotone
     within and across cycles).  A vanishing Hessenberg subdiagonal
-    (:data:`BREAKDOWN_RTOL`) before
-    reaching the tolerance raises BreakdownDetected: with a trivial null
-    space the Krylov space can only stagnate this way if the operator is
-    singular on it, which violates the unique-solvability hypothesis.
+    (:data:`BREAKDOWN_RTOL`) before reaching the tolerance raises
+    BreakdownDetected: with a trivial null space the Krylov space can only
+    stagnate this way if the operator is singular on it, which violates
+    the unique-solvability hypothesis.
 
     Each restart recomputes the relative residual rho = ||b - A x|| / ||b||
     and logs it at DEBUG with the cycle's reduction.  From the third cycle
@@ -181,7 +178,7 @@ def gmres_steps(
 
     while iterations < max_iterations and not converged:
         # the first cycle starts from the zero iterate: its residual is b
-        r = b - (yield x).pop() if iterations else b
+        r = b - (yield x) if iterations else b
         beta0 = _norm(r)
         rho = beta0 / bnorm
         if iterations:
@@ -222,7 +219,7 @@ def gmres_steps(
         j_used = 0
         for j in range(m):
             # the product, which may be its argument, is not written
-            w = np.asarray((yield v[j]).pop(), dtype=complex)
+            w = np.asarray((yield v[j]), dtype=complex)
             # classical Gram-Schmidt run twice (CGS2), two BLAS-2 products
             # per pass; conj(V @ conj(w)) does not copy the conjugated basis
             basis = v[:j + 1]
@@ -308,7 +305,7 @@ def gmres(
     try:
         vector = next(steps)
         while True:
-            vector = steps.send([matvec(vector)])
+            vector = steps.send(matvec(vector))
     except StopIteration as done:
         return done.value
 
@@ -419,11 +416,11 @@ class _Pending:
         self.steps = gmres_steps(b, opts.rel_tol, opts.restart,
                                  opts.max_iterations)
 
-    def advance(self, product: list | None, pending: list, ended: list):
-        """Send GMRES ``product`` in a one-item list, or start it with
-        None.  The point goes to ``pending`` while it waits for the
-        product of ``vector``, its (key, outcome) pair to ``ended`` once
-        GMRES ends."""
+    def advance(self, product: np.ndarray | None, pending: list,
+                ended: list):
+        """Send GMRES ``product``, or start it with None.  The point goes
+        to ``pending`` while it waits for the product of ``vector``, its
+        (key, outcome) pair to ``ended`` once GMRES ends."""
         try:
             self.vector = self.steps.send(product)
             pending.append(self)
@@ -442,12 +439,11 @@ class _Pending:
 def _step(pending: list, stack: OperatorStack, ended: list) -> list:
     """Send every pending point the product of its vector, from one call
     of ``stack``; the points still pending."""
-    products = list(stack.apply([p.vector for p in pending]))
+    products = stack.apply([p.vector for p in pending])
     still = []
-    for point in pending:
+    for point, product in zip(pending, products):
         point.matvecs += 1
-        # popped: nothing here holds a product GMRES has used
-        point.advance([products.pop(0).reshape(-1)], still, ended)
+        point.advance(product.reshape(-1), still, ended)
     return still
 
 

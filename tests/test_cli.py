@@ -8,7 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import vigrating.analysis
 import vigrating.cli
+import vigrating.postprocess
 import vigrating.solver
 from vigrating.cli import main, write_slab_example_config
 from vigrating.config import PERIOD, load_config
@@ -129,6 +131,18 @@ def test_malformed_config_exits_3(tmp_path, caplog, command, text, line,
     assert main(args[:1] + [str(cfg)] + args[1:]) == 3
     assert f"malformed config file {cfg}, line {line}: {cause}" in (
         caplog.text)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_an_undecodable_config_exits_3(tmp_path, caplog, command):
+    # configparser raises UnicodeDecodeError, a ValueError
+    cfg = tmp_path / "b.ini"
+    cfg.write_bytes(b"\xff\xfe[problem]\n")
+    args = COMMANDS[command]
+    assert main(args[:1] + [str(cfg)] + args[1:] + [
+        "--output", str(tmp_path / "o")]) == 3
+    assert "'utf-8' codec can't decode byte 0xff" in caplog.text
     assert not (tmp_path / "o").exists()
 
 
@@ -344,7 +358,8 @@ def test_sweep_skips_a_stalling_point_naming_the_rate(tmp_path, caplog):
     # no point succeeded and one failed to converge
     assert main(["sweep", str(cfg), "--param", "theta", "--from", "10",
                  "--to", "10", "--steps", "1", "--output", str(out)]) == 2
-    assert (out / "sweep.csv").read_text().count("\n") == 1
+    # a failed sweep writes nothing
+    assert not out.exists()
     assert ("skipping theta = 10: GMRES stopped early after 100 iterations"
             in caplog.text)
     assert "the best restarted cycle of GMRES(50) reduced it by" in (
@@ -379,8 +394,7 @@ def test_sweep_without_a_successful_point_exits_2_if_one_stalled(tmp_path,
     assert "invalid problem (" in caplog.text
     assert "GMRES stalled" in caplog.text
     assert "no sweep point succeeded" in caplog.text
-    assert (out / "sweep.csv").read_text().splitlines() == [
-        "k,j,alpha_j,beta_j_re,beta_j_im,e_refl,e_trans"]
+    assert not out.exists()
 
 
 def test_cmd_sweep_skips_anomalies(tmp_path):
@@ -508,6 +522,40 @@ def test_exhausted_memory_exits_3(tmp_path, monkeypatch, caplog, command):
     assert not (tmp_path / "o").exists()
 
 
+# the compute stages of each command after sampling (which the test above
+# covers), by the name the command reaches each through
+LATER_STAGES = {
+    "solve": {
+        "kernel table": (vigrating.cli, "kernel_table"),
+        "GMRES step": (OperatorStack, "apply"),
+        "Rayleigh extraction": (vigrating.postprocess, "rayleigh_both_sides"),
+        "residual": (vigrating.cli, "residual"),
+    },
+    "diagnose": {
+        "decompose_reQ": (vigrating.analysis, "decompose_reQ"),
+        "garding_check": (vigrating.analysis, "garding_check"),
+    },
+    "sweep": {
+        # every point of the one batch is skipped, so none succeeds
+        "Rayleigh extraction": (vigrating.postprocess, "rayleigh_batch"),
+    },
+}
+
+
+@pytest.mark.parametrize("command, stage", [
+    (command, stage) for command, stages in LATER_STAGES.items()
+    for stage in stages])
+def test_a_later_stage_out_of_memory_exits_3(tmp_path, monkeypatch, caplog,
+                                             command, stage):
+    monkeypatch.setattr(*LATER_STAGES[command][stage], _out_of_memory)
+    cfg = _write(tmp_path / "s.ini", BASE.format(out=tmp_path / "o"))
+    args = COMMANDS[command]
+    assert main(args[:1] + [str(cfg)] + args[1:]) == 3
+    assert ("out of memory on the 32 x 64 grid: Unable to allocate 32.0 GiB"
+            in caplog.text)
+    assert not (tmp_path / "o").exists()
+
+
 def fail_point(monkeypatch, cfg: Path, param: str, value: float,
                error: Exception):
     """Make the GMRES of the point ``param = value`` of a sweep of ``cfg``
@@ -590,12 +638,48 @@ def test_sweep_skips_invalid_directions(tmp_path):
     assert len(values) == 1          # only theta = 80 is a valid direction
 
 
-def _python(code: str) -> subprocess.CompletedProcess:
-    """Run ``code`` in a fresh interpreter that imports this vigrating."""
+def _python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` with the arguments ``args`` in a fresh interpreter that
+    imports this vigrating."""
     src = str(Path(vigrating.cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    return subprocess.run([sys.executable, "-c", code], env=env,
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
                           capture_output=True, text=True)
+
+
+SWEEP_USAGE = ["--from", "0", "--to", "10"]
+
+
+@pytest.mark.parametrize("args", [
+    ["sweep", "{cfg}", "--param", "x", *SWEEP_USAGE, "--steps", "2"],
+    ["sweep", "{cfg}", "--param", "theta", *SWEEP_USAGE, "--steps", "abc"],
+    ["solve"],
+], ids=["param", "steps", "no-config"])
+def test_a_usage_error_exits_3(tmp_path, capsys, args):
+    # argparse's own code, 2, would read as a solve that did not converge
+    cfg = _write(tmp_path / "s.ini", BASE.format(out=tmp_path / "o"))
+    assert main([a.format(cfg=cfg) for a in args]) == 3
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: vigrating")
+
+
+# the console entry, as the benchmark runs it
+CONSOLE = "import sys; from vigrating.cli import main; sys.exit(main())"
+
+
+@pytest.mark.parametrize("args, code", [
+    (["sweep", "s.ini", "--param", "theta", *SWEEP_USAGE, "--steps", "abc"],
+     3),
+    (["--help"], 0),
+], ids=["usage-error", "help"])
+def test_the_console_entry_exits_with_the_documented_code(args, code):
+    proc = _python(CONSOLE, *args)
+    assert proc.returncode == code, proc.stderr
 
 
 def test_solve_path_does_not_import_scipy(tmp_path):

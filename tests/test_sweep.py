@@ -71,9 +71,13 @@ def _anisotropic_stack(tmp_path):
 
 
 def _sweep(cfg, param, start, stop, steps, out):
+    """The exit code of a sweep and the rows of its sweep.csv, None when
+    it wrote none."""
     code = main(["sweep", str(cfg), "--param", param, "--from", repr(start),
                  "--to", repr(stop), "--steps", str(steps), "--output",
                  str(out)])
+    if not (out / "sweep.csv").exists():
+        return code, None
     with open(out / "sweep.csv", newline="", encoding="utf-8") as fh:
         return code, list(csv.reader(fh))[1:]
 
@@ -225,7 +229,7 @@ def test_a_point_that_cannot_fit_alone_is_skipped(tmp_path, monkeypatch,
     monkeypatch.setattr(vigrating.solver, "physical_memory_bytes",
                         lambda: 1000)
     code, rows = _sweep(cfg, *THETAS, tmp_path / "out")
-    assert code == 3 and rows == []
+    assert code == 3 and rows is None
     assert "skipping theta = 30: invalid problem (the solve needs about" in (
         caplog.text)
 
@@ -245,7 +249,7 @@ def test_a_krylov_step_out_of_memory_skips_its_batch(tmp_path, monkeypatch,
     monkeypatch.setattr(OperatorStack, "apply", failing)
     cfg = Path(__file__).resolve().parents[1] / "configs" / "slab_q3.ini"
     code, rows = _sweep(cfg, "theta", 0.0, 20.0, 3, tmp_path / "out")
-    assert code == 3 and rows == []
+    assert code == 3 and rows is None
     assert calls == [3, 3, 3]
     for value in ("0", "10", "20"):
         assert (f"skipping theta = {value}: invalid problem (out of memory "
