@@ -460,6 +460,16 @@ def garding_check(
         except GeometryNotGraph as exc:
             ext_details = {"geometry": f"not applicable: {exc}"}
 
+    def extension_verdict(name: str, threshold_key: str) -> ConditionVerdict:
+        """The condition ``name``: not applicable without an extension
+        bound, else satisfied iff the bound lies below sqrt(inf |eig|)."""
+        if ext_bound is None:
+            return ConditionVerdict(name, "not-applicable", ext_details)
+        need = float(np.sqrt(inf_min))
+        return ConditionVerdict(
+            name, "satisfied" if ext_bound < need else "violated",
+            {**ext_details, threshold_key: need, "margin": need - ext_bound})
+
     conditions = []
 
     if sign == "positive":
@@ -474,45 +484,24 @@ def garding_check(
             {"sign_verdict": sign},
         ))
 
-    if sign == "negative":
-        strongly = float(np.max(spectra.eig_hi[m])) < -1.0 if m.any() else False
-        if not strongly:
-            conditions.append(ConditionVerdict(
-                "negative_contrast_extension", "violated",
-                {"reason": "eigenvalues must lie below -1",
-                 "sup_eigenvalue": float(np.max(spectra.eig_hi[m]))},
-            ))
-        elif ext_bound is None:
-            conditions.append(ConditionVerdict(
-                "negative_contrast_extension", "not-applicable", ext_details,
-            ))
-        else:
-            need = float(np.sqrt(inf_min))
-            status = "satisfied" if ext_bound < need else "violated"
-            conditions.append(ConditionVerdict(
-                "negative_contrast_extension", status,
-                {**ext_details, "threshold_sqrt_inf_abs_min": need,
-                 "margin": need - ext_bound},
-            ))
-    else:
+    if sign != "negative":
         conditions.append(ConditionVerdict(
             "negative_contrast_extension", "not-applicable",
             {"sign_verdict": sign},
         ))
+    elif float(np.max(spectra.eig_hi[m])) < -1.0:
+        conditions.append(extension_verdict(
+            "negative_contrast_extension", "threshold_sqrt_inf_abs_min"))
+    else:
+        conditions.append(ConditionVerdict(
+            "negative_contrast_extension", "violated",
+            {"reason": "eigenvalues must lie below -1",
+             "sup_eigenvalue": float(np.max(spectra.eig_hi[m]))},
+        ))
 
     if problem.layout.real_scalar and sign == "negative":
-        if ext_bound is None:
-            conditions.append(ConditionVerdict(
-                "isotropic_negative_contrast", "not-applicable", ext_details,
-            ))
-        else:
-            need = float(np.sqrt(inf_min))
-            status = "satisfied" if ext_bound < need else "violated"
-            conditions.append(ConditionVerdict(
-                "isotropic_negative_contrast", status,
-                {**ext_details, "threshold_sqrt_inf_abs_q": need,
-                 "margin": need - ext_bound},
-            ))
+        conditions.append(extension_verdict(
+            "isotropic_negative_contrast", "threshold_sqrt_inf_abs_q"))
     else:
         conditions.append(ConditionVerdict(
             "isotropic_negative_contrast", "not-applicable",

@@ -272,7 +272,7 @@ def cmd_diagnose(config_path: str, output: str | None = None,
         problem = cfg.build()
         spectra = an.decompose_reQ(problem)
         geometry = None
-        if cfg.shape in ("slab", "two_layer"):
+        if problem.contrast.x1_invariant:
             h = problem.contrast.h
             geometry = an.GraphGeometry(
                 zeta_plus=lambda x1: np.full_like(np.asarray(x1, float), h),

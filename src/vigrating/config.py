@@ -3,14 +3,31 @@
 Configs use human units: angles in degrees and all lengths (slab thickness,
 box heights, 1/wavenumber) in units of the grating period.  The math core
 works on the 2*pi-periodic cell, so lengths scale by 2*pi and wavenumbers
-by 1/(2*pi) on the way in.  Unknown keys and missing required keys are
-rejected before any computation starts.
+by 1/(2*pi) on the way in.  A config is read as UTF-8.
+
+``[problem]`` holds ``k``, ``theta_deg``, ``shape`` and the keys of that
+shape (``_SHAPE_KEYS``): ``thickness`` (slab), ``radius`` and optional
+``center_x2`` (circle), ``width`` and ``height`` (rectangle), each with a
+scalar ``q_re``/``q_im`` or a matrix ``q11_*``/``q12_*``/``q22_*``;
+``thickness1``, ``thickness2``, ``q1_*`` and ``q2_*`` (two_layer); ``path``
+(raster).  :func:`load_config` parses a shape's keys in that order and
+binds the one call that builds its contrast, which :meth:`RunConfig.contrast`
+makes.
+
+Unknown keys and missing required keys are rejected before any
+computation starts.  Whatever the hash seed, the first failing check
+names the error, in this order: the file (unreadable, not UTF-8 or not
+INI), its sections, the shape, unknown [problem] keys, the contrast
+entries, the sizes, unknown [numerics] and [output] keys, then ``k``,
+``theta_deg`` and the numerics in the order written in :func:`load_config`.
 """
 
 from __future__ import annotations
 
 import configparser
+from collections.abc import Callable
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -30,16 +47,17 @@ from .problem import (
 
 PERIOD = 2 * np.pi
 
-_SHAPE_KEYS = {
-    "slab": {"thickness"},
-    "circle": {"radius", "center_x2"},
-    "rectangle": {"width", "height"},
-    "two_layer": {"thickness1", "thickness2"},
-    "raster": {"path"},
-}
 _SCALAR_Q = {"q_re", "q_im"}
 _MATRIX_Q = {"q11_re", "q11_im", "q12_re", "q12_im", "q22_re", "q22_im"}
 _LAYER_Q = {"q1_re", "q1_im", "q2_re", "q2_im"}
+# the [problem] keys of each shape besides k, theta_deg and shape
+_SHAPE_KEYS = {
+    "slab": {"thickness", *_SCALAR_Q, *_MATRIX_Q},
+    "circle": {"radius", "center_x2", *_SCALAR_Q, *_MATRIX_Q},
+    "rectangle": {"width", "height", *_SCALAR_Q, *_MATRIX_Q},
+    "two_layer": {"thickness1", "thickness2", *_LAYER_Q},
+    "raster": {"path"},
+}
 _PROBLEM_BASE = {"k", "theta_deg", "shape"}
 _NUMERICS_KEYS = {"n1", "n2", "rho_box", "rel_tol", "max_iterations",
                   "restart"}
@@ -53,9 +71,9 @@ SWEEP_PARAMETERS = {"k": "k_period", "theta": "theta_deg"}
 class RunConfig:
     k_period: float
     theta_deg: float
-    shape: str
-    shape_params: dict
-    contrast_values: dict
+    # builds the contrast on each call, so that loading a config reads no
+    # raster and checks no geometry
+    make_contrast: Callable[[], ContrastField]
     n1: int
     n2: int
     rho_box_period: float | None
@@ -68,30 +86,7 @@ class RunConfig:
         return IncidentWave.from_angle(self.k_period / PERIOD, self.theta_deg)
 
     def contrast(self) -> ContrastField:
-        q = self.contrast_values
-        if self.shape == "slab":
-            return slab_contrast(
-                q["matrix"], PERIOD * self.shape_params["thickness"]
-            )
-        if self.shape == "circle":
-            return circle_contrast(
-                q["matrix"], PERIOD * self.shape_params["radius"],
-                center_x2=PERIOD * self.shape_params.get("center_x2", 0.0),
-            )
-        if self.shape == "rectangle":
-            return rectangle_contrast(
-                q["matrix"], PERIOD * self.shape_params["width"],
-                PERIOD * self.shape_params["height"],
-            )
-        if self.shape == "two_layer":
-            return two_layer_contrast(
-                q["q1"], q["q2"],
-                PERIOD * self.shape_params["thickness1"],
-                PERIOD * self.shape_params["thickness2"],
-            )
-        if self.shape == "raster":
-            return raster_contrast(self.shape_params["path"])
-        raise ConfigError(f"unknown shape {self.shape!r}")
+        return self.make_contrast()
 
     def grid(self, contrast: ContrastField) -> Grid:
         if self.rho_box_period is not None:
@@ -133,6 +128,13 @@ def _getfloat(sec, key, where, default=None):
     return value
 
 
+def _getcomplex(sec, name, where, default=None):
+    """``name_re`` + i ``name_im``; ``default`` stands in for a missing
+    ``name_re`` and 0 for a missing ``name_im``."""
+    return complex(_getfloat(sec, f"{name}_re", where, default),
+                   _getfloat(sec, f"{name}_im", where, 0.0))
+
+
 def _getint(sec, key, where, default=None):
     if key not in sec:
         if default is None:
@@ -144,11 +146,33 @@ def _getint(sec, key, where, default=None):
         raise ConfigError(f"key {key!r} in [{where}] is not an integer") from None
 
 
+def _one_contrast(prob):
+    """The scalar q, or the symmetric matrix of q11, q12 and q22, of a
+    shape of one material."""
+    has_scalar = any(k in prob for k in _SCALAR_Q)
+    has_matrix = any(k in prob for k in _MATRIX_Q)
+    if has_scalar and has_matrix:
+        raise ConfigError(
+            "give either scalar q_re/q_im or the matrix q11_*/q12_*/q22_*"
+        )
+    if has_scalar:
+        return _getcomplex(prob, "q", "problem")
+    if not has_matrix:
+        raise ConfigError("missing contrast entries (q_re or q11_re/...)")
+    q11 = _getcomplex(prob, "q11", "problem")
+    q12 = _getcomplex(prob, "q12", "problem", 0.0)
+    q22 = _getcomplex(prob, "q22", "problem")
+    return np.array([[q11, q12], [q12, q22]])
+
+
 def _read(parser: configparser.ConfigParser, path) -> list:
-    """``parser.read(path)``; a malformed file raises ConfigError naming the
-    file and the offending line."""
+    """``parser.read(path)`` as UTF-8; a malformed file raises ConfigError
+    naming the file and the offending line or byte."""
+    line = None
     try:
-        return parser.read(path)
+        return parser.read(path, encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        cause = str(exc)                        # the byte and its position
     except configparser.Error as exc:
         line = getattr(exc, "lineno", None)
         if isinstance(exc, configparser.DuplicateOptionError):
@@ -162,8 +186,8 @@ def _read(parser: configparser.ConfigParser, path) -> list:
             cause = "neither a [section] header nor a 'key = value' line"
         else:
             cause = str(exc)
-        where = f"{path}, line {line}" if line else f"{path}"
-        raise ConfigError(f"malformed config file {where}: {cause}") from None
+    where = f"{path}, line {line}" if line else f"{path}"
+    raise ConfigError(f"malformed config file {where}: {cause}")
 
 
 def load_config(path) -> RunConfig:
@@ -185,64 +209,33 @@ def load_config(path) -> RunConfig:
         raise ConfigError(
             f"shape must be one of {sorted(_SHAPE_KEYS)}, got {shape!r}"
         )
-
-    if shape == "two_layer":
-        q_allowed = _LAYER_Q
-    elif shape == "raster":
-        q_allowed = set()
-    else:
-        q_allowed = _SCALAR_Q | _MATRIX_Q
-    allowed = _PROBLEM_BASE | _SHAPE_KEYS[shape] | q_allowed
-    unknown = set(prob.keys()) - allowed
+    unknown = set(prob.keys()) - _PROBLEM_BASE - _SHAPE_KEYS[shape]
     if unknown:
         raise ConfigError(f"unknown keys in [problem]: {sorted(unknown)}")
 
-    contrast_values: dict = {}
-    if shape == "two_layer":
-        contrast_values["q1"] = complex(
-            _getfloat(prob, "q1_re", "problem"),
-            _getfloat(prob, "q1_im", "problem", 0.0),
-        )
-        contrast_values["q2"] = complex(
-            _getfloat(prob, "q2_re", "problem"),
-            _getfloat(prob, "q2_im", "problem", 0.0),
-        )
-    elif shape != "raster":
-        has_scalar = any(k in prob for k in _SCALAR_Q)
-        has_matrix = any(k in prob for k in _MATRIX_Q)
-        if has_scalar and has_matrix:
-            raise ConfigError(
-                "give either scalar q_re/q_im or the matrix q11_*/q12_*/q22_*"
-            )
-        if has_scalar:
-            contrast_values["matrix"] = complex(
-                _getfloat(prob, "q_re", "problem"),
-                _getfloat(prob, "q_im", "problem", 0.0),
-            )
-        elif has_matrix:
-            m = np.zeros((2, 2), dtype=complex)
-            m[0, 0] = complex(_getfloat(prob, "q11_re", "problem"),
-                              _getfloat(prob, "q11_im", "problem", 0.0))
-            m[0, 1] = m[1, 0] = complex(
-                _getfloat(prob, "q12_re", "problem", 0.0),
-                _getfloat(prob, "q12_im", "problem", 0.0),
-            )
-            m[1, 1] = complex(_getfloat(prob, "q22_re", "problem"),
-                              _getfloat(prob, "q22_im", "problem", 0.0))
-            contrast_values["matrix"] = m
-        else:
-            raise ConfigError("missing contrast entries (q_re or q11_re/...)")
+    def size(key, default=None):
+        return PERIOD * _getfloat(prob, key, "problem", default)
 
-    shape_params = {}
-    for key in _SHAPE_KEYS[shape]:
-        if key == "path":
-            if "path" not in prob:
-                raise ConfigError("raster shape requires 'path'")
-            shape_params["path"] = prob["path"]
-        elif key == "center_x2":
-            shape_params[key] = _getfloat(prob, key, "problem", 0.0)
-        else:
-            shape_params[key] = _getfloat(prob, key, "problem")
+    # the contrast entries, then the sizes in the order they are written
+    if shape == "raster":
+        if "path" not in prob:
+            raise ConfigError("raster shape requires 'path'")
+        make_contrast = partial(raster_contrast, prob["path"])
+    elif shape == "two_layer":
+        q1 = _getcomplex(prob, "q1", "problem")
+        q2 = _getcomplex(prob, "q2", "problem")
+        make_contrast = partial(two_layer_contrast, q1, q2,
+                                size("thickness1"), size("thickness2"))
+    elif shape == "slab":
+        make_contrast = partial(slab_contrast, _one_contrast(prob),
+                                size("thickness"))
+    elif shape == "circle":
+        make_contrast = partial(circle_contrast, _one_contrast(prob),
+                                size("radius"),
+                                center_x2=size("center_x2", 0.0))
+    else:
+        make_contrast = partial(rectangle_contrast, _one_contrast(prob),
+                                size("width"), size("height"))
 
     num = parser["numerics"]
     unknown = set(num.keys()) - _NUMERICS_KEYS
@@ -260,9 +253,7 @@ def load_config(path) -> RunConfig:
     return RunConfig(
         k_period=_getfloat(prob, "k", "problem"),
         theta_deg=_getfloat(prob, "theta_deg", "problem"),
-        shape=shape,
-        shape_params=shape_params,
-        contrast_values=contrast_values,
+        make_contrast=make_contrast,
         n1=_getint(num, "n1", "numerics"),
         n2=_getint(num, "n2", "numerics"),
         rho_box_period=(_getfloat(num, "rho_box", "numerics")

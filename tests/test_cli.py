@@ -146,6 +146,16 @@ def test_an_undecodable_config_exits_3(tmp_path, caplog, command):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_an_undecodable_config_names_its_file(tmp_path, caplog, command):
+    cfg = tmp_path / "b.ini"
+    cfg.write_bytes(b"[problem]\nk = 1.0 ; \xff\xfe\n")
+    args = COMMANDS[command]
+    assert main(args[:1] + [str(cfg)] + args[1:]) == 3
+    assert (f"malformed config file {cfg}: 'utf-8' codec can't decode byte "
+            "0xff in position 20: invalid start byte") in caplog.text
+
+
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_solve_rejects_non_positive_max_iterations(tmp_path, caplog, value):
     cfg = _write(tmp_path / "s.ini", BASE.format(out=tmp_path / "o").replace(
