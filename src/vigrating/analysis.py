@@ -11,7 +11,6 @@ proves nothing, it checks hypotheses.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -395,8 +394,9 @@ class GardingReport:
     interpretation: str
     smoothness_note: str
 
-    def to_json(self) -> str:
-        doc = {
+    def doc(self) -> dict:
+        """The document ``garding_report.json`` holds."""
+        return {
             "sign_verdict": self.sign_verdict,
             "inf_abs_min_eigenvalue": self.inf_abs_min,
             "sup_abs_max_eigenvalue": self.sup_abs_max,
@@ -411,7 +411,6 @@ class GardingReport:
             "interpretation": self.interpretation,
             "smoothness_note": self.smoothness_note,
         }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def garding_check(

@@ -1,14 +1,17 @@
 """Command-line front end: solve, sweep, diagnose, validate.
 
 Exit codes: 0 success, 1 a failed gate of ``validate``, 2 solver did not
-converge (including a Krylov breakdown), 3 a usage error, invalid input
-(configuration, geometry, an unreadable input file, a Rayleigh anomaly or
-any other rejected problem), a grid that exhausts memory, or an output
-that cannot be written.  A sweep with no successful point exits 2 if a
-point failed to converge, else 3.  :func:`_failure` maps every failure to
-its code and cause.  Each command computes everything under one guard
-before it writes anything, so a failed command writes nothing but the
-partial ``result.json`` of a solve that did not converge.
+converge (including a Krylov breakdown) or its efficiencies break the
+physics rule of :func:`postprocess.check_physics`, 3 a usage error,
+invalid input (configuration, geometry, an unreadable input file, a
+Rayleigh anomaly or any other rejected problem), a grid that exhausts
+memory, or an output that cannot be written.  A sweep with no successful
+point exits 2 if a point failed with code 2, else 3.  :func:`_failure`
+maps every failure to its code and cause.  Each command computes
+everything under one guard before it writes anything, so a failed command
+writes nothing but the partial ``result.json`` of a solve that did not
+converge, or the outputs of a solve whose efficiencies break the physics
+rule.
 
 A sweep samples the contrast once and solves its points in the batches of
 :func:`solver.solve_lockstep`: up to N1 points of a layered grating, or
@@ -35,10 +38,16 @@ import numpy as np
 from . import analysis as an
 from . import postprocess as pp
 from .config import SWEEP_PARAMETERS, RunConfig, load_config
-from .errors import BreakdownDetected, ConfigError, NotConverged, VigratingError
+from .errors import (
+    BreakdownDetected,
+    ConfigError,
+    NotConverged,
+    Unphysical,
+    VigratingError,
+)
 from .kernel import kernel_table
 from .problem import Problem, sample_contrast
-from .solver import SolveOptions, residual, solve, solve_lockstep
+from .solver import residual, solve, solve_lockstep
 
 log = logging.getLogger("vigrating")
 
@@ -53,10 +62,11 @@ FAILURES = (VigratingError, OSError, ValueError, MemoryError)
 def _failure(exc: BaseException, cfg: RunConfig | None = None,
              invalid: str = "invalid problem: {}") -> tuple[int, str]:
     """The exit code of the failure ``exc`` of a command or a sweep point,
-    and its cause: 2 and the message for a solve that did not converge or
-    broke down; 3 for any other failure, its message set in ``invalid``.  A
-    MemoryError is named by ``cfg``'s n1 x n2 grid."""
-    if isinstance(exc, (NotConverged, BreakdownDetected)):
+    and its cause: 2 and the message for a solve that did not converge,
+    broke down or gave an unphysical answer; 3 for any other failure, its
+    message set in ``invalid``.  A MemoryError is named by ``cfg``'s
+    n1 x n2 grid."""
+    if isinstance(exc, (NotConverged, BreakdownDetected, Unphysical)):
         return EXIT_NOT_CONVERGED, str(exc)
     if isinstance(exc, MemoryError):
         grid = f" on the {cfg.n1} x {cfg.n2} grid" if cfg else ""
@@ -86,13 +96,16 @@ def _write(out_dir: Path, files: dict[str, str]) -> int:
 
 
 def _json(doc: dict) -> str:
+    """``doc`` as the text of an output file: a 2-space indent, sorted
+    keys and a trailing newline."""
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _solve_options(cfg: RunConfig) -> SolveOptions:
-    return SolveOptions(rel_tol=cfg.rel_tol,
-                        max_iterations=cfg.max_iterations,
-                        restart=cfg.restart)
+def _csv(rows) -> str:
+    """``rows`` as the text of an RFC-4180 output file, CRLF line ends."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerows(rows)
+    return buf.getvalue()
 
 
 def _solve_config(cfg: RunConfig):
@@ -102,7 +115,7 @@ def _solve_config(cfg: RunConfig):
     problem = cfg.build()
     # a layered solve and its Rayleigh extraction read only the coupled rows
     table = kernel_table(problem.grid, problem.wave, problem.layout.n_rows)
-    solution = solve(problem, table, _solve_options(cfg))
+    solution = solve(problem, table, cfg.options())
     above, below = pp.rayleigh_both_sides(solution, problem, table)
     eff = pp.efficiencies(above, below, problem)
     true_residual = residual(problem, table, solution.u, solution.stack)
@@ -123,9 +136,10 @@ def _write_solution(out_dir: Path, cfg: RunConfig, problem, solution, eff,
         "theta_deg": cfg.theta_deg,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    doc = json.loads(pp.efficiency_json(eff, problem, metadata=meta))
+    doc = pp.efficiency_doc(eff, problem, metadata=meta)
     doc["residual_history"] = list(solution.residual_history)
-    return _write(out_dir, {"efficiencies.csv": pp.efficiency_csv(eff),
+    rows = [pp.EFFICIENCY_COLUMNS, *pp.efficiency_rows(eff)]
+    return _write(out_dir, {"efficiencies.csv": _csv(rows),
                             "result.json": _json(doc)})
 
 
@@ -150,6 +164,12 @@ def cmd_solve(config_path: str, output: str | None = None) -> int:
     code = _write_solution(out_dir, cfg, *solved)
     if code == EXIT_OK:
         log.info("wrote %s", out_dir / "efficiencies.csv")
+    problem, _, eff, _, _ = solved
+    try:
+        pp.check_physics(eff, problem)
+    except Unphysical as exc:
+        # the outputs stay, as the history of a stalled solve does
+        return code or _failed(exc, cfg)
     return code
 
 
@@ -178,7 +198,7 @@ def _sweep_points(base: RunConfig, param: str, values) -> list:
     """The (value, efficiencies, or the exit code of the failure that
     skipped it) of every sweep point.  k and theta change only the wave:
     the options are checked and the contrast is sampled once."""
-    opts = _solve_options(base)
+    opts = base.options()
     contrast = base.contrast()
     grid = base.grid(contrast)
     rho_ref, layout = sample_contrast(contrast, grid)
@@ -206,7 +226,8 @@ def _sweep_points(base: RunConfig, param: str, values) -> list:
 
     def finish(batch: list) -> list:
         """The (value, efficiencies or exit code) of a solved batch: one
-        Rayleigh extraction for its solved points."""
+        Rayleigh extraction for its solved points, each checked against
+        the physics rule."""
         done = [(value, skip(value, outcome)) for value, outcome in batch
                 if isinstance(outcome, Exception)]
         solved = [(value, sol) for value, sol in batch
@@ -217,9 +238,14 @@ def _sweep_points(base: RunConfig, param: str, values) -> list:
             data = pp.rayleigh_batch([sol for _, sol in solved])
         except FAILURES as exc:
             return done + [(value, skip(value, exc)) for value, _ in solved]
-        return done + [
-            (value, pp.efficiencies(above, below, sol.problem))
-            for (value, sol), (above, below) in zip(solved, data)]
+        for (value, sol), (above, below) in zip(solved, data):
+            eff = pp.efficiencies(above, below, sol.problem)
+            try:
+                pp.check_physics(eff, sol.problem)
+            except Unphysical as exc:
+                eff = skip(value, exc)
+            done.append((value, eff))
+        return done
 
     # map holds no solved batch while the solver runs the next one
     for done in map(finish, solve_lockstep(problems(), opts)):
@@ -250,15 +276,13 @@ def cmd_sweep(config_path: str, param: str, start: float, stop: float,
         return (EXIT_NOT_CONVERGED if EXIT_NOT_CONVERGED in skipped
                 else EXIT_INVALID)
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow((param,) + pp.EFFICIENCY_COLUMNS)
+    rows = [(param, *pp.EFFICIENCY_COLUMNS)]
     for value, eff in sorted(points, key=lambda p: p[0]):
         if not isinstance(eff, int):
-            writer.writerows([repr(float(value))] + row
-                             for row in pp.efficiency_rows(eff))
+            rows += ([repr(float(value))] + row
+                     for row in pp.efficiency_rows(eff))
     out_dir = Path(output) if output else Path(base.output_directory)
-    code = _write(out_dir, {"sweep.csv": buf.getvalue()})
+    code = _write(out_dir, {"sweep.csv": _csv(rows)})
     if code == EXIT_OK:
         log.info("wrote %s", out_dir / "sweep.csv")
     return code
@@ -284,7 +308,7 @@ def cmd_diagnose(config_path: str, output: str | None = None,
     except FAILURES as exc:
         return _failed(exc, cfg)
     out_dir = Path(output) if output else Path(cfg.output_directory)
-    code = _write(out_dir, {"garding_report.json": report.to_json()})
+    code = _write(out_dir, {"garding_report.json": _json(report.doc())})
     if code == EXIT_OK:
         log.info("wrote %s", out_dir / "garding_report.json")
     return code

@@ -10,9 +10,9 @@ shape (``_SHAPE_KEYS``): ``thickness`` (slab), ``radius`` and optional
 ``center_x2`` (circle), ``width`` and ``height`` (rectangle), each with a
 scalar ``q_re``/``q_im`` or a matrix ``q11_*``/``q12_*``/``q22_*``;
 ``thickness1``, ``thickness2``, ``q1_*`` and ``q2_*`` (two_layer); ``path``
-(raster).  :func:`load_config` parses a shape's keys in that order and
-binds the one call that builds its contrast, which :meth:`RunConfig.contrast`
-makes.
+(raster; a relative path is read from the config file's directory).
+:func:`load_config` parses a shape's keys in that order and binds the one
+call that builds its contrast, which :meth:`RunConfig.contrast` makes.
 
 Unknown keys and missing required keys are rejected before any
 computation starts.  Whatever the hash seed, the first failing check
@@ -25,6 +25,7 @@ entries, the sizes, unknown [numerics] and [output] keys, then ``k``,
 from __future__ import annotations
 
 import configparser
+import os
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import partial
@@ -44,6 +45,7 @@ from .problem import (
     slab_contrast,
     two_layer_contrast,
 )
+from .solver import SolveOptions
 
 PERIOD = 2 * np.pi
 
@@ -77,9 +79,9 @@ class RunConfig:
     n1: int
     n2: int
     rho_box_period: float | None
-    rel_tol: float
-    max_iterations: int
-    restart: int
+    # builds the GMRES options where a command first solves, so that a
+    # bad option fails as that command's problem does
+    options: Callable[[], SolveOptions]
     output_directory: str
 
     def wave(self) -> IncidentWave:
@@ -220,7 +222,9 @@ def load_config(path) -> RunConfig:
     if shape == "raster":
         if "path" not in prob:
             raise ConfigError("raster shape requires 'path'")
-        make_contrast = partial(raster_contrast, prob["path"])
+        # a relative path is read from the config file's directory
+        make_contrast = partial(raster_contrast, os.path.join(
+            os.path.dirname(path), prob["path"]))
     elif shape == "two_layer":
         q1 = _getcomplex(prob, "q1", "problem")
         q2 = _getcomplex(prob, "q2", "problem")
@@ -258,8 +262,12 @@ def load_config(path) -> RunConfig:
         n2=_getint(num, "n2", "numerics"),
         rho_box_period=(_getfloat(num, "rho_box", "numerics")
                         if "rho_box" in num else None),
-        rel_tol=_getfloat(num, "rel_tol", "numerics", 1e-8),
-        max_iterations=_getint(num, "max_iterations", "numerics", 500),
-        restart=_getint(num, "restart", "numerics", 50),
+        options=partial(
+            SolveOptions,
+            rel_tol=_getfloat(num, "rel_tol", "numerics",
+                              SolveOptions.rel_tol),
+            max_iterations=_getint(num, "max_iterations", "numerics",
+                                   SolveOptions.max_iterations),
+            restart=_getint(num, "restart", "numerics", SolveOptions.restart)),
         output_directory=out_dir,
     )

@@ -87,6 +87,13 @@ class BreakdownDetected(VigratingError):
     """Krylov breakdown before convergence; possible non-uniqueness."""
 
 
+class Unphysical(VigratingError):
+    """The efficiencies of a solve break the unit bound, energy
+    conservation or passivity by more than the tolerance of
+    :func:`postprocess.check_physics`: the discrete answer is not a
+    physical one."""
+
+
 class SingularReQ(VigratingError):
     """Re(Q) numerically singular at one or more grid nodes."""
 

@@ -15,14 +15,11 @@ the total field.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotConverged, ShapeMismatch
+from .errors import NotConverged, ShapeMismatch, Unphysical
 from .kernel import KernelTable, _beta_many
 from .operators import OperatorStack, evaluate, live_rows
 from .problem import Problem
@@ -31,6 +28,11 @@ from .solver import Solution
 EVANESCENT_DROP = 40.0
 # an absorbed fraction below minus this marks an active medium
 PASSIVITY_TOL = 1e-8
+# how far a solve's efficiencies may break physics before check_physics
+# refuses them, with a wide margin: the largest energy defect of a bundled
+# config, validate gate, benchmark run or test is 3.3e-4 (a q = -5 circle
+# at 64 x 64), and every passive lossy one absorbs at least 2.7e-3
+PHYSICS_TOL = 1e-2
 
 
 @dataclass(frozen=True)
@@ -318,8 +320,33 @@ def energy_balance(table: EfficiencyTable, problem: Problem) -> float:
     return absorbed
 
 
+def check_physics(table: EfficiencyTable, problem: Problem) -> None:
+    """Raise Unphysical naming the first rule ``table`` breaks by more than
+    :data:`PHYSICS_TOL`: every efficiency is at most 1, a lossless grating
+    conserves energy and a lossy one absorbs a nonnegative fraction."""
+    tol = PHYSICS_TOL
+    for side, values in (("reflected", table.reflected),
+                         ("transmitted", table.transmitted)):
+        for j, value in zip(table.orders, values):
+            if not value <= 1 + tol:
+                raise Unphysical(
+                    f"unphysical answer: the {side} efficiency of order "
+                    f"j={j} is {value:.4g}, above 1 + {tol:g}")
+    absorbed = table.absorbed
+    if problem.is_lossless():
+        if not abs(absorbed) <= tol:
+            raise Unphysical(
+                f"unphysical answer: the energy defect {abs(absorbed):.3e} "
+                f"of a lossless grating is above {tol:g}")
+    elif not absorbed >= -tol:
+        raise Unphysical(
+            f"unphysical answer: the absorbed fraction {absorbed:.3e} is "
+            f"below -{tol:g}, so the medium gains energy (a passive "
+            "contrast has Im Q <= 0)")
+
+
 # ----------------------------------------------------------------------------
-# serialization
+# the rows and documents of the output files, which cli writes
 
 
 EFFICIENCY_COLUMNS = ("j", "alpha_j", "beta_j_re", "beta_j_im",
@@ -337,19 +364,11 @@ def efficiency_rows(table: EfficiencyTable) -> list[list]:
     ]
 
 
-def efficiency_csv(table: EfficiencyTable) -> str:
-    """RFC-4180 CSV with one row per propagating order."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(EFFICIENCY_COLUMNS)
-    writer.writerows(efficiency_rows(table))
-    return buf.getvalue()
-
-
-def efficiency_json(table: EfficiencyTable, problem: Problem,
-                    metadata: dict | None = None) -> str:
-    """JSON document with per-order rows plus run metadata (stable key order)."""
-    doc = {
+def efficiency_doc(table: EfficiencyTable, problem: Problem,
+                   metadata: dict | None = None) -> dict:
+    """The document of per-order rows, totals and run metadata that
+    ``result.json`` holds."""
+    return {
         "orders": [
             {
                 "j": int(j),
@@ -376,4 +395,3 @@ def efficiency_json(table: EfficiencyTable, problem: Problem,
             **(metadata or {}),
         },
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -45,6 +45,9 @@ BREAKDOWN_RTOL = 1e-14
 
 @dataclass(frozen=True)
 class SolveOptions:
+    """The GMRES options; their defaults are written here alone, and the
+    config keys of [numerics] and :func:`gmres` read them."""
+
     rel_tol: float = 1e-8
     max_iterations: int = 500
     restart: int = 50
@@ -136,12 +139,8 @@ def _norm(w: np.ndarray) -> float:
     return math.sqrt(np.vdot(w, w).real)
 
 
-def gmres_steps(
-    b: np.ndarray,
-    rel_tol: float = 1e-8,
-    restart: int = 50,
-    max_iterations: int = 500,
-):
+def gmres_steps(b: np.ndarray, rel_tol: float, restart: int,
+                max_iterations: int):
     """Restarted GMRES for complex systems, zero initial guess, as a
     generator: it yields each vector to multiply by the operator, takes
     the product through ``send`` and returns (x, history, converged,
@@ -295,9 +294,9 @@ def gmres_steps(
 def gmres(
     matvec,
     b: np.ndarray,
-    rel_tol: float = 1e-8,
-    restart: int = 50,
-    max_iterations: int = 500,
+    rel_tol: float = SolveOptions.rel_tol,
+    restart: int = SolveOptions.restart,
+    max_iterations: int = SolveOptions.max_iterations,
 ):
     """:func:`gmres_steps` with the operator ``matvec``: returns (x,
     history, converged, iterations, stop)."""

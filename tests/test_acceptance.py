@@ -15,6 +15,7 @@ from vigrating.validate import (
     gate_multiplier,
     gate_pde,
     gate_rayleigh_routes,
+    gate_reciprocity,
     gate_slab,
     gate_tensor_slab,
     gate_zero_contrast,
@@ -69,6 +70,10 @@ def test_criterion_9_determinism(tmp_path):
 
 def test_criterion_10_tensor_slab():
     _check(gate_tensor_slab(), runtime_budget=10.0)
+
+
+def test_criterion_11_reciprocity():
+    _check(gate_reciprocity("full"), runtime_budget=10.0)
 
 
 def test_every_gate_has_a_criterion():

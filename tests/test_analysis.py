@@ -20,6 +20,7 @@ from vigrating.analysis import (
     sqrt_abs_reQ,
     weighted_norm,
 )
+from vigrating.cli import _json
 from vigrating.errors import GeometryNotGraph, SingularReQ
 from vigrating.operators import to_spectral
 from vigrating.problem import (
@@ -376,7 +377,7 @@ def test_garding_report_json():
     geom = _flat_geometry(problem.contrast.h)
     report = garding_check(problem, decompose_reQ(problem), geometry=geom,
                            estimate_extension=True)
-    doc = json.loads(report.to_json())
+    doc = json.loads(_json(report.doc()))
     assert doc["sign_verdict"] == "negative"
     assert doc["extension_norm_estimate"] is not None
     names = {c["name"] for c in doc["conditions"]}

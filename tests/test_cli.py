@@ -348,6 +348,38 @@ def test_cmd_solve_exit_codes(tmp_path):
     assert partial["converged"] is False
 
 
+# an active slab: Im q > 0 gains energy in this library's convention
+ACTIVE = BASE.replace("q_re = 3.0", "q_re = 3.0\nq_im = 0.5").replace(
+    "n1 = 32", "n1 = 16")
+
+
+def test_an_active_slab_breaks_the_physics_rule(tmp_path, caplog):
+    out = tmp_path / "o"
+    cfg = _write(tmp_path / "a.ini", ACTIVE.format(out=out))
+    cause = ("unphysical answer: the absorbed fraction -3.565e-02 is below "
+             "-0.01, so the medium gains energy (a passive contrast has "
+             "Im Q <= 0)")
+    assert main(["solve", str(cfg)]) == 2
+    assert cause in caplog.text
+    # the outputs stay, as those of a stalled solve do
+    doc = json.loads((out / "result.json").read_text())
+    assert doc["totals"]["absorbed"] < -0.035
+    assert (out / "efficiencies.csv").is_file()
+
+
+def test_a_sweep_skips_a_point_that_breaks_the_physics_rule(tmp_path,
+                                                            caplog):
+    out = tmp_path / "sw"
+    cfg = _write(tmp_path / "a.ini", ACTIVE.format(out=out))
+    # no point succeeded and one failed with code 2
+    assert main(["sweep", str(cfg), "--param", "theta", "--from", "0",
+                 "--to", "0", "--steps", "1"]) == 2
+    assert ("skipping theta = 0: unphysical answer: the absorbed fraction "
+            "-3.565e-02 is below -0.01") in caplog.text
+    assert "no sweep point succeeded" in caplog.text
+    assert not out.exists()
+
+
 def test_solve_stops_early_when_the_rate_rules_out_convergence(tmp_path,
                                                               caplog):
     out = tmp_path / "neg"
@@ -452,7 +484,7 @@ def test_bundled_config_roundtrip(tmp_path):
 def test_cmd_validate_quick(capsys):
     assert main(["validate", "--level", "quick"]) == 0
     out = capsys.readouterr().out
-    assert out.count("[PASS]") == 8
+    assert out.count("[PASS]") == 9
 
 
 RASTER = """
@@ -713,7 +745,7 @@ def test_validate_runs_without_scipy():
                    "from vigrating.cli import main; "
                    "sys.exit(main(['validate']))")
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.count("[PASS]") == 8
+    assert proc.stdout.count("[PASS]") == 9
 
 
 SWEEP_ARGS = ["--param", "theta", "--from", "0", "--to", "10", "--steps", "2"]
@@ -1041,20 +1073,44 @@ def test_a_wavenumber_below_the_anomaly_floor_exits_3(tmp_path, caplog):
     assert {ln.split(",")[0] for ln in lines[1:]} == {"1.0"}
 
 
+def _thin_slab_cells() -> np.ndarray:
+    """A 16 x 32 raster of a thin q = 2 slab, |x2| < 0.25 periods, over
+    rho = 0.6 periods."""
+    rho_r = 0.6 * PERIOD
+    cells = np.zeros((16, 32, 2, 2), dtype=complex)
+    x2_centers = -rho_r + 2 * rho_r * (np.arange(32) + 0.5) / 32
+    cells[:, np.abs(x2_centers) < 0.25 * PERIOD] = 2.0 * np.eye(2)
+    return cells
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_a_relative_raster_path_is_read_from_the_config_directory(
+        tmp_path, monkeypatch, command):
+    from vigrating.problem import write_raster
+
+    (tmp_path / "sub").mkdir()
+    write_raster(tmp_path / "sub" / "g.bin", _thin_slab_cells(),
+                 h=0.25 * PERIOD, rho=0.6 * PERIOD)
+    _write(tmp_path / "sub" / "r.ini",
+           RASTER.format(path="g.bin", out=tmp_path / "o"))
+    # run from the config's parent directory, not from its own
+    monkeypatch.chdir(tmp_path)
+    args = COMMANDS[command]
+    assert main(args[:1] + ["sub/r.ini"] + args[1:]) == 0
+    assert any((tmp_path / "o").iterdir())
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_a_non_finite_raster_cell_exits_3(tmp_path, caplog, command, value):
     from vigrating.problem import write_raster
 
-    # a 16 x 32 raster of a thin slab, with one non-finite cell inside h:
-    # the node (5, 64) of the 16 x 128 grid samples it
-    rho_r = 0.6 * PERIOD
-    cells = np.zeros((16, 32, 2, 2), dtype=complex)
-    x2_centers = -rho_r + 2 * rho_r * (np.arange(32) + 0.5) / 32
-    cells[:, np.abs(x2_centers) < 0.25 * PERIOD] = 2.0 * np.eye(2)
+    # one non-finite cell inside h: the node (5, 64) of the 16 x 128 grid
+    # samples it
+    cells = _thin_slab_cells()
     cells[5, 16, 0, 0] = value
     raster = tmp_path / "grating.bin"
-    write_raster(raster, cells, h=0.25 * PERIOD, rho=rho_r)
+    write_raster(raster, cells, h=0.25 * PERIOD, rho=0.6 * PERIOD)
     cfg = _write(tmp_path / "r.ini",
                  RASTER.format(path=raster, out=tmp_path / "o"))
     args = COMMANDS[command]

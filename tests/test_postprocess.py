@@ -1,11 +1,14 @@
 import csv
 import io
 import json
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from vigrating.errors import NotConverged, ShapeMismatch
+from vigrating.cli import _csv, _json
+from vigrating.errors import NotConverged, ShapeMismatch, Unphysical
 from vigrating.kernel import beta, kernel_table
 from vigrating.operators import (
     OperatorStack,
@@ -16,11 +19,14 @@ from vigrating.operators import (
     to_spectral,
 )
 from vigrating.postprocess import (
+    EFFICIENCY_COLUMNS,
     EVANESCENT_DROP,
+    EfficiencyTable,
     RayleighData,
+    check_physics,
     efficiencies,
-    efficiency_csv,
-    efficiency_json,
+    efficiency_doc,
+    efficiency_rows,
     energy_balance,
     rayleigh_both_sides,
     rayleigh_coefficients,
@@ -250,13 +256,58 @@ def test_lossy_and_active_media():
         energy_balance(eff2, problem2)
 
 
+def _efficiency_table(reflected, transmitted) -> EfficiencyTable:
+    n = len(reflected)
+    return EfficiencyTable(orders=tuple(range(n)), alphas=(0.0,) * n,
+                           betas=(1.0 + 0j,) * n, reflected=reflected,
+                           transmitted=transmitted)
+
+
+# check_physics reads only whether the problem is lossless
+LOSSLESS = SimpleNamespace(is_lossless=lambda: True)
+LOSSY = SimpleNamespace(is_lossless=lambda: False)
+
+
+@pytest.mark.parametrize("reflected, transmitted, problem, cause", [
+    ((1.05,), (0.0,), LOSSY,
+     "the reflected efficiency of order j=0 is 1.05, above 1 + 0.01"),
+    # named before the energy defect it also makes
+    ((0.0,), (1.02,), LOSSLESS,
+     "the transmitted efficiency of order j=0 is 1.02, above 1 + 0.01"),
+    ((float("nan"),), (0.5,), LOSSY,
+     "the reflected efficiency of order j=0 is nan, above 1 + 0.01"),
+    ((0.5,), (0.45,), LOSSLESS,
+     "the energy defect 5.000e-02 of a lossless grating is above 0.01"),
+    ((0.6,), (0.45,), LOSSY,
+     "the absorbed fraction -5.000e-02 is below -0.01, so the medium gains "
+     "energy"),
+], ids=["reflected-above-1", "transmitted-above-1", "nan", "lossless-defect",
+        "active"])
+def test_check_physics_names_the_rule_a_table_breaks(reflected, transmitted,
+                                                     problem, cause):
+    with pytest.raises(Unphysical,
+                       match=re.escape(f"unphysical answer: {cause}")):
+        check_physics(_efficiency_table(reflected, transmitted), problem)
+
+
+@pytest.mark.parametrize("reflected, transmitted, problem", [
+    ((0.5,), (0.495,), LOSSLESS),           # defect 5e-3
+    ((0.5,), (0.505,), LOSSLESS),
+    ((0.6,), (0.405,), LOSSY),              # absorbed -5e-3
+    ((0.2, 0.3), (0.1, 0.1), LOSSY),        # absorbs 0.3
+])
+def test_check_physics_passes_a_table_within_the_tolerance(
+        reflected, transmitted, problem):
+    check_physics(_efficiency_table(reflected, transmitted), problem)
+
+
 def test_serialization_roundtrip():
     problem, table, sol = _solve_slab(3.0, 16, 128, 2.5)
     above = rayleigh_coefficients(sol, problem, table, "+")
     below = rayleigh_coefficients(sol, problem, table, "-")
     eff = efficiencies(above, below, problem)
 
-    text = efficiency_csv(eff)
+    text = _csv([EFFICIENCY_COLUMNS, *efficiency_rows(eff)])
     rows = list(csv.reader(io.StringIO(text)))
     assert rows[0] == ["j", "alpha_j", "beta_j_re", "beta_j_im", "e_refl",
                        "e_trans"]
@@ -264,7 +315,7 @@ def test_serialization_roundtrip():
     assert float(rows[1][4]) == eff.reflected[0]
     assert text.endswith("\r\n")
 
-    doc = json.loads(efficiency_json(eff, problem, metadata={"note": "x"}))
+    doc = json.loads(_json(efficiency_doc(eff, problem, metadata={"note": "x"})))
     assert doc["metadata"]["n1"] == 16
     assert doc["metadata"]["note"] == "x"
     assert doc["orders"][0]["e_trans"] == eff.transmitted[0]

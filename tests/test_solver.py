@@ -528,11 +528,6 @@ def _neg_circle(tmp_path):
     return load_config(path)
 
 
-def _options(cfg):
-    return SolveOptions(rel_tol=cfg.rel_tol, restart=cfg.restart,
-                        max_iterations=cfg.max_iterations)
-
-
 def test_memory_estimate_of_the_negative_circle(tmp_path, monkeypatch):
     cfg = _neg_circle(tmp_path)
     problem = cfg.build()
@@ -540,13 +535,13 @@ def test_memory_estimate_of_the_negative_circle(tmp_path, monkeypatch):
     # min(1000, 500) + 1 vectors of 1,282 unknowns, the (2, 64, 64)
     # buffer, and the DFT matrices of the 25 x 33 support box: two x2
     # pairs of 2 x 33 x 64 entries and two x1 matrices of 64 x 50
-    assert check_memory(problem, _options(cfg)) == (
+    assert check_memory(problem, cfg.options()) == (
         10_276_512 + 131_072 + 237_568) == 10_645_152
     monkeypatch.setattr(vigrating.solver, "physical_memory_bytes",
                         lambda: 10_645_151)
     with pytest.raises(SizeGuard, match="501 Krylov vectors of 1282 density "
                                         "unknowns and the work buffer"):
-        check_memory(problem, _options(cfg))
+        check_memory(problem, cfg.options())
 
 
 @pytest.mark.parametrize("name", ["slab_q3", "slab_negative", "slab_lossy",
@@ -558,9 +553,9 @@ def test_field_residual_is_within_rel_tol(tmp_path, name):
            else load_config(CONFIGS / f"{name}.ini"))
     problem = cfg.build()
     table = kernel_table(problem.grid, problem.wave, problem.layout.n_rows)
-    sol = solve(problem, table, _options(cfg))
+    sol = solve(problem, table, cfg.options())
     assert sol.converged
-    assert residual(problem, table, sol.u, sol.stack) <= cfg.rel_tol
+    assert residual(problem, table, sol.u, sol.stack) <= cfg.options().rel_tol
 
 
 @pytest.mark.parametrize("shape", ["slab", "circle"])

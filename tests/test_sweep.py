@@ -21,7 +21,7 @@ from vigrating.postprocess import (
     rayleigh_both_sides,
 )
 from vigrating.problem import write_raster
-from vigrating.solver import SolveOptions, check_memory, solve
+from vigrating.solver import check_memory, solve
 
 from conftest import ANISO
 
@@ -87,9 +87,7 @@ def _point_rows(cfg, param, value):
     run = load_config(cfg).replace_parameter(param, float(value))
     problem = run.build()
     table = kernel_table(problem.grid, problem.wave, problem.layout.n_rows)
-    sol = solve(problem, table, SolveOptions(
-        rel_tol=run.rel_tol, max_iterations=run.max_iterations,
-        restart=run.restart))
+    sol = solve(problem, table, run.options())
     eff = efficiencies(*rayleigh_both_sides(sol, problem, table), problem)
     return [[repr(float(value)), str(row[0]), *row[1:]]
             for row in efficiency_rows(eff)]
@@ -112,9 +110,7 @@ def test_lockstep_sweep_equals_point_by_point_solves(tmp_path, monkeypatch,
         cfg = _config(tmp_path, {"slab": SLAB, "lossy": LOSSY}.get(shape)
                       or _anisotropic_stack(tmp_path))
     run = load_config(cfg)
-    need = check_memory(run.build(), SolveOptions(
-        rel_tol=run.rel_tol, max_iterations=run.max_iterations,
-        restart=run.restart))
+    need = check_memory(run.build(), run.options())
     # physical memory for ``batch`` points: batches of at most that many
     monkeypatch.setattr(vigrating.solver, "physical_memory_bytes",
                         lambda: batch * need)
@@ -191,9 +187,7 @@ def test_a_batch_holds_at_most_one_full_grid_of_rows(tmp_path, monkeypatch):
 def test_a_2d_sweep_holds_one_point_at_a_time(tmp_path):
     cfg = _config(tmp_path, CIRCLE, n2=32)
     run = load_config(cfg)
-    need = check_memory(run.build(), SolveOptions(
-        rel_tol=run.rel_tol, max_iterations=run.max_iterations,
-        restart=run.restart))
+    need = check_memory(run.build(), run.options())
     args = ("theta", 0.0, 20.0, 3, tmp_path / "out")
     assert _sweep(cfg, *args)[0] == 0                   # warm-up
     tracemalloc.start()
