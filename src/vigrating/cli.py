@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import gc
 import io
 import json
 import logging
@@ -48,6 +49,11 @@ from .errors import (
 from .kernel import kernel_table
 from .problem import Problem, sample_contrast
 from .solver import residual, solve, solve_lockstep
+
+# the objects these imports leave live until exit: freezing them spares later
+# collections and shutdown's; collect(1) first keeps a host's garbage unfrozen
+gc.collect(1)
+gc.freeze()
 
 log = logging.getLogger("vigrating")
 

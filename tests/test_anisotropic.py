@@ -18,17 +18,21 @@ from vigrating.oracle import SlabSpec, slab_reference
 from vigrating.postprocess import (
     efficiencies,
     energy_balance,
-    rayleigh_both_sides,
     rayleigh_coefficients,
 )
 from vigrating.problem import (
     Grid,
     IncidentWave,
     build_problem,
-    circle_contrast,
     slab_contrast,
 )
 from vigrating.solver import SolveOptions, solve
+from vigrating.validate import (
+    RECIPROCAL_Q,
+    RECIPROCITY_BOUNDS,
+    _reciprocity_error,
+    _reflected,
+)
 
 from conftest import SLAB_H, SLAB_K
 
@@ -110,29 +114,12 @@ def test_negative_definite_lossy_tensor_smoke():
     assert report.im_re_constant < 0.2
 
 
-def _reflected(q_matrix, alpha):
-    """Reflected efficiency of each propagating order of a tensor circle
-    (radius 0.6, k = 2.5, rho_box 1.3, 32 x 32) lit at ``alpha``."""
-    k = 2.5
-    wave = IncidentWave.from_angle(k, np.degrees(np.arcsin(alpha / k)))
-    problem = build_problem(wave, circle_contrast(q_matrix, 0.6),
-                            Grid(n1=32, n2=32, rho_box=1.3))
-    table = kernel_table(problem.grid, problem.wave)
-    solution = solve(problem, table, SolveOptions(rel_tol=1e-12))
-    eff = efficiencies(*rayleigh_both_sides(solution, problem, table),
-                       problem)
-    return problem.alpha, dict(zip(eff.orders, eff.reflected))
-
-
 @pytest.mark.parametrize("loss", [0.0, 0.1], ids=["lossless", "lossy"])
 def test_reflection_is_reciprocal_on_a_2d_tensor_grating(loss):
-    # a symmetric Q is reciprocal: order m reflects as much at alpha as at
-    # -(alpha + m) (Petit, Electromagnetic Theory of Gratings, ch. 1).  The
-    # discrete problem is not mirror symmetric, so the pair agrees only to
-    # the discretization error: 4.2e-5 and 3.8e-5 at 32 x 32
-    qm = np.array([[1.2, 0.4], [0.4, 2.0]]) - 1j * loss * np.eye(2)
-    alpha, eff = _reflected(qm, 2.5 * np.sin(np.radians(15.0)))
+    # the quick reciprocity gate's circle: order m reflects as much at
+    # alpha as at -(alpha + m), to the discretization error at 32 x 32
+    qm = RECIPROCAL_Q - 1j * loss * np.eye(2)
+    n, bound = RECIPROCITY_BOUNDS["quick"]
+    _, eff = _reflected(qm, n, 2.5 * np.sin(np.radians(15.0)))
     assert len(eff) == 5
-    error = max(abs(e - _reflected(qm, -alpha - m)[1][m])
-                for m, e in eff.items())
-    assert error < 1e-4
+    assert _reciprocity_error(qm, n) < bound

@@ -733,6 +733,41 @@ def test_solve_path_does_not_import_scipy(tmp_path):
     assert proc.stdout.split() == ["False"]
 
 
+# every module a cold call imports adds its compile time to the call
+CLI_MODULES = ["vigrating"] + [f"vigrating.{name}" for name in (
+    "analysis", "cli", "config", "errors", "kernel", "operators",
+    "postprocess", "problem", "solver")]
+
+
+def test_the_cli_imports_only_the_modules_its_commands_run():
+    proc = _python("import json, sys, vigrating.cli; "
+                   "print(json.dumps(sorted(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert [m for m in loaded if m.split(".")[0] == "vigrating"] == CLI_MODULES
+    assert not {"vigrating.oracle", "vigrating.validate", "mpmath",
+                "scipy"} & set(loaded)
+
+
+def test_the_cli_freezes_the_heap_its_imports_leave(tmp_path):
+    # the library leaves the collector alone; the cli freezes once per
+    # process, not once per call.  A first call may free a few frozen
+    # objects it replaces, so the count may fall once but never rise
+    cfg = _write(tmp_path / "s.ini", BASE.format(out=tmp_path / "o"))
+    proc = _python("import gc, sys, vigrating; "
+                   "print(gc.get_freeze_count()); "
+                   "from vigrating.cli import main; "
+                   "frozen = gc.get_freeze_count(); "
+                   "print(frozen > 0, gc.isenabled()); "
+                   "assert main(['solve', sys.argv[1]]) == 0; "
+                   "first = gc.get_freeze_count(); "
+                   "assert main(['solve', sys.argv[1]]) == 0; "
+                   "print(0 < first <= frozen, gc.get_freeze_count() == first)",
+                   str(cfg))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "True", "True", "True", "True"]
+
+
 def test_validate_module_does_not_import_scipy():
     proc = _python("import sys, vigrating.validate; "
                    "print('scipy' in sys.modules)")
