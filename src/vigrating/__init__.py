@@ -17,10 +17,8 @@ from .errors import (
 )
 from .kernel import (
     KernelTable,
-    beta,
     greens_series,
     helmholtz_symbol,
-    kernel_coefficient,
     kernel_table,
     reference_table,
 )

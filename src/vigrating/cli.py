@@ -343,35 +343,6 @@ def cmd_validate(level: str, tmp_dir: str | None = None) -> int:
     return EXIT_OK if all(r.passed for r in results) else 1
 
 
-def write_slab_example_config(path, n: int = 256, q: float = 3.0,
-                              k: float = 1.0):
-    """Write the bundled slab configuration (lengths in period units).
-
-    The box ratio puts the slab faces midway between grid rows, which keeps
-    the pointwise-sampled interface error at its measured minimum.
-    """
-    m = round(n / 2.2555 - 0.5)
-    rho_box = 0.5 * n / (m + 0.5)
-    Path(path).write_text(
-        "[problem]\n"
-        f"k = {k}\n"
-        "theta_deg = 0.0\n"
-        "shape = slab\n"
-        f"q_re = {q}\n"
-        "thickness = 1.0\n"
-        "\n"
-        "[numerics]\n"
-        f"n1 = {n}\n"
-        f"n2 = {n}\n"
-        f"rho_box = {rho_box!r}\n"
-        "rel_tol = 1e-10\n"
-        "\n"
-        "[output]\n"
-        "directory = out\n",
-        encoding="utf-8",
-    )
-
-
 @lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process."""

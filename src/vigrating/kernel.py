@@ -25,22 +25,13 @@ from .errors import RayleighAnomaly, SlowConvergence
 from .problem import Grid, IncidentWave, at_cutoff
 
 
-def beta(j1, k: float, alpha: float) -> complex:
-    """Vertical wavenumber of order j1: sqrt(k^2 - (j1 + alpha)^2).
-
-    Principal branch with Im >= 0; real positive for propagating orders,
-    positive imaginary for evanescent ones.  Raises RayleighAnomaly where
-    :func:`problem.at_cutoff` holds for k^2 - (j1 + alpha)^2.
-    """
-    k2 = k**2
-    aj = j1 + alpha
-    if at_cutoff(k2 - aj**2, k2):
-        raise RayleighAnomaly(j1, k, alpha)
-    return complex(np.sqrt(complex(k2 - aj**2)))
-
-
 def _beta_many(j1, k_squared: float, alpha: float) -> np.ndarray:
-    """Vectorized vertical wavenumbers from k^2 (no anomaly check)."""
+    """Vertical wavenumbers sqrt(k^2 - (j1 + alpha)^2) of the orders j1.
+
+    Principal branch with Im >= 0: real positive for propagating orders,
+    positive imaginary for evanescent ones.  No anomaly check: a wave is
+    checked by :meth:`IncidentWave.check_nonresonance`.
+    """
     aj = np.asarray(j1, dtype=float) + alpha
     b = np.sqrt((k_squared - aj**2).astype(complex))
     return np.where(b.imag < 0, -b, b)
@@ -52,40 +43,6 @@ def helmholtz_symbol(j1, j2, k_squared: float, alpha: float, rho: float):
     aj = np.asarray(j1, dtype=float) + alpha
     mu = np.asarray(j2, dtype=float) * np.pi / rho
     return k_squared - aj**2 - mu**2
-
-
-def kernel_coefficient(
-    j1: int,
-    j2: int,
-    k: float | None,
-    alpha: float,
-    rho: float,
-    k_squared: float | None = None,
-) -> complex:
-    """Fourier coefficient of the periodized kernel at mode (j1, j2).
-
-    Generic branch: (cos(j2 pi) e^{i beta_{j1} rho} - 1) / (sqrt(4 pi rho)
-    lambda_j) with lambda_j the Helmholtz symbol.  Where
-    :func:`problem.at_cutoff` holds for lambda_j, the generic branch loses
-    about eight digits in double precision, and the closed-form limit
-    value (i / (4 |j2|)) (rho/pi)^{3/2} is used instead; it is even in j2
-    because the kernel itself is even in x2.  At j2 = 0 that symbol is
-    k^2 - alpha_{j1}^2, and the order j1 is at a Rayleigh anomaly: raises
-    RayleighAnomaly.  Only the mode (j1, j2) is checked, not the wave.
-
-    Pass ``k_squared=-1.0`` (with k=None) for the exponentially damped
-    reference kernel used by the compactness diagnostics.
-    """
-    if k_squared is None:
-        k_squared = float(k) ** 2
-    lam = float(helmholtz_symbol(j1, j2, k_squared, alpha, rho))
-    if at_cutoff(lam, k_squared):
-        if j2 == 0:
-            raise RayleighAnomaly(j1, k, alpha)
-        return 0.25j / abs(j2) * (rho / np.pi) ** 1.5
-    b = complex(_beta_many(np.array([j1]), k_squared, alpha)[0])
-    num = np.cos(j2 * np.pi) * np.exp(1j * b * rho) - 1.0
-    return complex(num / (np.sqrt(4 * np.pi * rho) * lam))
 
 
 @dataclass(frozen=True)
@@ -114,6 +71,13 @@ def _build_tables(grid: Grid, alpha, k_squared, k,
                   rows: int | None = None) -> list:
     """The tables of P waves, given as sequences ``alpha``, ``k_squared``
     and ``k`` of P values each, from one (P, rows, N2) build.
+
+    Generic branch: (cos(j2 pi) e^{i beta_{j1} rho} - 1) / (sqrt(4 pi rho)
+    lambda_j) with lambda_j the Helmholtz symbol.  Where
+    :func:`problem.at_cutoff` holds for lambda_j, the generic branch loses
+    about eight digits in double precision, and the closed-form limit
+    value (i / (4 |j2|)) (rho/pi)^{3/2} is used instead; it is even in j2
+    because the kernel itself is even in x2.
 
     Each entry is the wave's :class:`KernelTable`, a read-only view of the
     stack.  Every step is elementwise, so a table is bit for bit the one

@@ -380,19 +380,21 @@ class CompactnessProfile:
         )
 
 
+def bump(t) -> np.ndarray:
+    """The C-infinity bump exp(1 - 1/(1 - t^2)) on |t| < 1, zero elsewhere."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros(t.shape)
+    inside = np.abs(t) < 1.0
+    out[inside] = np.exp(1.0 - 1.0 / (1.0 - t[inside] ** 2))
+    return out
+
+
 def smooth_test_contrast(h: float = 0.5) -> ContrastField:
     """Fixed smooth positive isotropic contrast for operator diagnostics."""
 
-    def profile(x2):
-        t = np.clip(np.abs(np.asarray(x2, float)) / h, 0.0, 1.0)
-        out = np.zeros(t.shape)
-        inside = t < 1.0
-        out[inside] = np.exp(1.0 - 1.0 / (1.0 - t[inside] ** 2))
-        return out
-
     def sampler(x1, x2):
         x1 = np.asarray(x1, dtype=float)
-        q = 0.8 * (0.55 + 0.45 * np.cos(x1)) * profile(x2)
+        q = 0.8 * (0.55 + 0.45 * np.cos(x1)) * bump(np.asarray(x2, float) / h)
         return q[..., None, None] * np.eye(2)
 
     return ContrastField(sampler=sampler, h=h)

@@ -26,8 +26,6 @@ from .problem import Problem
 from .solver import Solution
 
 EVANESCENT_DROP = 40.0
-# an absorbed fraction below minus this marks an active medium
-PASSIVITY_TOL = 1e-8
 # how far a solve's efficiencies may break physics before check_physics
 # refuses them, with a wide margin: the largest energy defect of a bundled
 # config, validate gate, benchmark run or test is 3.3e-4 (a q = -5 circle
@@ -305,19 +303,12 @@ def energy_balance(table: EfficiencyTable, problem: Problem) -> float:
     """Energy-conservation defect (lossless) or absorbed fraction (lossy).
 
     For a lossless contrast returns |1 - sum of efficiencies|.  Otherwise
-    returns the absorbed fraction, which must be nonnegative for passive
-    media: in the radiating convention of this library a dissipative
-    contrast has Im Q negative semidefinite.
+    returns the absorbed fraction, which :func:`check_physics` requires to
+    be nonnegative: in the radiating convention of this library a
+    dissipative contrast has Im Q negative semidefinite.
     """
     absorbed = table.absorbed
-    if problem.is_lossless():
-        return abs(absorbed)
-    if absorbed < -PASSIVITY_TOL:
-        raise ValueError(
-            f"negative absorption {absorbed:.3e}: medium is active "
-            "(passive contrast requires Im Q <= 0 in this convention)"
-        )
-    return absorbed
+    return abs(absorbed) if problem.is_lossless() else absorbed
 
 
 def check_physics(table: EfficiencyTable, problem: Problem) -> None:

@@ -12,15 +12,18 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from . import analysis as an
+from . import kernel as kn
 from . import postprocess as pp
-from .kernel import kernel_coefficient, kernel_table
+from .kernel import kernel_table
 from .operators import evaluate, to_physical, to_spectral, volume_potential
 from .oracle import (
     SlabSpec,
+    bump,
     compactness_indicator,
     dense_quadrature_potential,
     helmholtz_residual,
@@ -57,7 +60,8 @@ def _result(name, t0, passed, details) -> GateResult:
 
 def gate_kernel_formula(n: int = 64) -> GateResult:
     """Every table entry vs an arbitrary-precision re-evaluation; the
-    degenerate branch exactly; branch continuity through the symbol zero."""
+    degenerate branch of the table exactly; the table's branch continuity
+    through the symbol zero."""
     from mpmath import mp, mpf, exp as mexp, sqrt as msqrt, pi as mpi
 
     t0 = time.time()
@@ -81,16 +85,18 @@ def gate_kernel_formula(n: int = 64) -> GateResult:
             worst = max(worst, abs(got - ref) / abs(ref))
     ok_table = worst < 1e-13
 
-    d_plus = kernel_coefficient(0, 1, 1.0, 0.0, np.pi)
-    d_minus = kernel_coefficient(0, -1, 1.0, 0.0, np.pi)
-    ok_degenerate = (d_plus == 0.25j) and (d_minus == 0.25j)
+    # k = 1, alpha = 0, rho = pi: the symbol vanishes at (0, +-1); orders
+    # +-1 are at cutoff, so only the row j1 = 0 is built
+    row = Grid(n1=n, n2=n, rho_box=np.pi)
+    at = [row.j2_modes().tolist().index(j2) for j2 in (1, -1)]
+    degenerate, = kn._build_tables(row, [0.0], [1.0], [1.0], rows=1)
+    ok_degenerate = all(degenerate.coeffs[0, i] == 0.25j for i in at)
 
-    # perturb k^2 so the symbol sits at +-1e-6 around the (0, 1) zero
-    worst_branch = 0.0
-    for eps in (1e-6, -1e-6):
-        k2 = 1.0 + eps
-        val = kernel_coefficient(0, 1, None, 0.0, np.pi, k_squared=k2)
-        worst_branch = max(worst_branch, abs(val - 0.25j) / 0.25)
+    # perturb k^2 so the symbol sits at +-1e-6 around the (0, +-1) zeros
+    k2s = [1.0 + 1e-6, 1.0 - 1e-6]
+    near = kn._build_tables(row, [0.0, 0.0], k2s, np.sqrt(k2s), rows=1)
+    worst_branch = max(abs(t.coeffs[0, i] - 0.25j) / 0.25
+                       for t in near for i in at)
     ok_branch = worst_branch < 1e-4
 
     passed = ok_table and ok_degenerate and ok_branch
@@ -113,11 +119,8 @@ def gate_multiplier() -> GateResult:
     grid = Grid(n1=16, n2=16, rho_box=rho)
     wave = IncidentWave(k=k, d=(alpha / k, -np.sqrt(1 - (alpha / k) ** 2)))
     xx1, xx2 = grid.mesh()
-    t = np.clip((xx2 - 0.5) / 0.32, -1, 1)
-    prof = np.where(
-        np.abs(t) < 1, np.exp(1 - 1 / np.maximum(1e-300, 1 - t**2)), 0.0
-    )
-    g = prof * np.exp(1j * alpha * xx1) * np.exp(np.sin(xx1))
+    g = (bump((xx2 - 0.5) / 0.32) * np.exp(1j * alpha * xx1)
+         * np.exp(np.sin(xx1)))
     g[np.abs(g) < 1e-13 * np.abs(g).max()] = 0.0
 
     out = volume_potential(to_spectral(g, grid, alpha), kernel_table(grid, wave))
@@ -144,11 +147,7 @@ def gate_pde(level: str = "full") -> GateResult:
     for n in sizes:
         grid = Grid(n1=n, n2=n, rho_box=rho)
         xx1, xx2 = grid.mesh()
-        t = np.clip(xx2 / h, -1, 1)
-        prof = np.where(
-            np.abs(t) < 1, np.exp(1 - 1 / np.maximum(1e-300, 1 - t**2)), 0.0
-        )
-        g = prof * np.exp(1j * alpha * xx1) * np.exp(np.sin(xx1))
+        g = bump(xx2 / h) * np.exp(1j * alpha * xx1) * np.exp(np.sin(xx1))
         w = to_physical(
             volume_potential(to_spectral(g, grid, alpha), kernel_table(grid, wave))
         )
@@ -165,7 +164,16 @@ def gate_pde(level: str = "full") -> GateResult:
 # normal incidence; box sized so the faces sit midway between grid rows
 SLAB_K = 1.0 / PERIOD
 SLAB_H = np.pi
-SLAB_RATIO_256 = 256 / 113.5
+
+
+def slab_box_ratio(n: int) -> float:
+    """rho_box / SLAB_H that puts the slab faces midway between the rows of
+    an n-row grid, which keeps the pointwise-sampled interface error at its
+    measured minimum: 256 / 113.5 at n = 256."""
+    return n / (round(n / 2.2555 - 0.5) + 0.5)
+
+
+SLAB_RATIO_256 = slab_box_ratio(256)
 
 
 def _solve_slab(q, n1, n2, ratio, rel_tol=1e-10, theta_deg=0.0):
@@ -187,7 +195,7 @@ def gate_slab(level: str = "full") -> GateResult:
     if level == "full":
         n, ratio, tol_eff = 256, SLAB_RATIO_256, 1e-3
     else:
-        n, ratio, tol_eff = 128, 128 / 56.5, 4e-3
+        n, ratio, tol_eff = 128, slab_box_ratio(128), 4e-3
     problem, _, sol, _, _, eff = _solve_slab(3.0, n, n, ratio)
     ref = slab_reference(SlabSpec(q=3.0, a=-SLAB_H, b=SLAB_H, k=SLAB_K),
                          rho_ref=problem.rho_ref)
@@ -385,15 +393,38 @@ def gate_rayleigh_routes() -> GateResult:
                    f"max relative route difference {worst:.2e}")
 
 
+def write_slab_example_config(path, n: int = 256, q: float = 3.0,
+                              k: float = 1.0):
+    """Write the bundled slab configuration (lengths in period units), its
+    box sized by :func:`slab_box_ratio`."""
+    rho_box = 0.5 * slab_box_ratio(n)
+    Path(path).write_text(
+        "[problem]\n"
+        f"k = {k}\n"
+        "theta_deg = 0.0\n"
+        "shape = slab\n"
+        f"q_re = {q}\n"
+        "thickness = 1.0\n"
+        "\n"
+        "[numerics]\n"
+        f"n1 = {n}\n"
+        f"n2 = {n}\n"
+        f"rho_box = {rho_box!r}\n"
+        "rel_tol = 1e-10\n"
+        "\n"
+        "[output]\n"
+        "directory = out\n",
+        encoding="utf-8",
+    )
+
+
 def gate_determinism(tmp_dir) -> GateResult:
     """Two CLI solves of the same config produce byte-identical outputs
     (timestamp metadata excluded)."""
-    import pathlib
-
-    from .cli import main as cli_main, write_slab_example_config
+    from .cli import main as cli_main
 
     t0 = time.time()
-    tmp = pathlib.Path(tmp_dir)
+    tmp = Path(tmp_dir)
     cfg = tmp / "slab.ini"
     write_slab_example_config(cfg, n=64)
     outputs = []

@@ -4,8 +4,10 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; every gate encapsulates its frozen configuration and tolerance.
 """
 
+import dataclasses
 import inspect
 
+import vigrating.kernel
 import vigrating.validate
 from vigrating.validate import (
     gate_compactness,
@@ -32,6 +34,28 @@ def _check(result, runtime_budget):
 
 def test_criterion_1_kernel_formula():
     _check(gate_kernel_formula(64), runtime_budget=1.0)
+
+
+def test_the_kernel_formula_gate_checks_the_table_the_solver_runs(
+        monkeypatch):
+    # a table whose limit branch is off by 1e-3 must fail the gate
+    build = vigrating.kernel._build_tables
+
+    def off_limit(grid, alpha, k_squared, k, rows=None):
+        j1 = grid.j1_modes()[:rows].tolist()
+        j2 = grid.j2_modes().tolist()
+        tables = []
+        for table in build(grid, alpha, k_squared, k, rows):
+            coeffs = table.coeffs.copy()
+            for m1, m2 in table.degenerate_modes:
+                coeffs[j1.index(m1), j2.index(m2)] *= 1 + 1e-3
+            tables.append(dataclasses.replace(table, coeffs=coeffs))
+        return tables
+
+    monkeypatch.setattr(vigrating.kernel, "_build_tables", off_limit)
+    result = gate_kernel_formula(16)
+    assert not result.passed
+    assert "degenerate exact False" in result.details
 
 
 def test_criterion_2_multiplier_constant():

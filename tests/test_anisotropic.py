@@ -32,6 +32,7 @@ from vigrating.validate import (
     RECIPROCITY_BOUNDS,
     _reciprocity_error,
     _reflected,
+    slab_box_ratio,
 )
 
 from conftest import SLAB_H, SLAB_K
@@ -40,7 +41,7 @@ from conftest import SLAB_H, SLAB_K
 def _solve_tensor_slab(q_matrix, theta_deg, n2=512):
     wave = IncidentWave.from_angle(SLAB_K, theta_deg)
     contrast = slab_contrast(q_matrix, 2 * SLAB_H)
-    grid = Grid(n1=16, n2=n2, rho_box=(n2 / (n2 / 2.2555 // 1 + 0.5)) * SLAB_H)
+    grid = Grid(n1=16, n2=n2, rho_box=slab_box_ratio(n2) * SLAB_H)
     problem = build_problem(wave, contrast, grid)
     table = kernel_table(grid, wave)
     solution = solve(problem, table, SolveOptions(rel_tol=1e-11))

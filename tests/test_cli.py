@@ -12,7 +12,7 @@ import vigrating.analysis
 import vigrating.cli
 import vigrating.postprocess
 import vigrating.solver
-from vigrating.cli import main, write_slab_example_config
+from vigrating.cli import main
 from vigrating.config import PERIOD, load_config
 from vigrating.errors import (
     BreakdownDetected,
@@ -20,7 +20,7 @@ from vigrating.errors import (
     NonSymmetric,
     RayleighAnomaly,
 )
-from vigrating.kernel import beta, kernel_coefficient, kernel_table
+from vigrating.kernel import kernel_table
 from vigrating.operators import OperatorStack
 from vigrating.problem import (
     ANOMALY_RTOL,
@@ -471,6 +471,8 @@ def test_cmd_diagnose(tmp_path):
 
 
 def test_bundled_config_roundtrip(tmp_path):
+    from vigrating.validate import write_slab_example_config
+
     cfg = tmp_path / "slab.ini"
     write_slab_example_config(cfg, n=64)
     loaded = load_config(cfg)
@@ -990,9 +992,6 @@ def test_one_anomaly_rule_at_every_layer(tmp_path, caplog, gap):
 
     layers = {
         "check_nonresonance": wave.check_nonresonance,
-        "beta": lambda: beta(-1, wave.k, wave.alpha),
-        "kernel_coefficient": lambda: kernel_coefficient(
-            -1, 0, wave.k, wave.alpha, grid.rho_box),
         "kernel_table": lambda: kernel_table(grid, wave),
         "kernel_table of a list": lambda: kernel_table(grid, [other, wave],
                                                        1),

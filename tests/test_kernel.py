@@ -3,11 +3,11 @@ import pytest
 
 from vigrating.errors import RayleighAnomaly, SlowConvergence
 from vigrating.kernel import (
-    beta,
+    _beta_many,
+    _build_tables,
     greens_series,
     greens_series_many,
     helmholtz_symbol,
-    kernel_coefficient,
     kernel_table,
     reference_table,
     series_tail_bound,
@@ -21,6 +21,15 @@ GENERIC_REFERENCE = -0.4058926811992577 + 0.0867025694892423j
 
 def _wave(k, alpha):
     return IncidentWave(k=k, d=(alpha / k, -np.sqrt(1 - (alpha / k) ** 2)))
+
+
+def _entries(k_squared, alpha, rho, j2s):
+    """The row j1 = 0 entries at ``j2s`` of the table of k^2, alpha, rho."""
+    grid = Grid(n1=4, n2=8, rho_box=rho)
+    table, = _build_tables(grid, [alpha], [k_squared], [np.sqrt(k_squared)],
+                           rows=1)
+    j2 = grid.j2_modes().tolist()
+    return [complex(table.coeffs[0, j2.index(m)]) for m in j2s]
 
 
 def decay_shell_stat(table, grid, shell: int) -> float:
@@ -39,18 +48,18 @@ def decay_shell_stat(table, grid, shell: int) -> float:
 
 
 def test_beta_examples():
-    assert beta(0, 2.0, 0.0) == 2.0
-    b = beta(1, 1.0, 0.5)
+    assert _beta_many(0, 4.0, 0.0) == 2.0
+    b = _beta_many(1, 1.0, 0.5)
     assert np.isclose(b, 1j * np.sqrt(1.25))
+    # the anomaly rule lives in the wave, not in the wavenumber
     with pytest.raises(RayleighAnomaly):
-        beta(1, 1.0, 0.0)
+        IncidentWave(k=1.0, d=(0.0, -1.0)).check_nonresonance()
 
 
 def test_beta_branch():
     k, alpha = 2.3, 0.4
     n_real = 0
-    for j in range(-50, 51):
-        b = beta(j, k, alpha)
+    for b in _beta_many(np.arange(-50, 51), k**2, alpha):
         assert b.imag >= 0
         if b.imag == 0:
             assert b.real > 0
@@ -60,15 +69,14 @@ def test_beta_branch():
 
 
 def test_kernel_coefficient_generic_value():
-    val = kernel_coefficient(0, 0, 1.0, 0.5, np.pi)
+    val, = _entries(1.0, 0.5, np.pi, [0])
     assert abs(val - GENERIC_REFERENCE) < 1e-15
 
 
 def test_kernel_coefficient_degenerate_even_in_j2():
     # the kernel is even in x2, so the degenerate value carries 1/|j2|
     # and is identical at j2 = +1 and j2 = -1
-    assert kernel_coefficient(0, 1, 1.0, 0.0, np.pi) == 0.25j
-    assert kernel_coefficient(0, -1, 1.0, 0.0, np.pi) == 0.25j
+    assert _entries(1.0, 0.0, np.pi, [1, -1]) == [0.25j, 0.25j]
 
 
 def test_degenerate_value_against_quadrature():
@@ -86,27 +94,8 @@ def test_degenerate_value_against_quadrature():
 
 def test_branch_continuity_through_symbol_zero():
     for eps in (1e-6, -1e-6):
-        for j2 in (1, -1):
-            val = kernel_coefficient(0, j2, None, 0.0, np.pi,
-                                     k_squared=1.0 + eps)
+        for val in _entries(1.0 + eps, 0.0, np.pi, [1, -1]):
             assert abs(val - 0.25j) / 0.25 < 1e-4
-
-
-def test_degenerate_at_zero_j2_guard():
-    # at j2 == 0 a vanishing symbol is the order j1 at cutoff
-    with pytest.raises(RayleighAnomaly, match="order j=0"):
-        kernel_coefficient(0, 0, None, 0.0, 1.0, k_squared=0.0)
-
-
-def test_table_matches_scalar_entries():
-    grid = Grid(n1=4, n2=4, rho_box=2.0)
-    wave = _wave(1.0, 0.3)
-    table = kernel_table(grid, wave)
-    assert table.degenerate_modes == ()
-    for i1, j1 in enumerate(grid.j1_modes()):
-        for i2, j2 in enumerate(grid.j2_modes()):
-            ref = kernel_coefficient(int(j1), int(j2), 1.0, 0.3, 2.0)
-            assert abs(table.coeffs[i1, i2] - ref) < 1e-15
 
 
 def test_degenerate_mode_locations():
@@ -134,7 +123,6 @@ def test_table_degenerate_entries_match_the_scalar_limit():
     j2 = list(grid.j2_modes())
     for m1, m2 in table.degenerate_modes:
         entry = table.coeffs[j1.index(m1), j2.index(m2)]
-        assert entry == kernel_coefficient(m1, m2, k, 0.0, rho)
         assert abs(entry - closed_form) <= 1e-15
 
 

@@ -20,7 +20,7 @@ from vigrating.operators import (
     to_spectral,
     volume_potential,
 )
-from vigrating.oracle import dense_quadrature_potential
+from vigrating.oracle import bump, dense_quadrature_potential
 from vigrating.problem import (
     Grid,
     IncidentWave,
@@ -144,10 +144,7 @@ def test_volume_potential_against_quadrature_n8():
     grid = Grid(n1=8, n2=8, rho_box=rho)
     wave = _wave(k, alpha)
     xx1, xx2 = grid.mesh()
-    t = np.clip((xx2 - 0.5) / 0.35, -1, 1)
-    prof = np.where(np.abs(t) < 1,
-                    np.exp(1 - 1 / np.maximum(1e-300, 1 - t**2)), 0.0)
-    g = prof * np.exp(1j * alpha * xx1)
+    g = bump((xx2 - 0.5) / 0.35) * np.exp(1j * alpha * xx1)
     g[np.abs(g) < 1e-13] = 0.0
     out = volume_potential(to_spectral(g, grid, alpha), kernel_table(grid, wave))
     targets = np.array([[0.3, 0.0], [-1.1, 0.0], [2.0, 0.0]])

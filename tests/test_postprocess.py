@@ -9,7 +9,7 @@ import pytest
 
 from vigrating.cli import _csv, _json
 from vigrating.errors import NotConverged, ShapeMismatch, Unphysical
-from vigrating.kernel import beta, kernel_table
+from vigrating.kernel import _beta_many, kernel_table
 from vigrating.operators import (
     OperatorStack,
     VectorSpectralField,
@@ -252,8 +252,9 @@ def test_lossy_and_active_media():
     above2 = rayleigh_coefficients(sol2, problem2, table2, "+")
     below2 = rayleigh_coefficients(sol2, problem2, table2, "-")
     eff2 = efficiencies(above2, below2, problem2)
-    with pytest.raises(ValueError):
-        energy_balance(eff2, problem2)
+    assert energy_balance(eff2, problem2) == eff2.absorbed < -1e-2
+    with pytest.raises(Unphysical, match="the medium gains energy"):
+        check_physics(eff2, problem2)
 
 
 def _efficiency_table(reflected, transmitted) -> EfficiencyTable:
@@ -427,7 +428,7 @@ def _full_grid_rayleigh(density, problem, side):
     j_max = problem.grid.n1 // 2 - 1
     out = {}
     for j in range(-j_max, j_max + 1):
-        bj = beta(j, problem.k, problem.alpha)
+        bj = complex(_beta_many(j, problem.k**2, problem.alpha))
         if bj.imag * problem.rho_ref > EVANESCENT_DROP:
             out[j] = 0.0
             continue
