@@ -218,8 +218,9 @@ def _sweep_points(base: RunConfig, param: str, values) -> list:
 
     def problems():
         """The (value, problem) of each point, built only when the solver
-        takes it; a point whose wave is rejected, or whose propagating
-        orders the grid cannot hold, is skipped."""
+        takes it; a point whose wave is rejected, at a Rayleigh anomaly
+        among others, or whose propagating orders the grid cannot hold,
+        is skipped."""
         for value in values:
             try:
                 wave = base.replace_parameter(param, float(value)).wave()
@@ -384,20 +385,24 @@ def main(argv=None) -> int:
         # argparse exits 0 after --help and 2 on a usage error, which is
         # the code of a solve that did not converge
         return EXIT_OK if exc.code == 0 else EXIT_INVALID
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
-
-    if args.command == "solve":
-        return cmd_solve(args.config, output=args.output)
-    if args.command == "sweep":
-        return cmd_sweep(args.config, args.param, args.start, args.stop,
-                         args.steps, output=args.output)
-    if args.command == "diagnose":
-        return cmd_diagnose(args.config, output=args.output,
-                            estimate_extension=args.estimate_extension)
-    return cmd_validate(args.level)
+    logging.basicConfig(level=logging.INFO,
+                        format="%(levelname)s %(name)s: %(message)s")
+    # basicConfig configures a process's first call alone: -v sets the
+    # package logger for its own call, whichever call of the process it is
+    level = log.level
+    log.setLevel(logging.DEBUG if args.verbose else level)
+    try:
+        if args.command == "solve":
+            return cmd_solve(args.config, output=args.output)
+        if args.command == "sweep":
+            return cmd_sweep(args.config, args.param, args.start, args.stop,
+                             args.steps, output=args.output)
+        if args.command == "diagnose":
+            return cmd_diagnose(args.config, output=args.output,
+                                estimate_extension=args.estimate_extension)
+        return cmd_validate(args.level)
+    finally:
+        log.setLevel(level)
 
 
 if __name__ == "__main__":

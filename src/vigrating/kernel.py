@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import RayleighAnomaly, SlowConvergence
+from .errors import SlowConvergence
 from .problem import Grid, IncidentWave, at_cutoff
 
 
@@ -112,26 +112,6 @@ def _build_tables(grid: Grid, alpha, k_squared, k,
     return out
 
 
-def _wave_tables(grid: Grid, waves, rows: int | None) -> list:
-    """The tables of ``waves`` from one build, or the RayleighAnomaly that
-    rejects a wave alone: the one place where the waves of a batch are
-    checked against the anomalies."""
-    out: list = [None] * len(waves)
-    valid = []
-    for i, wave in enumerate(waves):
-        try:
-            wave.check_nonresonance()
-            valid.append(i)
-        except RayleighAnomaly as exc:
-            out[i] = exc
-    tables = _build_tables(grid, [waves[i].alpha for i in valid],
-                           [waves[i].k**2 for i in valid],
-                           [waves[i].k for i in valid], rows)
-    for i, table in zip(valid, tables):
-        out[i] = table
-    return out
-
-
 def kernel_table(grid: Grid, wave: IncidentWave | Sequence[IncidentWave],
                  rows: int | None = None) -> KernelTable | list:
     """Tabulate the N1 x N2 kernel coefficients for a wave, which raises
@@ -143,16 +123,17 @@ def kernel_table(grid: Grid, wave: IncidentWave | Sequence[IncidentWave],
     order, whether or not its row is kept.
 
     ``wave`` may also be a sequence of waves (the points of a sweep batch):
-    one (P, rows, N2) build tabulates them all, and the list returned holds
-    each wave's table, bit for bit the one it gets alone, or the
-    RayleighAnomaly that rejects it alone.
+    each is checked, and the first RayleighAnomaly is raised, as the one
+    wave's call raises it; then one (P, rows, N2) build tabulates them all,
+    and the list returned holds each wave's table, bit for bit the one it
+    gets alone.
     """
-    if not isinstance(wave, IncidentWave):
-        return _wave_tables(grid, wave, rows)
-    table, = _wave_tables(grid, [wave], rows)
-    if isinstance(table, Exception):
-        raise table
-    return table
+    waves = [wave] if isinstance(wave, IncidentWave) else list(wave)
+    for w in waves:
+        w.check_nonresonance()
+    tables = _build_tables(grid, [w.alpha for w in waves],
+                           [w.k**2 for w in waves], [w.k for w in waves], rows)
+    return tables[0] if isinstance(wave, IncidentWave) else tables
 
 
 def reference_table(grid: Grid, alpha: float) -> KernelTable:

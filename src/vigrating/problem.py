@@ -284,11 +284,13 @@ class Problem:
     """Immutable solver input: wave, contrast, grid and the sampled contrast.
 
     ``rho_ref`` (h < rho_ref <= rho_box) is the reference height of the
-    Rayleigh expansion; ``layout`` holds the samples.  A contrast that
-    couples x1 orders (``layout.n_rows > 1``) must have every propagating
-    order among the ones the grid resolves: :func:`check_orders` raises
-    UnresolvedOrder otherwise.  Then the grid must resolve the material
-    wavelength (:func:`check_resolution`).
+    Rayleigh expansion; ``layout`` holds the samples.  A Problem is valid
+    when it is built.  Its wave must be clear of the Rayleigh anomalies:
+    :meth:`IncidentWave.check_nonresonance` raises RayleighAnomaly
+    otherwise.  A contrast that couples x1 orders (``layout.n_rows > 1``)
+    must have every propagating order among the ones the grid resolves:
+    :func:`check_orders` raises UnresolvedOrder otherwise.  Then the grid
+    must resolve the material wavelength (:func:`check_resolution`).
     """
 
     wave: IncidentWave
@@ -298,6 +300,7 @@ class Problem:
     layout: ContrastLayout = field(repr=False, compare=False)
 
     def __post_init__(self):
+        self.wave.check_nonresonance()
         if self.layout.n_rows > 1:
             check_orders(self.wave, self.grid)
         check_resolution(self.wave, self.grid, self.layout)
@@ -359,15 +362,15 @@ def build_problem(
     grid: Grid,
     rho_ref: float | None = None,
 ) -> Problem:
-    """Validate the inputs and sample the contrast on the grid.
+    """Sample the contrast on the grid and build the Problem.
 
-    Raises RayleighAnomaly at a cutoff order, what :func:`sample_contrast`
-    raises for the geometry, UnresolvedOrder when a contrast that couples
-    x1 orders has a propagating order the grid cannot hold
-    (:func:`check_orders`), and Underresolved when the grid cannot hold
-    the material wavelength (:func:`check_resolution`).
+    Raises what :func:`sample_contrast` raises for the geometry, then what
+    :class:`Problem` raises: RayleighAnomaly at a cutoff order,
+    UnresolvedOrder when a contrast that couples x1 orders has a
+    propagating order the grid cannot hold (:func:`check_orders`), and
+    Underresolved when the grid cannot hold the material wavelength
+    (:func:`check_resolution`).
     """
-    wave.check_nonresonance()
     rho_ref, layout = sample_contrast(contrast, grid, rho_ref)
     return Problem(wave=wave, contrast=contrast, grid=grid, rho_ref=rho_ref,
                    layout=layout)

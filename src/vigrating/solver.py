@@ -291,6 +291,42 @@ def gmres_steps(b: np.ndarray, rel_tol: float, restart: int,
     return x, history, converged, iterations, stop
 
 
+def _lockstep(bs, apply, rel_tol: float, restart: int,
+              max_iterations: int):
+    """Run :func:`gmres_steps` on every right-hand side of ``bs`` in
+    lockstep, the one place that sends GMRES its products: each step makes
+    one call ``apply(live, vectors)``, with the indices into ``bs`` of the
+    points still running and the vectors they wait on, which returns their
+    products in that order.  A generator of each point's (index, outcome)
+    as it ends: the (x, history, converged, iterations, stop) of
+    :func:`gmres_steps`, or the BreakdownDetected or MemoryError that
+    ended that point alone; a MemoryError of ``apply`` ends every point
+    still running."""
+    steps = [gmres_steps(b, rel_tol, restart, max_iterations) for b in bs]
+    live, products = range(len(steps)), [None] * len(steps)
+    while True:
+        running, vectors = [], []
+        for i, product in zip(live, products):
+            try:
+                vectors.append(steps[i].send(product))
+                running.append(i)
+                continue
+            except StopIteration as done:
+                outcome = done.value
+            except (BreakdownDetected, MemoryError) as exc:
+                outcome = exc
+            yield i, outcome
+        live = running
+        if not live:
+            return
+        try:
+            products = apply(live, vectors)
+        except MemoryError as exc:
+            for i in live:
+                yield i, exc
+            return
+
+
 def gmres(
     matvec,
     b: np.ndarray,
@@ -298,15 +334,14 @@ def gmres(
     restart: int = SolveOptions.restart,
     max_iterations: int = SolveOptions.max_iterations,
 ):
-    """:func:`gmres_steps` with the operator ``matvec``: returns (x,
-    history, converged, iterations, stop)."""
-    steps = gmres_steps(b, rel_tol, restart, max_iterations)
-    try:
-        vector = next(steps)
-        while True:
-            vector = steps.send(matvec(vector))
-    except StopIteration as done:
-        return done.value
+    """:func:`gmres_steps` with the operator ``matvec``, the one-point run
+    of :func:`_lockstep`: returns (x, history, converged, iterations,
+    stop)."""
+    (_, result), = _lockstep([b], lambda live, vectors: [matvec(vectors[0])],
+                             rel_tol, restart, max_iterations)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def physical_memory_bytes() -> int | None:
@@ -404,87 +439,45 @@ def _finish(problem: Problem, table: KernelTable, stack, result,
     return sol
 
 
-class _Pending:
-    """A point of :func:`solve_lockstep`: its GMRES generator and the
-    vector that waits for its product."""
-
-    def __init__(self, key, problem: Problem, table: KernelTable,
-                 b: np.ndarray, opts: SolveOptions):
-        self.key, self.problem, self.table = key, problem, table
-        self.matvecs = 0
-        self.steps = gmres_steps(b, opts.rel_tol, opts.restart,
-                                 opts.max_iterations)
-
-    def advance(self, product: np.ndarray | None, pending: list,
-                ended: list):
-        """Send GMRES ``product``, or start it with None.  The point goes
-        to ``pending`` while it waits for the product of ``vector``, its
-        (key, outcome) pair to ``ended`` once GMRES ends."""
-        try:
-            self.vector = self.steps.send(product)
-            pending.append(self)
-            return
-        except StopIteration as done:
-            try:
-                outcome = _finish(self.problem, self.table, None,
-                                  done.value, self.matvecs)
-            except NotConverged as exc:
-                outcome = exc
-        except (BreakdownDetected, MemoryError) as exc:
-            outcome = exc
-        ended.append((self.key, outcome))
-
-
-def _step(pending: list, stack: OperatorStack, ended: list) -> list:
-    """Send every pending point the product of its vector, from one call
-    of ``stack``; the points still pending."""
-    products = stack.apply([p.vector for p in pending])
-    still = []
-    for point, product in zip(pending, products):
-        point.matvecs += 1
-        point.advance(product.reshape(-1), still, ended)
-    return still
-
-
 def _solve_batch(batch: list, opts: SolveOptions) -> list:
     """The (key, outcome) pairs of one batch of (key, problem) pairs,
-    solved together: one kernel table build and one right-hand-side
-    stack for the batch, then GMRES in lockstep."""
-    first = batch[0][1]
-    rows = first.layout.n_rows
+    solved together, in the order the points end: one kernel table build
+    and one right-hand-side stack for the batch, then GMRES in lockstep
+    (:func:`_lockstep`) on the stack of the points still running."""
+    keys, problems = zip(*batch)
     try:
-        tables = kernel_table(first.grid, [p.wave for _, p in batch], rows)
-        # a wave the table build rejects ends its point alone
-        ended = [(key, table) for (key, _), table in zip(batch, tables)
-                 if isinstance(table, Exception)]
-        solvable = [(key, problem, table)
-                    for (key, problem), table in zip(batch, tables)
-                    if not isinstance(table, Exception)]
-        if not solvable:
-            return ended
-        stack = OperatorStack([p for _, p, _ in solvable],
-                              [t for _, _, t in solvable])
-        held = [_Pending(key, problem, table, b, opts)
-                for (key, problem, table), b in zip(solvable, stack.rhs)]
+        tables = kernel_table(problems[0].grid, [p.wave for p in problems],
+                              problems[0].layout.n_rows)
+        stack = OperatorStack(problems, tables)
+        bs = stack.rhs
     except MemoryError as exc:
-        return [(key, exc) for key, _ in batch]
-    pending: list[_Pending] = []
-    for point in held:
-        point.advance(None, pending, ended)
-    try:
-        while pending:
-            if len(pending) < len(held):
-                # the stack of the points still pending, from the rows of
-                # this one's arrays
-                alive = set(pending)
-                stack = stack.take([i for i, p in enumerate(held)
-                                    if p in alive])
-                held = pending
-            pending = _step(pending, stack, ended)
-    except MemoryError as exc:
-        # a stack that cannot be applied or taken ends every point that
-        # still waits on it; _step advances none before its product
-        ended += [(point.key, exc) for point in pending]
+        return [(key, exc) for key in keys]
+    held = list(range(len(batch)))
+    matvecs = [0] * len(batch)
+
+    def apply(live: list, vectors: list) -> np.ndarray:
+        nonlocal stack, held
+        if len(live) < len(held):
+            # the stack of the points still running, from the rows of this
+            # one's arrays
+            alive = set(live)
+            stack = stack.take([j for j, i in enumerate(held) if i in alive])
+            held = live
+        products = stack.apply(vectors)
+        for i in live:
+            matvecs[i] += 1
+        return products.reshape(len(live), -1)
+
+    ended = []
+    for i, outcome in _lockstep(bs, apply, opts.rel_tol, opts.restart,
+                                opts.max_iterations):
+        if not isinstance(outcome, Exception):
+            try:
+                outcome = _finish(problems[i], tables[i], None, outcome,
+                                  matvecs[i])
+            except NotConverged as exc:
+                outcome = exc
+        ended.append((keys[i], outcome))
     return ended
 
 
@@ -498,19 +491,21 @@ def solve_lockstep(points, opts: SolveOptions | None = None):
     estimates fit in physical memory.  The batch builds the kernel tables
     of its waves in one :func:`kernel.kernel_table` call and its
     right-hand sides in one :meth:`OperatorStack.rhs` call, and each
-    Krylov step multiplies the densities of all its pending points in one
+    Krylov step multiplies the densities of all its running points in one
     :meth:`OperatorStack.apply` call.  Each point runs its own
-    :func:`gmres_steps` from the zero iterate, so its table, right-hand
-    side, density, iterations, history, stop rules and messages are, bit
-    for bit, those :func:`solve` gives it.
+    :func:`gmres_steps` from the zero iterate, sent its products by
+    :func:`_lockstep` as :func:`gmres` is, so its table, right-hand side,
+    density, iterations, history, stop rules and messages are, bit for
+    bit, those :func:`solve` gives it.  A Problem is clear of the Rayleigh anomalies
+    when it is built, so every point's table can be built.
 
     A generator of one list per batch, of the (key, outcome) pairs of its
     points in the order they finish.  The outcome is the point's
     Solution, or the NotConverged (with the solution attached),
-    BreakdownDetected, RayleighAnomaly, SizeGuard or MemoryError that
-    ended that point alone; a MemoryError of a stacked Krylov step ends
-    every point still pending in the batch, and the points it already
-    ended keep their outcomes.
+    BreakdownDetected, SizeGuard or MemoryError that ended that point
+    alone; a MemoryError of a stacked Krylov step ends every point still
+    running in the batch, and the points it already ended keep their
+    outcomes.
     """
     opts = opts or SolveOptions()
     memory = physical_memory_bytes()

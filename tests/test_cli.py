@@ -770,6 +770,26 @@ def test_the_cli_freezes_the_heap_its_imports_leave(tmp_path):
     assert proc.stdout.split() == ["0", "True", "True", "True", "True"]
 
 
+@pytest.mark.parametrize("verbose", [(False, True, False), (True, False)],
+                         ids=["later-call", "first-call"])
+def test_verbose_holds_for_its_own_call_alone(tmp_path, verbose):
+    # logging is configured by a process's first call alone; -v must still
+    # reach a later call and end with its own
+    cfg = _write(tmp_path / "s.ini", BASE.format(out=tmp_path / "o"))
+    proc = _python("import json, sys; from vigrating.cli import main\n"
+                   "for verbose in json.loads(sys.argv[2]):\n"
+                   "    sys.stderr.write('call\\n')\n"
+                   "    args = ['-v'] * verbose + ['solve', sys.argv[1]]\n"
+                   "    assert main(args) == 0",
+                   str(cfg), json.dumps(verbose))
+    assert proc.returncode == 0, proc.stderr
+    calls = proc.stderr.split("call\n")[1:]
+    assert len(calls) == len(verbose)
+    assert [("DEBUG vigrating.solver: solved 1 of 32 coefficient rows"
+             in call) for call in calls] == list(verbose)
+    assert all("INFO vigrating: wrote" in call for call in calls)
+
+
 def test_validate_module_does_not_import_scipy():
     proc = _python("import sys, vigrating.validate; "
                    "print('scipy' in sys.modules)")

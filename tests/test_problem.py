@@ -19,6 +19,7 @@ from vigrating.problem import (
     ContrastLayout,
     Grid,
     IncidentWave,
+    Problem,
     at_cutoff,
     build_problem,
     check_orders,
@@ -200,6 +201,23 @@ def test_build_problem_rejects_anomalous_wave():
     grid = Grid(n1=8, n2=8, rho_box=1.0)
     with pytest.raises(RayleighAnomaly):
         build_problem(IncidentWave(k=1.0, d=(0.0, -1.0)), contrast, grid)
+
+
+@pytest.mark.parametrize("contrast", [slab_contrast(1.0, 0.5),
+                                      circle_contrast(1.0, 0.3)],
+                         ids=["layered", "2-D"])
+def test_a_problem_is_clear_of_the_anomalies_when_built(contrast):
+    # a Problem built directly, from a layout sampled without its wave,
+    # checks the wave as build_problem does
+    grid = Grid(n1=8, n2=8, rho_box=1.0)
+    rho_ref, layout = sample_contrast(contrast, grid)
+    with pytest.raises(RayleighAnomaly,
+                       match="Rayleigh anomaly at order j=-1") as err:
+        Problem(wave=IncidentWave(k=1.0, d=(0.0, -1.0)), contrast=contrast,
+                grid=grid, rho_ref=rho_ref, layout=layout)
+    assert err.value.order == -1
+    Problem(wave=IncidentWave.from_angle(1.0, 10.0), contrast=contrast,
+            grid=grid, rho_ref=rho_ref, layout=layout)
 
 
 def test_build_problem_deterministic():

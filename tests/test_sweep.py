@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import vigrating.solver
-from vigrating.cli import main
+from vigrating.cli import _sweep_points, main
 from vigrating.config import PERIOD, load_config
 from vigrating.kernel import kernel_table
 from vigrating.operators import OperatorStack
@@ -152,6 +152,29 @@ def test_a_point_at_a_rayleigh_anomaly_is_skipped_alone(tmp_path, caplog):
     assert code == 0
     assert rows == _expected(cfg, "k", lo, hi, 3, skipped=(PERIOD,))
     assert f"skipping k = {PERIOD:g}: invalid problem (" in caplog.text
+
+
+def test_no_batch_hands_an_anomalous_wave_to_the_table(tmp_path,
+                                                        monkeypatch, caplog):
+    # the point at the anomaly is skipped when its Problem is built, so
+    # every wave of a batch is valid
+    waves = []
+    table = vigrating.solver.kernel_table
+
+    def recorded(grid, wave, rows=None):
+        waves.extend(wave)
+        return table(grid, wave, rows)
+
+    monkeypatch.setattr(vigrating.solver, "kernel_table", recorded)
+    cfg = _config(tmp_path, SLAB, k=1.0)
+    values = np.linspace(PERIOD - 0.1, PERIOD + 0.1, 3)
+    points = _sweep_points(load_config(cfg), "k", values)
+    assert [(value, eff) for value, eff in points
+            if isinstance(eff, int)] == [(PERIOD, 3)]
+    assert f"skipping k = {PERIOD:g}: invalid problem (Rayleigh anomaly " \
+        "at order j=-1" in caplog.text
+    assert [wave.k for wave in waves] == [values[0] / PERIOD,
+                                          values[2] / PERIOD]
 
 
 def _stack_sizes(monkeypatch) -> list[int]:
