@@ -415,11 +415,12 @@ class GardingReport:
 
 def garding_check(
     problem: Problem,
-    spectra: ContrastSpectra,
     geometry: GraphGeometry | None = None,
     estimate_extension: bool = False,
 ) -> GardingReport:
-    """Evaluate the solvability-condition verdicts for the given contrast.
+    """Evaluate the solvability-condition verdicts for the contrast of
+    ``problem``, from the spectra of Re(Q) that :func:`decompose_reQ`
+    computes.
 
     Positive definite Re(Q) passes unconditionally; negative definite
     contrast (all eigenvalues below -1) additionally needs the extension
@@ -428,7 +429,7 @@ def garding_check(
     same comparison.  Mixed-sign contrast yields no certificate.
     """
     # the sampled rows of the layout hold every node's value
-    spectra = spectra.head(problem.layout.n_rows)
+    spectra = decompose_reQ(problem).head(problem.layout.n_rows)
     sign = spectra.sign_verdict
     m = spectra.mask
     inf_min = float(np.min(spectra.abs_min[m])) if m.any() else 0.0

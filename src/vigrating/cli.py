@@ -46,7 +46,6 @@ from .errors import (
     Unphysical,
     VigratingError,
 )
-from .kernel import kernel_table
 from .problem import Problem, sample_contrast
 from .solver import residual, solve, solve_lockstep
 
@@ -119,12 +118,9 @@ def _solve_config(cfg: RunConfig):
     recomputed relative residual and the energy defect (None for a lossy
     grating)."""
     problem = cfg.build()
-    # a layered solve and its Rayleigh extraction read only the coupled rows
-    table = kernel_table(problem.grid, problem.wave, problem.layout.n_rows)
-    solution = solve(problem, table, cfg.options())
-    above, below = pp.rayleigh_both_sides(solution, problem, table)
-    eff = pp.efficiencies(above, below, problem)
-    true_residual = residual(problem, table, solution.u, solution.stack)
+    solution = solve(problem, cfg.options())
+    eff = pp.efficiencies(*pp.rayleigh_both_sides(solution), problem)
+    true_residual = residual(solution)
     defect = pp.energy_balance(eff, problem) if problem.is_lossless() else None
     return problem, solution, eff, true_residual, defect
 
@@ -301,7 +297,6 @@ def cmd_diagnose(config_path: str, output: str | None = None,
     try:
         cfg = load_config(config_path)
         problem = cfg.build()
-        spectra = an.decompose_reQ(problem)
         geometry = None
         if problem.contrast.x1_invariant:
             h = problem.contrast.h
@@ -310,7 +305,7 @@ def cmd_diagnose(config_path: str, output: str | None = None,
                 zeta_minus=lambda x1: np.full_like(np.asarray(x1, float), -h),
                 rho=1.2 * h,
             )
-        report = an.garding_check(problem, spectra, geometry=geometry,
+        report = an.garding_check(problem, geometry=geometry,
                                   estimate_extension=estimate_extension)
     except FAILURES as exc:
         return _failed(exc, cfg)
@@ -321,7 +316,7 @@ def cmd_diagnose(config_path: str, output: str | None = None,
     return code
 
 
-def cmd_validate(level: str, tmp_dir: str | None = None) -> int:
+def cmd_validate(level: str) -> int:
     # the kernel-formula gate's 30-digit reference needs the optional
     # extra; nothing else does
     try:
@@ -330,15 +325,12 @@ def cmd_validate(level: str, tmp_dir: str | None = None) -> int:
         log.error("validate needs the package 'mpmath', which is not "
                   "installed: pip install 'vigrating[validate]'")
         return EXIT_INVALID
+    import tempfile
+
     from .validate import run_gates
 
-    if tmp_dir is None:
-        import tempfile
-
-        with tempfile.TemporaryDirectory() as td:
-            results = run_gates(level, tmp_dir=td)
-    else:
-        results = run_gates(level, tmp_dir=tmp_dir)
+    with tempfile.TemporaryDirectory() as tmp_dir:
+        results = run_gates(level, tmp_dir)
     for res in results:
         print(res.line())
     return EXIT_OK if all(r.passed for r in results) else 1

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotConverged, ShapeMismatch, Unphysical
-from .kernel import KernelTable, _beta_many
+from .kernel import _beta_many
 from .operators import OperatorStack, evaluate, live_rows
 from .problem import Problem
 from .solver import Solution
@@ -57,23 +57,19 @@ class RayleighData:
 
 def rayleigh_both_sides(
     solution: Solution,
-    problem: Problem,
-    table: KernelTable,
 ) -> tuple[RayleighData, RayleighData]:
     """Rayleigh coefficients above and below from moments of the density:
-    the batch of one of :func:`rayleigh_batch`, on the stack of one of
-    ``problem`` and ``table``, which the solve's own serves.  A solution
-    of ``problem`` brings its density; the density of any other is built
-    from its field."""
+    the batch of one of :func:`rayleigh_batch`, on the solve's stack of
+    one.  A Solution made from a field builds its density from that
+    field."""
     if not solution.converged:
         raise NotConverged("Rayleigh extraction requires a converged solve")
-    if solution.problem is problem and solution.density is not None:
-        stack = (solution.stack if solution.table is table
-                 else OperatorStack([problem], [table]))
-        z = solution.density[None]
+    if solution.density is not None:
+        stack, z = solution.stack, solution.density[None]
     else:
-        c = live_rows(solution.u.coeffs, problem.layout.n_rows)
-        stack = OperatorStack([problem], [table], len(c))
+        problem = solution.problem
+        c = live_rows(solution.rows, problem.layout.n_rows)
+        stack = OperatorStack([problem], [solution.table], len(c))
         z = stack.density(c[None])
     return _rayleigh(stack, z)[0]
 
@@ -161,22 +157,16 @@ def _rayleigh(stack: OperatorStack, densities: np.ndarray):
     return out
 
 
-def rayleigh_coefficients(
-    solution: Solution,
-    problem: Problem,
-    table: KernelTable,
-    side: str,
-) -> RayleighData:
+def rayleigh_coefficients(solution: Solution, side: str) -> RayleighData:
     """One side ("+" above, "-" below) of :func:`rayleigh_both_sides`."""
     if side not in ("+", "-"):
         raise ValueError("side must be '+' or '-'")
-    above, below = rayleigh_both_sides(solution, problem, table)
+    above, below = rayleigh_both_sides(solution)
     return above if side == "+" else below
 
 
-def rayleigh_line_integral(
-    solution: Solution, problem: Problem, side: str, orders,
-) -> dict[int, complex]:
+def rayleigh_line_integral(solution: Solution, side: str,
+                           orders) -> dict[int, complex]:
     """Rayleigh coefficients from the line-integral definition.
 
     (1/2pi) * integral of u^s(x1, +-rho_ref) e^{-i alpha_j x1} dx1, with the
@@ -185,6 +175,7 @@ def rayleigh_line_integral(
     """
     if side not in ("+", "-"):
         raise ValueError("side must be '+' or '-'")
+    problem = solution.problem
     x2 = problem.rho_ref if side == "+" else -problem.rho_ref
     grid = problem.grid
     c = solution.u.coeffs
@@ -201,8 +192,6 @@ def rayleigh_line_integral(
 
 def scattered_field_at(
     solution: Solution,
-    problem: Problem,
-    table: KernelTable,
     points,
     rayleigh_above: RayleighData | None = None,
     rayleigh_below: RayleighData | None = None,
@@ -211,13 +200,14 @@ def scattered_field_at(
     Rayleigh series outside."""
     if not solution.converged:
         raise NotConverged("scattered_field_at requires a converged solve")
+    problem = solution.problem
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     out = np.zeros(pts.shape[0], dtype=complex)
     inside = np.abs(pts[:, 1]) <= problem.rho_ref
     if inside.any():
         out[inside] = evaluate(solution.u, pts[inside])
     if (~inside).any() and (rayleigh_above is None or rayleigh_below is None):
-        above, below = rayleigh_both_sides(solution, problem, table)
+        above, below = rayleigh_both_sides(solution)
         rayleigh_above = above if rayleigh_above is None else rayleigh_above
         rayleigh_below = below if rayleigh_below is None else rayleigh_below
     for upper in (True, False):

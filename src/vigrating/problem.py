@@ -313,10 +313,9 @@ class Problem:
     def k(self) -> float:
         return self.wave.k
 
-    def is_lossless(self, tol: float = 0.0) -> bool:
-        """No contrast sample has an imaginary part above ``tol``."""
-        imag = np.abs(self.layout.q_nodes.imag)
-        return float(imag.max(initial=0.0)) <= tol
+    def is_lossless(self) -> bool:
+        """No contrast sample has a nonzero imaginary part."""
+        return not self.layout.q_nodes.imag.any()
 
 
 def check_orders(wave: IncidentWave, grid: Grid):

@@ -79,8 +79,9 @@ class Solution:
     N1, or the row j1 = 0 of a layered solve, whose other rows vanish.
     ``u`` is the field on all N1 rows.  Both are built when first read, so
     that a sweep point, which reads only its density, never allocates
-    them.  A Solution made from a field ``u`` has its rows, and no
-    density, problem or stack.
+    them.  A Solution made from a field ``u``, with its problem and
+    table, has its rows and no density, which Rayleigh extraction builds
+    from the field.
     """
 
     def __init__(self, u: SpectralField | None = None,
@@ -372,17 +373,28 @@ def check_memory(problem: Problem, opts: SolveOptions) -> int:
     return need
 
 
-def solve(problem: Problem, table: KernelTable,
-          opts: SolveOptions | None = None) -> Solution:
+def _operators(problems) -> tuple[list[KernelTable], OperatorStack]:
+    """The kernel tables of ``problems``, points of one contrast layout on
+    one grid, and their stack: the tables hold the ``layout.n_rows`` rows
+    a solve couples (the j1 = 0 row alone for a layered contrast) and are
+    built in one :func:`kernel.kernel_table` call."""
+    first = problems[0]
+    tables = kernel_table(first.grid, [p.wave for p in problems],
+                          first.layout.n_rows)
+    return tables, OperatorStack(problems, tables)
+
+
+def solve(problem: Problem, opts: SolveOptions | None = None) -> Solution:
     """Solve the discrete scattering equation; returns its Solution.
 
-    Always starts from the zero iterate for reproducibility.  GMRES runs,
-    on the stack of one of ``problem`` and ``table``, on the packed
-    density at the support nodes of the rows the layout couples to the
-    incident wave (the j1 = 0 row alone for a layered contrast); the
-    Solution holds it as ``density``, with that stack, and builds the field
-    from it when ``rows`` or ``u`` is read.  On stall the best iterate and
-    its history are attached to the NotConverged error.
+    Always starts from the zero iterate for reproducibility.  The solve
+    builds its kernel table and its stack of one as a sweep batch does
+    (:func:`_operators`), and GMRES runs on the packed density at the
+    support nodes of the rows the layout couples to the incident wave (the
+    j1 = 0 row alone for a layered contrast); the Solution holds it as
+    ``density``, with that table and stack, and builds the field from it
+    when ``rows`` or ``u`` is read.  On stall the best iterate and its
+    history are attached to the NotConverged error.
     GMRES stops before ``max_iterations`` when its best restarted cycle
     shows that the iterations left cannot reach ``rel_tol``; the error
     then names that per-cycle rate, the cycles it would need and the
@@ -391,7 +403,7 @@ def solve(problem: Problem, table: KernelTable,
     """
     opts = opts or SolveOptions()
     check_memory(problem, opts)
-    stack = OperatorStack([problem], [table])
+    (table,), stack = _operators([problem])
     matvecs = 0
 
     def matvec(vec: np.ndarray) -> np.ndarray:
@@ -442,13 +454,12 @@ def _finish(problem: Problem, table: KernelTable, stack, result,
 def _solve_batch(batch: list, opts: SolveOptions) -> list:
     """The (key, outcome) pairs of one batch of (key, problem) pairs,
     solved together, in the order the points end: one kernel table build
-    and one right-hand-side stack for the batch, then GMRES in lockstep
-    (:func:`_lockstep`) on the stack of the points still running."""
+    (:func:`_operators`) and one right-hand-side stack for the batch, then
+    GMRES in lockstep (:func:`_lockstep`) on the stack of the points still
+    running."""
     keys, problems = zip(*batch)
     try:
-        tables = kernel_table(problems[0].grid, [p.wave for p in problems],
-                              problems[0].layout.n_rows)
-        stack = OperatorStack(problems, tables)
+        tables, stack = _operators(problems)
         bs = stack.rhs
     except MemoryError as exc:
         return [(key, exc) for key in keys]
@@ -522,27 +533,26 @@ def solve_lockstep(points, opts: SolveOptions | None = None):
         yield _solve_batch([(key, problem), *islice(points, size - 1)], opts)
 
 
-def residual(problem: Problem, table: KernelTable, u: SpectralField,
-             stack: OperatorStack | None = None) -> float:
-    """Relative residual ||A u - rhs|| / ||rhs|| of the field equation,
-    recomputed from scratch with the field operator A.
+def residual(solution: Solution) -> float:
+    """Relative residual ||A u - rhs|| / ||rhs|| of the field equation for
+    the field u of ``solution``, recomputed from scratch with the field
+    operator A.
 
-    ``stack`` may pass the stack of one of the solve (``Solution.stack``),
-    whose incident density is then not built again.  Falls back to the
-    absolute norm when the right-hand side vanishes.  The field of a
-    layered solve has only the row j1 = 0, which is applied alone and
-    which a one-row table serves.  Any other u is applied on all N1 rows,
-    which needs the full table of ``kernel_table(grid, wave)``: a one-row
-    table raises ShapeMismatch.  The right-hand side vanishes past its
-    ``n_rows`` rows, so it is subtracted from the leading rows of A u
-    alone.
+    The right-hand side comes from the solution's stack, whose incident
+    density a solve has already built.  Falls back to the absolute norm
+    when the right-hand side vanishes.  The field of a layered solve has
+    only the row j1 = 0, which is applied alone and which a one-row table
+    serves.  Any other u is applied on all N1 rows, which needs the full
+    table of ``kernel_table(grid, wave)``: a one-row table raises
+    ShapeMismatch.  The right-hand side vanishes past its ``n_rows`` rows,
+    so it is subtracted from the leading rows of A u alone.
     """
-    stack = stack or OperatorStack([problem], [table])
+    problem, stack = solution.problem, solution.stack
     rhs = stack.potential(stack.rhs)[0].copy()
     # rows of u that vanish, past the solved ones, map to vanishing rows
-    c = live_rows(u.coeffs, problem.layout.n_rows)
+    c = live_rows(solution.rows, problem.layout.n_rows)
     if len(c) != stack.rows:
-        stack = OperatorStack([problem], [table], len(c))
+        stack = OperatorStack([problem], [solution.table], len(c))
     r = stack.apply_field(c[None])[0]
     r[:len(rhs)] -= rhs
     num = float(np.linalg.norm(r))

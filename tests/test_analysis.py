@@ -332,7 +332,7 @@ def _flat_geometry(h):
 
 def test_garding_positive_contrast():
     problem = _problem(3.0)
-    report = garding_check(problem, decompose_reQ(problem))
+    report = garding_check(problem)
     cond = {c.name: c for c in report.conditions}
     assert cond["positive_definite_contrast"].status == "satisfied"
     assert cond["negative_contrast_extension"].status == "not-applicable"
@@ -342,7 +342,7 @@ def test_garding_positive_contrast():
 def test_garding_negative_contrast_reports_margin():
     problem = _problem(-5.0)
     geom = _flat_geometry(problem.contrast.h)
-    report = garding_check(problem, decompose_reQ(problem), geometry=geom)
+    report = garding_check(problem, geometry=geom)
     cond = {c.name: c for c in report.conditions}
     entry = cond["negative_contrast_extension"]
     assert entry.status in ("satisfied", "violated")
@@ -360,14 +360,14 @@ def test_garding_weakly_negative_contrast_violated():
     # (threshold sqrt(1.5) < every admissible extension norm) must fail
     problem = _problem(-1.5)
     geom = _flat_geometry(problem.contrast.h)
-    report = garding_check(problem, decompose_reQ(problem), geometry=geom)
+    report = garding_check(problem, geometry=geom)
     cond = {c.name: c for c in report.conditions}
     assert cond["negative_contrast_extension"].status == "violated"
 
 
 def test_garding_mixed_sign_no_certificate():
     problem = _problem(np.array([[0.0, 1.0], [1.0, 0.0]]) + 0j)
-    report = garding_check(problem, decompose_reQ(problem))
+    report = garding_check(problem)
     assert report.sign_verdict == "mixed"
     assert report.interpretation == "indefinite: no certificate"
 
@@ -375,7 +375,7 @@ def test_garding_mixed_sign_no_certificate():
 def test_garding_report_json():
     problem = _problem(-5.0)
     geom = _flat_geometry(problem.contrast.h)
-    report = garding_check(problem, decompose_reQ(problem), geometry=geom,
+    report = garding_check(problem, geometry=geom,
                            estimate_extension=True)
     doc = json.loads(_json(report.doc()))
     assert doc["sign_verdict"] == "negative"

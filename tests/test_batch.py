@@ -85,11 +85,30 @@ def test_a_batch_solves_a_degenerate_point_as_solve_does():
     outcomes = dict(batches[0])
     assert sorted(outcomes) == list(range(len(WAVES)))
     for i, problem in enumerate(problems):
-        alone = solve(problem, kernel_table(grid, problem.wave, 1), OPTS)
+        alone = solve(problem, OPTS)
         assert outcomes[i].rows.tobytes() == alone.rows.tobytes()
         assert outcomes[i].residual_history == alone.residual_history
         assert outcomes[i].iterations == alone.iterations
     assert outcomes[0].table.degenerate_modes == ((0, 1), (0, -1))
+
+
+@pytest.mark.parametrize("contrast, rows", [
+    (slab_contrast(3.0, 1.0), 1), (circle_contrast(3.0, 0.6), 16),
+], ids=["layered", "2-D"])
+def test_a_solve_builds_the_table_of_a_batch_point(contrast, rows):
+    grid = Grid(n1=16, n2=32, rho_box=2.0)
+    problem, = _points(contrast, grid, [IncidentWave.from_angle(1.1, 10.0)])
+    assert problem.layout.n_rows == rows
+    table = solve(problem, OPTS).table
+    # the rows the solve couples, bit for bit those of the full table
+    assert table.coeffs.shape == (rows, grid.n2)
+    full = kernel_table(grid, problem.wave)
+    assert table.coeffs.tobytes() == full.coeffs[:rows].tobytes()
+    # and the table of the same point in a batch of one
+    (_, point), = next(solve_lockstep([("only", problem)], OPTS))
+    assert point.table.coeffs.tobytes() == table.coeffs.tobytes()
+    assert (point.table.k, point.table.alpha, point.table.degenerate_modes) \
+        == (table.k, table.alpha, table.degenerate_modes)
 
 
 def test_out_of_memory_in_a_krylov_step_ends_the_pending_points(
@@ -114,7 +133,7 @@ def test_out_of_memory_in_a_krylov_step_ends_the_pending_points(
     assert [key for key, _ in batch] == [0, 1, 2]
     outcomes = dict(batch)
     monkeypatch.setattr(OperatorStack, "apply", apply)
-    alone = solve(problems[0], kernel_table(grid, WAVES[0], 1), OPTS)
+    alone = solve(problems[0], OPTS)
     assert outcomes[0].rows.tobytes() == alone.rows.tobytes()
     assert outcomes[0].iterations == alone.iterations
     for i in (1, 2):
@@ -129,7 +148,7 @@ def test_stacked_rayleigh_of_a_one_row_batch_is_the_one_solution_one():
     solutions = [sol for _, sol in sorted(batch, key=lambda kv: kv[0])]
     assert len({len(sol.rows) for sol in solutions}) == 1
     for sol, both in zip(solutions, rayleigh_batch(solutions)):
-        alone = rayleigh_both_sides(sol, sol.problem, sol.table)
+        alone = rayleigh_both_sides(sol)
         assert [_coefficients(d) for d in both] == [
             _coefficients(d) for d in alone]
     # the order that propagates at the first point only
@@ -146,15 +165,15 @@ def test_stacked_rayleigh_of_a_2d_batch_of_one_is_the_field_extraction():
     assert len(sol.rows) == grid.n1
     both, = rayleigh_batch([sol])
     # from the solved density on a stack of one of its own
-    table = kernel_table(grid, problem.wave)
-    alone = rayleigh_both_sides(sol, problem, table)
+    alone = rayleigh_both_sides(sol)
     assert [_coefficients(d) for d in both] == [
         _coefficients(d) for d in alone]
     assert any(v != 0 for j, v in both[0].coefficients.items() if j != 0)
     # from the full field, whose density differs from the solved one by the
     # density residual, which rel_tol bounds
-    field = rayleigh_both_sides(Solution(sol.u, converged=True), problem,
-                                table)
+    field = rayleigh_both_sides(Solution(
+        sol.u, converged=True, problem=problem,
+        table=kernel_table(grid, problem.wave)))
     for data, direct in zip(both, field):
         assert list(data.coefficients) == list(direct.coefficients)
         scale = max(abs(v) for v in direct.coefficients.values())
@@ -184,7 +203,7 @@ def test_extracting_a_2d_batch_builds_no_kernel_multiplier(monkeypatch):
     # the field rows above were read on each point's own stack of one,
     # which the extraction reads no multiplier of either
     for sol, both in zip(solutions, data):
-        alone = rayleigh_both_sides(sol, sol.problem, sol.table)
+        alone = rayleigh_both_sides(sol)
         assert [_coefficients(d) for d in both] == [
             _coefficients(d) for d in alone]
 

@@ -570,7 +570,7 @@ def test_exhausted_memory_exits_3(tmp_path, monkeypatch, caplog, command):
 # covers), by the name the command reaches each through
 LATER_STAGES = {
     "solve": {
-        "kernel table": (vigrating.cli, "kernel_table"),
+        "kernel table": (vigrating.solver, "kernel_table"),
         "GMRES step": (OperatorStack, "apply"),
         "Rayleigh extraction": (vigrating.postprocess, "rayleigh_both_sides"),
         "residual": (vigrating.cli, "residual"),
@@ -850,7 +850,7 @@ def test_cmd_solve_other_library_error_exits_3(tmp_path, monkeypatch, caplog):
     def asymmetric(*args, **kwargs):
         raise NonSymmetric("Q12 != Q21 on the grid")
 
-    monkeypatch.setattr(vigrating.cli, "kernel_table", asymmetric)
+    monkeypatch.setattr(vigrating.solver, "kernel_table", asymmetric)
     cfg = _write(tmp_path / "s.ini", BASE.format(out=tmp_path / "o"))
     assert main(["solve", str(cfg)]) == 3
     assert "invalid problem: Q12 != Q21" in caplog.text

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from vigrating.cli import _csv, _json
-from vigrating.errors import NotConverged, ShapeMismatch, Unphysical
+from vigrating.errors import NotConverged, Unphysical
 from vigrating.kernel import _beta_many, kernel_table
 from vigrating.operators import (
     OperatorStack,
@@ -59,15 +59,13 @@ def _solve_slab(q, n1, n2, ratio, rel_tol=1e-10, rho_ref=None):
     contrast = slab_contrast(q, 2 * SLAB_H)
     grid = Grid(n1=n1, n2=n2, rho_box=ratio * SLAB_H)
     problem = build_problem(wave, contrast, grid, rho_ref=rho_ref)
-    table = kernel_table(grid, wave)
-    solution = solve(problem, table, SolveOptions(rel_tol=rel_tol))
-    return problem, table, solution
+    return problem, solve(problem, SolveOptions(rel_tol=rel_tol))
 
 
 def test_zero_contrast_no_scattering():
-    problem, table, sol = _solve_slab(0.0, 8, 64, 2.5)
-    above = rayleigh_coefficients(sol, problem, table, "+")
-    below = rayleigh_coefficients(sol, problem, table, "-")
+    problem, sol = _solve_slab(0.0, 8, 64, 2.5)
+    above = rayleigh_coefficients(sol, "+")
+    below = rayleigh_coefficients(sol, "-")
     assert all(v == 0 for v in above.coefficients.values())
     assert all(v == 0 for v in below.coefficients.values())
     eff = efficiencies(above, below, problem)
@@ -75,29 +73,22 @@ def test_zero_contrast_no_scattering():
     assert eff.total_reflected < 1e-14
     assert energy_balance(eff, problem) < 1e-14
     pts = np.array([[0.3, 0.2], [0.0, 5.0], [1.0, -4.0]])
-    field = scattered_field_at(sol, problem, table, pts,
+    field = scattered_field_at(sol, pts,
                                rayleigh_above=above, rayleigh_below=below)
     assert np.all(field == 0)
 
 
 def test_slab_coefficients_concentrate_at_order_zero():
-    problem, table, sol = _solve_slab(3.0, 16, 256, 2.56)
-    above = rayleigh_coefficients(sol, problem, table, "+")
+    problem, sol = _solve_slab(3.0, 16, 256, 2.56)
+    above = rayleigh_coefficients(sol, "+")
     scale = abs(above.order(0))
     for j, val in above.coefficients.items():
         if j != 0:
             assert abs(val) < 1e-10 * scale
 
 
-def test_rayleigh_rejects_a_table_of_another_wave():
-    problem, table, sol = _solve_slab(3.0, 8, 64, 2.5)
-    other = kernel_table(problem.grid, IncidentWave.from_angle(SLAB_K, 10.0))
-    with pytest.raises(ShapeMismatch, match="built for the wave"):
-        rayleigh_both_sides(sol, problem, other)
-
-
 def test_scattered_field_extracts_the_density_once(monkeypatch):
-    problem, table, sol = _solve_slab(3.0, 8, 64, 2.5)
+    problem, sol = _solve_slab(3.0, 8, 64, 2.5)
     calls = []
     density_rows = OperatorStack.density_rows
 
@@ -107,40 +98,39 @@ def test_scattered_field_extracts_the_density_once(monkeypatch):
 
     monkeypatch.setattr(OperatorStack, "density_rows", counted)
     pts = np.array([[0.3, 0.2], [0.0, 5.0], [1.0, -4.0]])
-    given = rayleigh_both_sides(sol, problem, table)
-    expected = scattered_field_at(sol, problem, table, pts, *given)
+    given = rayleigh_both_sides(sol)
+    expected = scattered_field_at(sol, pts, *given)
     calls.clear()
     for above, below in ((None, None), (given[0], None), (None, given[1])):
-        field = scattered_field_at(sol, problem, table, pts,
+        field = scattered_field_at(sol, pts,
                                    rayleigh_above=above, rayleigh_below=below)
         assert np.array_equal(field, expected)
         assert len(calls) == 1
         calls.clear()
 
 
-def test_rayleigh_requires_converged_solution(slab_problem):
-    problem, table = slab_problem
+def test_rayleigh_requires_converged_solution():
     fake = Solution(
         u=None, residual_history=(), converged=False, iterations=0
     )
     with pytest.raises(NotConverged):
-        rayleigh_coefficients(fake, problem, table, "+")
+        rayleigh_coefficients(fake, "+")
 
 
 def test_propagating_set_single_order():
-    problem, table, sol = _solve_slab(3.0, 16, 128, 2.5)
-    above = rayleigh_coefficients(sol, problem, table, "+")
+    problem, sol = _solve_slab(3.0, 16, 128, 2.5)
+    above = rayleigh_coefficients(sol, "+")
     assert above.propagating == (0,)
     eff = efficiencies(above,
-                       rayleigh_coefficients(sol, problem, table, "-"),
+                       rayleigh_coefficients(sol, "-"),
                        problem)
     assert eff.orders == (0,)
 
 
 def test_evanescent_drop_threshold():
     # need orders with Im(beta_j) * rho_ref > 40: |j| >= 12 at this geometry
-    problem, table, sol = _solve_slab(3.0, 32, 256, 2.56)
-    above = rayleigh_coefficients(sol, problem, table, "+")
+    problem, sol = _solve_slab(3.0, 32, 256, 2.56)
+    above = rayleigh_coefficients(sol, "+")
     assert len(above.truncated) > 0
     for j in above.truncated:
         assert above.order(j) == 0.0
@@ -150,37 +140,37 @@ def test_evanescent_drop_threshold():
 
 def test_route_agreement_moderate_grid():
     # measured 6e-7 at this size; the acceptance gate drives it to 1e-8
-    problem, table, sol = _solve_slab(3.0, 16, 2048, 2.56, rel_tol=1e-12)
+    problem, sol = _solve_slab(3.0, 16, 2048, 2.56, rel_tol=1e-12)
     for side in "+-":
-        data = rayleigh_coefficients(sol, problem, table, side)
-        line = rayleigh_line_integral(sol, problem, side, data.propagating)
+        data = rayleigh_coefficients(sol, side)
+        line = rayleigh_line_integral(sol, side, data.propagating)
         for j in data.propagating:
             rel = abs(line[j] - data.order(j)) / abs(data.order(j))
             assert rel < 5e-6
 
 
 def test_field_continuity_across_reference_line():
-    problem, table, sol = _solve_slab(3.0, 16, 2048, 2.56, rel_tol=1e-12)
-    above = rayleigh_coefficients(sol, problem, table, "+")
-    below = rayleigh_coefficients(sol, problem, table, "-")
+    problem, sol = _solve_slab(3.0, 16, 2048, 2.56, rel_tol=1e-12)
+    above = rayleigh_coefficients(sol, "+")
+    below = rayleigh_coefficients(sol, "-")
     x1s = np.linspace(-3.0, 3.0, 7)
     inner = np.stack([x1s, np.full(7, problem.rho_ref - 1e-12)], axis=1)
     outer = np.stack([x1s, np.full(7, problem.rho_ref + 1e-12)], axis=1)
-    f_in = scattered_field_at(sol, problem, table, inner,
+    f_in = scattered_field_at(sol, inner,
                               rayleigh_above=above, rayleigh_below=below)
-    f_out = scattered_field_at(sol, problem, table, outer,
+    f_out = scattered_field_at(sol, outer,
                                rayleigh_above=above, rayleigh_below=below)
     scale = np.abs(f_in).max()
     assert np.abs(f_in - f_out).max() < 1e-6 * scale
 
 
 def test_far_field_is_propagating_only():
-    problem, table, sol = _solve_slab(3.0, 16, 512, 2.56)
-    above = rayleigh_coefficients(sol, problem, table, "+")
-    below = rayleigh_coefficients(sol, problem, table, "-")
+    problem, sol = _solve_slab(3.0, 16, 512, 2.56)
+    above = rayleigh_coefficients(sol, "+")
+    below = rayleigh_coefficients(sol, "-")
     x1s = np.linspace(-2.0, 2.0, 5)
     far = np.stack([x1s, np.full(5, problem.rho_ref + 10.0)], axis=1)
-    vals = scattered_field_at(sol, problem, table, far,
+    vals = scattered_field_at(sol, far,
                               rayleigh_above=above, rayleigh_below=below)
     manual = above.order(0) * np.exp(
         1j * SLAB_K * (far[:, 1] - problem.rho_ref)
@@ -189,9 +179,9 @@ def test_far_field_is_propagating_only():
 
 
 def test_efficiencies_match_transfer_matrix_small_grid():
-    problem, table, sol = _solve_slab(3.0, 16, 256, 2.56)
-    above = rayleigh_coefficients(sol, problem, table, "+")
-    below = rayleigh_coefficients(sol, problem, table, "-")
+    problem, sol = _solve_slab(3.0, 16, 256, 2.56)
+    above = rayleigh_coefficients(sol, "+")
+    below = rayleigh_coefficients(sol, "-")
     eff = efficiencies(above, below, problem)
     ref = slab_reference(SlabSpec(q=3.0, a=-SLAB_H, b=SLAB_H, k=SLAB_K),
                          rho_ref=problem.rho_ref)
@@ -212,10 +202,9 @@ def test_reciprocity_symmetric_grating():
     contrast = rectangle_contrast(2.0, width=np.pi, height=1.0)
     grid = Grid(n1=64, n2=64, rho_box=1.2)
     problem = build_problem(wave, contrast, grid)
-    table = kernel_table(grid, wave)
-    sol = solve(problem, table, SolveOptions(rel_tol=1e-11))
-    above = rayleigh_coefficients(sol, problem, table, "+")
-    below = rayleigh_coefficients(sol, problem, table, "-")
+    sol = solve(problem, SolveOptions(rel_tol=1e-11))
+    above = rayleigh_coefficients(sol, "+")
+    below = rayleigh_coefficients(sol, "-")
     eff = efficiencies(above, below, problem)
     assert set(eff.orders) == {-2, -1, 0, 1, 2}
     for j in (1, 2):
@@ -231,26 +220,25 @@ def test_energy_defect_decreases_under_refinement():
     for n2 in (64, 128):
         grid = Grid(n1=16, n2=n2, rho_box=2.5 * SLAB_H)
         problem = build_problem(wave, contrast, grid)
-        table = kernel_table(grid, wave)
-        sol = solve(problem, table, SolveOptions(rel_tol=1e-12))
-        above = rayleigh_coefficients(sol, problem, table, "+")
-        below = rayleigh_coefficients(sol, problem, table, "-")
+        sol = solve(problem, SolveOptions(rel_tol=1e-12))
+        above = rayleigh_coefficients(sol, "+")
+        below = rayleigh_coefficients(sol, "-")
         defects.append(energy_balance(efficiencies(above, below, problem),
                                       problem))
     assert defects[1] < defects[0]
 
 
 def test_lossy_and_active_media():
-    problem, table, sol = _solve_slab(3.0 - 0.5j, 16, 256, 2.56)
-    above = rayleigh_coefficients(sol, problem, table, "+")
-    below = rayleigh_coefficients(sol, problem, table, "-")
+    problem, sol = _solve_slab(3.0 - 0.5j, 16, 256, 2.56)
+    above = rayleigh_coefficients(sol, "+")
+    below = rayleigh_coefficients(sol, "-")
     eff = efficiencies(above, below, problem)
     absorbed = energy_balance(eff, problem)
     assert absorbed > 0.01
     # the opposite imaginary sign is an active medium: rejected
-    problem2, table2, sol2 = _solve_slab(3.0 + 0.5j, 16, 256, 2.56)
-    above2 = rayleigh_coefficients(sol2, problem2, table2, "+")
-    below2 = rayleigh_coefficients(sol2, problem2, table2, "-")
+    problem2, sol2 = _solve_slab(3.0 + 0.5j, 16, 256, 2.56)
+    above2 = rayleigh_coefficients(sol2, "+")
+    below2 = rayleigh_coefficients(sol2, "-")
     eff2 = efficiencies(above2, below2, problem2)
     assert energy_balance(eff2, problem2) == eff2.absorbed < -1e-2
     with pytest.raises(Unphysical, match="the medium gains energy"):
@@ -303,9 +291,9 @@ def test_check_physics_passes_a_table_within_the_tolerance(
 
 
 def test_serialization_roundtrip():
-    problem, table, sol = _solve_slab(3.0, 16, 128, 2.5)
-    above = rayleigh_coefficients(sol, problem, table, "+")
-    below = rayleigh_coefficients(sol, problem, table, "-")
+    problem, sol = _solve_slab(3.0, 16, 128, 2.5)
+    above = rayleigh_coefficients(sol, "+")
+    below = rayleigh_coefficients(sol, "-")
     eff = efficiencies(above, below, problem)
 
     text = _csv([EFFICIENCY_COLUMNS, *efficiency_rows(eff)])
@@ -330,10 +318,9 @@ def test_oblique_isotropic_slab_matches_reference():
     contrast = slab_contrast(3.0, 2 * SLAB_H)
     grid = Grid(n1=16, n2=256, rho_box=(256 / 113.5) * SLAB_H)
     problem = build_problem(wave, contrast, grid)
-    table = kernel_table(grid, wave)
-    sol = solve(problem, table, SolveOptions(rel_tol=1e-11))
-    above = rayleigh_coefficients(sol, problem, table, "+")
-    below = rayleigh_coefficients(sol, problem, table, "-")
+    sol = solve(problem, SolveOptions(rel_tol=1e-11))
+    above = rayleigh_coefficients(sol, "+")
+    below = rayleigh_coefficients(sol, "-")
     eff = efficiencies(above, below, problem)
     ref = slab_reference(SlabSpec(q=3.0, a=-SLAB_H, b=SLAB_H, k=SLAB_K,
                                   alpha=problem.alpha),
@@ -358,10 +345,9 @@ def test_circle_grating_energy_balance():
     for n in (64, 128):
         grid = Grid(n1=n, n2=n, rho_box=1.7)
         problem = build_problem(wave, circ, grid)
-        table = kernel_table(grid, wave)
-        sol = solve(problem, table, SolveOptions(rel_tol=1e-11))
-        above = rayleigh_coefficients(sol, problem, table, "+")
-        below = rayleigh_coefficients(sol, problem, table, "-")
+        sol = solve(problem, SolveOptions(rel_tol=1e-11))
+        above = rayleigh_coefficients(sol, "+")
+        below = rayleigh_coefficients(sol, "-")
         eff = efficiencies(above, below, problem)
         assert len(eff.orders) == 4
         defects.append(energy_balance(eff, problem))
@@ -386,10 +372,9 @@ def test_translation_equivariance_of_efficiencies():
     tables = []
     for contrast in (base, shifted):
         problem = build_problem(wave, contrast, grid)
-        table = kernel_table(grid, wave)
-        sol = solve(problem, table, SolveOptions(rel_tol=1e-11))
-        above = rayleigh_coefficients(sol, problem, table, "+")
-        below = rayleigh_coefficients(sol, problem, table, "-")
+        sol = solve(problem, SolveOptions(rel_tol=1e-11))
+        above = rayleigh_coefficients(sol, "+")
+        below = rayleigh_coefficients(sol, "-")
         tables.append(efficiencies(above, below, problem))
     for a, b in zip(tables[0].reflected, tables[1].reflected):
         assert abs(a - b) < 1e-13
@@ -446,14 +431,14 @@ def test_one_pass_rayleigh_matches_full_grid_sum():
     q = np.array([[2.0 - 0.2j, 0.4], [0.4, 1.0]])
     grid = Grid(n1=32, n2=32, rho_box=1.7)
     problem = build_problem(wave, circle_contrast(q, 0.8), grid)
-    table = kernel_table(grid, wave)
-    sol = solve(problem, table, SolveOptions(rel_tol=1e-10))
+    sol = solve(problem, SolveOptions(rel_tol=1e-10))
     # the extraction of the solve's field, whose density it builds, against
     # the full-grid sum over that density
-    field = Solution(u=sol.u, converged=True)
+    field = Solution(u=sol.u, converged=True, problem=problem,
+                     table=sol.table)
     density = _field_density(field, problem)
-    above, below = rayleigh_both_sides(field, problem, table)
-    solved = rayleigh_both_sides(sol, problem, table)
+    above, below = rayleigh_both_sides(field)
+    solved = rayleigh_both_sides(sol)
     for data, own in zip((above, below), solved):
         direct = _full_grid_rayleigh(density, problem, data.side)
         assert list(data.coefficients) == list(direct)
@@ -461,7 +446,7 @@ def test_one_pass_rayleigh_matches_full_grid_sum():
         worst = max(abs(data.order(j) - direct[j]) for j in direct)
         assert worst <= 1e-13 * scale
         assert data.truncated == tuple(j for j, v in direct.items() if v == 0.0)
-        single = rayleigh_coefficients(sol, problem, table, data.side)
+        single = rayleigh_coefficients(sol, data.side)
         assert single.coefficients == own.coefficients
         # the solve's own density differs from its field's by the density
         # residual, which rel_tol bounds
@@ -475,7 +460,8 @@ def _reference_density_solve(problem, table, rel_tol):
     """GMRES on the density w = Q grad(u^s + u^i) at all N1 x N2 nodes,
     w - Q grad div V w = Q grad u^i, with the operator and right-hand side
     composed from the public 2-D transforms.  The density samples (2, N1,
-    N2) and the Solution of the field div V w."""
+    N2) and the Solution of the field div V w, on ``problem`` and the full
+    kernel table ``table``."""
     grid, alpha = problem.grid, problem.alpha
     shape = (2, grid.n1, grid.n2)
 
@@ -494,8 +480,9 @@ def _reference_density_solve(problem, table, rel_tol):
     x, _, converged, iterations, _ = gmres(matvec, b.reshape(-1),
                                            rel_tol=rel_tol)
     assert converged
-    return x.reshape(shape), Solution(u=potential(x), residual_history=(),
-                                      converged=True, iterations=iterations)
+    return x.reshape(shape), Solution(u=potential(x), converged=True,
+                                      iterations=iterations, problem=problem,
+                                      table=table)
 
 
 @pytest.mark.parametrize("contrast, theta", [
@@ -511,14 +498,13 @@ def test_layered_efficiencies_match_2d_reference(contrast, theta):
     wave = IncidentWave.from_angle(0.8, theta)
     grid = Grid(n1=8, n2=64, rho_box=1.1)
     problem = build_problem(wave, contrast, grid)
-    table = kernel_table(grid, wave)
-    sol = solve(problem, table, SolveOptions(rel_tol=1e-12))
+    sol = solve(problem, SolveOptions(rel_tol=1e-12))
     assert problem.layout.n_rows == 1
-    density, reference = _reference_density_solve(problem, table,
-                                                  rel_tol=1e-12)
+    density, reference = _reference_density_solve(
+        problem, kernel_table(grid, wave), rel_tol=1e-12)
     assert sol.iterations == reference.iterations
 
-    above, below = rayleigh_both_sides(sol, problem, table)
+    above, below = rayleigh_both_sides(sol)
     ref = [RayleighData(side=side, rho_ref=problem.rho_ref,
                         coefficients=_full_grid_rayleigh(density, problem,
                                                          side),
@@ -530,7 +516,7 @@ def test_layered_efficiencies_match_2d_reference(contrast, theta):
     # rows
     assert reference.u.coeffs[1:].any() or not theta
     field_density = _field_density(reference, problem)
-    for data, side in zip(rayleigh_both_sides(reference, problem, table),
+    for data, side in zip(rayleigh_both_sides(reference),
                           ("+", "-")):
         direct = _full_grid_rayleigh(field_density, problem, side)
         assert max(abs(data.order(j) - v) for j, v in direct.items()) <= 1e-13

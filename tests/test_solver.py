@@ -35,6 +35,7 @@ from vigrating.problem import (
     write_raster,
 )
 from vigrating.solver import (
+    Solution,
     SolveOptions,
     assemble_rhs,
     check_memory,
@@ -50,6 +51,12 @@ from conftest import (
     reference_rhs,
     smooth_isotropic_contrast,
 )
+
+
+def _field(u, problem, table) -> Solution:
+    """The Solution made from the field ``u``, on ``problem`` and the kernel
+    table ``table``."""
+    return Solution(u, converged=True, problem=problem, table=table)
 
 
 def _dense_reference_system():
@@ -151,8 +158,8 @@ def test_gmres_stops_when_restarted_cycles_make_no_progress():
 
 def test_restart_cycles_are_logged(slab_problem, caplog):
     caplog.set_level(logging.DEBUG, logger="vigrating.solver")
-    problem, table = slab_problem
-    sol = solve(problem, table, SolveOptions(rel_tol=1e-10, restart=3))
+    problem, _ = slab_problem
+    sol = solve(problem, SolveOptions(rel_tol=1e-10, restart=3))
     lines = [r.getMessage() for r in caplog.records
              if r.getMessage().startswith("GMRES(3) cycle")]
     # one line per restart: every completed cycle but the converging one
@@ -181,11 +188,9 @@ def test_multi_cycle_negative_contrast_still_converges(budget, caplog):
     contrast = circle_contrast(-3.5 - 0.2j, 0.08 * period)
     grid = Grid(n1=64, n2=64, rho_box=2 * contrast.h)
     problem = build_problem(wave, contrast, grid)
-    table = kernel_table(grid, wave)
-    sol = solve(problem, table,
-                SolveOptions(rel_tol=1e-10, max_iterations=budget))
+    sol = solve(problem, SolveOptions(rel_tol=1e-10, max_iterations=budget))
     assert sol.converged and sol.iterations > 9 * 50
-    assert residual(problem, table, sol.u, sol.stack) <= 2e-10
+    assert residual(sol) <= 2e-10
     # the cycle starts of the stop rule, from the arguments of its log lines
     reductions, best_only = [], []
     for record in caplog.records:
@@ -203,16 +208,15 @@ def test_solve_zero_contrast_is_immediate():
     wave = IncidentWave(k=0.5, d=(0.0, -1.0))
     problem = build_problem(wave, slab_contrast(0.0, 1.0),
                             Grid(n1=8, n2=16, rho_box=1.0))
-    table = kernel_table(problem.grid, wave)
-    sol = solve(problem, table)
+    sol = solve(problem)
     assert sol.converged and sol.iterations == 0
     assert sol.u.norm() == 0.0
 
 
 def test_solve_not_converged_carries_best_iterate(slab_problem):
-    problem, table = slab_problem
+    problem, _ = slab_problem
     with pytest.raises(NotConverged) as err:
-        solve(problem, table, SolveOptions(rel_tol=1e-13, max_iterations=2))
+        solve(problem, SolveOptions(rel_tol=1e-13, max_iterations=2))
     sol = err.value.solution
     assert sol is not None and not sol.converged
     assert sol.iterations == 2
@@ -229,25 +233,26 @@ def test_rhs_slab_is_x1_independent(slab_problem):
 def test_residual_recomputation(slab_problem):
     problem, table = slab_problem
     opts = SolveOptions(rel_tol=1e-9)
-    sol = solve(problem, table, opts)
+    sol = solve(problem, opts)
     assert sol.iterations < 200
-    true_res = residual(problem, table, sol.u)
+    true_res = residual(sol)
     assert true_res <= 1.1 * opts.rel_tol
     # Krylov estimate and recomputed residual agree within a factor 10
     assert sol.residual_history[-1] <= 10 * max(true_res, 1e-16)
     assert true_res <= 10 * max(sol.residual_history[-1], 1e-16)
     # zero iterate has unit relative residual
     zero = sol.u.replace(np.zeros_like(sol.u.coeffs))
-    assert abs(residual(problem, table, zero) - 1.0) < 1e-14
+    assert abs(residual(_field(zero, problem, table)) - 1.0) < 1e-14
     # perturbing one coefficient raises the residual
     bumped = sol.u.coeffs.copy()
     bumped[0, 3] += 1e-3
-    assert residual(problem, table, sol.u.replace(bumped)) > 10 * true_res
+    assert residual(_field(sol.u.replace(bumped), problem, table)) > (
+        10 * true_res)
 
 
 def test_monotone_history_across_restarts(slab_problem):
-    problem, table = slab_problem
-    sol = solve(problem, table, SolveOptions(rel_tol=1e-10, restart=3))
+    problem, _ = slab_problem
+    sol = solve(problem, SolveOptions(rel_tol=1e-10, restart=3))
     hist = sol.residual_history
     assert all(hist[i + 1] <= hist[i] + 1e-13 for i in range(len(hist) - 1))
 
@@ -259,8 +264,7 @@ def test_spectral_self_convergence_smooth_contrast():
     for n2 in (256, 512):
         grid = Grid(n1=32, n2=n2, rho_box=2.5 * SLAB_H)
         problem = build_problem(wave, contrast, grid)
-        table = kernel_table(grid, wave)
-        solutions[n2] = solve(problem, table, SolveOptions(rel_tol=1e-12)).u
+        solutions[n2] = solve(problem, SolveOptions(rel_tol=1e-12)).u
     coarse = Grid(n1=32, n2=256, rho_box=2.5 * SLAB_H)
     c1 = solutions[256].coeffs
     c2 = solutions[512].coeffs[np.ix_(coarse.j1_modes() % 32,
@@ -329,9 +333,8 @@ def test_warm_layered_point_allocates_no_full_grid_but_the_field():
                             slab_contrast(3.0, 1.0), grid)
 
     def point():
-        table = kernel_table(grid, problem.wave, problem.layout.n_rows)
-        sol = solve(problem, table)
-        above, below = rayleigh_both_sides(sol, problem, table)
+        sol = solve(problem)
+        above, below = rayleigh_both_sides(sol)
         return efficiencies(above, below, problem)
 
     point()                                     # warm-up
@@ -363,7 +366,8 @@ def test_layered_residual_matches_2d_operator(contrast):
         u = SpectralField(coeffs, grid, problem.alpha)
         au = coeffs - contrast_gradient_potential(u, problem, table).coeffs
         expected = np.linalg.norm(au - rhs) / np.linalg.norm(rhs)
-        assert abs(residual(problem, table, u) - expected) <= 1e-13 * expected
+        assert abs(residual(_field(u, problem, table)) - expected) <= (
+            1e-13 * expected)
 
 
 def test_layered_solve_runs_one_row(caplog):
@@ -374,7 +378,7 @@ def test_layered_solve_runs_one_row(caplog):
                            (circle_contrast(3.0, 0.4), 16)):
         caplog.clear()
         problem = build_problem(wave, contrast, grid)
-        sol = solve(problem, kernel_table(grid, wave))
+        sol = solve(problem)
         assert sol.u.coeffs.shape == (16, 64)
         assert not sol.u.coeffs[rows:].any()
         # the zero iterate costs no matvec, and one cycle converges
@@ -386,12 +390,11 @@ def test_layered_zero_contrast_gives_exact_zero():
     wave = IncidentWave.from_angle(0.8, 25.0)
     grid = Grid(n1=16, n2=64, rho_box=1.1)
     problem = build_problem(wave, slab_contrast(0.0, 1.0), grid)
-    table = kernel_table(grid, wave)
-    sol = solve(problem, table)
+    sol = solve(problem)
     assert problem.layout.n_rows == 1
     assert sol.converged and sol.iterations == 0
     assert sol.u.coeffs.shape == (16, 64) and not sol.u.coeffs.any()
-    assert residual(problem, table, sol.u) == 0.0
+    assert residual(sol) == 0.0
 
 
 def test_layered_one_row_table_matches_full_table():
@@ -400,11 +403,18 @@ def test_layered_one_row_table_matches_full_table():
     problem = build_problem(wave, two_layer_contrast(ANISO, -2.0, 0.4, 0.6),
                             grid)
     full, row = kernel_table(grid, wave), kernel_table(grid, wave, 1)
-    sol_full, sol_row = solve(problem, full), solve(problem, row)
+    # the solve, on its one-row table, against GMRES on the full table
+    sol_row = solve(problem)
+    stack = OperatorStack([problem], [full])
+    x, history, converged, iterations, _ = gmres(
+        lambda v: stack.apply([v]).reshape(-1), stack.rhs[0])
+    sol_full = Solution(density=x, residual_history=tuple(history),
+                        converged=converged, iterations=iterations,
+                        problem=problem, table=full, stack=stack)
     assert np.array_equal(sol_row.u.coeffs, sol_full.u.coeffs)
     assert sol_row.residual_history == sol_full.residual_history
-    assert residual(problem, row, sol_row.u) == residual(problem, full,
-                                                         sol_full.u)
+    assert residual(_field(sol_row.u, problem, row)) == residual(
+        _field(sol_full.u, problem, full))
     c = np.random.default_rng(2).standard_normal((1, 1, 64)) + 0j
     assert np.array_equal(OperatorStack([problem], [row]).apply_field(c),
                           OperatorStack([problem], [full]).apply_field(c))
@@ -421,7 +431,8 @@ def test_full_rows_need_the_full_table():
     with pytest.raises(ShapeMismatch, match=message):
         OperatorStack([problem], [table], 16)
     with pytest.raises(ShapeMismatch, match=message):
-        residual(problem, table, SpectralField(full, grid, problem.alpha))
+        residual(_field(SpectralField(full, grid, problem.alpha), problem,
+                        table))
     # a contrast that couples every row has no use for a one-row table
     circle = build_problem(wave, circle_contrast(3.0, 0.4), grid)
     with pytest.raises(ShapeMismatch, match="expected 16 rows of 64"):
@@ -439,7 +450,7 @@ def test_table_of_another_wave_is_rejected(other):
                f"the problem has k = {wave.k}, alpha = {wave.alpha}")
     for rows in (1, None):
         with pytest.raises(ShapeMismatch, match=message):
-            solve(problem, kernel_table(grid, other, rows))
+            OperatorStack([problem], [kernel_table(grid, other, rows)])
 
 
 @pytest.mark.parametrize("rel_tol", [float("inf"), float("nan"),
@@ -485,7 +496,7 @@ def test_memory_estimate_counts_basis_and_work_rows(monkeypatch):
                         lambda: need - 1)
     with pytest.raises(SizeGuard, match=f"about {need} bytes .41 Krylov "
                        f"vectors of {2 * nodes} density unknowns"):
-        solve(problem, kernel_table(grid, wave), opts)
+        solve(problem, opts)
     monkeypatch.setattr(vigrating.solver, "physical_memory_bytes",
                         lambda: None)
     check_memory(problem, opts)
@@ -552,10 +563,9 @@ def test_field_residual_is_within_rel_tol(tmp_path, name):
     cfg = (_neg_circle(tmp_path) if name == "neg-circle"
            else load_config(CONFIGS / f"{name}.ini"))
     problem = cfg.build()
-    table = kernel_table(problem.grid, problem.wave, problem.layout.n_rows)
-    sol = solve(problem, table, cfg.options())
+    sol = solve(problem, cfg.options())
     assert sol.converged
-    assert residual(problem, table, sol.u, sol.stack) <= cfg.options().rel_tol
+    assert residual(sol) <= cfg.options().rel_tol
 
 
 @pytest.mark.parametrize("shape", ["slab", "circle"])
@@ -579,8 +589,7 @@ def test_krylov_vectors_hold_the_support_density(tmp_path, monkeypatch,
         return gmres(counting, b, **options)
 
     monkeypatch.setattr(vigrating.solver, "gmres", counted)
-    table = kernel_table(problem.grid, problem.wave, problem.layout.n_rows)
-    sol = solve(problem, table, SolveOptions(restart=1000, rel_tol=1e-10))
+    sol = solve(problem, SolveOptions(restart=1000, rel_tol=1e-10))
     unknowns = 2 * len(problem.layout.nodes)
     assert unknowns == (1282 if shape == "circle" else
                         2 * len(problem.layout.support))
@@ -596,13 +605,12 @@ def test_empty_support_gives_an_exactly_zero_field(contrast):
     wave = IncidentWave.from_angle(0.8, 25.0)
     grid = Grid(n1=16, n2=64, rho_box=1.1)
     problem = build_problem(wave, contrast, grid)
-    table = kernel_table(grid, wave)
     assert len(problem.layout.nodes) == 0
-    sol = solve(problem, table)
+    sol = solve(problem)
     assert sol.converged and sol.iterations == 0
     assert sol.density.shape == (0,)
     assert sol.u.norm() == 0.0 and not sol.u.coeffs.any()
-    above, below = rayleigh_both_sides(sol, problem, table)
+    above, below = rayleigh_both_sides(sol)
     assert not any(above.coefficients.values())
     assert not any(below.coefficients.values())
 
@@ -614,13 +622,11 @@ def test_a_solve_is_freed_without_the_cycle_collector():
     problem = build_problem(IncidentWave.from_angle(0.8, 25.0),
                             circle_contrast(3.0, 0.4),
                             Grid(n1=16, n2=64, rho_box=1.1))
-    table = kernel_table(problem.grid, problem.wave)
     gc.disable()
     try:
-        sol = solve(problem, table)
-        assert sol.rows is not None and residual(
-            problem, table, sol.u, sol.stack) < 1e-8
-        rayleigh_both_sides(sol, problem, table)
+        sol = solve(problem)
+        assert sol.rows is not None and residual(sol) < 1e-8
+        rayleigh_both_sides(sol)
         freed = weakref.ref(sol.stack)
         del sol
         assert freed() is None

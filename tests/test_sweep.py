@@ -13,7 +13,6 @@ import pytest
 import vigrating.solver
 from vigrating.cli import _sweep_points, main
 from vigrating.config import PERIOD, load_config
-from vigrating.kernel import kernel_table
 from vigrating.operators import OperatorStack
 from vigrating.postprocess import (
     efficiencies,
@@ -86,9 +85,8 @@ def _point_rows(cfg, param, value):
     """The sweep.csv rows of one point, from a separate solve."""
     run = load_config(cfg).replace_parameter(param, float(value))
     problem = run.build()
-    table = kernel_table(problem.grid, problem.wave, problem.layout.n_rows)
-    sol = solve(problem, table, run.options())
-    eff = efficiencies(*rayleigh_both_sides(sol, problem, table), problem)
+    sol = solve(problem, run.options())
+    eff = efficiencies(*rayleigh_both_sides(sol), problem)
     return [[repr(float(value)), str(row[0]), *row[1:]]
             for row in efficiency_rows(eff)]
 
