@@ -21,8 +21,9 @@ and one inverse FFT for the gradient, and gathers the product back.  On
 more rows it runs, where :data:`BOX_RATIO` says it is cheaper, through DFT
 matrices restricted to the box of rows and columns that hold the support,
 with the derivative multipliers folded into them.  The field operator A,
-one inverse and one forward FFT on all the coefficients, stays on the FFTs
-whatever the route: it is the independent check of the solve's residual.
+one inverse and one forward FFT on the coefficient rows the solve couples,
+stays on the FFTs whatever the route: it is the independent check of the
+solve's residual.
 """
 
 from __future__ import annotations
@@ -209,34 +210,17 @@ def _contrast_product(q: np.ndarray, y: np.ndarray):
     y[0] = h0
 
 
-def _check_point(problem: Problem, table: KernelTable, rows: int):
+def _check_point(problem: Problem, table: KernelTable):
     """Raise ShapeMismatch unless ``table`` was built for the grid and the
-    wave of ``problem`` and serves arrays of ``rows`` rows: the
-    ``layout.n_rows`` rows the solve couples, or all N1 with the full
-    kernel table."""
-    grid, n_rows = problem.grid, problem.layout.n_rows
-    _check_table(grid, table, sorted({n_rows, grid.n1}))
+    wave of ``problem`` and holds the ``layout.n_rows`` rows the solve
+    couples: those rows alone, or all N1 (the full kernel table)."""
+    grid = problem.grid
+    _check_table(grid, table, sorted({problem.layout.n_rows, grid.n1}))
     if table.k != problem.k or table.alpha != problem.alpha:
         raise ShapeMismatch(
             f"kernel table was built for the wave k = {table.k}, alpha = "
             f"{table.alpha}; the problem has k = {problem.k}, alpha = "
             f"{problem.alpha}")
-    if rows == n_rows:
-        return
-    if rows != grid.n1:
-        raise ShapeMismatch(
-            f"{rows} coefficient rows; expected {n_rows} or {grid.n1}")
-    held = len(table.coeffs)
-    if held != rows:
-        raise ShapeMismatch(
-            f"an array of all {rows} coefficient rows needs the full "
-            f"kernel table; this one holds {held} row(s)")
-
-
-def live_rows(c: np.ndarray, n_rows: int) -> np.ndarray:
-    """The first ``n_rows`` rows of a coefficient array c when the rest
-    vanish, else c."""
-    return c if c[n_rows:].any() else c[:n_rows]
 
 
 def support_box(nodes: np.ndarray, rows: int, n2: int):
@@ -309,9 +293,9 @@ class _Nodes:
 
 class OperatorStack:
     """The operators of P points of one contrast layout on one grid (one
-    solve, or the points of a k or theta sweep) on arrays of ``rows``
-    coefficient rows, ``layout.n_rows`` by default, each point with its
-    ``problems`` entry and its kernel table ``tables`` entry.  One call
+    solve, or the points of a k or theta sweep) on arrays of the
+    ``layout.n_rows`` coefficient rows the solve couples, each point with
+    its ``problems`` entry and its kernel table ``tables`` entry.  One call
     applies them to a stack of P arrays: the density operators
     z - Q grad div V z with one forward and one inverse FFT over the
     stack, or on the support box (below), the field operators
@@ -334,16 +318,15 @@ class OperatorStack:
     x1, so it transforms in x2 alone (fft) and stands for every x1 row.
     The incident wave excites only the row j1 = 0, which a layered contrast
     maps to itself: ``layout.n_rows`` is 1 for a layered contrast and N1
-    otherwise.  Each kernel table must hold the rows applied, and have
-    been built for its point's wave and the grid's box.
+    otherwise.  Each kernel table must hold those rows (alone, or all N1
+    of the full table), and have been built for its point's wave and the
+    grid's box.
 
     A density is packed component-major: its two components at the
     support nodes ``layout.nodes`` of ``n_rows`` rows, in the units of the
-    scaled samples.  A stack of all N1 rows of a layered contrast holds
-    its densities at the support nodes of every row.  The solve runs on
-    the density; the field operator :meth:`apply_field` is the independent
-    check of its residual, so it keeps the FFTs whichever route
-    :meth:`apply` takes.
+    scaled samples.  The solve runs on the density; the field operator
+    :meth:`apply_field` is the independent check of its residual, so it
+    keeps the FFTs whichever route :meth:`apply` takes.
 
     The support box: on more than one row the density of a compact
     support sits inside the box of the x1 rows R and x2 columns C that
@@ -365,17 +348,17 @@ class OperatorStack:
     :attr:`rhs` once.
     """
 
-    def __init__(self, problems, tables, rows: int | None = None):
+    def __init__(self, problems, tables):
         first = problems[0]
         grid, layout = first.grid, first.layout
         if any(p.layout is not layout or p.grid != grid for p in problems):
             raise ShapeMismatch("a stack of operators needs one contrast "
                                 "layout on one grid")
-        rows = layout.n_rows if rows is None else rows
         for problem, table in zip(problems, tables, strict=True):
-            _check_point(problem, table, rows)
+            _check_point(problem, table)
         self.problems, self.tables = list(problems), list(tables)
-        self.rows, self.grid, self.layout = rows, grid, layout
+        self.rows = rows = layout.n_rows
+        self.grid, self.layout = grid, layout
         self.imu = (1j * np.pi / grid.rho_box * grid.j2_modes())[None, :]
         self.scale = np.sqrt(4 * np.pi * grid.rho_box) / (rows * grid.n2)
         if rows == 1:
@@ -384,14 +367,8 @@ class OperatorStack:
         else:
             self.fft = partial(np.fft.fftn, axes=(-2, -1))
             self.ifft = partial(np.fft.ifftn, axes=(-2, -1))
-        nodes, self.q_nodes = layout.nodes, layout.q_nodes
-        if rows != layout.n_rows:
-            # every row of an x1-invariant layout
-            nodes = (np.arange(rows)[:, None] * grid.n2 + nodes).ravel()
-            self.q_nodes = np.tile(self.q_nodes, rows)
-        self.node_index = nodes
-        self.x2_nodes = layout.x2[nodes % grid.n2]
-        self.box = support_box(nodes, rows, grid.n2)
+        self.x2_nodes = layout.x2[layout.nodes % grid.n2]
+        self.box = support_box(layout.nodes, rows, grid.n2)
 
     def take(self, keep) -> "OperatorStack":
         """The stack of the points ``keep`` (indices, in order) of this
@@ -442,7 +419,7 @@ class OperatorStack:
 
     @cached_property
     def nodes(self) -> _Nodes:
-        return _Nodes(self.node_index, len(self.problems),
+        return _Nodes(self.layout.nodes, len(self.problems),
                       self.rows * self.grid.n2)
 
     @cached_property
@@ -450,8 +427,9 @@ class OperatorStack:
         """The support nodes in the (R, C) arrays of the box."""
         rows, cols = self.box
         n2 = self.grid.n2
-        at = (np.searchsorted(rows, self.node_index // n2) * len(cols)
-              + np.searchsorted(cols, self.node_index % n2))
+        nodes = self.layout.nodes
+        at = (np.searchsorted(rows, nodes // n2) * len(cols)
+              + np.searchsorted(cols, nodes % n2))
         return _Nodes(at, len(self.problems), len(rows) * len(cols))
 
     @cached_property
@@ -496,14 +474,14 @@ class OperatorStack:
         kd = np.array([p.k * np.asarray(p.wave.d)
                        for p in self.problems])[:, :, None]
         y = (self.scale * 1j * kd) * np.exp(1j * kd[:, 1:] * self.x2_nodes)
-        _contrast_product(self.q_nodes, y.transpose(1, 0, 2))
+        _contrast_product(self.layout.q_nodes, y.transpose(1, 0, 2))
         y = y.reshape(len(self.problems), -1)
         y.setflags(write=False)
         return y
 
     def _packed(self, z) -> np.ndarray:
         """A stack of packed densities as (P, 2, n)."""
-        return z.reshape(len(self.problems), 2, len(self.node_index))
+        return z.reshape(len(self.problems), 2, len(self.layout.nodes))
 
     def _gradient(self, c: np.ndarray) -> np.ndarray:
         """Scaled gradient samples of a stack c of coefficient arrays,
@@ -528,7 +506,7 @@ class OperatorStack:
         """Scaled samples of Q grad c at the nodes, (P, 2, n), for a stack
         c (P, rows, N2) of coefficient arrays."""
         g = self.nodes.gather(self._gradient(c))
-        _contrast_product(self.q_nodes, g.transpose(1, 0, 2))
+        _contrast_product(self.layout.q_nodes, g.transpose(1, 0, 2))
         return g
 
     def potential(self, z) -> np.ndarray:
@@ -575,7 +553,7 @@ class OperatorStack:
                          else vectors[0])
         g = (self.nodes.gather(self._gradient(self.potential(z)))
              if self.box is None else self._box_gradient(z))
-        _contrast_product(self.q_nodes, g.transpose(1, 0, 2))
+        _contrast_product(self.layout.q_nodes, g.transpose(1, 0, 2))
         return np.subtract(z, g, out=g)
 
     def apply_field(self, c: np.ndarray) -> np.ndarray:
@@ -584,11 +562,6 @@ class OperatorStack:
         the support nodes and the potential of the density there, both
         through the FFTs whichever route :meth:`apply` takes."""
         return c - self.potential(self._contrast_gradient(c))
-
-    def density(self, c: np.ndarray) -> np.ndarray:
-        """The (P, 2n) packed total densities Q grad(u^s + u^i) of a stack
-        c (P, rows, N2) of scattered fields."""
-        return self.rhs + self._contrast_gradient(c).reshape(len(c), -1)
 
     def density_rows(self, z) -> np.ndarray:
         """x1 transform of the samples of a stack z of P packed densities
@@ -609,9 +582,12 @@ class OperatorStack:
 
 def apply_forward(u: SpectralField, problem: Problem,
                   table: KernelTable) -> SpectralField:
-    """Forward operator u - div V(Q grad u) on the collocation grid."""
-    stack = OperatorStack([problem], [table], len(u.coeffs))
-    return u.replace(stack.apply_field(u.coeffs[None])[0])
+    """The reference forward operator u - div V(Q grad u) on all N1 rows,
+    composed from the reference transforms by
+    :func:`contrast_gradient_potential`: the default operator of
+    :func:`assemble_dense`."""
+    return u.replace(
+        u.coeffs - contrast_gradient_potential(u, problem, table).coeffs)
 
 
 def contrast_gradient_potential(

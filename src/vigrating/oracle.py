@@ -64,17 +64,16 @@ def dense_quadrature_potential(
     alpha: float,
     k: float,
     targets,
-    delta: float = 0.1,
     refine: tuple[int, int] = (16, 16),
-    tail_tol: float = 1e-10,
 ) -> np.ndarray:
     """Trapezoidal quadrature of the volume potential with series kernel values.
 
     The coarse samples are trigonometrically upsampled (the same function the
     spectral path acts on) and integrated against the truncated kernel series
-    on the refined grid.  All targets must keep vertical separation >= delta
-    from every nonzero source row; the truncation order is chosen so the
-    series tail bound stays below ``tail_tol``.
+    on the refined grid.  All targets must keep vertical separation >= 0.1
+    from every nonzero source row (SlowConvergence otherwise); the
+    truncation order is chosen so the series tail bound stays below
+    1e-10.
     """
     targets = np.asarray(targets, dtype=float).reshape(-1, 2)
     gf, fine = upsample(np.asarray(g_samples, dtype=complex), grid, alpha,
@@ -84,9 +83,9 @@ def dense_quadrature_potential(
     if src_rows.any():
         seps = np.abs(targets[:, 1][:, None] - grid.x2_nodes()[None, src_rows])
         sep_min = float(seps.min())
-        if sep_min < delta:
+        if sep_min < 0.1:
             raise SlowConvergence(
-                f"target-source separation {sep_min:g} below delta = {delta}"
+                f"target-source separation {sep_min:g} below 0.1"
             )
     else:
         return np.zeros(targets.shape[0], dtype=complex)
@@ -94,7 +93,7 @@ def dense_quadrature_potential(
     j_max = 8
     while True:
         try:
-            if series_tail_bound(j_max, sep_min, k, alpha) < tail_tol:
+            if series_tail_bound(j_max, sep_min, k, alpha) < 1e-10:
                 break
         except ValueError:
             pass
@@ -275,7 +274,6 @@ def _two_sum(a: complex, b: complex) -> tuple[complex, complex]:
 
 
 def slab_reference_fd(spec: SlabSpec, n: int = 2000,
-                      pad: float = 2.0,
                       rho_ref: float | None = None) -> tuple[complex, complex]:
     """Independent fine-grid 1D finite-element solve of the slab problem.
 
@@ -288,8 +286,8 @@ def slab_reference_fd(spec: SlabSpec, n: int = 2000,
     conditions enter as the boundary terms -i b0 on the two end nodes, the
     incident wave as the load of the top node.  Richardson extrapolation
     over n and 2n cells in the slab removes the leading quadratic error;
-    both meshes pad the slab by the same length, a whole number of the
-    coarse cells, so that they differ in nothing but h.  No closed form
+    both meshes pad the slab by the same length, at least 2, a whole
+    number of the coarse cells, so that they differ in nothing but h.  No closed form
     enters.  Returns (r, t) in the same normalization as
     :func:`slab_reference`.
 
@@ -355,7 +353,7 @@ def slab_reference_fd(spec: SlabSpec, n: int = 2000,
         t = bottom * np.exp(1j * b0 * (lo + rho_ref))
         return complex(r), complex(t)
 
-    p = int(np.ceil(pad / ((spec.b - spec.a) / n)))
+    p = int(np.ceil(2.0 / ((spec.b - spec.a) / n)))
     r1, t1 = solve_once(n, p)
     r2, t2 = solve_once(2 * n, 2 * p)
     return (4 * r2 - r1) / 3, (4 * t2 - t1) / 3
@@ -389,27 +387,28 @@ def bump(t) -> np.ndarray:
     return out
 
 
-def smooth_test_contrast(h: float = 0.5) -> ContrastField:
-    """Fixed smooth positive isotropic contrast for operator diagnostics."""
+def smooth_test_contrast() -> ContrastField:
+    """Fixed smooth positive isotropic contrast of half-height 0.5 for
+    operator diagnostics."""
 
     def sampler(x1, x2):
         x1 = np.asarray(x1, dtype=float)
-        q = 0.8 * (0.55 + 0.45 * np.cos(x1)) * bump(np.asarray(x2, float) / h)
+        q = 0.8 * (0.55 + 0.45 * np.cos(x1)) * bump(np.asarray(x2, float) / 0.5)
         return q[..., None, None] * np.eye(2)
 
-    return ContrastField(sampler=sampler, h=h)
+    return ContrastField(sampler=sampler, h=0.5)
 
 
-def compactness_indicator(n: int, k: float = 1.0, alpha: float = 0.3,
-                          weighted: bool = True) -> CompactnessProfile:
+def compactness_indicator(n: int) -> CompactnessProfile:
     """Singular-value profiles of the dense compact-candidate operators.
 
-    Assembles v -> div V(Q grad v) densely for the physical wavenumber and
-    for the damped reference kernel (k^2 = -1) on an n x n grid with the
-    fixed smooth contrast, similarity-transformed into the discrete
-    H1-weighted norm, and returns the singular values of the difference and
-    of the physical operator itself.
+    Assembles v -> div V(Q grad v) densely for the physical wavenumber
+    k = 1 at alpha = 0.3 and for the damped reference kernel (k^2 = -1) on
+    an n x n grid with the fixed smooth contrast, similarity-transformed
+    into the discrete H1-weighted norm, and returns the singular values of
+    the difference and of the physical operator itself.
     """
+    k, alpha = 1.0, 0.3
     if n * n > DENSE_GUARD:
         raise SizeGuard(f"{n}x{n} exceeds the dense oracle guard")
     contrast = smooth_test_contrast()
@@ -427,12 +426,11 @@ def compactness_indicator(n: int, k: float = 1.0, alpha: float = 0.3,
     m_k = assemble_dense(problem, table_k, operator=lk_op(table_k))
     m_i = assemble_dense(problem, table_i, operator=lk_op(table_i))
 
-    if weighted:
-        j1 = grid.j1_modes()[:, None]
-        j2 = grid.j2_modes()[None, :]
-        w = np.sqrt(1.0 + j1**2 + j2**2).reshape(-1)
-        m_k = w[:, None] * m_k / w[None, :]
-        m_i = w[:, None] * m_i / w[None, :]
+    j1 = grid.j1_modes()[:, None]
+    j2 = grid.j2_modes()[None, :]
+    w = np.sqrt(1.0 + j1**2 + j2**2).reshape(-1)
+    m_k = w[:, None] * m_k / w[None, :]
+    m_i = w[:, None] * m_i / w[None, :]
 
     sv_diff = np.linalg.svd(m_k - m_i, compute_uv=False)
     sv_op = np.linalg.svd(m_k, compute_uv=False)

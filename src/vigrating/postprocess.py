@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import NotConverged, ShapeMismatch, Unphysical
 from .kernel import _beta_many
-from .operators import OperatorStack, evaluate, live_rows
+from .operators import OperatorStack, evaluate
 from .problem import Problem
 from .solver import Solution
 
@@ -60,18 +60,10 @@ def rayleigh_both_sides(
 ) -> tuple[RayleighData, RayleighData]:
     """Rayleigh coefficients above and below from moments of the density:
     the batch of one of :func:`rayleigh_batch`, on the solve's stack of
-    one.  A Solution made from a field builds its density from that
-    field."""
+    one."""
     if not solution.converged:
         raise NotConverged("Rayleigh extraction requires a converged solve")
-    if solution.density is not None:
-        stack, z = solution.stack, solution.density[None]
-    else:
-        problem = solution.problem
-        c = live_rows(solution.rows, problem.layout.n_rows)
-        stack = OperatorStack([problem], [solution.table], len(c))
-        z = stack.density(c[None])
-    return _rayleigh(stack, z)[0]
+    return _rayleigh(solution.stack, solution.density[None])[0]
 
 
 def rayleigh_batch(solutions) -> list[tuple[RayleighData, RayleighData]]:

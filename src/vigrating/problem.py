@@ -283,9 +283,10 @@ def _max_eig(q_nodes: np.ndarray) -> float:
 class Problem:
     """Immutable solver input: wave, contrast, grid and the sampled contrast.
 
-    ``rho_ref`` (h < rho_ref <= rho_box) is the reference height of the
-    Rayleigh expansion; ``layout`` holds the samples.  A Problem is valid
-    when it is built.  Its wave must be clear of the Rayleigh anomalies:
+    ``rho_ref`` is the reference height of the Rayleigh expansion;
+    ``layout`` holds the samples.  A Problem is valid when it is built.
+    Its reference height must satisfy h < rho_ref <= rho_box:
+    GeometryError otherwise.  Its wave must be clear of the Rayleigh anomalies:
     :meth:`IncidentWave.check_nonresonance` raises RayleighAnomaly
     otherwise.  A contrast that couples x1 orders (``layout.n_rows > 1``)
     must have every propagating order among the ones the grid resolves:
@@ -300,6 +301,10 @@ class Problem:
     layout: ContrastLayout = field(repr=False, compare=False)
 
     def __post_init__(self):
+        if not (self.contrast.h < self.rho_ref <= self.grid.rho_box):
+            raise GeometryError(
+                f"rho_ref = {self.rho_ref} must satisfy h < rho_ref <= rho_box"
+            )
         self.wave.check_nonresonance()
         if self.layout.n_rows > 1:
             check_orders(self.wave, self.grid)
@@ -359,18 +364,17 @@ def build_problem(
     wave: IncidentWave,
     contrast: ContrastField,
     grid: Grid,
-    rho_ref: float | None = None,
 ) -> Problem:
     """Sample the contrast on the grid and build the Problem.
 
     Raises what :func:`sample_contrast` raises for the geometry, then what
-    :class:`Problem` raises: RayleighAnomaly at a cutoff order,
-    UnresolvedOrder when a contrast that couples x1 orders has a
-    propagating order the grid cannot hold (:func:`check_orders`), and
-    Underresolved when the grid cannot hold the material wavelength
-    (:func:`check_resolution`).
+    :class:`Problem` raises: GeometryError for its reference height,
+    RayleighAnomaly at a cutoff order, UnresolvedOrder when a contrast
+    that couples x1 orders has a propagating order the grid cannot hold
+    (:func:`check_orders`), and Underresolved when the grid cannot hold
+    the material wavelength (:func:`check_resolution`).
     """
-    rho_ref, layout = sample_contrast(contrast, grid, rho_ref)
+    rho_ref, layout = sample_contrast(contrast, grid)
     return Problem(wave=wave, contrast=contrast, grid=grid, rho_ref=rho_ref,
                    layout=layout)
 
@@ -378,10 +382,9 @@ def build_problem(
 def sample_contrast(
     contrast: ContrastField,
     grid: Grid,
-    rho_ref: float | None = None,
 ) -> tuple[float, ContrastLayout]:
     """The wave-independent part of :func:`build_problem`: the reference
-    height and the layout of the contrast samples.
+    height h + (rho_box - h) / 10 and the layout of the contrast samples.
 
     Raises GeometryError when the box is too small (rho_box >= 2h is
     required so that the periodized kernel agrees with the free
@@ -399,12 +402,7 @@ def sample_contrast(
         raise GeometryError(
             f"rho_box = {grid.rho_box} violates rho_box >= 2h = {2 * contrast.h}"
         )
-    if rho_ref is None:
-        rho_ref = contrast.h + 0.1 * (grid.rho_box - contrast.h)
-    if not (contrast.h < rho_ref <= grid.rho_box):
-        raise GeometryError(
-            f"rho_ref = {rho_ref} must satisfy h < rho_ref <= rho_box"
-        )
+    rho_ref = contrast.h + 0.1 * (grid.rho_box - contrast.h)
 
     x1, x2 = grid.x1_nodes(), grid.x2_nodes()
     if contrast.x1_invariant:

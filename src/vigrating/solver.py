@@ -23,18 +23,14 @@ import math
 import operator
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 
 import numpy as np
 
 from .errors import BreakdownDetected, NotConverged, SizeGuard
 from .kernel import KernelTable, kernel_table
-from .operators import (
-    OperatorStack,
-    SpectralField,
-    live_rows,
-    operator_entries,
-)
+from .operators import OperatorStack, SpectralField, operator_entries
 from .problem import Problem
 
 log = logging.getLogger(__name__)
@@ -75,52 +71,39 @@ class Solution:
     kernel table ``table``.  ``stack`` is the stack of one the solve ran
     on, which its residual and Rayleigh extraction reuse; a point of a
     lockstep batch builds it when it is first read.  ``rows`` are the
-    leading coefficient rows of the scattered field div V(density): all
-    N1, or the row j1 = 0 of a layered solve, whose other rows vanish.
-    ``u`` is the field on all N1 rows.  Both are built when first read, so
-    that a sweep point, which reads only its density, never allocates
-    them.  A Solution made from a field ``u``, with its problem and
-    table, has its rows and no density, which Rayleigh extraction builds
-    from the field.
+    ``layout.n_rows`` leading coefficient rows of the scattered field
+    div V(density): all N1, or the row j1 = 0 of a layered solve, whose
+    other rows vanish.  ``u`` is the field on all N1 rows.  Both are built
+    when first read, so that a sweep point, which reads only its density,
+    never allocates them.
     """
 
-    def __init__(self, u: SpectralField | None = None,
-                 residual_history: tuple = (), converged: bool = False,
-                 iterations: int = 0, density: np.ndarray | None = None,
-                 problem: Problem | None = None,
-                 table: KernelTable | None = None,
+    def __init__(self, density: np.ndarray, problem: Problem,
+                 table: KernelTable, residual_history: tuple = (),
+                 converged: bool = False, iterations: int = 0,
                  stack: OperatorStack | None = None):
-        self._u = u
-        self._rows = None if u is None else u.coeffs
-        self.density = density
+        self.density, self.problem, self.table = density, problem, table
         self.residual_history = residual_history
         self.converged = converged
         self.iterations = iterations
-        self.problem, self.table, self._stack = problem, table, stack
+        if stack is not None:
+            self.stack = stack
 
-    @property
-    def stack(self) -> OperatorStack | None:
-        if self._stack is None and self.problem is not None:
-            self._stack = OperatorStack([self.problem], [self.table])
-        return self._stack
+    @cached_property
+    def stack(self) -> OperatorStack:
+        return OperatorStack([self.problem], [self.table])
 
-    @property
-    def rows(self) -> np.ndarray | None:
-        if self._rows is None and self.density is not None:
-            self._rows = self.stack.potential(self.density)[0].copy()
-        return self._rows
+    @cached_property
+    def rows(self) -> np.ndarray:
+        return self.stack.potential(self.density)[0].copy()
 
-    @property
-    def u(self) -> SpectralField | None:
-        if self._u is None and self.rows is not None:
-            problem = self.problem
-            grid = problem.grid
-            coeffs = self.rows
-            if len(coeffs) != grid.n1:
-                coeffs = np.zeros((grid.n1, grid.n2), dtype=complex)
-                coeffs[:len(self.rows)] = self.rows
-            self._u = SpectralField(coeffs, grid, problem.alpha)
-        return self._u
+    @cached_property
+    def u(self) -> SpectralField:
+        grid, coeffs = self.problem.grid, self.rows
+        if len(coeffs) != grid.n1:
+            coeffs = np.zeros((grid.n1, grid.n2), dtype=complex)
+            coeffs[:len(self.rows)] = self.rows
+        return SpectralField(coeffs, grid, self.problem.alpha)
 
 
 def assemble_rhs(problem: Problem, table: KernelTable) -> SpectralField:
@@ -538,23 +521,16 @@ def residual(solution: Solution) -> float:
     the field u of ``solution``, recomputed from scratch with the field
     operator A.
 
-    The right-hand side comes from the solution's stack, whose incident
-    density a solve has already built.  Falls back to the absolute norm
-    when the right-hand side vanishes.  The field of a layered solve has
-    only the row j1 = 0, which is applied alone and which a one-row table
-    serves.  Any other u is applied on all N1 rows, which needs the full
-    table of ``kernel_table(grid, wave)``: a one-row table raises
-    ShapeMismatch.  The right-hand side vanishes past its ``n_rows`` rows,
-    so it is subtracted from the leading rows of A u alone.
+    A and the right-hand side run on the solution's stack, whose incident
+    density a solve has already built, over the ``layout.n_rows`` rows the
+    solve couples: the row j1 = 0 of a layered solve, on its one-row
+    table, whose other rows vanish in u and in the right-hand side.  Falls
+    back to the absolute norm when the right-hand side vanishes.
     """
-    problem, stack = solution.problem, solution.stack
+    stack = solution.stack
     rhs = stack.potential(stack.rhs)[0].copy()
-    # rows of u that vanish, past the solved ones, map to vanishing rows
-    c = live_rows(solution.rows, problem.layout.n_rows)
-    if len(c) != stack.rows:
-        stack = OperatorStack([problem], [solution.table], len(c))
-    r = stack.apply_field(c[None])[0]
-    r[:len(rhs)] -= rhs
+    r = stack.apply_field(solution.rows[None])[0]
+    r -= rhs
     num = float(np.linalg.norm(r))
     den = float(np.linalg.norm(rhs))
     return num / den if den > 0 else num

@@ -10,6 +10,7 @@ come from the measured convergence behavior with explicit margin.
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -385,17 +386,16 @@ def gate_rayleigh_routes() -> GateResult:
                    f"max relative route difference {worst:.2e}")
 
 
-def write_slab_example_config(path, n: int = 256, q: float = 3.0,
-                              k: float = 1.0):
-    """Write the bundled slab configuration (lengths in period units), its
-    box sized by :func:`slab_box_ratio`."""
+def write_slab_example_config(path, n: int = 256):
+    """Write the bundled q = 3 slab configuration at k = 1 (lengths in
+    period units), its box sized by :func:`slab_box_ratio`."""
     rho_box = 0.5 * slab_box_ratio(n)
     Path(path).write_text(
         "[problem]\n"
-        f"k = {k}\n"
+        "k = 1.0\n"
         "theta_deg = 0.0\n"
         "shape = slab\n"
-        f"q_re = {q}\n"
+        "q_re = 3.0\n"
         "thickness = 1.0\n"
         "\n"
         "[numerics]\n"
@@ -412,7 +412,9 @@ def write_slab_example_config(path, n: int = 256, q: float = 3.0,
 
 def gate_determinism(tmp_dir) -> GateResult:
     """Two CLI solves of the same config produce byte-identical outputs
-    (timestamp metadata excluded)."""
+    (timestamp metadata excluded).  The solves run with the package logger
+    at WARNING: their INFO lines would name files under ``tmp_dir``, which
+    the caller may remove."""
     from .cli import main as cli_main
 
     t0 = time.time()
@@ -420,17 +422,24 @@ def gate_determinism(tmp_dir) -> GateResult:
     cfg = tmp / "slab.ini"
     write_slab_example_config(cfg, n=64)
     outputs = []
-    for run in ("a", "b"):
-        out = tmp / run
-        rc = cli_main(["solve", str(cfg), "--output", str(out)])
-        if rc != 0:
-            return _result("determinism", t0, False, f"solve exited {rc}")
-        csv_bytes = (out / "efficiencies.csv").read_bytes()
-        json_lines = [
-            ln for ln in (out / "result.json").read_text().splitlines()
-            if '"timestamp"' not in ln
-        ]
-        outputs.append((csv_bytes, json_lines))
+    log = logging.getLogger("vigrating")
+    level = log.level
+    log.setLevel(logging.WARNING)
+    try:
+        for run in ("a", "b"):
+            out = tmp / run
+            rc = cli_main(["solve", str(cfg), "--output", str(out)])
+            if rc != 0:
+                return _result("determinism", t0, False,
+                               f"solve exited {rc}")
+            csv_bytes = (out / "efficiencies.csv").read_bytes()
+            json_lines = [
+                ln for ln in (out / "result.json").read_text().splitlines()
+                if '"timestamp"' not in ln
+            ]
+            outputs.append((csv_bytes, json_lines))
+    finally:
+        log.setLevel(level)
     passed = outputs[0] == outputs[1]
     return _result("determinism", t0, passed,
                    "byte-identical outputs" if passed else "outputs differ")

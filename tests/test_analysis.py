@@ -310,7 +310,7 @@ def test_extension_estimate_below_bound():
     geom = GraphGeometry(zeta_plus=lambda x: np.full_like(x, 0.8),
                          zeta_minus=lambda x: np.full_like(x, -0.8),
                          rho=1.0)
-    est = extension_norm_estimate(geom, n_fields=50)
+    est = extension_norm_estimate(geom)
     assert 1.0 <= est <= extension_norm(geom).bound
 
 

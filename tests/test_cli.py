@@ -790,6 +790,21 @@ def test_verbose_holds_for_its_own_call_alone(tmp_path, verbose):
     assert all("INFO vigrating: wrote" in call for call in calls)
 
 
+def test_the_determinism_gate_logs_no_file_of_its_directory():
+    # the gate's solves write under a directory that validate removes, so
+    # an INFO line naming one of their files would name a file that is gone
+    proc = _python(
+        "import logging, tempfile\n"
+        "logging.basicConfig(level=logging.INFO)\n"
+        "from vigrating.validate import gate_determinism\n"
+        "with tempfile.TemporaryDirectory() as tmp:\n"
+        "    result = gate_determinism(tmp)\n"
+        "print(result.passed, logging.getLogger('vigrating').level)\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "0"]
+    assert "wrote" not in proc.stderr
+
+
 def test_validate_module_does_not_import_scipy():
     proc = _python("import sys, vigrating.validate; "
                    "print('scipy' in sys.modules)")

@@ -54,11 +54,11 @@ from conftest import (
 )
 
 
-def _solve_slab(q, n1, n2, ratio, rel_tol=1e-10, rho_ref=None):
+def _solve_slab(q, n1, n2, ratio, rel_tol=1e-10):
     wave = IncidentWave.from_angle(SLAB_K, 0.0)
     contrast = slab_contrast(q, 2 * SLAB_H)
     grid = Grid(n1=n1, n2=n2, rho_box=ratio * SLAB_H)
-    problem = build_problem(wave, contrast, grid, rho_ref=rho_ref)
+    problem = build_problem(wave, contrast, grid)
     return problem, solve(problem, SolveOptions(rel_tol=rel_tol))
 
 
@@ -110,9 +110,9 @@ def test_scattered_field_extracts_the_density_once(monkeypatch):
 
 
 def test_rayleigh_requires_converged_solution():
-    fake = Solution(
-        u=None, residual_history=(), converged=False, iterations=0
-    )
+    problem, sol = _solve_slab(3.0, 8, 64, 2.5)
+    fake = Solution(sol.density, problem, sol.table)
+    assert not fake.converged
     with pytest.raises(NotConverged):
         rayleigh_coefficients(fake, "+")
 
@@ -404,6 +404,20 @@ def _field_density(solution, problem):
                            to_physical(g.g2) + i2)
 
 
+def _solved_density(solution):
+    """Samples (2, N1, N2) of the density a solve ran on: its packed
+    entries at the support nodes of the natural FFT layout of its rows,
+    unscaled, rolled back to node order and given back the exp(i alpha
+    x1) phase.  The one row of a layered solve stands for every x1 row."""
+    problem, stack = solution.problem, solution.stack
+    grid = problem.grid
+    w = np.zeros((2, stack.rows * grid.n2), dtype=complex)
+    w[:, problem.layout.nodes] = solution.density.reshape(2, -1) / stack.scale
+    w = np.roll(w.reshape(2, stack.rows, grid.n2),
+                (-(grid.n1 // 2), -(grid.n2 // 2)), axis=(1, 2))
+    return w * np.exp(1j * problem.alpha * grid.x1_nodes())[:, None]
+
+
 def _full_grid_rayleigh(density, problem, side):
     """Moment formula summed with a full-grid exp per order over density
     samples (2, N1, N2)."""
@@ -432,14 +446,12 @@ def test_one_pass_rayleigh_matches_full_grid_sum():
     grid = Grid(n1=32, n2=32, rho_box=1.7)
     problem = build_problem(wave, circle_contrast(q, 0.8), grid)
     sol = solve(problem, SolveOptions(rel_tol=1e-10))
-    # the extraction of the solve's field, whose density it builds, against
-    # the full-grid sum over that density
-    field = Solution(u=sol.u, converged=True, problem=problem,
-                     table=sol.table)
-    density = _field_density(field, problem)
-    above, below = rayleigh_both_sides(field)
-    solved = rayleigh_both_sides(sol)
-    for data, own in zip((above, below), solved):
+    # the extraction of the solve against the full-grid sum over its own
+    # density, and over the density of its field
+    density = _solved_density(sol)
+    field_density = _field_density(sol, problem)
+    above, below = rayleigh_both_sides(sol)
+    for data in (above, below):
         direct = _full_grid_rayleigh(density, problem, data.side)
         assert list(data.coefficients) == list(direct)
         scale = max(abs(v) for v in direct.values())
@@ -447,21 +459,22 @@ def test_one_pass_rayleigh_matches_full_grid_sum():
         assert worst <= 1e-13 * scale
         assert data.truncated == tuple(j for j, v in direct.items() if v == 0.0)
         single = rayleigh_coefficients(sol, data.side)
-        assert single.coefficients == own.coefficients
+        assert single.coefficients == data.coefficients
         # the solve's own density differs from its field's by the density
         # residual, which rel_tol bounds
-        assert list(own.coefficients) == list(direct)
-        assert max(abs(own.order(j) - direct[j])
-                   for j in direct) <= 1e-10 * scale
+        field = _full_grid_rayleigh(field_density, problem, data.side)
+        assert list(data.coefficients) == list(field)
+        assert max(abs(data.order(j) - field[j]) for j in field) <= (
+            1e-10 * max(abs(v) for v in field.values()))
     assert len(above.propagating) > 1
 
 
 def _reference_density_solve(problem, table, rel_tol):
     """GMRES on the density w = Q grad(u^s + u^i) at all N1 x N2 nodes,
     w - Q grad div V w = Q grad u^i, with the operator and right-hand side
-    composed from the public 2-D transforms.  The density samples (2, N1,
-    N2) and the Solution of the field div V w, on ``problem`` and the full
-    kernel table ``table``."""
+    composed from the public 2-D transforms, on ``problem`` and the full
+    kernel table ``table``.  The density samples (2, N1, N2) and the
+    iterations."""
     grid, alpha = problem.grid, problem.alpha
     shape = (2, grid.n1, grid.n2)
 
@@ -480,9 +493,7 @@ def _reference_density_solve(problem, table, rel_tol):
     x, _, converged, iterations, _ = gmres(matvec, b.reshape(-1),
                                            rel_tol=rel_tol)
     assert converged
-    return x.reshape(shape), Solution(u=potential(x), converged=True,
-                                      iterations=iterations, problem=problem,
-                                      table=table)
+    return x.reshape(shape), iterations
 
 
 @pytest.mark.parametrize("contrast, theta", [
@@ -500,9 +511,9 @@ def test_layered_efficiencies_match_2d_reference(contrast, theta):
     problem = build_problem(wave, contrast, grid)
     sol = solve(problem, SolveOptions(rel_tol=1e-12))
     assert problem.layout.n_rows == 1
-    density, reference = _reference_density_solve(
+    density, iterations = _reference_density_solve(
         problem, kernel_table(grid, wave), rel_tol=1e-12)
-    assert sol.iterations == reference.iterations
+    assert sol.iterations == iterations
 
     above, below = rayleigh_both_sides(sol)
     ref = [RayleighData(side=side, rho_ref=problem.rho_ref,
@@ -510,15 +521,11 @@ def test_layered_efficiencies_match_2d_reference(contrast, theta):
                                                          side),
                         propagating=above.propagating)
            for side in ("+", "-")]
-    # the all-row field of the layered contrast through the same extraction,
-    # against the full-grid sum over its density; at oblique incidence its
-    # rows past j1 = 0 hold rounding noise, so the density runs on all N1
-    # rows
-    assert reference.u.coeffs[1:].any() or not theta
-    field_density = _field_density(reference, problem)
-    for data, side in zip(rayleigh_both_sides(reference),
-                          ("+", "-")):
-        direct = _full_grid_rayleigh(field_density, problem, side)
+    # the one-row extraction against the full-grid sum over the solve's
+    # own density on all N1 rows
+    solved = _solved_density(sol)
+    for data in (above, below):
+        direct = _full_grid_rayleigh(solved, problem, data.side)
         assert max(abs(data.order(j) - v) for j, v in direct.items()) <= 1e-13
     got = efficiencies(above, below, problem)
     expected = efficiencies(*ref, problem)

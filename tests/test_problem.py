@@ -1,3 +1,4 @@
+import re
 import struct
 import tracemalloc
 
@@ -190,9 +191,27 @@ def test_build_problem_geometry_error():
     contrast = slab_contrast(1.0, 2.0)              # h = 1
     with pytest.raises(GeometryError):
         build_problem(wave, contrast, Grid(n1=8, n2=8, rho_box=1.5))
+    grid = Grid(n1=8, n2=8, rho_box=2.5)
+    _, layout = sample_contrast(contrast, grid)
     with pytest.raises(GeometryError):
-        build_problem(wave, contrast, Grid(n1=8, n2=8, rho_box=2.5),
-                      rho_ref=0.5)                  # rho_ref below h
+        Problem(wave=wave, contrast=contrast, grid=grid, rho_ref=0.5,
+                layout=layout)                      # rho_ref below h
+
+
+@pytest.mark.parametrize("rho_ref", [0.1, 0.5, 9.0, 1.5000001, float("nan")])
+@pytest.mark.parametrize("k", [0.5, 1.0], ids=["clear", "anomaly"])
+def test_a_problem_checks_its_reference_height(rho_ref, k):
+    # h < rho_ref <= rho_box, checked before the wave: at k = 1 the normal
+    # wave sits on the anomaly of orders +-1
+    contrast = slab_contrast(1.0, 1.0)              # h = 0.5
+    grid = Grid(n1=8, n2=8, rho_box=1.5)
+    _, layout = sample_contrast(contrast, grid)
+    with pytest.raises(GeometryError, match=re.escape(
+            f"rho_ref = {rho_ref} must satisfy h < rho_ref <= rho_box")):
+        Problem(wave=IncidentWave(k=k, d=(0.0, -1.0)), contrast=contrast,
+                grid=grid, rho_ref=rho_ref, layout=layout)
+    Problem(wave=IncidentWave(k=0.5, d=(0.0, -1.0)), contrast=contrast,
+            grid=grid, rho_ref=1.5, layout=layout)
 
 
 def test_build_problem_rejects_anomalous_wave():

@@ -182,9 +182,9 @@ def _stack_sizes(monkeypatch) -> list[int]:
     sizes = []
     stack = vigrating.solver.OperatorStack
 
-    def recorded(problems, tables, rows=None):
+    def recorded(problems, tables):
         sizes.append(len(problems))
-        return stack(problems, tables, rows)
+        return stack(problems, tables)
 
     monkeypatch.setattr(vigrating.solver, "OperatorStack", recorded)
     return sizes
